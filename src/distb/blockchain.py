@@ -20,7 +20,8 @@ Canonical byte layout (everything hashed goes through this, never JSON):
     block hash       = SHA-256(block header)
 
 A pow seal requires the block hash to carry at least `difficulty` leading
-zero bits. The genesis block has index 0 and an all-zero prev_hash.
+zero bits (0 <= difficulty <= 256). The genesis block has index 0 and an
+all-zero prev_hash.
 
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
@@ -209,11 +210,26 @@ def leading_zero_bits(data: bytes) -> int:
     return len(data) * 8 - int.from_bytes(data, "big").bit_length()
 
 
-def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> Block:
-    """Proof-of-work sealing: count the nonce up from 0 until the digest clears
-    the difficulty. Deterministic for fixed inputs."""
+def pow_target(difficulty: int) -> bytes:
+    """Bound for a pow seal: a 32-byte hash carries at least `difficulty`
+    leading zero bits exactly when it compares below the returned bytes."""
     if difficulty < 0:
         raise ValueError("difficulty must be >= 0 bits")
+    if difficulty == 0:
+        return b"\xff" * 33  # a 32-byte hash is a prefix of, or below, this
+    if difficulty > 256:
+        return b""  # no 32-byte hash is below the empty string
+    return (1 << (256 - difficulty)).to_bytes(32, "big")
+
+
+def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> Block:
+    """Proof-of-work sealing: count the nonce up from 0 until the digest clears
+    the difficulty. Deterministic for fixed inputs.
+
+    The header up to the nonce is fixed, so it is hashed once and each
+    candidate continues from a copy of that hash state (the midstate)."""
+    if not 0 <= difficulty <= 256:
+        raise ValueError(f"difficulty must be in 0..256 bits (got {difficulty})")
     if index > 0 and not txs:
         raise EmptyBlockError("non-genesis block needs at least one transaction")
     tx_list = tuple(txs)
@@ -226,10 +242,14 @@ def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> 
         + b"".join(t.tx_id for t in tx_list)
         + _sealer_bytes(sealer)
     )
+    base = hashlib.sha256(prefix)
+    target = pow_target(difficulty)
     nonce = 0
     while True:
-        h = digest(prefix + _u64(nonce))
-        if leading_zero_bits(h) >= difficulty:
+        h = base.copy()
+        h.update(nonce.to_bytes(8, "big"))
+        block_hash = h.digest()
+        if block_hash < target:
             return Block(
                 index=index,
                 timestamp=now,
@@ -237,7 +257,7 @@ def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> 
                 tx_list=tx_list,
                 nonce=nonce,
                 sealer=sealer,
-                hash=h,
+                hash=block_hash,
             )
         nonce += 1
 
@@ -361,11 +381,11 @@ def _check_seal(block: Block) -> str | None:
             block.sealer,
             block.nonce,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return str(exc)
     if digest(header) != block.hash:
         return "hash does not match header"
-    if block.sealer.kind == "pow" and leading_zero_bits(block.hash) < block.sealer.difficulty:
+    if block.sealer.kind == "pow" and not block.hash < pow_target(block.sealer.difficulty):
         return "hash misses difficulty target"
     if block.sealer.kind == "pos" and not block.sealer.validator:
         return "pos seal without validator"
@@ -504,12 +524,14 @@ def load_ledger(text: str) -> Ledger:
 class BlockStore:
     """Content-addressed block storage stub; record id = block hash (hex).
 
-    In-memory by default; give it a directory to persist one JSON file per
-    block. Reads re-derive the block hash and fail loudly on any corruption.
+    In-memory by default, holding the `Block` objects themselves; give it a
+    directory to persist one JSON file per block instead. Reads from either
+    re-derive every transaction id and the block hash, and fail loudly on
+    any corruption.
     """
 
     def __init__(self, root: str | Path | None = None):
-        self._mem: dict[str, bytes] = {}
+        self._mem: dict[str, Block] = {}
         self._root = Path(root) if root is not None else None
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
@@ -519,41 +541,42 @@ class BlockStore:
 
     def put(self, block: Block) -> str:
         record_id = block.hash.hex()
-        data = json.dumps(block_to_dict(block), sort_keys=True).encode("utf-8")
         if self._root is None:
-            self._mem[record_id] = data
+            self._mem[record_id] = block
         else:
             path = self._path(record_id)
             if not path.exists():
-                path.write_bytes(data)
+                path.write_bytes(json.dumps(block_to_dict(block), sort_keys=True).encode("utf-8"))
         return record_id
 
     def get(self, record_id: str) -> Block:
         if self._root is None:
             if record_id not in self._mem:
                 raise KeyError(record_id)
-            data = self._mem[record_id]
+            block = self._mem[record_id]
         else:
             path = self._path(record_id)
             if not path.exists():
                 raise KeyError(record_id)
-            data = path.read_bytes()
-        try:
-            block = block_from_dict(json.loads(data.decode("utf-8")))
-        except Exception as exc:
-            raise StorageIntegrityError(f"record {record_id} unreadable: {exc}") from exc
+            try:
+                block = block_from_dict(json.loads(path.read_bytes().decode("utf-8")))
+            except Exception as exc:
+                raise StorageIntegrityError(f"record {record_id} unreadable: {exc}") from exc
         for tx in block.tx_list:
             body = tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum)
             if tx.checksum != digest(tx.payload) or tx.tx_id != digest(body):
                 raise StorageIntegrityError(f"record {record_id} holds a tampered transaction")
-        header = block_header_bytes(
-            block.index,
-            block.timestamp,
-            block.prev_hash,
-            [t.tx_id for t in block.tx_list],
-            block.sealer,
-            block.nonce,
-        )
+        try:
+            header = block_header_bytes(
+                block.index,
+                block.timestamp,
+                block.prev_hash,
+                [t.tx_id for t in block.tx_list],
+                block.sealer,
+                block.nonce,
+            )
+        except (ValueError, OverflowError) as exc:
+            raise StorageIntegrityError(f"record {record_id} has a malformed header: {exc}") from exc
         if digest(header) != block.hash or block.hash.hex() != record_id:
             raise StorageIntegrityError(f"record {record_id} failed hash verification")
         return block

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import blockchain as bc
 from .calibration import load_reference_tables
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, parse_config, validate_config
 from .errors import ConfigError, DistbError, StorageIntegrityError
 from .sdn import flow_table_to_dict
 from .simulator import (
@@ -95,9 +95,10 @@ def _apply_env_seed(cfg: ScenarioConfig) -> ScenarioConfig:
     if env is None:
         return cfg
     try:
-        return cfg.with_(seed=int(env))
+        seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"DISTB_SEED must be an integer (got {env!r})") from exc
+    return validate_config(cfg.with_(seed=seed))
 
 
 def _load_config(path: str | None) -> ScenarioConfig:

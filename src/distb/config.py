@@ -117,6 +117,7 @@ def _require(cond: bool, message: str) -> None:
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _require(cfg.mode in MODES, f"mode must be one of {MODES} (got {cfg.mode!r})")
     _require(cfg.node_count >= 1, f"node_count must be >= 1 (got {cfg.node_count})")
+    _require(cfg.seed >= 0, f"seed must be >= 0 (got {cfg.seed})")
     _require(cfg.area_side_m > 0, f"area_side_m must be > 0 (got {cfg.area_side_m})")
     _require(cfg.sim_time_ms > 0, f"sim_time_ms must be > 0 (got {cfg.sim_time_ms})")
     _require(cfg.data_rate_mbps > 0, f"data_rate_mbps must be > 0 (got {cfg.data_rate_mbps})")
@@ -150,12 +151,18 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     c = cfg.consensus
     _require(c.kind in ("pow", "pos"), f"consensus.kind must be pow or pos (got {c.kind!r})")
     if c.kind == "pow":
-        _require(c.difficulty >= 0, f"consensus.difficulty must be >= 0 (got {c.difficulty})")
+        _require(
+            0 <= c.difficulty <= 256,
+            f"consensus.difficulty must be in 0..256 bits (got {c.difficulty})",
+        )
     else:
         stakes = c.stakes_dict()
         _require(bool(stakes), "consensus.stakes must name at least one validator")
         _require(all(v >= 0 for v in stakes.values()), "consensus.stakes must be non-negative")
         _require(any(v > 0 for v in stakes.values()), "consensus.stakes needs a positive stake")
+    if cfg.calibration is not None:
+        smoothing = cfg.calibration.cpu_smoothing
+        _require(0 < smoothing <= 1, f"calibration cpu.smoothing must be in (0, 1] (got {smoothing})")
     if cfg.file_transfer_mb is not None:
         _require(
             all(s > 0 for s in cfg.file_transfer_mb),

@@ -55,7 +55,6 @@ from .topology import TopologyParams, generate_topology
 
 WINDOW_MS = 100
 CPU_SAMPLE_MS = 200
-CPU_EWMA = 0.35
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
 BS_ID = "bs"
 
@@ -362,6 +361,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     attack_trace: list[tuple[int, str, int]] = []
     cpu_acc_pkts = 0
     cpu_ewma = 0.0
+    smoothing = cfg.resolved_calibration().cpu_smoothing
     cpu_samples: list[tuple[int, float]] = []
     events_processed = 0
     attack_window = (cfg.attack.start_ms, cfg.attack.stop_ms) if cfg.attack else None
@@ -467,7 +467,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
 
         if cfg.attack is not None and t1 % CPU_SAMPLE_MS == 0:
             kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
-            cpu_ewma = CPU_EWMA * kpps + (1.0 - CPU_EWMA) * cpu_ewma
+            cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
             cpu_samples.append((t1, cpu_ewma))
             cpu_acc_pkts = 0
 
@@ -741,5 +741,5 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
         bandwidth_nominal={k: tuple(v) for k, v in bw_nominal.items()},
         cpu_base_pct=cpu_base,
         cpu_kappa=kappa,
-        cpu_smoothing=CPU_EWMA,
+        cpu_smoothing=base.resolved_calibration().cpu_smoothing,
     )

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb import blockchain as bc
 from distb.errors import (
@@ -216,6 +219,49 @@ def test_mine_rejects_negative_difficulty():
         bc.mine_block([], bc.ZERO_HASH, -1, 0, 0)
 
 
+def test_mine_rejects_difficulty_above_256():
+    with pytest.raises(ValueError):
+        bc.mine_block([], bc.ZERO_HASH, 257, 0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prev_hash=st.binary(min_size=32, max_size=32),
+    payloads=st.lists(st.binary(max_size=16), min_size=1, max_size=3),
+    now=st.integers(0, 2**63),
+    index=st.integers(0, 2**32),
+    difficulty=st.integers(0, 12),
+)
+def test_midstate_mining_matches_naive_loop(prev_hash, payloads, now, index, difficulty):
+    txs = [make_tx(i, payload=p) for i, p in enumerate(payloads)]
+    block = bc.mine_block(txs, prev_hash, difficulty, now, index)
+    sealer = bc.Sealer(kind="pow", difficulty=difficulty)
+    prefix = bc.block_header_bytes(index, now, prev_hash, [t.tx_id for t in txs], sealer, 0)[:-8]
+    nonce = 0
+    while bc.leading_zero_bits(bc.digest(prefix + nonce.to_bytes(8, "big"))) < difficulty:
+        nonce += 1
+    assert block.nonce == nonce
+    assert block.hash == bc.digest(prefix + nonce.to_bytes(8, "big"))
+
+
+@pytest.mark.parametrize("difficulty", [0, 1, 7, 8, 9, 255, 256])
+def test_pow_target_agrees_with_leading_zero_bits(difficulty):
+    target = bc.pow_target(difficulty)
+    if difficulty == 0:
+        below, at = [bytes(32), b"\xff" * 32], []
+    else:
+        bound = 1 << (256 - difficulty)
+        below, at = [(bound - 1).to_bytes(32, "big")], [bound.to_bytes(32, "big")]
+    for h in below:
+        assert h < target and bc.leading_zero_bits(h) >= difficulty
+    for h in at:
+        assert not h < target and bc.leading_zero_bits(h) < difficulty
+
+
+def test_pow_target_above_256_admits_nothing():
+    assert not bytes(32) < bc.pow_target(257)
+
+
 def test_select_validator_single():
     assert bc.select_validator({"a": 2.0}, seed=0) == "a"
 
@@ -406,6 +452,37 @@ def test_storage_detects_corruption(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(StorageIntegrityError):
         store.get(rid)
+
+
+@pytest.mark.parametrize("field, value", [("kind", "pox"), ("difficulty", -1)])
+def test_storage_rejects_malformed_sealer(tmp_path, field, value):
+    ledger = fresh_chain(2, difficulty=0)
+    store = bc.BlockStore(tmp_path)
+    rid = bc.commit_to_storage(ledger, ledger.blocks[1], store)
+    path = tmp_path / f"{rid}.json"
+    doc = json.loads(path.read_text())
+    doc["sealer"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StorageIntegrityError):
+        store.get(rid)
+
+
+def test_memory_storage_detects_swapped_block():
+    ledger = fresh_chain(2, difficulty=0)
+    store = bc.BlockStore()
+    block = ledger.blocks[1]
+    rid = bc.commit_to_storage(ledger, block, store)
+    assert store.get(rid) == block
+    tx = block.tx_list[0]
+    tampered_tx = dataclasses.replace(tx, payload=tx.payload + b"!")
+    for tampered in (
+        dataclasses.replace(block, nonce=block.nonce + 1),
+        dataclasses.replace(block, tx_list=(tampered_tx,) + block.tx_list[1:]),
+        ledger.blocks[0],
+    ):
+        store._mem[rid] = tampered
+        with pytest.raises(StorageIntegrityError):
+            store.get(rid)
 
 
 def test_tx_display_format_fields():

@@ -93,6 +93,22 @@ def test_distb_seed_env_rejects_garbage(tmp_path, small_cfg_path, monkeypatch):
     assert main(["run", "-c", str(small_cfg_path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, capsys):
+    monkeypatch.setenv("DISTB_SEED", "-1")
+    assert main(["run", "-c", str(small_cfg_path), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == ["config error: seed must be >= 0 (got -1)"]
+
+
+@pytest.mark.parametrize("override", [{"seed": -1}, {"consensus": {"difficulty": 300}}])
+def test_out_of_range_config_exit_1(tmp_path, override, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL_CFG, **override}))
+    assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_chain_on_run_export(tmp_path, small_cfg_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
@@ -114,6 +130,20 @@ def test_validate_chain_detects_tampered_export(tmp_path, small_cfg_path, capsys
     path.write_text("\n".join(lines) + "\n")
     assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
     assert "block 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nonce", [-1, 2**64])
+def test_validate_chain_flags_out_of_range_nonce(tmp_path, small_cfg_path, capsys, nonce):
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
+    path = out / "ledger.ndjson"
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["nonce"] = nonce
+    lines[1] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert "block 1" in capsys.readouterr().out
 
 
 def test_validate_chain_empty_file_is_parse_error(tmp_path):

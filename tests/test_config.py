@@ -83,6 +83,26 @@ def test_packet_size_pair_validation():
         config_from_dict({"packet_size_bytes": [128]})
 
 
+def test_pow_difficulty_bounded():
+    with pytest.raises(ConfigError, match="difficulty"):
+        config_from_dict({"consensus": {"kind": "pow", "difficulty": 300}})
+    assert config_from_dict({"consensus": {"difficulty": 256}}).consensus.difficulty == 256
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"seed": -1})
+    assert config_from_dict({"seed": 0}).seed == 0
+
+
+def test_calibration_smoothing_bounded():
+    for bad in (0.0, 1.5, float("nan")):
+        doc = load_default().to_dict()
+        doc["cpu"]["smoothing"] = bad
+        with pytest.raises(ConfigError, match="smoothing"):
+            config_from_dict({"calibration": doc})
+
+
 def test_calibration_field_round_trips(tmp_path):
     calib = load_default()
     cfg = parse_config(write_cfg(tmp_path, {"calibration": calib.to_dict()}))

@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from distb import blockchain as bc
+from distb.calibration import load_default
 from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig
 from distb.errors import ConfigError
 from distb.simulator import (
@@ -201,6 +203,14 @@ def test_pos_consensus_scenario():
     assert bc.validate_chain(raw.ledger) == (True, None)
     sealers = {blk.sealer.validator for blk in raw.ledger.blocks}
     assert sealers <= {"a", "b"} and sealers
+
+
+def test_cpu_series_follows_calibration_smoothing():
+    cfg = small_attack_cfg()
+    default = run_scenario(cfg).cpu_series
+    assert run_scenario(cfg.with_(calibration=load_default())).cpu_series == default
+    calib = dataclasses.replace(load_default(), cpu_smoothing=0.9)
+    assert run_scenario(cfg.with_(calibration=calib)).cpu_series != default
 
 
 def test_response_series_uses_file_transfer_sizes():
