@@ -325,9 +325,6 @@ class Ledger:
     def tip_hash(self) -> bytes:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
 
-    def known_ids(self) -> set[bytes]:
-        return self.committed_ids | self.queued_ids | self.pending_ids
-
 
 def admit_or_park(ledger: Ledger, tx: Transaction, verdict: Verdict, now: int) -> Ledger:
     """Route by verdict: Valid -> queue, Pending -> waiting room, Invalid -> audit drop."""

@@ -21,6 +21,7 @@ residuals; the shipped default record is exactly that output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -131,27 +132,66 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Calibration":
-        known = {"gas", "response", "throughput", "bandwidth", "cpu"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_SHAPE)
         if unknown:
             raise ConfigError(f"unknown calibration key {sorted(unknown)[0]!r}")
-        try:
-            return cls(
-                gas_base=float(doc["gas"]["base"]),
-                gas_per_tx=float(doc["gas"]["per_tx"]),
-                response={m: dict(v) for m, v in doc["response"].items()},
-                throughput_nodes=tuple(doc["throughput"]["nodes"]),
-                throughput_env={m: tuple(v) for m, v in doc["throughput"]["env"].items()},
-                throughput_nominal={m: tuple(v) for m, v in doc["throughput"]["nominal"].items()},
-                bandwidth_rates=tuple(doc["bandwidth"]["rates"]),
-                bandwidth_env={m: tuple(v) for m, v in doc["bandwidth"]["env"].items()},
-                bandwidth_nominal={m: tuple(v) for m, v in doc["bandwidth"]["nominal"].items()},
-                cpu_base_pct=float(doc["cpu"]["base_pct"]),
-                cpu_kappa=float(doc["cpu"]["kappa"]),
-                cpu_smoothing=float(doc["cpu"]["smoothing"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"calibration record missing field {exc}") from exc
+        _check_shape(doc, _SHAPE, "calibration")
+        for table, anchors in (("throughput", "nodes"), ("bandwidth", "rates")):
+            n = len(doc[table][anchors])
+            for part in ("env", "nominal"):
+                for mode, values in doc[table][part].items():
+                    if len(values) != n:
+                        where = f"calibration.{table}.{part}.{mode}"
+                        raise ConfigError(f"{where} needs {n} values, one per {anchors} entry")
+        return cls(
+            gas_base=float(doc["gas"]["base"]),
+            gas_per_tx=float(doc["gas"]["per_tx"]),
+            response={m: dict(v) for m, v in doc["response"].items()},
+            throughput_nodes=tuple(doc["throughput"]["nodes"]),
+            throughput_env={m: tuple(v) for m, v in doc["throughput"]["env"].items()},
+            throughput_nominal={m: tuple(v) for m, v in doc["throughput"]["nominal"].items()},
+            bandwidth_rates=tuple(doc["bandwidth"]["rates"]),
+            bandwidth_env={m: tuple(v) for m, v in doc["bandwidth"]["env"].items()},
+            bandwidth_nominal={m: tuple(v) for m, v in doc["bandwidth"]["nominal"].items()},
+            cpu_base_pct=float(doc["cpu"]["base_pct"]),
+            cpu_kappa=float(doc["cpu"]["kappa"]),
+            cpu_smoothing=float(doc["cpu"]["smoothing"]),
+        )
+
+
+# The fields a calibration record must carry: a number where the shape has
+# 0.0, a non-empty list of numbers where it has [].
+_MODES = {"distb": [], "baseline": []}
+_SHAPE = {
+    "gas": {"base": 0.0, "per_tx": 0.0},
+    "response": {"distb": {"alpha": 0.0, "beta": 0.0}, "core": {"alpha": 0.0, "beta": 0.0}},
+    "throughput": {"nodes": [], "env": _MODES, "nominal": _MODES},
+    "bandwidth": {"rates": [], "env": _MODES, "nominal": _MODES},
+    "cpu": {"base_pct": 0.0, "kappa": 0.0, "smoothing": 0.0},
+}
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise ConfigError unless `value` has the nested layout of `shape`."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        for key, sub in shape.items():
+            if key not in value:
+                raise ConfigError(f"{where} is missing field {key!r}")
+            _check_shape(value[key], sub, f"{where}.{key}")
+    elif isinstance(shape, list):
+        if not isinstance(value, list) or not value or not all(map(_is_finite_number, value)):
+            raise ConfigError(f"{where} must be a non-empty list of finite numbers")
+    elif not _is_finite_number(value):
+        raise ConfigError(f"{where} must be a finite number (got {value!r})")
 
 
 def load_default() -> Calibration:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -109,6 +110,18 @@ class ScenarioConfig:
         return doc
 
 
+# Float fields whose range check alone would let an infinity through.
+_FINITE_FIELDS = (
+    "area_side_m",
+    "data_rate_mbps",
+    "sensor_rate_pps",
+    "head_cost_j",
+    "tx_cost_j",
+    "z_max_m",
+    "detector_multiplier",
+)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -122,8 +135,18 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _require(cfg.sim_time_ms > 0, f"sim_time_ms must be > 0 (got {cfg.sim_time_ms})")
     _require(cfg.data_rate_mbps > 0, f"data_rate_mbps must be > 0 (got {cfg.data_rate_mbps})")
     _require(cfg.sensor_rate_pps > 0, f"sensor_rate_pps must be > 0 (got {cfg.sensor_rate_pps})")
+    for name in _FINITE_FIELDS:
+        value = getattr(cfg, name)
+        _require(math.isfinite(value), f"{name} must be finite (got {value})")
+    _require(cfg.z_max_m >= 0, f"z_max_m must be >= 0 (got {cfg.z_max_m})")
     lo, hi = cfg.packet_size_bytes
     _require(0 < lo <= hi, f"packet_size_bytes must satisfy 0 < min <= max (got {lo}..{hi})")
+    for name in ("energy_range_j", "coverage_range_m"):
+        lo, hi = getattr(cfg, name)
+        _require(
+            math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi,
+            f"{name} must satisfy 0 < min <= max, both finite (got {lo}..{hi})",
+        )
     _require(cfg.n_controllers >= 1, f"n_controllers must be >= 1 (got {cfg.n_controllers})")
     _require(cfg.n_gateways >= 1, f"n_gateways must be >= 1 (got {cfg.n_gateways})")
     _require(
@@ -146,7 +169,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             f"(got {a.start_ms}..{a.stop_ms} in {cfg.sim_time_ms})",
         )
         _require(a.sources >= 1, f"attack.sources must be >= 1 (got {a.sources})")
-        _require(a.multiplier > 0, f"attack.multiplier must be > 0 (got {a.multiplier})")
+        _require(
+            0 < a.multiplier < math.inf, f"attack.multiplier must be > 0 and finite (got {a.multiplier})"
+        )
         _require(a.ramp_ms >= 0, f"attack.ramp_ms must be >= 0 (got {a.ramp_ms})")
     c = cfg.consensus
     _require(c.kind in ("pow", "pos"), f"consensus.kind must be pow or pos (got {c.kind!r})")
@@ -158,100 +183,135 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     else:
         stakes = c.stakes_dict()
         _require(bool(stakes), "consensus.stakes must name at least one validator")
-        _require(all(v >= 0 for v in stakes.values()), "consensus.stakes must be non-negative")
+        _require(
+            all(0 <= v < math.inf for v in stakes.values()),
+            "consensus.stakes must be non-negative and finite",
+        )
         _require(any(v > 0 for v in stakes.values()), "consensus.stakes needs a positive stake")
     if cfg.calibration is not None:
         smoothing = cfg.calibration.cpu_smoothing
         _require(0 < smoothing <= 1, f"calibration cpu.smoothing must be in (0, 1] (got {smoothing})")
     if cfg.file_transfer_mb is not None:
         _require(
-            all(s > 0 for s in cfg.file_transfer_mb),
-            "file_transfer_mb sizes must be positive",
+            all(0 < s < math.inf for s in cfg.file_transfer_mb),
+            "file_transfer_mb sizes must be positive and finite",
         )
     return cfg
 
 
+def _integer(key: str, value) -> int:
+    """An integral JSON number; bools, strings and fractions are refused, not coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer (got {value!r})")
+
+
+def _real(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key} must be a number (got {value!r})")
+
+
+def _text(key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a string (got {value!r})")
+
+
+def _object(key: str, value) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{key} must be a JSON object (got {value!r})")
+
+
+def _pair(key: str, value, parse) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key} must be a [min, max] pair")
+    return (parse(key, value[0]), parse(key, value[1]))
+
+
 _SIMPLE_KEYS = {
-    "mode": str,
-    "node_count": int,
-    "area_side_m": float,
-    "seed": int,
-    "data_rate_mbps": float,
-    "sim_time_ms": int,
-    "sensor_rate_pps": float,
-    "n_controllers": int,
-    "n_gateways": int,
-    "unregistered_fraction": float,
-    "round_period_ms": int,
-    "head_cost_j": float,
-    "tx_cost_j": float,
-    "z_max_m": float,
-    "detector_window_ms": int,
-    "detector_multiplier": float,
-    "t_pending_ms": int,
-    "block_batch": int,
-    "block_interval_ms": int,
+    "mode": _text,
+    "node_count": _integer,
+    "area_side_m": _real,
+    "seed": _integer,
+    "data_rate_mbps": _real,
+    "sim_time_ms": _integer,
+    "sensor_rate_pps": _real,
+    "n_controllers": _integer,
+    "n_gateways": _integer,
+    "unregistered_fraction": _real,
+    "round_period_ms": _integer,
+    "head_cost_j": _real,
+    "tx_cost_j": _real,
+    "z_max_m": _real,
+    "detector_window_ms": _integer,
+    "detector_multiplier": _real,
+    "t_pending_ms": _integer,
+    "block_batch": _integer,
+    "block_interval_ms": _integer,
 }
 
-_PAIR_KEYS = {"packet_size_bytes", "energy_range_j", "coverage_range_m"}
+_PAIR_KEYS = {"packet_size_bytes": _integer, "energy_range_j": _real, "coverage_range_m": _real}
+_ATTACK_KEYS = {
+    "start_ms": _integer,
+    "stop_ms": _integer,
+    "sources": _integer,
+    "multiplier": _real,
+    "ramp_ms": _integer,
+}
 _KNOWN_KEYS = (
     set(_SIMPLE_KEYS)
-    | _PAIR_KEYS
+    | set(_PAIR_KEYS)
     | {"attack", "consensus", "file_transfer_mb", "calibration"}
 )
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a config from a JSON-style dict; unknown keys are rejected."""
+    """Build a config from a JSON-style dict; unknown keys and mistyped values are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
     kwargs: dict = {}
-    for key, caster in _SIMPLE_KEYS.items():
+    for key, parse in _SIMPLE_KEYS.items():
         if key in doc:
-            try:
-                kwargs[key] = caster(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {doc[key]!r}") from exc
-    for key in _PAIR_KEYS:
+            kwargs[key] = parse(key, doc[key])
+    for key, parse in _PAIR_KEYS.items():
         if key in doc:
-            val = doc[key]
-            if not isinstance(val, (list, tuple)) or len(val) != 2:
-                raise ConfigError(f"{key} must be a [min, max] pair")
-            kwargs[key] = (float(val[0]), float(val[1]))
-            if key == "packet_size_bytes":
-                kwargs[key] = (int(val[0]), int(val[1]))
-    if "attack" in doc and doc["attack"] is not None:
-        a = dict(doc["attack"])
-        unknown = set(a) - {"start_ms", "stop_ms", "sources", "multiplier", "ramp_ms"}
+            kwargs[key] = _pair(key, doc[key], parse)
+    if doc.get("attack") is not None:
+        a = _object("attack", doc["attack"])
+        unknown = set(a) - set(_ATTACK_KEYS)
         if unknown:
             raise ConfigError(f"unknown attack key {sorted(unknown)[0]!r}")
         if "start_ms" not in a or "stop_ms" not in a:
             raise ConfigError("attack requires start_ms and stop_ms")
-        kwargs["attack"] = AttackConfig(
-            start_ms=int(a["start_ms"]),
-            stop_ms=int(a["stop_ms"]),
-            sources=int(a.get("sources", 5)),
-            multiplier=float(a.get("multiplier", 10.0)),
-            ramp_ms=int(a.get("ramp_ms", 0)),
-        )
-    if "consensus" in doc and doc["consensus"] is not None:
-        c = dict(doc["consensus"])
+        kwargs["attack"] = AttackConfig(**{k: _ATTACK_KEYS[k](f"attack.{k}", v) for k, v in a.items()})
+    if doc.get("consensus") is not None:
+        c = _object("consensus", doc["consensus"])
         unknown = set(c) - {"kind", "difficulty", "stakes"}
         if unknown:
             raise ConfigError(f"unknown consensus key {sorted(unknown)[0]!r}")
-        stakes = c.get("stakes") or {}
+        stakes = {} if c.get("stakes") is None else _object("consensus.stakes", c["stakes"])
         kwargs["consensus"] = ConsensusConfig(
-            kind=str(c.get("kind", "pow")),
-            difficulty=int(c.get("difficulty", 8)),
-            stakes=tuple(sorted((str(k), float(v)) for k, v in stakes.items())),
+            kind=_text("consensus.kind", c.get("kind", "pow")),
+            difficulty=_integer("consensus.difficulty", c.get("difficulty", 8)),
+            stakes=tuple(sorted((str(k), _real("consensus.stakes", v)) for k, v in stakes.items())),
         )
-    if "file_transfer_mb" in doc and doc["file_transfer_mb"] is not None:
-        kwargs["file_transfer_mb"] = tuple(float(s) for s in doc["file_transfer_mb"])
-    if "calibration" in doc and doc["calibration"] is not None:
-        kwargs["calibration"] = Calibration.from_dict(doc["calibration"])
+    if doc.get("file_transfer_mb") is not None:
+        sizes = doc["file_transfer_mb"]
+        if not isinstance(sizes, list):
+            raise ConfigError(f"file_transfer_mb must be a list of sizes (got {sizes!r})")
+        kwargs["file_transfer_mb"] = tuple(_real("file_transfer_mb", s) for s in sizes)
+    if doc.get("calibration") is not None:
+        kwargs["calibration"] = Calibration.from_dict(_object("calibration", doc["calibration"]))
     return validate_config(ScenarioConfig(**kwargs))
 
 

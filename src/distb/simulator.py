@@ -3,10 +3,11 @@
 One scenario run drives a single logical clock in simulated milliseconds.
 Tick events (clustering rounds, settlement windows, detector sweeps, mining
 cadence, waiting-room sweeps, attack markers) live on a heap ordered by
-(time, sequence). Sensor packet arrivals are pre-drawn Poisson processes and
-are consumed in timestamp order by the 100 ms settlement windows; flood
-traffic arrives as deterministic per-window batches, which makes detection
-latency exact arithmetic instead of a coin flip.
+(time, sequence). Sensor packet arrivals are pre-drawn Poisson processes held
+as three sorted arrays (time, node, size); each 100 ms settlement window takes
+its slice, found with searchsorted, in timestamp order. Flood traffic arrives
+as deterministic per-window batches, which makes detection latency exact
+arithmetic instead of a coin flip.
 
 Each window shares the configured link capacity proportionally between
 benign and unblocked attack bytes; whatever misses the budget is dropped.
@@ -110,10 +111,11 @@ class EventQueue:
 
 
 def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
-    """Seeded Poisson arrivals per node: list of (t_ms, node_id, size_bytes).
+    """Seeded Poisson arrivals per node: int64 arrays (t_ms, node_id, size_bytes).
 
-    Uses the order-statistics form of a Poisson process (count ~ Poisson,
-    times ~ sorted uniforms) so the draw is vectorized per node.
+    The three arrays are sorted together by time, then node id, then draw
+    order. Uses the order-statistics form of a Poisson process (count ~
+    Poisson, times ~ sorted uniforms) so the draw is vectorized per node.
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
@@ -130,12 +132,13 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
         nodes_all.append(np.full(count, node.id, dtype=np.int64))
         sizes_all.append(rng.integers(lo, hi + 1, count))
     if not times_all:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     t = np.concatenate(times_all).astype(np.int64)
     nid = np.concatenate(nodes_all)
     size = np.concatenate(sizes_all)
     order = np.lexsort((np.arange(len(t)), nid, t))
-    return [(int(t[i]), int(nid[i]), int(size[i])) for i in order]
+    return t[order], nid[order], size[order]
 
 
 def inject_attack(attack: AttackConfig | None, sensor_rate_pps: float, sim_time_ms: int):
@@ -295,7 +298,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     if distb:
         commit([], 0)  # genesis
 
-    arrivals = generate_traffic(
+    arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
@@ -377,9 +380,10 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
 
         window_benign: list[tuple[int, int, int]] = []  # (t, node_id, size)
         benign_counts: dict[str, int] = {}
-        while arr_idx < len(arrivals) and arrivals[arr_idx][0] <= t1:
-            t, nid, size = arrivals[arr_idx]
-            arr_idx += 1
+        arr_end = int(np.searchsorted(arr_t, t1, side="right"))
+        window = slice(arr_idx, arr_end)
+        arr_idx = arr_end
+        for t, nid, size in zip(arr_t[window].tolist(), arr_node[window].tolist(), arr_size[window].tolist()):
             dep = depleted_at.get(nid)
             if dep is not None and t >= dep:
                 continue  # depleted node emits nothing

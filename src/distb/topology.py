@@ -2,8 +2,9 @@
 
 Nodes live in a square footprint with a bounded height band. Every node carries
 residual energy (joules), a coverage radius ("area", meters) inside which it may
-adopt cluster members, and a cached distance to the base station that the
-clustering round refreshes before sorting.
+adopt cluster members, and its distance to the base station. Nodes and the base
+station never move; the clustering round recomputes that distance from the
+coordinates and writes it into the nodes it returns.
 """
 
 from __future__ import annotations

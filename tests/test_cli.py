@@ -99,7 +99,23 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
     assert capsys.readouterr().err.strip().splitlines() == ["config error: seed must be >= 0 (got -1)"]
 
 
-@pytest.mark.parametrize("override", [{"seed": -1}, {"consensus": {"difficulty": 300}}])
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": -1},
+        {"consensus": {"difficulty": 300}},
+        {"consensus": {"difficulty": "x"}},
+        {"packet_size_bytes": ["a", 2]},
+        {"attack": [1]},
+        {"calibration": {"gas": 1}},
+        {"file_transfer_mb": 5},
+        {"consensus": {"kind": "pos", "stakes": [1]}},
+        {"node_count": 1.7},
+        {"energy_range_j": [100, 50]},
+        {"energy_range_j": [float("nan"), 50]},
+        {"coverage_range_m": [-50, -10]},
+    ],
+)
 def test_out_of_range_config_exit_1(tmp_path, override, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL_CFG, **override}))

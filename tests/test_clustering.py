@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb.clustering import run_round, select_cluster_heads, sort_nodes
 from distb.errors import ExhaustedNetworkError
@@ -11,6 +13,7 @@ from distb.topology import (
     NodeSet,
     Point3,
     TopologyParams,
+    distance,
     generate_topology,
     refresh_dist_bs,
 )
@@ -245,3 +248,89 @@ def test_lifetime_matches_independent_energy_ledger():
     assert expected_lifetime is not None
     depleted = [n.id for n in sim.nodes if n.depleted]
     assert depleted, f"lifetime {expected_lifetime} rounds but nothing depleted"
+
+
+# --- array-backed round against the oracle ----------------------------------
+
+# Few distinct values, so that energy ties and duplicate coordinates are common.
+coords = st.sampled_from([0.0, 1.0, 2.5, 40.0]) | st.floats(-3000, 3000)
+energies = st.sampled_from([-1.0, 0.0, 2.0, 5.0]) | st.floats(0.0, 100.0)
+
+
+@st.composite
+def node_sets(draw):
+    n = draw(st.integers(1, 12))
+    nodes = [
+        make_node(i, draw(coords), draw(coords), draw(coords), draw(energies), draw(st.floats(0.0, 500.0)))
+        for i in range(n)
+    ]
+    # Put one node exactly on another's radius, or just past it.
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    radius = distance(nodes[a].location, nodes[b].location)
+    nodes[a].area = draw(st.sampled_from([radius, math.nextafter(radius, math.inf)]))
+    return make_set(nodes, bs=(draw(coords), draw(coords), 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_sets(), st.floats(0.0, 5.0), st.floats(0.0, 2.0))
+def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
+    assert library_clusters(ns) == oracle_clusters(ns)
+
+    params = TopologyParams(head_cost_j=head_cost, tx_cost_j=tx_cost)
+    alive = [n for n in ns.nodes if n.energy > 0]
+    if not alive:
+        with pytest.raises(ExhaustedNetworkError):
+            run_round(ns, params)
+        return
+    oracle = oracle_clusters(NodeSet(nodes=alive, base_station=ns.base_station))
+    ledger = {n.id: n.energy for n in ns.nodes}
+    for head_id, members in oracle:
+        ledger[head_id] = max(0.0, ledger[head_id] - (params.head_cost_j + params.tx_cost_j * len(members)))
+        for m in members:
+            ledger[m] = max(0.0, ledger[m] - params.tx_cost_j)
+    heads = {h for h, _ in oracle}
+
+    clusters, after = run_round(ns, params, round_no=4)
+    assert clusters.round == 4
+    assert [(c.head_id, c.member_ids) for c in clusters.clusters] == oracle
+    bs = ns.base_station.location
+    for before, n in zip(ns.nodes, after.nodes):
+        assert (n.id, n.location, n.area) == (before.id, before.location, before.area)
+        assert n.energy == ledger[n.id]
+        assert n.dist_bs == distance(n.location, bs)
+        assert n.head == (n.id in heads)
+        assert n.member == (before.energy > 0 and n.id not in heads)
+
+
+def test_membership_at_the_radius_follows_scalar_distance():
+    # numpy's squares can round one ulp away from libm's pow, so the vector
+    # distance and `distance` disagree on a few pairs; on those pairs above all,
+    # a candidate exactly on the head's radius must stay out and one just
+    # inside must join.
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 2500.0, (20_000, 6))
+    vec = np.sqrt(((a[:, 0] - a[:, 3]) ** 2 + (a[:, 1] - a[:, 4]) ** 2) + (a[:, 2] - a[:, 5]) ** 2)
+    rows = [
+        row for row, v in zip(a.tolist(), vec.tolist()) if v != distance(Point3(*row[:3]), Point3(*row[3:]))
+    ]
+    for row in rows + a[:20].tolist():
+        head, other = Point3(*row[:3]), Point3(*row[3:])
+        r = distance(head, other)
+        for area, members in ((r, ()), (math.nextafter(r, math.inf), (1,))):
+            ns = make_set([Node(0, head, 9.0, area), Node(1, other, 1.0, 1.0)])
+            assert select_cluster_heads(ns).clusters[0].member_ids == members
+            clusters, _ = run_round(ns, TopologyParams())
+            assert clusters.clusters[0].member_ids == members
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_rejected(bad):
+    nodes = [make_node(0, 0.0, 0.0, 0.0, 5.0, 100.0), make_node(1, 10.0, bad, 0.0, 4.0, 100.0)]
+    ns = NodeSet(nodes=nodes, base_station=BaseStation(Point3(0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError):
+        select_cluster_heads(ns)
+    with pytest.raises(ValueError):
+        run_round(ns, TopologyParams())
+    good = NodeSet(nodes=nodes[:1], base_station=BaseStation(Point3(bad, 0.0, 0.0)))
+    with pytest.raises(ValueError):
+        run_round(good, TopologyParams())

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb.calibration import load_default
 from distb.config import ScenarioConfig, config_from_dict, parse_config
@@ -126,3 +128,90 @@ def test_to_dict_round_trips_through_from_dict():
     )
     again = config_from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+# --- every input either parses or raises ConfigError ---------------------------
+
+_NESTED_KEYS = [
+    "start_ms", "stop_ms", "sources", "multiplier", "ramp_ms", "kind", "difficulty", "stakes",
+    "gas", "base", "per_tx", "response", "alpha", "beta", "throughput", "bandwidth", "nodes",
+    "rates", "env", "nominal", "distb", "baseline", "core", "cpu", "base_pct", "kappa", "smoothing",
+]
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["pow", "pos", "distb", "of-baseline"])
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_NESTED_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=20,
+)
+_KEYS = sorted(set(ScenarioConfig().to_dict()) | {"calibration"})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS), _json, max_size=6))
+def test_config_from_dict_returns_or_raises_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as exc:
+        assert len(str(exc).splitlines()) == 1
+    else:
+        assert isinstance(cfg, ScenarioConfig)
+
+
+@pytest.mark.parametrize("value", [1.7, True, "5", float("inf"), None])
+def test_integer_fields_refuse_non_integers(value):
+    with pytest.raises(ConfigError, match="node_count must be an integer"):
+        config_from_dict({"node_count": value})
+    with pytest.raises(ConfigError, match="attack.sources must be an integer"):
+        config_from_dict({"attack": {"start_ms": 0, "stop_ms": 10, "sources": value}})
+
+
+def test_integral_float_is_an_integer():
+    cfg = config_from_dict({"node_count": 3.0, "consensus": {"difficulty": 4.0}})
+    assert cfg.node_count == 3 and type(cfg.node_count) is int
+    assert cfg.consensus.difficulty == 4 and type(cfg.consensus.difficulty) is int
+
+
+@pytest.mark.parametrize(
+    "key,pair",
+    [
+        ("energy_range_j", [100, 50]),
+        ("energy_range_j", [float("nan"), 50]),
+        ("energy_range_j", [0, 50]),
+        ("energy_range_j", [50, float("inf")]),
+        ("coverage_range_m", [-50, -10]),
+        ("coverage_range_m", [0, 10]),
+        ("coverage_range_m", [400, 100]),
+        ("coverage_range_m", [100, float("nan")]),
+    ],
+)
+def test_geometry_and_energy_ranges_bounded(key, pair):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: pair})
+
+
+def test_equal_range_bounds_accepted():
+    cfg = config_from_dict({"energy_range_j": [5, 5], "coverage_range_m": [0.5, 0.5]})
+    assert cfg.energy_range_j == (5.0, 5.0) and cfg.coverage_range_m == (0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("area_side_m", float("inf")),
+        ("sensor_rate_pps", float("inf")),
+        ("z_max_m", float("inf")),
+        ("z_max_m", -1.0),
+        ("head_cost_j", float("inf")),
+    ],
+)
+def test_unbounded_floats_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: value})

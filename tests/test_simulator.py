@@ -51,29 +51,35 @@ def test_traffic_deterministic_and_sorted():
     nodes = generate_topology(5, 500, seed=1).nodes
     a = generate_traffic(nodes, 10.0, np.random.default_rng([1, 1]), 2000)
     b = generate_traffic(nodes, 10.0, np.random.default_rng([1, 1]), 2000)
-    assert a == b
-    assert all(x[0] <= y[0] for x, y in zip(a, a[1:]))
+    assert len(a) == len(b) == 3
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype == np.int64
+        assert np.array_equal(x, y)
+    t, nid, size = a
+    assert len(t) == len(nid) == len(size) > 0
+    assert np.all(t[:-1] <= t[1:])
 
 
 def test_traffic_depleted_nodes_emit_nothing():
     ns = generate_topology(5, 500, seed=1)
     for n in ns.nodes:
         n.energy = 0.0
-    assert generate_traffic(ns.active(), 10.0, np.random.default_rng([1, 1]), 2000) == []
+    t, nid, size = generate_traffic(ns.active(), 10.0, np.random.default_rng([1, 1]), 2000)
+    assert len(t) == len(nid) == len(size) == 0
 
 
 def test_traffic_doubling_rate_doubles_volume():
     nodes = generate_topology(20, 500, seed=2).nodes
-    a = generate_traffic(nodes, 10.0, np.random.default_rng([2, 1]), 50_000)
-    b = generate_traffic(nodes, 20.0, np.random.default_rng([2, 1]), 50_000)
+    a, _, _ = generate_traffic(nodes, 10.0, np.random.default_rng([2, 1]), 50_000)
+    b, _, _ = generate_traffic(nodes, 20.0, np.random.default_rng([2, 1]), 50_000)
     assert abs(len(b) / len(a) - 2.0) < 0.1
 
 
 def test_traffic_sizes_within_configured_band():
     nodes = generate_topology(10, 500, seed=3).nodes
-    events = generate_traffic(nodes, 10.0, np.random.default_rng([3, 1]), 10_000, (128, 1024))
-    assert events
-    assert all(128 <= size <= 1024 for _, _, size in events)
+    _, _, sizes = generate_traffic(nodes, 10.0, np.random.default_rng([3, 1]), 10_000, (128, 1024))
+    assert len(sizes)
+    assert np.all((128 <= sizes) & (sizes <= 1024))
 
 
 def test_traffic_rejects_non_positive_rate():
