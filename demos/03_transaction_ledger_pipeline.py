@@ -9,6 +9,7 @@ Run:  python demos/03_transaction_ledger_pipeline.py
 import json
 
 from distb import blockchain as bc
+from distb.calibration import load_default
 
 contract = bc.ContractState(known_sensors={"s-01", "s-02"})
 ledger = bc.Ledger(t_pending_ms=30_000)
@@ -60,4 +61,5 @@ counts = {"A": 0, "B": 0}
 for seed in range(1000):
     counts[bc.select_validator({"A": 3.0, "B": 1.0}, seed)] += 1
 print(f"\nstake 3:1 over 1000 seeded draws -> {counts}")
-print("gas for batches of 3 and 24:", bc.gas_for(3), bc.gas_for(24))
+calib = load_default()
+print("gas for batches of 3 and 24:", [bc.gas_for(n, calib.gas_base, calib.gas_per_tx) for n in (3, 24)])

@@ -3,8 +3,8 @@
 Library layout mirrors the subsystems: `topology` (world and energy model),
 `clustering` (head election and rounds), `sdn` (flow tables and flood
 mitigation), `blockchain` (transactions, chain, gas, storage), `simulator`
-(the event engine and metric batteries), `calibration` (table fits), and
-`cli` (the `distb` command).
+(the fixed-cadence window engine and metric batteries), `calibration`
+(table fits), and `cli` (the `distb` command).
 """
 
 from .blockchain import (

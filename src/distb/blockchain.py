@@ -46,11 +46,6 @@ from .errors import (
 
 ZERO_HASH = bytes(32)
 
-# Affine fit over the embedded gas reference table (see calibration.fit_gas,
-# which recomputes these; a test keeps them in sync).
-GAS_BASE = 14071.4285714286
-GAS_PER_TX = 3337.3015873015856
-
 
 def _u64(x: int) -> bytes:
     return int(x).to_bytes(8, "big")
@@ -151,17 +146,24 @@ class ContractState:
         self.known_sensors.add(sensor_id)
 
 
+def check_tx(tx: Transaction) -> str | None:
+    """The one transaction integrity check: None if intact, else the reason."""
+    if not tx.sensor_id or not tx.destination:
+        return "empty sensor_id or destination"
+    if not 0 <= tx.timestamp < 1 << 64:
+        return "timestamp outside the u64 range"
+    if tx.checksum != digest(tx.payload):
+        return "payload checksum mismatch"
+    if tx.tx_id != digest(tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum)):
+        return "tx_id does not match canonical body"
+    return None
+
+
 def verify_transaction(tx: Transaction, contract: ContractState) -> Verdict:
     """Invalid on tampered or malformed content, Pending on unknown sender, else Valid."""
-    if not tx.sensor_id or not tx.destination:
-        return Verdict.invalid("empty sensor_id or destination")
-    if tx.timestamp < 0:
-        return Verdict.invalid("negative timestamp")
-    if tx.checksum != digest(tx.payload):
-        return Verdict.invalid("payload checksum mismatch")
-    expected_id = digest(tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum))
-    if tx.tx_id != expected_id:
-        return Verdict.invalid("tx_id does not match canonical body")
+    reason = check_tx(tx)
+    if reason is not None:
+        return Verdict.invalid(reason)
     for rule in contract.rules:
         reason = rule(tx)
         if reason is not None:
@@ -368,16 +370,12 @@ def expire_pending(ledger: Ledger, contract: ContractState, now: int) -> tuple[L
     return ledger, discarded
 
 
-def _check_seal(block: Block) -> str | None:
+def check_block(block: Block) -> str | None:
+    """The one block seal check: None if the header hashes to `block.hash`
+    and the seal holds, else the reason."""
+    tx_ids = [t.tx_id for t in block.tx_list]
     try:
-        header = block_header_bytes(
-            block.index,
-            block.timestamp,
-            block.prev_hash,
-            [t.tx_id for t in block.tx_list],
-            block.sealer,
-            block.nonce,
-        )
+        header = block_header_bytes(block.index, block.timestamp, block.prev_hash, tx_ids, block.sealer, block.nonce)
     except (ValueError, OverflowError) as exc:
         return str(exc)
     if digest(header) != block.hash:
@@ -395,7 +393,7 @@ def append_block(ledger: Ledger, block: Block) -> Ledger:
         raise ForkRejectedError(
             f"block {block.index} does not extend tip at height {len(ledger.blocks)}"
         )
-    reason = _check_seal(block)
+    reason = check_block(block)
     if reason is not None:
         raise SealInvalidError(reason)
     for tx in block.tx_list:
@@ -420,21 +418,16 @@ def validate_chain(ledger: Ledger) -> tuple[bool, int | None]:
         if block.index != i or block.prev_hash != prev:
             return False, i
         for tx in block.tx_list:
-            if tx.checksum != digest(tx.payload):
-                return False, i
-            body = tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum)
-            if tx.tx_id != digest(body):
-                return False, i
-            if tx.tx_id in seen:
+            if check_tx(tx) is not None or tx.tx_id in seen:
                 return False, i
             seen.add(tx.tx_id)
-        if _check_seal(block) is not None:
+        if check_block(block) is not None:
             return False, i
         prev = block.hash
     return True, None
 
 
-def gas_for(batch_size: int, base: float = GAS_BASE, per_tx: float = GAS_PER_TX) -> int:
+def gas_for(batch_size: int, base: float, per_tx: float) -> int:
     """Gas for committing a batch: 0 for the empty batch, else the affine model."""
     if batch_size < 0:
         raise ValueError("batch size must be >= 0")
@@ -523,8 +516,8 @@ class BlockStore:
 
     In-memory by default, holding the `Block` objects themselves; give it a
     directory to persist one JSON file per block instead. Reads from either
-    re-derive every transaction id and the block hash, and fail loudly on
-    any corruption.
+    run `check_tx` on every transaction and `check_block` on the block, and
+    fail loudly on any corruption.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -559,23 +552,11 @@ class BlockStore:
                 block = block_from_dict(json.loads(path.read_bytes().decode("utf-8")))
             except Exception as exc:
                 raise StorageIntegrityError(f"record {record_id} unreadable: {exc}") from exc
-        for tx in block.tx_list:
-            body = tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum)
-            if tx.checksum != digest(tx.payload) or tx.tx_id != digest(body):
-                raise StorageIntegrityError(f"record {record_id} holds a tampered transaction")
-        try:
-            header = block_header_bytes(
-                block.index,
-                block.timestamp,
-                block.prev_hash,
-                [t.tx_id for t in block.tx_list],
-                block.sealer,
-                block.nonce,
-            )
-        except (ValueError, OverflowError) as exc:
-            raise StorageIntegrityError(f"record {record_id} has a malformed header: {exc}") from exc
-        if digest(header) != block.hash or block.hash.hex() != record_id:
-            raise StorageIntegrityError(f"record {record_id} failed hash verification")
+        if block.hash.hex() != record_id:
+            raise StorageIntegrityError(f"record {record_id} holds block {block.hash.hex()}")
+        for reason in (*map(check_tx, block.tx_list), check_block(block)):
+            if reason is not None:
+                raise StorageIntegrityError(f"record {record_id} failed verification: {reason}")
         return block
 
     def __contains__(self, record_id: str) -> bool:

@@ -11,6 +11,8 @@ from .calibration import Calibration, load_default
 from .errors import ConfigError
 
 MODES = ("distb", "of-baseline")
+MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
+MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         value = getattr(cfg, name)
         _require(math.isfinite(value), f"{name} must be finite (got {value})")
     _require(cfg.z_max_m >= 0, f"z_max_m must be >= 0 (got {cfg.z_max_m})")
+    # int * int is exact and int-vs-float comparison never overflows
+    _require(
+        cfg.node_count * cfg.sim_time_ms <= MAX_ARRIVALS * 1000 / cfg.sensor_rate_pps,
+        f"expected arrivals node_count * sensor_rate_pps * sim_time_ms / 1000 must be <= {MAX_ARRIVALS} "
+        f"(got {cfg.node_count} nodes at {cfg.sensor_rate_pps} pps for {cfg.sim_time_ms} ms)",
+    )
     lo, hi = cfg.packet_size_bytes
-    _require(0 < lo <= hi, f"packet_size_bytes must satisfy 0 < min <= max (got {lo}..{hi})")
+    _require(
+        0 < lo <= hi <= MAX_PACKET_BYTES,
+        f"packet_size_bytes must satisfy 0 < min <= max <= {MAX_PACKET_BYTES} (got {lo}..{hi})",
+    )
     for name in ("energy_range_j", "coverage_range_m"):
         lo, hi = getattr(cfg, name)
         _require(

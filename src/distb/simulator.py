@@ -1,13 +1,22 @@
-"""Deterministic discrete-event engine tying the pieces together.
+"""Deterministic fixed-cadence engine tying the pieces together.
 
-One scenario run drives a single logical clock in simulated milliseconds.
-Tick events (clustering rounds, settlement windows, detector sweeps, mining
-cadence, waiting-room sweeps, attack markers) live on a heap ordered by
-(time, sequence). Sensor packet arrivals are pre-drawn Poisson processes held
-as three sorted arrays (time, node, size); each 100 ms settlement window takes
-its slice, found with searchsorted, in timestamp order. Flood traffic arrives
-as deterministic per-window batches, which makes detection latency exact
-arithmetic instead of a coin flip.
+One scenario run drives a single logical clock in simulated milliseconds,
+advanced one 100 ms settlement window at a time (the last window ends at
+sim_time_ms and may be shorter). For each window end t1 the engine:
+
+1. runs every clustering round due strictly before t1;
+2. settles the window, then runs the flood detector (distb mode only);
+3. runs a clustering round due exactly at t1;
+4. mines the queued transactions if t1 is a multiple of block_interval_ms
+   or the horizon;
+5. sweeps the waiting room if t1 is a whole second or the horizon.
+
+Rounds fall every round_period_ms from t=0 and need not line up with
+windows. A round that finds no live node ends the run at that point. Sensor
+packet arrivals are pre-drawn Poisson processes held as three sorted arrays
+(time, node, size); each window takes its slice, found with searchsorted, in
+timestamp order. Flood traffic arrives as deterministic per-window batches,
+which makes detection latency exact arithmetic instead of a coin flip.
 
 Each window shares the configured link capacity proportionally between
 benign and unblocked attack bytes; whatever misses the budget is dropped.
@@ -16,7 +25,7 @@ In distb mode every delivered sensor packet becomes a ledger transaction
 at the gateways; in of-baseline mode both the pipeline and the mitigation
 are disabled.
 
-Raw counters and byte totals come straight from the event loop. The metric
+Raw counters and byte totals come straight from the engine. The metric
 series reported in reference units go through the calibration record (see
 calibration.py for the envelope * raw/nominal construction).
 
@@ -26,7 +35,6 @@ any other; sweeps may run instances in parallel and merge rows afterwards.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
@@ -59,17 +67,6 @@ CPU_SAMPLE_MS = 200
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
 BS_ID = "bs"
 
-EVENT_KINDS = (
-    "packet-arrival",
-    "mine-tick",
-    "pending-sweep",
-    "detector-tick",
-    "attack-start",
-    "attack-stop",
-    "round-tick",
-    "measurement-tick",
-)
-
 # Battery shapes: the fixed sweep scenarios behind the metric families.
 THROUGHPUT_SIM_MS = 10_000
 BANDWIDTH_SIM_MS = 20_000
@@ -81,33 +78,6 @@ CPU_BATTERY = dict(
     sim_time_ms=3_200,
     attack=AttackConfig(start_ms=500, stop_ms=2_600, sources=3, multiplier=10.0, ramp_ms=2_000),
 )
-
-
-@dataclass(frozen=True)
-class Event:
-    at: int
-    seq: int
-    kind: str
-    payload: object = None
-
-
-class EventQueue:
-    """Heap of events processed in (at, seq) order; seq is the push counter."""
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, str, object]] = []
-        self._seq = 0
-
-    def push(self, at: int, kind: str, payload: object = None) -> None:
-        heapq.heappush(self._heap, (int(at), self._seq, kind, payload))
-        self._seq += 1
-
-    def pop(self) -> Event:
-        at, seq, kind, payload = heapq.heappop(self._heap)
-        return Event(at=at, seq=seq, kind=kind, payload=payload)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
@@ -193,7 +163,7 @@ _COUNTER_KEYS = (
 
 @dataclass
 class RawResult:
-    """Everything the event loop measured, before calibration is applied."""
+    """Everything the engine measured, before calibration is applied."""
 
     counters: dict
     benign_bytes_generated: int
@@ -208,7 +178,7 @@ class RawResult:
     gateway_tables: list
     store: bc.BlockStore
     terminated_early: bool
-    events_processed: int
+    events_processed: int  # settlement windows run
 
 
 @dataclass
@@ -241,7 +211,7 @@ class MetricsBundle:
 
 
 def run_raw(cfg: ScenarioConfig) -> RawResult:
-    """Execute the event loop and return raw, calibration-free results."""
+    """Run the window loop and return raw, calibration-free results."""
     cfg = validate_config(cfg)
     topo_params = TopologyParams(
         z_max_m=cfg.z_max_m,
@@ -316,48 +286,23 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     blocked_sources: set[str] = set()
     block_times: dict[str, int] = {}
     round_no = 0
+    next_round = 0  # ms at which round `round_no` is due
     terminated_early = False
 
-    def do_round(now: int) -> None:
-        nonlocal node_set, round_no
+    def do_round() -> None:
+        nonlocal node_set, round_no, next_round
         clusters, node_set = run_round(node_set, topo_params, round_no)
-        round_no += 1
         counters["rounds"] += 1
         for nid, hid in clusters.assignment().items():
             gw_of_node[nid] = controller_index(sensor_name[hid], cfg.n_gateways)
         for n in node_set.nodes:
             if n.depleted and n.id not in depleted_at:
-                depleted_at[n.id] = now
-
-    # Tick schedule. Push order per timestamp: attack markers, settlement,
-    # detector, clustering round, mining cadence, waiting-room sweep.
-    events = EventQueue()
-    if cfg.attack is not None:
-        events.push(cfg.attack.start_ms, "attack-start")
-        events.push(cfg.attack.stop_ms, "attack-stop")
-    settle_times = list(range(WINDOW_MS, cfg.sim_time_ms + 1, WINDOW_MS))
-    if not settle_times or settle_times[-1] != cfg.sim_time_ms:
-        settle_times.append(cfg.sim_time_ms)
-    for t in settle_times:
-        events.push(t, "measurement-tick")
-    for t in settle_times:
-        events.push(t, "detector-tick")
-    for t in range(0, cfg.sim_time_ms, cfg.round_period_ms):
-        events.push(t, "round-tick")
-    mine_times = [t for t in settle_times if t % cfg.block_interval_ms == 0]
-    if not mine_times or mine_times[-1] != cfg.sim_time_ms:
-        mine_times.append(cfg.sim_time_ms)
-    for t in mine_times:
-        events.push(t, "mine-tick")
-    sweep_times = [t for t in settle_times if t % 1000 == 0]
-    if not sweep_times or sweep_times[-1] != cfg.sim_time_ms:
-        sweep_times.append(cfg.sim_time_ms)
-    for t in sweep_times:
-        events.push(t, "pending-sweep")
+                depleted_at[n.id] = next_round
+        round_no += 1
+        next_round += cfg.round_period_ms
 
     arr_idx = 0
     batch_idx = 0
-    last_settle = 0
     benign_bytes_generated = 0
     benign_bytes_delivered = 0
     benign_bytes_delivered_attack = 0
@@ -366,18 +311,12 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     cpu_ewma = 0.0
     smoothing = cfg.resolved_calibration().cpu_smoothing
     cpu_samples: list[tuple[int, float]] = []
-    events_processed = 0
     attack_window = (cfg.attack.start_ms, cfg.attack.stop_ms) if cfg.attack else None
 
-    def settle_window(t1: int) -> None:
-        nonlocal arr_idx, batch_idx, last_settle
+    def settle_window(t0: int, t1: int) -> None:
+        nonlocal arr_idx, batch_idx
         nonlocal benign_bytes_generated, benign_bytes_delivered, benign_bytes_delivered_attack
         nonlocal cpu_acc_pkts, cpu_ewma
-        if t1 <= last_settle:
-            return
-        t0 = last_settle
-        last_settle = t1
-
         window_benign: list[tuple[int, int, int]] = []  # (t, node_id, size)
         benign_counts: dict[str, int] = {}
         arr_end = int(np.searchsorted(arr_t, t1, side="right"))
@@ -475,44 +414,42 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             cpu_samples.append((t1, cpu_ewma))
             cpu_acc_pkts = 0
 
-    while len(events):
-        ev = events.pop()
-        events_processed += 1
-        if ev.kind == "round-tick":
-            try:
-                do_round(ev.at)
-            except ExhaustedNetworkError:
-                terminated_early = True
-                break
-        elif ev.kind == "measurement-tick":
-            settle_window(ev.at)
-        elif ev.kind == "detector-tick":
+    def detect(now: int) -> None:
+        for ctrl in controllers:
+            for src in detect_flood(ctrl, now):
+                if src in blocked_sources:
+                    continue
+                blocked_sources.add(src)
+                block_times[src] = now
+                block_flow(ctrl, src, now)
+                for table in gateway_tables:
+                    install_rule(
+                        table,
+                        FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now),
+                    )
+
+    # Fixed cadence: one pass per settlement window, in the order documented
+    # in the module docstring. Rounds need not fall on window ends.
+    end = cfg.sim_time_ms
+    window_ends = [*range(WINDOW_MS, end, WINDOW_MS), end]
+    windows_settled = 0
+    try:
+        for t0, t1 in zip([0, *window_ends], window_ends):
+            while next_round < t1:
+                do_round()
+            settle_window(t0, t1)
+            windows_settled += 1
             if distb:
-                for ctrl in controllers:
-                    for src in detect_flood(ctrl, ev.at):
-                        if src in blocked_sources:
-                            continue
-                        blocked_sources.add(src)
-                        block_times[src] = ev.at
-                        block_flow(ctrl, src, ev.at)
-                        for table in gateway_tables:
-                            install_rule(
-                                table,
-                                FlowRule(
-                                    match=Match(src=src),
-                                    action=DROP,
-                                    priority=BLOCK_PRIORITY,
-                                    installed_at=ev.at,
-                                ),
-                            )
-        elif ev.kind == "mine-tick":
-            if distb and ledger.queued:
-                commit(list(ledger.queued), ev.at)
-        elif ev.kind == "pending-sweep":
-            if distb:
-                _, discarded = bc.expire_pending(ledger, contract, ev.at)
+                detect(t1)
+            if next_round == t1 < end:
+                do_round()
+            if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+                commit(list(ledger.queued), t1)
+            if distb and (t1 % 1000 == 0 or t1 == end):
+                _, discarded = bc.expire_pending(ledger, contract, t1)
                 counters["expired_txs"] += len(discarded)
-        # attack-start / attack-stop are markers; batches carry the traffic
+    except ExhaustedNetworkError:
+        terminated_early = True
 
     if distb and ledger.queued and not terminated_early:
         commit(list(ledger.queued), cfg.sim_time_ms)
@@ -532,7 +469,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         gateway_tables=gateway_tables,
         store=store,
         terminated_early=terminated_early,
-        events_processed=events_processed,
+        events_processed=windows_settled,
     )
 
 

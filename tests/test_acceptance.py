@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from distb import blockchain as bc
-from distb.calibration import load_reference_tables
+from distb.calibration import load_default, load_reference_tables
 from distb.cli import bundle_to_csvs
 from distb.clustering import select_cluster_heads, sort_nodes
 from distb.config import AttackConfig, ScenarioConfig
@@ -184,7 +184,8 @@ def test_criterion_5_gas():
     for (n, g), eg in zip(rows, t["gas"]):
         worst = max(worst, abs(g - eg) / eg)
         assert abs(g - eg) / eg <= 0.10, (n, g, eg)
-    series = [bc.gas_for(n) for n in range(0, 64)]
+    calib = load_default()
+    series = [bc.gas_for(n, calib.gas_base, calib.gas_per_tx) for n in range(0, 64)]
     assert series[0] == 0
     assert all(a < b for a, b in zip(series, series[1:]))
     print(f"CRITERION 5 PASS: 8 rows within 10% (worst {worst * 100:.2f}%), strictly monotone, gas(0)=0")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distb import blockchain as bc
+from distb.calibration import load_default
 from distb.errors import (
     DuplicateTransactionError,
     EmptyBlockError,
@@ -398,23 +399,26 @@ def test_pos_sealed_chain_validates():
 # --- gas ----------------------------------------------------------------------
 
 
+GAS = (load_default().gas_base, load_default().gas_per_tx)
+
+
 def test_gas_zero_is_zero():
-    assert bc.gas_for(0) == 0
+    assert bc.gas_for(0, *GAS) == 0
 
 
 def test_gas_rejects_negative():
     with pytest.raises(ValueError):
-        bc.gas_for(-1)
+        bc.gas_for(-1, *GAS)
 
 
 def test_gas_matches_reference_rows_within_10pct():
     rows = {3: 25000, 6: 34000, 9: 44000, 12: 53000, 15: 64000, 18: 74000, 21: 84000, 24: 95000}
     for n, expected in rows.items():
-        assert abs(bc.gas_for(n) - expected) / expected <= 0.10
+        assert abs(bc.gas_for(n, *GAS) - expected) / expected <= 0.10
 
 
 def test_gas_strictly_monotone():
-    values = [bc.gas_for(n) for n in range(0, 80)]
+    values = [bc.gas_for(n, *GAS) for n in range(0, 80)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -478,6 +482,7 @@ def test_memory_storage_detects_swapped_block():
     for tampered in (
         dataclasses.replace(block, nonce=block.nonce + 1),
         dataclasses.replace(block, tx_list=(tampered_tx,) + block.tx_list[1:]),
+        dataclasses.replace(block, tx_list=(dataclasses.replace(tx, timestamp=-1),) + block.tx_list[1:]),
         ledger.blocks[0],
     ):
         store._mem[rid] = tampered

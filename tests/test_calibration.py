@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from distb import blockchain as bc
 from distb.calibration import fit_gas, fit_response, load_default, load_reference_tables
 from distb.simulator import recalibrate
 
@@ -10,12 +9,6 @@ from distb.simulator import recalibrate
 @pytest.fixture(scope="module")
 def refit():
     return recalibrate()
-
-
-def test_gas_fit_matches_frozen_constants():
-    base, per_tx = fit_gas()
-    assert base == bc.GAS_BASE
-    assert per_tx == bc.GAS_PER_TX
 
 
 def test_gas_fit_rows_within_10pct():

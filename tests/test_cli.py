@@ -114,6 +114,8 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
         {"energy_range_j": [100, 50]},
         {"energy_range_j": [float("nan"), 50]},
         {"coverage_range_m": [-50, -10]},
+        {"sensor_rate_pps": 1e300},
+        {"packet_size_bytes": [1, 2**70]},
     ],
 )
 def test_out_of_range_config_exit_1(tmp_path, override, capsys):
@@ -160,6 +162,20 @@ def test_validate_chain_flags_out_of_range_nonce(tmp_path, small_cfg_path, capsy
     path.write_text("\n".join(lines) + "\n")
     assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
     assert "block 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("timestamp", [-1, 2**64])
+def test_validate_chain_flags_out_of_range_tx_timestamp(tmp_path, small_cfg_path, capsys, timestamp):
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
+    path = out / "ledger.ndjson"
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["txs"][0]["timestamp"] = timestamp
+    lines[1] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert "chain INVALID at block 1" in capsys.readouterr().out
 
 
 def test_validate_chain_empty_file_is_parse_error(tmp_path):

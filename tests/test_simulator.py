@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 from distb import blockchain as bc
 from distb.calibration import load_default
-from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig
+from distb.cli import _flow_tables_json
+from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError
 from distb.simulator import (
-    EventQueue,
     attack_rate_kpps,
     bundle_from_raw,
     generate_traffic,
@@ -32,16 +33,41 @@ def small_attack_cfg(seed=7, mode="distb"):
     )
 
 
-# --- event queue ----------------------------------------------------------
+# --- tick order -------------------------------------------------------------
+
+# Output digests, measured on the event-heap engine, that pin the per-window
+# order: rounds due before the window end, settle, detect, a round due at the
+# window end, mine, sweep. B has rounds between and on window ends under
+# attack; C's and D's networks die in a round at a window end, between settle
+# and mine (C on a mine tick with transactions queued, D mining every window).
+TICK_ORDER_CASES = {
+    "B": (
+        {"node_count": 15, "sim_time_ms": 4030, "seed": 3, "round_period_ms": 70, "block_interval_ms": 130,
+         "attack": {"start_ms": 450, "stop_ms": 3000, "sources": 3, "multiplier": 10.0}},
+        "13d6a62aa336a953cfeedcd9107f6aba3329dce2d98a14af352e7b180cd88137",
+    ),
+    "C": (
+        {"node_count": 8, "sim_time_ms": 30000, "seed": 3, "round_period_ms": 100, "block_interval_ms": 1000,
+         "head_cost_j": 0.02, "tx_cost_j": 0.01, "energy_range_j": [0.035, 0.21]},
+        "d990e933eaee8dd54652422d1371aa06f45866272080a5b415218099e5d9cff9",
+    ),
+    "D": (
+        {"node_count": 10, "sim_time_ms": 60000, "seed": 5, "round_period_ms": 500, "block_interval_ms": 100,
+         "head_cost_j": 0.2, "tx_cost_j": 0.05, "energy_range_j": [0.5, 1.0]},
+        "89cc92c87fa0547bec93d1994db96d2c7e3321f7885ce55f99fc6de7fbd8e168",
+    ),
+}
 
 
-def test_event_queue_orders_by_time_then_seq():
-    q = EventQueue()
-    q.push(200, "mine-tick")
-    q.push(100, "measurement-tick")
-    q.push(100, "detector-tick")
-    order = [(e.at, e.kind) for e in (q.pop(), q.pop(), q.pop())]
-    assert order == [(100, "measurement-tick"), (100, "detector-tick"), (200, "mine-tick")]
+@pytest.mark.parametrize("name", sorted(TICK_ORDER_CASES))
+def test_tick_order_pinned_by_output_digest(name):
+    doc, expected = TICK_ORDER_CASES[name]
+    cfg = config_from_dict(doc)
+    raw = run_raw(cfg)
+    h = hashlib.sha256()
+    for text in (bundle_from_raw(cfg, raw).to_json(), bc.export_ledger(raw.ledger), _flow_tables_json(raw)):
+        h.update(text.encode("utf-8") + b"\0")
+    assert h.hexdigest() == expected
 
 
 # --- traffic generation ------------------------------------------------------
@@ -233,8 +259,9 @@ def test_attack_rate_kpps():
 
 def test_bundle_from_raw_gas_series_matches_library():
     bundle = run_scenario(SMALL)
+    calib = load_default()
     for n, g in bundle.gas_series.items():
-        assert g == bc.gas_for(n)
+        assert g == bc.gas_for(n, calib.gas_base, calib.gas_per_tx)
 
 
 def test_default_config_completes_under_60s():
