@@ -23,11 +23,11 @@ from distb.simulator import run_raw
 
 # --- flow tables -----------------------------------------------------------
 table = FlowTable()
-print("empty table, unknown packet ->", match_packet(table, Packet("s-9", "bs", 256, "sensor-data", 0)))
+print("empty table, unknown packet ->", match_packet(table, Packet("s-9", "bs")))
 
 table.rules.append(FlowRule(Match(src="s-9"), forward("gw-1"), priority=5))
 table.rules.append(FlowRule(Match(src="s-9"), DROP, priority=10))
-print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs", 256, "sensor-data", 1)))
+print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 
 # --- detector --------------------------------------------------------------
 # Normal sensors send ~10 packets/s; theta = 5x the expected count per 200 ms
@@ -38,8 +38,10 @@ ctrl.traffic_window.record("atk-0", at=100, count=10)  # 100 pps
 ctrl.traffic_window.record("atk-0", at=200, count=10)
 print("suspects after one window  ->", detect_flood(ctrl, now=200))
 
-block_flow(ctrl, "atk-0", now=200)
-print("post-block action          ->", match_packet(ctrl.flow_table, Packet("atk-0", "bs", 576, "attack", 250)))
+# Blocking puts one maximal-priority drop rule into every gateway table.
+gateways = [FlowTable(), FlowTable()]
+block_flow(gateways, "atk-0", now=200)
+print("post-block action          ->", [match_packet(gw, Packet("atk-0", "bs")) for gw in gateways])
 
 # --- full scenario ---------------------------------------------------------
 # Five attackers flood from t=2s to t=18s. With mitigation on (distb mode)

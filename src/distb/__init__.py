@@ -47,7 +47,6 @@ from .sdn import (
     Packet,
     block_flow,
     detect_flood,
-    install_flow_rule,
     match_packet,
 )
 from .simulator import (

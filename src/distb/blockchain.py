@@ -133,14 +133,9 @@ class Verdict:
 
 @dataclass
 class ContractState:
-    """Registry of known sensors plus extra validation predicates.
-
-    Each rule is a callable taking the transaction and returning None when
-    satisfied or a reason string when violated.
-    """
+    """Registry of known sensors."""
 
     known_sensors: set[str] = field(default_factory=set)
-    rules: tuple = ()
 
     def register(self, sensor_id: str) -> None:
         self.known_sensors.add(sensor_id)
@@ -164,10 +159,6 @@ def verify_transaction(tx: Transaction, contract: ContractState) -> Verdict:
     reason = check_tx(tx)
     if reason is not None:
         return Verdict.invalid(reason)
-    for rule in contract.rules:
-        reason = rule(tx)
-        if reason is not None:
-            return Verdict.invalid(reason)
     if tx.sensor_id not in contract.known_sensors:
         return Verdict.pending(f"unknown sensor {tx.sensor_id}")
     return Verdict.valid()
@@ -203,9 +194,14 @@ def _sealer_bytes(sealer: Sealer) -> bytes:
     raise ValueError(f"unknown sealer kind {sealer.kind!r}")
 
 
-def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer, nonce: int) -> bytes:
+def _header_prefix(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer) -> bytes:
+    """The block header up to, not including, the nonce."""
     head = _u64(index) + _u64(timestamp) + prev_hash + _u64(len(tx_ids)) + b"".join(tx_ids)
-    return head + _sealer_bytes(sealer) + _u64(nonce)
+    return head + _sealer_bytes(sealer)
+
+
+def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer, nonce: int) -> bytes:
+    return _header_prefix(index, timestamp, prev_hash, tx_ids, sealer) + _u64(nonce)
 
 
 def leading_zero_bits(data: bytes) -> int:
@@ -236,15 +232,7 @@ def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> 
         raise EmptyBlockError("non-genesis block needs at least one transaction")
     tx_list = tuple(txs)
     sealer = Sealer(kind="pow", difficulty=difficulty)
-    prefix = (
-        _u64(index)
-        + _u64(now)
-        + prev_hash
-        + _u64(len(tx_list))
-        + b"".join(t.tx_id for t in tx_list)
-        + _sealer_bytes(sealer)
-    )
-    base = hashlib.sha256(prefix)
+    base = hashlib.sha256(_header_prefix(index, now, prev_hash, [t.tx_id for t in tx_list], sealer))
     target = pow_target(difficulty)
     nonce = 0
     while True:
@@ -451,12 +439,21 @@ def tx_display_dict(tx: Transaction) -> dict:
     }
 
 
+def _field(doc: dict, key: str, kind: type):
+    """A field of a JSON form holding exactly `kind`; anything else, a bool
+    for an int or a string for a number included, is a parse error."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {kind.__name__} (got {value!r})")
+    return value
+
+
 def tx_from_display(doc: dict) -> Transaction:
     return Transaction(
         tx_id=bytes.fromhex(doc["tx_id"]),
-        sensor_id=doc["sensor_id"],
-        destination=doc["destination"],
-        timestamp=int(doc["timestamp"]),
+        sensor_id=_field(doc, "sensor_id", str),
+        destination=_field(doc, "destination", str),
+        timestamp=_field(doc, "timestamp", int),
         payload=bytes.fromhex(doc["payload_hex"]),
         checksum=bytes.fromhex(doc["checksum"]),
     )
@@ -480,15 +477,15 @@ def block_to_dict(block: Block) -> dict:
 
 def block_from_dict(doc: dict) -> Block:
     return Block(
-        index=int(doc["index"]),
-        timestamp=int(doc["timestamp"]),
+        index=_field(doc, "index", int),
+        timestamp=_field(doc, "timestamp", int),
         prev_hash=bytes.fromhex(doc["prev_hash"]),
         tx_list=tuple(tx_from_display(t) for t in doc["txs"]),
-        nonce=int(doc["nonce"]),
+        nonce=_field(doc, "nonce", int),
         sealer=Sealer(
-            kind=doc["sealer"]["kind"],
-            difficulty=int(doc["sealer"]["difficulty"]),
-            validator=doc["sealer"]["validator"],
+            kind=_field(doc["sealer"], "kind", str),
+            difficulty=_field(doc["sealer"], "difficulty", int),
+            validator=_field(doc["sealer"], "validator", str),
         ),
         hash=bytes.fromhex(doc["hash"]),
     )

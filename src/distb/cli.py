@@ -152,14 +152,6 @@ def _manifest(cfg: ScenarioConfig, bundle, extra: dict | None = None) -> str:
 
 def _flow_tables_json(raw) -> str:
     doc = {
-        "controllers": [
-            {
-                "id": c.id,
-                "blocked": sorted(c.blocked),
-                "flow_table": flow_table_to_dict(c.flow_table),
-            }
-            for c in raw.controllers
-        ],
         "gateways": [
             {"id": i, "flow_table": flow_table_to_dict(t)} for i, t in enumerate(raw.gateway_tables)
         ],

@@ -7,8 +7,8 @@ then by rule position, so it is fully deterministic.
 
 Flood detection is a sliding-window rate check: a source whose packet count
 over the last `window_ms` exceeds the controller's threshold is a suspect.
-Blocking installs a maximal-priority drop rule and records the source in the
-controller's blocked set.
+Blocking installs one maximal-priority drop rule for the source into every
+gateway table.
 
 Controller state belongs to whoever drives the event loop; mutations are
 sequential per controller, and distinct controllers are independent.
@@ -32,9 +32,6 @@ def forward(next_hop: str) -> tuple:
 class Packet:
     src: str
     dst: str
-    size: int
-    kind: str  # sensor-data | file-chunk | attack
-    created_at: int  # simulated ms
 
 
 @dataclass(frozen=True)
@@ -43,14 +40,9 @@ class Match:
 
     src: str | None = None
     dst: str | None = None
-    kind: str | None = None
 
     def covers(self, pkt: Packet) -> bool:
-        return (
-            (self.src is None or self.src == pkt.src)
-            and (self.dst is None or self.dst == pkt.dst)
-            and (self.kind is None or self.kind == pkt.kind)
-        )
+        return (self.src is None or self.src == pkt.src) and (self.dst is None or self.dst == pkt.dst)
 
 
 @dataclass(frozen=True)
@@ -96,9 +88,7 @@ class SlidingWindow:
 @dataclass
 class ControllerState:
     id: int
-    flow_table: FlowTable = field(default_factory=FlowTable)
     traffic_window: SlidingWindow = field(default_factory=SlidingWindow)
-    blocked: set[str] = field(default_factory=set)
     flood_threshold: float = 10.0  # packets per window
 
 
@@ -133,12 +123,6 @@ def install_rule(table: FlowTable, rule: FlowRule) -> bool:
     return True
 
 
-def install_flow_rule(ctrl: ControllerState, rule: FlowRule) -> ControllerState:
-    """Append a rule to the controller's table; exact duplicates are a no-op."""
-    install_rule(ctrl.flow_table, rule)
-    return ctrl
-
-
 def detect_flood(ctrl: ControllerState, now: int) -> list[str]:
     """Sources whose count over the last window exceeds the threshold. Pure query."""
     return [
@@ -148,16 +132,13 @@ def detect_flood(ctrl: ControllerState, now: int) -> list[str]:
     ]
 
 
-def block_flow(ctrl: ControllerState, src: str, now: int = 0) -> ControllerState:
-    """Block a source: remember it and install a maximal-priority drop rule."""
-    if src in ctrl.blocked:
-        return ctrl
-    ctrl.blocked.add(src)
-    install_rule(
-        ctrl.flow_table,
-        FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now),
-    )
-    return ctrl
+def block_flow(tables: list[FlowTable], src: str, now: int) -> None:
+    """Block a source: install a maximal-priority drop rule into every table.
+
+    A table that already drops the source keeps its original rule."""
+    rule = FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now)
+    for table in tables:
+        install_rule(table, rule)
 
 
 def controller_index(src: str, n_controllers: int) -> int:
@@ -170,7 +151,7 @@ def flow_table_to_dict(table: FlowTable) -> dict:
         "default_action": list(table.default_action),
         "rules": [
             {
-                "match": {"src": r.match.src, "dst": r.match.dst, "kind": r.match.kind},
+                "match": {"src": r.match.src, "dst": r.match.dst},
                 "action": list(r.action),
                 "priority": r.priority,
                 "installed_at": r.installed_at,

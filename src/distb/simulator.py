@@ -46,18 +46,14 @@ from .clustering import run_round
 from .config import AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
 from .sdn import (
-    BLOCK_PRIORITY,
     DROP,
     ControllerState,
-    FlowRule,
     FlowTable,
-    Match,
     Packet,
     SlidingWindow,
     block_flow,
     controller_index,
     detect_flood,
-    install_rule,
     match_packet,
 )
 from .topology import TopologyParams, generate_topology
@@ -145,7 +141,6 @@ _COUNTER_KEYS = (
     "delivered",
     "dropped",
     "blocked",
-    "in_flight",
     "benign_generated",
     "benign_delivered",
     "benign_dropped",
@@ -170,11 +165,10 @@ class RawResult:
     benign_bytes_delivered: int
     benign_bytes_delivered_attack_window: int
     attack_trace: list  # (window_end_ms, src, delivered_bytes)
-    block_times: dict  # src -> ms at which the drop rule engaged
+    block_times: dict  # src -> ms at which the drop rule engaged, in block order
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
     ledger: bc.Ledger
     contract: bc.ContractState
-    controllers: list
     gateway_tables: list
     store: bc.BlockStore
     terminated_early: bool
@@ -283,26 +277,23 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     gw_of_node: dict[int, int] = {}
     depleted_at: dict[int, int] = {}
     node_seq: dict[int, int] = dict.fromkeys(sensor_name, 0)
-    blocked_sources: set[str] = set()
-    block_times: dict[str, int] = {}
-    round_no = 0
-    next_round = 0  # ms at which round `round_no` is due
+    block_times: dict[str, int] = {}  # the engine's one record of a block
     terminated_early = False
 
+    def next_round_at() -> int:
+        return counters["rounds"] * cfg.round_period_ms
+
     def do_round() -> None:
-        nonlocal node_set, round_no, next_round
-        clusters, node_set = run_round(node_set, topo_params, round_no)
+        nonlocal node_set
+        due = next_round_at()
+        clusters, node_set = run_round(node_set, topo_params, counters["rounds"])
         counters["rounds"] += 1
         for nid, hid in clusters.assignment().items():
             gw_of_node[nid] = controller_index(sensor_name[hid], cfg.n_gateways)
         for n in node_set.nodes:
             if n.depleted and n.id not in depleted_at:
-                depleted_at[n.id] = next_round
-        round_no += 1
-        next_round += cfg.round_period_ms
+                depleted_at[n.id] = due
 
-    arr_idx = 0
-    batch_idx = 0
     benign_bytes_generated = 0
     benign_bytes_delivered = 0
     benign_bytes_delivered_attack = 0
@@ -313,15 +304,11 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     cpu_samples: list[tuple[int, float]] = []
     attack_window = (cfg.attack.start_ms, cfg.attack.stop_ms) if cfg.attack else None
 
-    def settle_window(t0: int, t1: int) -> None:
-        nonlocal arr_idx, batch_idx
+    def settle_window(t0: int, t1: int, window: slice, window_batches: list) -> None:
         nonlocal benign_bytes_generated, benign_bytes_delivered, benign_bytes_delivered_attack
         nonlocal cpu_acc_pkts, cpu_ewma
-        window_benign: list[tuple[int, int, int]] = []  # (t, node_id, size)
+        window_benign: list[tuple[int, int, int, int]] = []  # (t, node_id, size, seq)
         benign_counts: dict[str, int] = {}
-        arr_end = int(np.searchsorted(arr_t, t1, side="right"))
-        window = slice(arr_idx, arr_end)
-        arr_idx = arr_end
         for t, nid, size in zip(arr_t[window].tolist(), arr_node[window].tolist(), arr_size[window].tolist()):
             dep = depleted_at.get(nid)
             if dep is not None and t >= dep:
@@ -331,9 +318,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             benign_bytes_generated += size
             node_seq[nid] += 1
             src = sensor_name[nid]
-            pkt = Packet(src=src, dst=BS_ID, size=size, kind="sensor-data", created_at=t)
-            action = match_packet(gateway_tables[gw_of_node.get(nid, 0)], pkt)
-            if action == DROP:
+            if match_packet(gateway_tables[gw_of_node.get(nid, 0)], Packet(src, BS_ID)) == DROP:
                 counters["dropped"] += 1
                 counters["blocked"] += 1
                 counters["benign_dropped"] += 1
@@ -343,12 +328,10 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                 benign_counts[src] = benign_counts.get(src, 0) + 1
 
         attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
-        while batch_idx < len(batches) and batches[batch_idx][0] < t1:
-            bt, src, count, nbytes = batches[batch_idx]
-            batch_idx += 1
+        for _, src, count, nbytes in window_batches:
             counters["generated"] += count
             counters["attack_generated"] += count
-            if src in blocked_sources:
+            if src in block_times:
                 counters["dropped"] += count
                 counters["blocked"] += count
                 counters["attack_dropped"] += count
@@ -417,31 +400,30 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     def detect(now: int) -> None:
         for ctrl in controllers:
             for src in detect_flood(ctrl, now):
-                if src in blocked_sources:
-                    continue
-                blocked_sources.add(src)
-                block_times[src] = now
-                block_flow(ctrl, src, now)
-                for table in gateway_tables:
-                    install_rule(
-                        table,
-                        FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now),
-                    )
+                if src not in block_times:
+                    block_times[src] = now
+                    block_flow(gateway_tables, src, now)
 
     # Fixed cadence: one pass per settlement window, in the order documented
-    # in the module docstring. Rounds need not fall on window ends.
+    # in the module docstring. Rounds need not fall on window ends. Window w
+    # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
+    # (the first window from t = 0) and the attack batches at t < ends[w].
     end = cfg.sim_time_ms
-    window_ends = [*range(WINDOW_MS, end, WINDOW_MS), end]
+    ends = [*range(0, end, WINDOW_MS), end]
+    arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
+    batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
     windows_settled = 0
     try:
-        for t0, t1 in zip([0, *window_ends], window_ends):
-            while next_round < t1:
+        for w in range(1, len(ends)):
+            t1 = ends[w]
+            while next_round_at() < t1:
                 do_round()
-            settle_window(t0, t1)
+            window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
+            settle_window(ends[w - 1], t1, slice(arr_ends[w - 1], arr_ends[w]), window_batches)
             windows_settled += 1
             if distb:
                 detect(t1)
-            if next_round == t1 < end:
+            if next_round_at() == t1 < end:
                 do_round()
             if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
                 commit(list(ledger.queued), t1)
@@ -465,7 +447,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         cpu_load_samples=cpu_samples,
         ledger=ledger,
         contract=contract,
-        controllers=controllers,
         gateway_tables=gateway_tables,
         store=store,
         terminated_early=terminated_early,

@@ -94,15 +94,6 @@ def test_verify_valid_pending_invalid():
     assert bc.verify_transaction(tampered, contract).is_invalid
 
 
-def test_verify_contract_rules_apply():
-    contract = bc.ContractState(
-        known_sensors={"s-00"},
-        rules=(lambda tx: "payload too large" if len(tx.payload) > 4 else None,),
-    )
-    assert bc.verify_transaction(make_tx(0, payload=b"abcd"), contract).is_valid
-    assert bc.verify_transaction(make_tx(0, payload=b"abcdef"), contract).is_invalid
-
-
 # --- admission and waiting room ---------------------------------------------
 
 
@@ -458,7 +449,7 @@ def test_storage_detects_corruption(tmp_path):
         store.get(rid)
 
 
-@pytest.mark.parametrize("field, value", [("kind", "pox"), ("difficulty", -1)])
+@pytest.mark.parametrize("field, value", [("kind", "pox"), ("difficulty", -1), ("difficulty", "0"), ("validator", 5)])
 def test_storage_rejects_malformed_sealer(tmp_path, field, value):
     ledger = fresh_chain(2, difficulty=0)
     store = bc.BlockStore(tmp_path)

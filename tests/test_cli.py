@@ -36,9 +36,7 @@ def test_run_writes_expected_files(tmp_path, small_cfg_path):
     assert (out / "flow_tables.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
-    assert manifest["counters"]["generated"] == (
-        manifest["counters"]["delivered"] + manifest["counters"]["dropped"] + manifest["counters"]["in_flight"]
-    )
+    assert manifest["counters"]["generated"] == manifest["counters"]["delivered"] + manifest["counters"]["dropped"]
 
 
 def test_run_twice_is_byte_identical(tmp_path, small_cfg_path):
@@ -176,6 +174,45 @@ def test_validate_chain_flags_out_of_range_tx_timestamp(tmp_path, small_cfg_path
     path.write_text("\n".join(lines) + "\n")
     assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
     assert "chain INVALID at block 1" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def run_export(tmp_path_factory):
+    """The lines of one `distb run` ledger export, shared by the tests that edit it."""
+    tmp = tmp_path_factory.mktemp("export")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CFG))
+    assert main(["run", "-c", str(cfg), "-o", str(tmp / "out")]) == EXIT_OK
+    return (tmp / "out" / "ledger.ndjson").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("txs", 0, "sensor_id"), 5),
+        (("txs", 0, "destination"), 5),
+        (("sealer", "validator"), 5),
+        (("sealer", "kind"), 5),
+        (("index",), "1"),
+        (("txs", 0, "timestamp"), 1.5),
+    ],
+    ids=["sensor_id", "destination", "validator", "kind", "index", "tx_timestamp"],
+)
+def test_validate_chain_mistyped_field_exit_4(tmp_path, run_export, capsys, path, value):
+    lines = list(run_export)
+    doc = json.loads(lines[1])
+    *outer, key = path
+    target = doc
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    lines[1] = json.dumps(doc, sort_keys=True)
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate-chain", str(ledger)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("cannot parse ledger: ") and len(err.strip().splitlines()) == 1
 
 
 def test_validate_chain_empty_file_is_parse_error(tmp_path):

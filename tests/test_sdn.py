@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 
+from distb.cli import _flow_tables_json
+from distb.config import AttackConfig, ScenarioConfig
 from distb.sdn import (
     BLOCK_PRIORITY,
     DROP,
@@ -14,13 +18,14 @@ from distb.sdn import (
     controller_index,
     detect_flood,
     forward,
-    install_flow_rule,
+    install_rule,
     match_packet,
 )
+from distb.simulator import bundle_from_raw, run_raw
 
 
-def pkt(src="s-1", dst="bs", size=256, kind="sensor-data", at=0):
-    return Packet(src=src, dst=dst, size=size, kind=kind, created_at=at)
+def pkt(src="s-1", dst="bs"):
+    return Packet(src=src, dst=dst)
 
 
 def test_empty_table_defaults_to_controller():
@@ -52,17 +57,17 @@ def test_tie_breaks_installed_at_then_position():
 
 
 def test_install_takes_effect_immediately():
-    ctrl = ControllerState(id=0)
-    install_flow_rule(ctrl, FlowRule(Match(src="x"), DROP, priority=3))
-    assert match_packet(ctrl.flow_table, pkt(src="x")) == DROP
+    table = FlowTable()
+    install_rule(table, FlowRule(Match(src="x"), DROP, priority=3))
+    assert match_packet(table, pkt(src="x")) == DROP
 
 
 def test_install_duplicate_is_noop():
-    ctrl = ControllerState(id=0)
+    table = FlowTable()
     rule = FlowRule(Match(src="x"), DROP, priority=3)
-    install_flow_rule(ctrl, rule)
-    install_flow_rule(ctrl, rule)
-    assert len(ctrl.flow_table.rules) == 1
+    assert install_rule(table, rule)
+    assert not install_rule(table, FlowRule(Match(src="x"), DROP, priority=3, installed_at=9))
+    assert table.rules == [rule]
 
 
 def oracle_match(table, p):
@@ -80,26 +85,17 @@ def oracle_match(table, p):
 def test_hundred_rules_lookup_matches_oracle():
     rng = np.random.default_rng(101)
     srcs = [f"s-{i}" for i in range(8)] + [None]
-    kinds = ["sensor-data", "attack", None]
     table = FlowTable()
     for i in range(100):
         rule = FlowRule(
-            match=Match(
-                src=srcs[rng.integers(len(srcs))],
-                dst=None if rng.random() < 0.7 else "bs",
-                kind=kinds[rng.integers(len(kinds))],
-            ),
+            match=Match(src=srcs[rng.integers(len(srcs))], dst=None if rng.random() < 0.7 else "bs"),
             action=DROP if rng.random() < 0.5 else forward(f"gw-{rng.integers(3)}"),
             priority=int(rng.integers(0, 10)),
             installed_at=int(rng.integers(0, 50)),
         )
         table.rules.append(rule)
     for i in range(300):
-        p = pkt(
-            src=f"s-{rng.integers(10)}",
-            kind=["sensor-data", "attack"][rng.integers(2)],
-            at=int(rng.integers(100)),
-        )
+        p = pkt(src=f"s-{rng.integers(10)}", dst=["bs", "gw-0"][rng.integers(2)])
         assert match_packet(table, p) == oracle_match(table, p)
 
 
@@ -157,31 +153,45 @@ def test_detect_completeness_and_soundness_random():
 
 
 def test_block_flow_installs_drop_and_silences():
-    ctrl = ControllerState(id=0)
-    block_flow(ctrl, "atk-1", now=300)
-    assert "atk-1" in ctrl.blocked
-    assert match_packet(ctrl.flow_table, pkt(src="atk-1", at=301)) == DROP
-    drop_rules = [r for r in ctrl.flow_table.rules if r.match.src == "atk-1"]
-    assert drop_rules and drop_rules[0].priority == BLOCK_PRIORITY
+    tables = [FlowTable(), FlowTable()]
+    block_flow(tables, "atk-1", now=300)
+    for table in tables:
+        assert match_packet(table, pkt(src="atk-1")) == DROP
+        assert table.rules == [FlowRule(Match(src="atk-1"), DROP, priority=BLOCK_PRIORITY, installed_at=300)]
 
 
 def test_block_flow_idempotent():
-    ctrl = ControllerState(id=0)
-    block_flow(ctrl, "atk-1", now=300)
-    rules_before = list(ctrl.flow_table.rules)
-    block_flow(ctrl, "atk-1", now=999)
-    assert ctrl.flow_table.rules == rules_before
-    assert ctrl.blocked == {"atk-1"}
+    tables = [FlowTable(), FlowTable()]
+    block_flow(tables, "atk-1", now=300)
+    rules_before = [list(t.rules) for t in tables]
+    block_flow(tables, "atk-1", now=999)
+    assert [t.rules for t in tables] == rules_before
 
 
 def test_blocked_sources_have_drop_rule_invariant():
-    ctrl = ControllerState(id=0)
-    for s in ("a", "b", "c"):
-        block_flow(ctrl, s, now=1)
-    for s in ctrl.blocked:
-        assert any(
-            r.match.src == s and r.action == DROP for r in ctrl.flow_table.rules
-        )
+    # Engine level: every gateway table in flow_tables.json holds exactly one
+    # drop rule per blocked source, in block order, installed at the block time.
+    # The low detector multiplier also blocks benign sensors, later and one at
+    # a time, so the blocks fall at several times. It also lets one window of
+    # flood cross the threshold, so the detector flags each attacker again one
+    # window after its block, which must neither move the block nor add a rule.
+    attack = AttackConfig(start_ms=500, stop_ms=2500, sources=4, multiplier=10.0)
+    cfg = ScenarioConfig(
+        node_count=10, sim_time_ms=4000, seed=7, n_gateways=3, attack=attack, detector_multiplier=2.5
+    )
+    raw = run_raw(cfg)
+    assert sorted(bundle_from_raw(cfg, raw).raw["block_times_ms"].items()) == sorted(raw.block_times.items())
+    assert len(set(raw.block_times.values())) > 1  # blocks at more than one time
+    expected = [
+        {"match": {"src": src, "dst": None}, "action": ["drop"], "priority": BLOCK_PRIORITY, "installed_at": t}
+        for src, t in raw.block_times.items()
+    ]
+    assert [r["installed_at"] for r in expected] == sorted(raw.block_times.values())
+    doc = json.loads(_flow_tables_json(raw))
+    assert list(doc) == ["gateways"]
+    assert [g["id"] for g in doc["gateways"]] == [0, 1, 2]
+    for gateway in doc["gateways"]:
+        assert gateway["flow_table"] == {"default_action": ["controller"], "rules": expected}
 
 
 def test_controller_index_stable_partition():
