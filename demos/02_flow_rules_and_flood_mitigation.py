@@ -32,16 +32,17 @@ print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 # --- detector --------------------------------------------------------------
 # Normal sensors send ~10 packets/s; theta = 5x the expected count per 200 ms
 # window, so 10. An attacker at 10x trips it within one full window.
-ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
 ctrl.traffic_window.record("s-1", at=100, count=2)     # normal
 ctrl.traffic_window.record("atk-0", at=100, count=10)  # 100 pps
 ctrl.traffic_window.record("atk-0", at=200, count=10)
 print("suspects after one window  ->", detect_flood(ctrl, now=200))
 
-# Blocking puts one maximal-priority drop rule into every gateway table.
-gateways = [FlowTable(), FlowTable()]
-block_flow(gateways, "atk-0", now=200)
-print("post-block action          ->", [match_packet(gw, Packet("atk-0", "bs")) for gw in gateways])
+# Blocking puts one maximal-priority drop rule into the drop table, the one
+# table every gateway enforces.
+drops = FlowTable()
+block_flow(drops, "atk-0", now=200)
+print("post-block action          ->", match_packet(drops, Packet("atk-0", "bs")))
 
 # --- full scenario ---------------------------------------------------------
 # Five attackers flood from t=2s to t=18s. With mitigation on (distb mode)

@@ -150,12 +150,10 @@ def _manifest(cfg: ScenarioConfig, bundle, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _flow_tables_json(raw) -> str:
-    doc = {
-        "gateways": [
-            {"id": i, "flow_table": flow_table_to_dict(t)} for i, t in enumerate(raw.gateway_tables)
-        ],
-    }
+def _flow_tables_json(raw, n_gateways: int) -> str:
+    """The run's one drop table, written once per gateway id: every gateway enforces it."""
+    table = flow_table_to_dict(raw.drop_table)
+    doc = {"gateways": [{"id": i, "flow_table": table} for i in range(n_gateways)]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -166,7 +164,7 @@ def cmd_run(args) -> int:
     files, _ = _battery_files(cfg)
     files["manifest.json"] = _manifest(cfg, bundle)
     files["ledger.ndjson"] = bc.export_ledger(raw.ledger)
-    files["flow_tables.json"] = _flow_tables_json(raw)
+    files["flow_tables.json"] = _flow_tables_json(raw, cfg.n_gateways)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
     return EXIT_OK
@@ -208,25 +206,29 @@ def cmd_compare(args) -> int:
         extra={"baseline_counters": {k: bundle_base.counters[k] for k in sorted(bundle_base.counters)}},
     )
     files["ledger.ndjson"] = bc.export_ledger(raw_distb.ledger)
-    files["flow_tables.json"] = _flow_tables_json(raw_distb)
+    files["flow_tables.json"] = _flow_tables_json(raw_distb, cfg.n_gateways)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
     return EXIT_OK
 
 
 def _parse_nodes_spec(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+    is_range = ":" in spec
+    parts = spec.split(":") if is_range else [p for p in spec.split(",") if p]
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"--nodes expects integers (got {spec!r})") from None
+    if is_range:
+        if len(values) != 3:
             raise ConfigError("--nodes expects start:stop:step or a comma list")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = values
         if step <= 0 or start < 1 or stop < start:
             raise ConfigError(f"bad --nodes range {spec!r}")
         return list(range(start, stop + 1, step))
-    counts = [int(p) for p in spec.split(",") if p]
-    if not counts or any(c < 1 for c in counts):
+    if not values or any(c < 1 for c in values):
         raise ConfigError(f"bad --nodes list {spec!r}")
-    return counts
+    return values
 
 
 def cmd_sweep(args) -> int:

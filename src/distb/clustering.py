@@ -39,18 +39,6 @@ class ClusterSet:
     clusters: tuple[Cluster, ...]
     round: int = 0
 
-    def head_ids(self) -> list[int]:
-        return [c.head_id for c in self.clusters]
-
-    def assignment(self) -> dict[int, int]:
-        """Map node id -> head id (heads map to themselves)."""
-        out: dict[int, int] = {}
-        for c in self.clusters:
-            out[c.head_id] = c.head_id
-            for m in c.member_ids:
-                out[m] = c.head_id
-        return out
-
 
 def sort_key(node) -> tuple[float, float, int]:
     return (-node.energy, node.dist_bs, node.id)

@@ -7,8 +7,8 @@ then by rule position, so it is fully deterministic.
 
 Flood detection is a sliding-window rate check: a source whose packet count
 over the last `window_ms` exceeds the controller's threshold is a suspect.
-Blocking installs one maximal-priority drop rule for the source into every
-gateway table.
+Blocking installs one maximal-priority drop rule for the source into the drop
+table, the one table every gateway enforces.
 
 Controller state belongs to whoever drives the event loop; mutations are
 sequential per controller, and distinct controllers are independent.
@@ -87,7 +87,6 @@ class SlidingWindow:
 
 @dataclass
 class ControllerState:
-    id: int
     traffic_window: SlidingWindow = field(default_factory=SlidingWindow)
     flood_threshold: float = 10.0  # packets per window
 
@@ -132,13 +131,13 @@ def detect_flood(ctrl: ControllerState, now: int) -> list[str]:
     ]
 
 
-def block_flow(tables: list[FlowTable], src: str, now: int) -> None:
-    """Block a source: install a maximal-priority drop rule into every table.
+def block_flow(table: FlowTable, src: str, now: int) -> bool:
+    """Block a source: install a maximal-priority drop rule into the table.
 
-    A table that already drops the source keeps its original rule."""
+    A table that already drops the source keeps its original rule. Returns
+    True when the table changed."""
     rule = FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now)
-    for table in tables:
-        install_rule(table, rule)
+    return install_rule(table, rule)
 
 
 def controller_index(src: str, n_controllers: int) -> int:

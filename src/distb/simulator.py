@@ -21,9 +21,9 @@ which makes detection latency exact arithmetic instead of a coin flip.
 Each window shares the configured link capacity proportionally between
 benign and unblocked attack bytes; whatever misses the budget is dropped.
 In distb mode every delivered sensor packet becomes a ledger transaction
-(verify -> admit -> mine -> storage commit) and flood suspects get blocked
-at the gateways; in of-baseline mode both the pipeline and the mitigation
-are disabled.
+(verify -> admit -> mine -> storage commit) and each flood suspect gets a
+drop rule in the one drop table all gateways enforce; in of-baseline mode
+both the pipeline and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. The metric
 series reported in reference units go through the calibration record (see
@@ -56,7 +56,7 @@ from .sdn import (
     detect_flood,
     match_packet,
 )
-from .topology import TopologyParams, generate_topology
+from .topology import NodeSet, TopologyParams, generate_topology
 
 WINDOW_MS = 100
 CPU_SAMPLE_MS = 200
@@ -165,14 +165,18 @@ class RawResult:
     benign_bytes_delivered: int
     benign_bytes_delivered_attack_window: int
     attack_trace: list  # (window_end_ms, src, delivered_bytes)
-    block_times: dict  # src -> ms at which the drop rule engaged, in block order
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
     ledger: bc.Ledger
     contract: bc.ContractState
-    gateway_tables: list
+    drop_table: FlowTable  # one drop rule per blocked source, in block order: the only record of a block
     store: bc.BlockStore
     terminated_early: bool
     events_processed: int  # settlement windows run
+
+    @property
+    def block_times(self) -> dict:
+        """src -> ms at which its drop rule engaged, in block order."""
+        return {rule.match.src: rule.installed_at for rule in self.drop_table.rules}
 
 
 @dataclass
@@ -232,14 +236,12 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     controllers = [
-        ControllerState(
-            id=i,
-            traffic_window=SlidingWindow(window_ms=cfg.detector_window_ms),
-            flood_threshold=theta,
-        )
-        for i in range(cfg.n_controllers)
+        ControllerState(traffic_window=SlidingWindow(window_ms=cfg.detector_window_ms), flood_threshold=theta)
+        for _ in range(cfg.n_controllers)
     ]
-    gateway_tables = [FlowTable() for _ in range(cfg.n_gateways)]
+    drop_table = FlowTable()
+    # src -> whether drop_table drops its packets; valid until detect changes the table
+    verdicts: dict[str, bool] = {}
 
     ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
     store = bc.BlockStore()
@@ -274,25 +276,27 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         if src not in ctrl_of:
             ctrl_of[src] = controller_index(src, cfg.n_controllers)
 
-    gw_of_node: dict[int, int] = {}
     depleted_at: dict[int, int] = {}
     node_seq: dict[int, int] = dict.fromkeys(sensor_name, 0)
-    block_times: dict[str, int] = {}  # the engine's one record of a block
     terminated_early = False
 
     def next_round_at() -> int:
         return counters["rounds"] * cfg.round_period_ms
 
-    def do_round() -> None:
-        nonlocal node_set
+    def do_round(node_set: NodeSet) -> NodeSet:
         due = next_round_at()
-        clusters, node_set = run_round(node_set, topo_params, counters["rounds"])
+        _, node_set = run_round(node_set, topo_params, counters["rounds"])
         counters["rounds"] += 1
-        for nid, hid in clusters.assignment().items():
-            gw_of_node[nid] = controller_index(sensor_name[hid], cfg.n_gateways)
         for n in node_set.nodes:
             if n.depleted and n.id not in depleted_at:
                 depleted_at[n.id] = due
+        return node_set
+
+    def is_blocked(src: str) -> bool:
+        verdict = verdicts.get(src)
+        if verdict is None:
+            verdict = verdicts[src] = match_packet(drop_table, Packet(src, BS_ID)) == DROP
+        return verdict
 
     benign_bytes_generated = 0
     benign_bytes_delivered = 0
@@ -318,7 +322,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             benign_bytes_generated += size
             node_seq[nid] += 1
             src = sensor_name[nid]
-            if match_packet(gateway_tables[gw_of_node.get(nid, 0)], Packet(src, BS_ID)) == DROP:
+            if is_blocked(src):
                 counters["dropped"] += 1
                 counters["blocked"] += 1
                 counters["benign_dropped"] += 1
@@ -331,7 +335,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         for _, src, count, nbytes in window_batches:
             counters["generated"] += count
             counters["attack_generated"] += count
-            if src in block_times:
+            if is_blocked(src):
                 counters["dropped"] += count
                 counters["blocked"] += count
                 counters["attack_dropped"] += count
@@ -400,9 +404,8 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     def detect(now: int) -> None:
         for ctrl in controllers:
             for src in detect_flood(ctrl, now):
-                if src not in block_times:
-                    block_times[src] = now
-                    block_flow(gateway_tables, src, now)
+                if block_flow(drop_table, src, now):
+                    verdicts.clear()
 
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
@@ -417,14 +420,14 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         for w in range(1, len(ends)):
             t1 = ends[w]
             while next_round_at() < t1:
-                do_round()
+                node_set = do_round(node_set)
             window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
             settle_window(ends[w - 1], t1, slice(arr_ends[w - 1], arr_ends[w]), window_batches)
             windows_settled += 1
             if distb:
                 detect(t1)
             if next_round_at() == t1 < end:
-                do_round()
+                node_set = do_round(node_set)
             if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
                 commit(list(ledger.queued), t1)
             if distb and (t1 % 1000 == 0 or t1 == end):
@@ -443,11 +446,10 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         benign_bytes_delivered=benign_bytes_delivered,
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
         attack_trace=attack_trace,
-        block_times=block_times,
         cpu_load_samples=cpu_samples,
         ledger=ledger,
         contract=contract,
-        gateway_tables=gateway_tables,
+        drop_table=drop_table,
         store=store,
         terminated_early=terminated_early,
         events_processed=windows_settled,

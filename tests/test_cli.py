@@ -247,8 +247,10 @@ def test_sweep_range_spec(tmp_path, small_cfg_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "10", "15"]
 
 
-def test_sweep_bad_spec_exit_1(tmp_path, small_cfg_path):
-    assert main(["sweep", "--nodes", "5:1:2", "-c", str(small_cfg_path), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+def test_sweep_bad_spec_exit_1(tmp_path, small_cfg_path, capsys):
+    for spec in ("5:1:2", "abc", "1:x:2", "1,,b"):
+        assert main(["sweep", "--nodes", spec, "-c", str(small_cfg_path), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: "), spec
 
 
 def test_calibrate_writes_round_trippable_record(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from distb.blockchain import export_ledger
 from distb.cli import _flow_tables_json
 from distb.config import AttackConfig, ScenarioConfig
 from distb.sdn import (
@@ -100,12 +101,12 @@ def test_hundred_rules_lookup_matches_oracle():
 
 
 def test_detect_flood_zero_traffic():
-    ctrl = ControllerState(id=0, flood_threshold=10)
+    ctrl = ControllerState(flood_threshold=10)
     assert detect_flood(ctrl, now=1000) == []
 
 
 def test_detect_flood_half_threshold_silent():
-    ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
     for src in ("a", "b", "c"):
         ctrl.traffic_window.record(src, at=900, count=5)
     assert detect_flood(ctrl, now=1000) == []
@@ -113,7 +114,7 @@ def test_detect_flood_half_threshold_silent():
 
 def test_detect_flood_flags_10x_within_one_window():
     # normal rate 10 pps -> theta = 5 * 10 * 0.2 = 10; attacker at 100 pps
-    ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
     ctrl.traffic_window.record("atk", at=100, count=10)
     ctrl.traffic_window.record("atk", at=200, count=10)
     ctrl.traffic_window.record("s-1", at=200, count=2)
@@ -121,7 +122,7 @@ def test_detect_flood_flags_10x_within_one_window():
 
 
 def test_detect_flood_at_threshold_not_flagged():
-    ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
     ctrl.traffic_window.record("a", at=100, count=10)
     assert detect_flood(ctrl, now=200) == []
     ctrl.traffic_window.record("a", at=150, count=1)
@@ -129,7 +130,7 @@ def test_detect_flood_at_threshold_not_flagged():
 
 
 def test_detect_flood_window_slides():
-    ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
     ctrl.traffic_window.record("a", at=100, count=50)
     assert detect_flood(ctrl, now=200) == ["a"]
     # counts fall out of the window once it slides past them
@@ -140,7 +141,7 @@ def test_detect_completeness_and_soundness_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
         theta = float(rng.integers(5, 20))
-        ctrl = ControllerState(id=0, traffic_window=SlidingWindow(window_ms=200), flood_threshold=theta)
+        ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=theta)
         expected = set()
         for s in range(6):
             src = f"s-{s}"
@@ -153,19 +154,18 @@ def test_detect_completeness_and_soundness_random():
 
 
 def test_block_flow_installs_drop_and_silences():
-    tables = [FlowTable(), FlowTable()]
-    block_flow(tables, "atk-1", now=300)
-    for table in tables:
-        assert match_packet(table, pkt(src="atk-1")) == DROP
-        assert table.rules == [FlowRule(Match(src="atk-1"), DROP, priority=BLOCK_PRIORITY, installed_at=300)]
+    table = FlowTable()
+    assert block_flow(table, "atk-1", now=300)
+    assert match_packet(table, pkt(src="atk-1")) == DROP
+    assert table.rules == [FlowRule(Match(src="atk-1"), DROP, priority=BLOCK_PRIORITY, installed_at=300)]
 
 
 def test_block_flow_idempotent():
-    tables = [FlowTable(), FlowTable()]
-    block_flow(tables, "atk-1", now=300)
-    rules_before = [list(t.rules) for t in tables]
-    block_flow(tables, "atk-1", now=999)
-    assert [t.rules for t in tables] == rules_before
+    table = FlowTable()
+    block_flow(table, "atk-1", now=300)
+    rules_before = list(table.rules)
+    assert not block_flow(table, "atk-1", now=999)
+    assert table.rules == rules_before
 
 
 def test_blocked_sources_have_drop_rule_invariant():
@@ -187,11 +187,27 @@ def test_blocked_sources_have_drop_rule_invariant():
         for src, t in raw.block_times.items()
     ]
     assert [r["installed_at"] for r in expected] == sorted(raw.block_times.values())
-    doc = json.loads(_flow_tables_json(raw))
+    doc = json.loads(_flow_tables_json(raw, cfg.n_gateways))
     assert list(doc) == ["gateways"]
     assert [g["id"] for g in doc["gateways"]] == [0, 1, 2]
     for gateway in doc["gateways"]:
         assert gateway["flow_table"] == {"default_action": ["controller"], "rules": expected}
+
+
+def test_gateway_count_only_sets_the_copies_written():
+    # One drop table serves every gateway, so n_gateways changes nothing the
+    # engine measures: only how many identical gateway entries are written.
+    attack = AttackConfig(start_ms=500, stop_ms=2500, sources=4, multiplier=10.0)
+    base = ScenarioConfig(node_count=10, sim_time_ms=4000, seed=7, attack=attack, detector_multiplier=2.5)
+    cfg1, cfg3 = base.with_(n_gateways=1), base.with_(n_gateways=3)
+    raw1, raw3 = run_raw(cfg1), run_raw(cfg3)
+    assert raw1.block_times and raw1.block_times == raw3.block_times
+    assert bundle_from_raw(cfg1, raw1).to_json() == bundle_from_raw(cfg3, raw3).to_json()
+    assert export_ledger(raw1.ledger) == export_ledger(raw3.ledger)
+    one = json.loads(_flow_tables_json(raw1, cfg1.n_gateways))["gateways"]
+    three = json.loads(_flow_tables_json(raw3, cfg3.n_gateways))["gateways"]
+    assert [g["id"] for g in one] == [0] and [g["id"] for g in three] == [0, 1, 2]
+    assert [g["flow_table"] for g in three] == [one[0]["flow_table"]] * 3
 
 
 def test_controller_index_stable_partition():

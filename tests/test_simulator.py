@@ -74,7 +74,8 @@ def test_tick_order_pinned_by_output_digest(name):
     cfg = config_from_dict(doc)
     raw = run_raw(cfg)
     h = hashlib.sha256()
-    for text in (bundle_from_raw(cfg, raw).to_json(), bc.export_ledger(raw.ledger), _flow_tables_json(raw)):
+    outputs = (bundle_from_raw(cfg, raw).to_json(), bc.export_ledger(raw.ledger), _flow_tables_json(raw, cfg.n_gateways))
+    for text in outputs:
         h.update(text.encode("utf-8") + b"\0")
     assert h.hexdigest() == expected
 
