@@ -41,7 +41,7 @@ forged = bc.Transaction(
 print("tampered payload   ->", bc.verify_transaction(forged, contract).status)
 
 # Mine the queue, commit to content-addressed storage.
-block = bc.mine_block(list(ledger.queued), ledger.tip_hash, 8, now=6000, index=1)
+block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 8, now=6000, index=1)
 bc.append_block(ledger, block)
 rid = bc.commit_to_storage(ledger, block, store)
 print(f"\nblock 1 mined: nonce={block.nonce} txs={len(block.tx_list)} storage_id={rid[:16]}...")

@@ -61,6 +61,6 @@ from .simulator import (
     recalibrate,
     run_scenario,
 )
-from .topology import BaseStation, Node, NodeSet, Point3, decay_energy, distance, generate_topology
+from .topology import BaseStation, Node, NodeSet, Point3, distance, generate_topology
 
 __version__ = "0.1.0"

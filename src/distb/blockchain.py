@@ -33,7 +33,6 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import (
     DuplicateTransactionError,
@@ -297,65 +296,45 @@ def select_validator(stakes: dict[str, float], seed: int) -> str:
 class Ledger:
     """Append-only chain plus the valid-transaction queue and the waiting room.
 
-    The id sets are maintained incrementally so admission checks stay O(1)
-    over long runs.
+    `queued` and `pending` are keyed by tx_id in arrival order, and
+    `committed_ids` holds the ids of the chain's txs, so every admission
+    check is O(1) over long runs.
     """
 
     blocks: list[Block] = field(default_factory=list)
-    queued: list[Transaction] = field(default_factory=list)
-    pending: list[tuple[Transaction, int]] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
+    queued: dict[bytes, Transaction] = field(default_factory=dict)
+    pending: dict[bytes, tuple[Transaction, int]] = field(default_factory=dict)  # tx_id -> (tx, parked at)
     t_pending_ms: int = 30_000
     committed_ids: set[bytes] = field(default_factory=set)
-    queued_ids: set[bytes] = field(default_factory=set)
-    pending_ids: set[bytes] = field(default_factory=set)
-    block_hashes: set[bytes] = field(default_factory=set)
 
     @property
     def tip_hash(self) -> bytes:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
 
 
-def admit_or_park(ledger: Ledger, tx: Transaction, verdict: Verdict, now: int) -> Ledger:
-    """Route by verdict: Valid -> queue, Pending -> waiting room, Invalid -> audit drop."""
-    if (
-        tx.tx_id in ledger.committed_ids
-        or tx.tx_id in ledger.queued_ids
-        or tx.tx_id in ledger.pending_ids
-    ):
+def admit_or_park(ledger: Ledger, tx: Transaction, verdict: Verdict, now: int) -> None:
+    """Route by verdict: Valid -> queue, Pending -> waiting room, Invalid -> dropped."""
+    if tx.tx_id in ledger.committed_ids or tx.tx_id in ledger.queued or tx.tx_id in ledger.pending:
         raise DuplicateTransactionError(f"tx {tx.tx_id.hex()} already known")
     if verdict.is_valid:
-        ledger.queued.append(tx)
-        ledger.queued_ids.add(tx.tx_id)
+        ledger.queued[tx.tx_id] = tx
     elif verdict.is_pending:
-        ledger.pending.append((tx, now))
-        ledger.pending_ids.add(tx.tx_id)
-    else:
-        ledger.audit.append(
-            {"event": "rejected", "tx_id": tx.tx_id.hex(), "reason": verdict.reason, "at": now}
-        )
-    return ledger
+        ledger.pending[tx.tx_id] = (tx, now)
 
 
-def expire_pending(ledger: Ledger, contract: ContractState, now: int) -> tuple[Ledger, list[bytes]]:
+def expire_pending(ledger: Ledger, contract: ContractState, now: int) -> list[bytes]:
     """Sweep the waiting room: promote entries whose sensor has since been
-    registered, then discard anything parked for t_pending_ms or longer."""
-    keep: list[tuple[Transaction, int]] = []
+    registered, then discard anything parked for t_pending_ms or longer.
+    Returns the discarded ids."""
     discarded: list[bytes] = []
-    for tx, entered_at in ledger.pending:
+    for tx_id, (tx, entered_at) in list(ledger.pending.items()):
         if tx.sensor_id in contract.known_sensors:
-            ledger.queued.append(tx)
-            ledger.queued_ids.add(tx.tx_id)
-            ledger.pending_ids.discard(tx.tx_id)
-            ledger.audit.append({"event": "promoted", "tx_id": tx.tx_id.hex(), "at": now})
+            ledger.queued[tx_id] = tx
+            del ledger.pending[tx_id]
         elif now - entered_at >= ledger.t_pending_ms:
-            discarded.append(tx.tx_id)
-            ledger.pending_ids.discard(tx.tx_id)
-            ledger.audit.append({"event": "expired", "tx_id": tx.tx_id.hex(), "at": now})
-        else:
-            keep.append((tx, entered_at))
-    ledger.pending = keep
-    return ledger, discarded
+            discarded.append(tx_id)
+            del ledger.pending[tx_id]
+    return discarded
 
 
 def check_block(block: Block) -> str | None:
@@ -375,8 +354,9 @@ def check_block(block: Block) -> str | None:
     return None
 
 
-def append_block(ledger: Ledger, block: Block) -> Ledger:
-    """Extend the chain; rejects forks and bad seals, dedups committed txs."""
+def append_block(ledger: Ledger, block: Block) -> None:
+    """Extend the chain; rejects forks, bad seals and any tx committed before
+    or carried twice, and takes the block's txs out of the queue."""
     if block.prev_hash != ledger.tip_hash or block.index != len(ledger.blocks):
         raise ForkRejectedError(
             f"block {block.index} does not extend tip at height {len(ledger.blocks)}"
@@ -384,16 +364,16 @@ def append_block(ledger: Ledger, block: Block) -> Ledger:
     reason = check_block(block)
     if reason is not None:
         raise SealInvalidError(reason)
-    for tx in block.tx_list:
-        if tx.tx_id in ledger.committed_ids:
-            raise DuplicateTransactionError(f"tx {tx.tx_id.hex()} already committed")
+    tx_ids = [t.tx_id for t in block.tx_list]
+    for tx_id in tx_ids:
+        if tx_id in ledger.committed_ids:
+            raise DuplicateTransactionError(f"tx {tx_id.hex()} already committed")
+    if len(set(tx_ids)) != len(tx_ids):
+        raise DuplicateTransactionError(f"block {block.index} carries a tx twice")
     ledger.blocks.append(block)
-    ledger.block_hashes.add(block.hash)
-    block_ids = {t.tx_id for t in block.tx_list}
-    ledger.queued = [t for t in ledger.queued if t.tx_id not in block_ids]
-    ledger.queued_ids -= block_ids
-    ledger.committed_ids.update(block_ids)
-    return ledger
+    for tx_id in tx_ids:
+        ledger.queued.pop(tx_id, None)
+    ledger.committed_ids.update(tx_ids)
 
 
 def validate_chain(ledger: Ledger) -> tuple[bool, int | None]:
@@ -504,51 +484,27 @@ def load_ledger(text: str) -> Ledger:
     ledger = Ledger(blocks=blocks)
     for b in blocks:
         ledger.committed_ids.update(t.tx_id for t in b.tx_list)
-        ledger.block_hashes.add(b.hash)
     return ledger
 
 
 class BlockStore:
-    """Content-addressed block storage stub; record id = block hash (hex).
+    """Content-addressed in-memory block storage; record id = block hash (hex).
 
-    In-memory by default, holding the `Block` objects themselves; give it a
-    directory to persist one JSON file per block instead. Reads from either
-    run `check_tx` on every transaction and `check_block` on the block, and
-    fail loudly on any corruption.
+    It holds the `Block` objects themselves. Reads run `check_tx` on every
+    transaction and `check_block` on the block, and fail loudly on any
+    corruption.
     """
 
-    def __init__(self, root: str | Path | None = None):
+    def __init__(self):
         self._mem: dict[str, Block] = {}
-        self._root = Path(root) if root is not None else None
-        if self._root is not None:
-            self._root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, record_id: str) -> Path:
-        return self._root / f"{record_id}.json"
 
     def put(self, block: Block) -> str:
         record_id = block.hash.hex()
-        if self._root is None:
-            self._mem[record_id] = block
-        else:
-            path = self._path(record_id)
-            if not path.exists():
-                path.write_bytes(json.dumps(block_to_dict(block), sort_keys=True).encode("utf-8"))
+        self._mem[record_id] = block
         return record_id
 
     def get(self, record_id: str) -> Block:
-        if self._root is None:
-            if record_id not in self._mem:
-                raise KeyError(record_id)
-            block = self._mem[record_id]
-        else:
-            path = self._path(record_id)
-            if not path.exists():
-                raise KeyError(record_id)
-            try:
-                block = block_from_dict(json.loads(path.read_bytes().decode("utf-8")))
-            except Exception as exc:
-                raise StorageIntegrityError(f"record {record_id} unreadable: {exc}") from exc
+        block = self._mem[record_id]
         if block.hash.hex() != record_id:
             raise StorageIntegrityError(f"record {record_id} holds block {block.hash.hex()}")
         for reason in (*map(check_tx, block.tx_list), check_block(block)):
@@ -557,13 +513,11 @@ class BlockStore:
         return block
 
     def __contains__(self, record_id: str) -> bool:
-        if self._root is None:
-            return record_id in self._mem
-        return self._path(record_id).exists()
+        return record_id in self._mem
 
 
 def commit_to_storage(ledger: Ledger, block: Block, store: BlockStore) -> str:
     """Persist an appended block; committing twice is a no-op with the same id."""
-    if block.hash not in ledger.block_hashes:
+    if not (0 <= block.index < len(ledger.blocks) and ledger.blocks[block.index].hash == block.hash):
         raise NotCommittedError("block is not part of the ledger")
     return store.put(block)

@@ -13,6 +13,9 @@ from .errors import ConfigError
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
 MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
+MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
+MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; inject_attack builds one tuple each
+WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             f"(got {a.start_ms}..{a.stop_ms} in {cfg.sim_time_ms})",
         )
         _require(a.sources >= 1, f"attack.sources must be >= 1 (got {a.sources})")
+        windows = len(range(a.start_ms, a.stop_ms, WINDOW_MS))
+        _require(
+            a.sources * windows <= MAX_ATTACK_BATCHES,
+            f"attack.sources x {WINDOW_MS} ms attack windows must be <= {MAX_ATTACK_BATCHES} "
+            f"(got {a.sources} x {windows})",
+        )
         _require(
             0 < a.multiplier < math.inf, f"attack.multiplier must be > 0 and finite (got {a.multiplier})"
         )
@@ -190,6 +199,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         _require(
             0 <= c.difficulty <= 256,
             f"consensus.difficulty must be in 0..256 bits (got {c.difficulty})",
+        )
+        arrivals = cfg.node_count * cfg.sensor_rate_pps * cfg.sim_time_ms / 1000
+        blocks = 1 + cfg.sim_time_ms / cfg.block_interval_ms + arrivals / cfg.block_batch
+        _require(
+            blocks * 2.0**c.difficulty <= MAX_SEAL_HASHES,
+            f"expected sealing work (1 + sim_time_ms / block_interval_ms + arrivals / block_batch) "
+            f"x 2^difficulty must be <= {MAX_SEAL_HASHES} hashes (got {blocks:.0f} x 2^{c.difficulty})",
         )
     else:
         stakes = c.stakes_dict()

@@ -39,4 +39,4 @@ class NotCommittedError(DistbError):
 
 
 class StorageIntegrityError(DistbError):
-    """Stored block bytes do not hash back to their content address."""
+    """A stored block fails its content address or its tx and seal checks."""

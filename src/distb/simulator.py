@@ -43,7 +43,7 @@ import numpy as np
 from . import blockchain as bc
 from .calibration import Calibration, fit_gas, fit_response, load_reference_tables
 from .clustering import run_round
-from .config import AttackConfig, ScenarioConfig, validate_config
+from .config import WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
 from .sdn import (
     DROP,
@@ -58,7 +58,6 @@ from .sdn import (
 )
 from .topology import NodeSet, TopologyParams, generate_topology
 
-WINDOW_MS = 100
 CPU_SAMPLE_MS = 200
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
 BS_ID = "bs"
@@ -382,7 +381,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                     elif verdict.is_invalid:
                         counters["rejected_txs"] += 1
                     while len(ledger.queued) >= cfg.block_batch:
-                        commit(ledger.queued[: cfg.block_batch], t1)
+                        commit(list(ledger.queued.values())[: cfg.block_batch], t1)
             else:
                 counters["dropped"] += 1
                 counters["benign_dropped"] += 1
@@ -429,15 +428,14 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             if next_round_at() == t1 < end:
                 node_set = do_round(node_set)
             if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-                commit(list(ledger.queued), t1)
+                commit(list(ledger.queued.values()), t1)
             if distb and (t1 % 1000 == 0 or t1 == end):
-                _, discarded = bc.expire_pending(ledger, contract, t1)
-                counters["expired_txs"] += len(discarded)
+                counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
     except ExhaustedNetworkError:
         terminated_early = True
 
     if distb and ledger.queued and not terminated_early:
-        commit(list(ledger.queued), cfg.sim_time_ms)
+        commit(list(ledger.queued.values()), cfg.sim_time_ms)
     counters["blocks"] = len(ledger.blocks)
 
     return RawResult(

@@ -119,13 +119,6 @@ def generate_topology(
     return NodeSet(nodes=nodes, base_station=bs)
 
 
-def decay_energy(node: Node, cost: float) -> Node:
-    """Charge `cost` joules, clamping at zero; all other fields unchanged."""
-    if cost < 0:
-        raise ValueError("energy cost must be non-negative")
-    return replace(node, energy=max(0.0, node.energy - cost))
-
-
 def refresh_dist_bs(node_set: NodeSet) -> NodeSet:
     """Return a copy with dist_bs recomputed against the current base station."""
     bs = node_set.base_station

@@ -263,7 +263,7 @@ def test_criterion_7_chain_integrity():
             bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=at)
         sweep_at = int(rng.integers(0, 9000))
         bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)
-        assert all(sweep_at - at < t_pending for _, at in ledger.pending)
+        assert all(sweep_at - at < t_pending for _, at in ledger.pending.values())
 
     # duplicate tx_id can never commit twice
     ledger = bc.Ledger()

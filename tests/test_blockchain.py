@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -102,10 +101,10 @@ def test_admit_valid_goes_to_queue_and_next_block():
     bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 0, 0, 0))
     tx = make_tx(0)
     bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=10)
-    assert [t.tx_id for t in ledger.queued] == [tx.tx_id]
-    block = bc.mine_block(list(ledger.queued), ledger.tip_hash, 0, 20, 1)
+    assert list(ledger.queued) == [tx.tx_id]
+    block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 0, 20, 1)
     bc.append_block(ledger, block)
-    assert ledger.queued == []
+    assert ledger.queued == {}
     assert tx.tx_id in ledger.committed_ids
 
 
@@ -113,16 +112,15 @@ def test_admit_pending_parks():
     ledger = bc.Ledger()
     tx = make_tx(1)
     bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=10)
-    assert ledger.queued == []
-    assert [(t.tx_id, at) for t, at in ledger.pending] == [(tx.tx_id, 10)]
+    assert ledger.queued == {}
+    assert ledger.pending == {tx.tx_id: (tx, 10)}
 
 
 def test_admit_invalid_drops_with_audit():
     ledger = bc.Ledger()
     tx = make_tx(2)
     bc.admit_or_park(ledger, tx, bc.Verdict.invalid("bad checksum"), now=10)
-    assert ledger.queued == [] and ledger.pending == []
-    assert ledger.audit[-1]["event"] == "rejected"
+    assert ledger.queued == {} and ledger.pending == {}
 
 
 def test_admit_duplicate_rejected():
@@ -135,17 +133,17 @@ def test_admit_duplicate_rejected():
 
 def test_expire_empty_room_no_change():
     ledger = bc.Ledger()
-    _, discarded = bc.expire_pending(ledger, bc.ContractState(), now=10_000)
-    assert discarded == [] and ledger.pending == []
+    discarded = bc.expire_pending(ledger, bc.ContractState(), now=10_000)
+    assert discarded == [] and ledger.pending == {}
 
 
 def test_expire_discards_aged_entry():
     ledger = bc.Ledger(t_pending_ms=30_000)
     tx = make_tx(3)
     bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=0)
-    _, discarded = bc.expire_pending(ledger, bc.ContractState(), now=30_001)
+    discarded = bc.expire_pending(ledger, bc.ContractState(), now=30_001)
     assert discarded == [tx.tx_id]
-    assert ledger.pending == []
+    assert ledger.pending == {}
 
 
 def test_expire_promotes_registered_sensor():
@@ -154,10 +152,10 @@ def test_expire_promotes_registered_sensor():
     bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=0)
     contract = bc.ContractState()
     contract.register(tx.sensor_id)  # registered at T/2
-    _, discarded = bc.expire_pending(ledger, contract, now=30_000)
+    discarded = bc.expire_pending(ledger, contract, now=30_000)
     assert discarded == []
-    assert [t.tx_id for t in ledger.queued] == [tx.tx_id]
-    assert ledger.pending == []
+    assert list(ledger.queued) == [tx.tx_id]
+    assert ledger.pending == {}
 
 
 def test_waiting_room_boundedness_property():
@@ -173,7 +171,7 @@ def test_waiting_room_boundedness_property():
             entered.append(at)
         sweep_at = int(rng.integers(0, 20_000))
         bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)
-        for _, at in ledger.pending:
+        for _, at in ledger.pending.values():
             assert sweep_at - at < t_pending
 
 
@@ -315,9 +313,12 @@ def test_append_rejects_bad_seal():
 def test_append_rejects_already_committed_tx():
     ledger = fresh_chain(3, difficulty=0)
     dup = ledger.blocks[1].tx_list[0]
-    block = bc.mine_block([dup], ledger.tip_hash, 0, 99, len(ledger.blocks))
-    with pytest.raises(DuplicateTransactionError):
-        bc.append_block(ledger, block)
+    fresh = make_tx(94)
+    for txs in ([dup], [fresh, fresh]):  # committed before, or carried twice in one block
+        block = bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks))
+        with pytest.raises(DuplicateTransactionError):
+            bc.append_block(ledger, block)
+    assert len(ledger.blocks) == 3 and fresh.tx_id not in ledger.committed_ids
 
 
 def test_validate_genesis_only():
@@ -416,14 +417,14 @@ def test_gas_strictly_monotone():
 # --- storage -------------------------------------------------------------------
 
 
-def test_storage_round_trip_and_content_addressing(tmp_path):
+def test_storage_round_trip_and_content_addressing():
     ledger = fresh_chain(2, difficulty=0)
-    store = bc.BlockStore(tmp_path)
+    store = bc.BlockStore()
     block = ledger.blocks[1]
     rid = bc.commit_to_storage(ledger, block, store)
     assert rid == block.hash.hex()
     assert bc.commit_to_storage(ledger, block, store) == rid
-    assert len(list(tmp_path.glob("*.json"))) == 1  # single copy per content address
+    assert store._mem == {rid: block}  # single copy per content address
     got = store.get(rid)
     assert got == block
 
@@ -432,32 +433,20 @@ def test_storage_rejects_unappended_block():
     ledger = fresh_chain(2, difficulty=0)
     store = bc.BlockStore()
     stray = bc.mine_block([make_tx(77)], ledger.tip_hash, 0, 99, len(ledger.blocks))
-    with pytest.raises(NotCommittedError):
-        bc.commit_to_storage(ledger, stray, store)
+    tip_at_minus_one = dataclasses.replace(ledger.blocks[-1], index=-1)
+    for block in (stray, tip_at_minus_one):
+        with pytest.raises(NotCommittedError):
+            bc.commit_to_storage(ledger, block, store)
+    assert len(store._mem) == 0
 
 
-def test_storage_detects_corruption(tmp_path):
+@pytest.mark.parametrize("field, value", [("kind", "pox"), ("difficulty", -1)])
+def test_storage_rejects_malformed_sealer(field, value):
     ledger = fresh_chain(2, difficulty=0)
-    store = bc.BlockStore(tmp_path)
-    rid = bc.commit_to_storage(ledger, ledger.blocks[1], store)
-    path = tmp_path / f"{rid}.json"
-    doc = json.loads(path.read_text())
-    payload = doc["txs"][0]["payload_hex"]
-    doc["txs"][0]["payload_hex"] = ("0" if payload[0] != "0" else "1") + payload[1:]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StorageIntegrityError):
-        store.get(rid)
-
-
-@pytest.mark.parametrize("field, value", [("kind", "pox"), ("difficulty", -1), ("difficulty", "0"), ("validator", 5)])
-def test_storage_rejects_malformed_sealer(tmp_path, field, value):
-    ledger = fresh_chain(2, difficulty=0)
-    store = bc.BlockStore(tmp_path)
-    rid = bc.commit_to_storage(ledger, ledger.blocks[1], store)
-    path = tmp_path / f"{rid}.json"
-    doc = json.loads(path.read_text())
-    doc["sealer"][field] = value
-    path.write_text(json.dumps(doc))
+    store = bc.BlockStore()
+    block = ledger.blocks[1]
+    rid = bc.commit_to_storage(ledger, block, store)
+    store._mem[rid] = dataclasses.replace(block, sealer=dataclasses.replace(block.sealer, **{field: value}))
     with pytest.raises(StorageIntegrityError):
         store.get(rid)
 

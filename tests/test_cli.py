@@ -114,6 +114,8 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
         {"coverage_range_m": [-50, -10]},
         {"sensor_rate_pps": 1e300},
         {"packet_size_bytes": [1, 2**70]},
+        {"consensus": {"difficulty": 40}},
+        {"sim_time_ms": 500_000, "attack": {"start_ms": 0, "stop_ms": 500_000, "sources": 10**9}},
     ],
 )
 def test_out_of_range_config_exit_1(tmp_path, override, capsys):
@@ -195,8 +197,9 @@ def run_export(tmp_path_factory):
         (("sealer", "kind"), 5),
         (("index",), "1"),
         (("txs", 0, "timestamp"), 1.5),
+        (("sealer", "difficulty"), "0"),
     ],
-    ids=["sensor_id", "destination", "validator", "kind", "index", "tx_timestamp"],
+    ids=["sensor_id", "destination", "validator", "kind", "index", "tx_timestamp", "difficulty"],
 )
 def test_validate_chain_mistyped_field_exit_4(tmp_path, run_export, capsys, path, value):
     lines = list(run_export)

@@ -88,7 +88,11 @@ def test_packet_size_pair_validation():
 def test_pow_difficulty_bounded():
     with pytest.raises(ConfigError, match="difficulty"):
         config_from_dict({"consensus": {"kind": "pow", "difficulty": 300}})
-    assert config_from_dict({"consensus": {"difficulty": 256}}).consensus.difficulty == 256
+    # the default run needs 31 751 blocks: 2^16 hashes each fit the 2^31 budget, 2^17 do not
+    assert config_from_dict({"consensus": {"difficulty": 16}}).consensus.difficulty == 16
+    for difficulty in (17, 256):
+        with pytest.raises(ConfigError, match="sealing work"):
+            config_from_dict({"consensus": {"difficulty": difficulty}})
 
 
 def test_negative_seed_rejected():

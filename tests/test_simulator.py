@@ -189,7 +189,8 @@ def test_ledger_consistency_in_distb_mode():
     raw = run_raw(SMALL)
     assert raw.counters["committed_txs"] == raw.counters["benign_delivered"]
     assert bc.validate_chain(raw.ledger) == (True, None)
-    assert raw.ledger.queued == []
+    assert raw.ledger.queued == {}
+    assert all(raw.store.get(b.hash.hex()) == b for b in raw.ledger.blocks)
 
 
 def test_baseline_has_no_chain():

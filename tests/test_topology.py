@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from distb.topology import (
-    Node,
     Point3,
-    decay_energy,
     distance,
     generate_topology,
     node_set_from_json,
@@ -75,40 +73,6 @@ def test_generate_topology_unique_ids():
     ns = generate_topology(80, 2500, seed=3)
     ids = [n.id for n in ns.nodes]
     assert len(set(ids)) == len(ids)
-
-
-def test_decay_energy():
-    n = Node(id=0, location=Point3(0, 0, 0), energy=10.0, area=100.0)
-    assert decay_energy(n, 3.0).energy == 7.0
-
-
-def test_decay_energy_clamps_at_zero():
-    n = Node(id=0, location=Point3(0, 0, 0), energy=2.0, area=100.0)
-    out = decay_energy(n, 5.0)
-    assert out.energy == 0.0
-    assert out.depleted
-
-
-def test_decay_energy_zero_cost_identity():
-    n = Node(id=0, location=Point3(0, 0, 0), energy=10.0, area=100.0)
-    out = decay_energy(n, 0.0)
-    assert out == n
-
-
-def test_decay_energy_rejects_negative_cost():
-    n = Node(id=0, location=Point3(0, 0, 0), energy=10.0, area=100.0)
-    with pytest.raises(ValueError):
-        decay_energy(n, -1.0)
-
-
-def test_energy_never_increases():
-    rng = np.random.default_rng(9)
-    n = Node(id=0, location=Point3(0, 0, 0), energy=50.0, area=100.0)
-    prev = n.energy
-    for _ in range(200):
-        n = decay_energy(n, float(rng.uniform(0, 2)))
-        assert 0.0 <= n.energy <= prev
-        prev = n.energy
 
 
 def test_json_round_trip():
