@@ -8,7 +8,6 @@ Run:  python demos/02_flow_rules_and_flood_mitigation.py
 from distb.config import AttackConfig, ScenarioConfig
 from distb.sdn import (
     DROP,
-    ControllerState,
     FlowRule,
     FlowTable,
     Match,
@@ -32,11 +31,11 @@ print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 # --- detector --------------------------------------------------------------
 # Normal sensors send ~10 packets/s; theta = 5x the expected count per 200 ms
 # window, so 10. An attacker at 10x trips it within one full window.
-ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
-ctrl.traffic_window.record("s-1", at=100, count=2)     # normal
-ctrl.traffic_window.record("atk-0", at=100, count=10)  # 100 pps
-ctrl.traffic_window.record("atk-0", at=200, count=10)
-print("suspects after one window  ->", detect_flood(ctrl, now=200))
+window = SlidingWindow(window_ms=200)
+window.record("s-1", at=100, count=2)     # normal
+window.record("atk-0", at=100, count=10)  # 100 pps
+window.record("atk-0", at=200, count=10)
+print("suspects after one window  ->", detect_flood(window, threshold=10, now=200))
 
 # Blocking puts one maximal-priority drop rule into the drop table, the one
 # table every gateway enforces.

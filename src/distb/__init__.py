@@ -40,11 +40,11 @@ from .errors import (
     StorageIntegrityError,
 )
 from .sdn import (
-    ControllerState,
     FlowRule,
     FlowTable,
     Match,
     Packet,
+    SlidingWindow,
     block_flow,
     detect_flood,
     match_packet,

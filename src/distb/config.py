@@ -47,7 +47,6 @@ class ScenarioConfig:
     packet_size_bytes: tuple[int, int] = (128, 1024)
     sim_time_ms: int = 500_000
     sensor_rate_pps: float = 10.0
-    n_controllers: int = 5
     n_gateways: int = 2
     attack: AttackConfig | None = None
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
@@ -82,7 +81,6 @@ class ScenarioConfig:
             "packet_size_bytes": list(self.packet_size_bytes),
             "sim_time_ms": self.sim_time_ms,
             "sensor_rate_pps": self.sensor_rate_pps,
-            "n_controllers": self.n_controllers,
             "n_gateways": self.n_gateways,
             "attack": None
             if self.attack is None
@@ -161,7 +159,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi,
             f"{name} must satisfy 0 < min <= max, both finite (got {lo}..{hi})",
         )
-    _require(cfg.n_controllers >= 1, f"n_controllers must be >= 1 (got {cfg.n_controllers})")
     _require(cfg.n_gateways >= 1, f"n_gateways must be >= 1 (got {cfg.n_gateways})")
     _require(
         0.0 <= cfg.unregistered_fraction <= 1.0,
@@ -270,7 +267,6 @@ _SIMPLE_KEYS = {
     "data_rate_mbps": _real,
     "sim_time_ms": _integer,
     "sensor_rate_pps": _real,
-    "n_controllers": _integer,
     "n_gateways": _integer,
     "unregistered_fraction": _real,
     "round_period_ms": _integer,

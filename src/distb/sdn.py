@@ -5,18 +5,14 @@ default ("controller",) meaning punt to the control plane. Lookup picks the
 highest-priority matching rule, breaking ties by earliest installed_at and
 then by rule position, so it is fully deterministic.
 
-Flood detection is a sliding-window rate check: a source whose packet count
-over the last `window_ms` exceeds the controller's threshold is a suspect.
+Flood detection is one sliding-window rate check: a source whose packet
+count over the last `window_ms` exceeds the threshold is a suspect.
 Blocking installs one maximal-priority drop rule for the source into the drop
 table, the one table every gateway enforces.
-
-Controller state belongs to whoever drives the event loop; mutations are
-sequential per controller, and distinct controllers are independent.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 FORWARD_TO_CONTROLLER = ("controller",)
@@ -85,12 +81,6 @@ class SlidingWindow:
             self.buckets[src] = [(t, c) for t, c in entries if t >= lo]
 
 
-@dataclass
-class ControllerState:
-    traffic_window: SlidingWindow = field(default_factory=SlidingWindow)
-    flood_threshold: float = 10.0  # packets per window
-
-
 def match_packet(table: FlowTable, pkt: Packet) -> tuple:
     """Action of the best matching rule, or the table default.
 
@@ -122,13 +112,10 @@ def install_rule(table: FlowTable, rule: FlowRule) -> bool:
     return True
 
 
-def detect_flood(ctrl: ControllerState, now: int) -> list[str]:
-    """Sources whose count over the last window exceeds the threshold. Pure query."""
-    return [
-        src
-        for src in ctrl.traffic_window.sources()
-        if ctrl.traffic_window.count(src, now) > ctrl.flood_threshold
-    ]
+def detect_flood(window: SlidingWindow, threshold: float, now: int) -> list[str]:
+    """Sources whose count over the last window exceeds the threshold, in
+    sorted order. Pure query."""
+    return [src for src in window.sources() if window.count(src, now) > threshold]
 
 
 def block_flow(table: FlowTable, src: str, now: int) -> bool:
@@ -138,11 +125,6 @@ def block_flow(table: FlowTable, src: str, now: int) -> bool:
     True when the table changed."""
     rule = FlowRule(match=Match(src=src), action=DROP, priority=BLOCK_PRIORITY, installed_at=now)
     return install_rule(table, rule)
-
-
-def controller_index(src: str, n_controllers: int) -> int:
-    """Stable source -> controller partition (seed-independent)."""
-    return zlib.crc32(src.encode("utf-8")) % n_controllers
 
 
 def flow_table_to_dict(table: FlowTable) -> dict:

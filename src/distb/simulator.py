@@ -5,7 +5,8 @@ advanced one 100 ms settlement window at a time (the last window ends at
 sim_time_ms and may be shorter). For each window end t1 the engine:
 
 1. runs every clustering round due strictly before t1;
-2. settles the window, then runs the flood detector (distb mode only);
+2. settles the window and takes the CPU sample, then runs the flood
+   detector (distb mode only);
 3. runs a clustering round due exactly at t1;
 4. mines the queued transactions if t1 is a multiple of block_interval_ms
    or the horizon;
@@ -47,12 +48,10 @@ from .config import WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
 from .sdn import (
     DROP,
-    ControllerState,
     FlowTable,
     Packet,
     SlidingWindow,
     block_flow,
-    controller_index,
     detect_flood,
     match_packet,
 )
@@ -234,12 +233,9 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             contract.register(sensor_name[n.id])
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
-    controllers = [
-        ControllerState(traffic_window=SlidingWindow(window_ms=cfg.detector_window_ms), flood_threshold=theta)
-        for _ in range(cfg.n_controllers)
-    ]
+    traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
     drop_table = FlowTable()
-    # src -> whether drop_table drops its packets; valid until detect changes the table
+    # src -> whether drop_table drops its packets; valid until a block changes the table
     verdicts: dict[str, bool] = {}
 
     ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
@@ -268,13 +264,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
 
-    ctrl_of: dict[str, int] = {}
-    for name in sensor_name.values():
-        ctrl_of[name] = controller_index(name, cfg.n_controllers)
-    for _, src, _, _ in batches:
-        if src not in ctrl_of:
-            ctrl_of[src] = controller_index(src, cfg.n_controllers)
-
     depleted_at: dict[int, int] = {}
     node_seq: dict[int, int] = dict.fromkeys(sensor_name, 0)
     terminated_early = False
@@ -297,19 +286,13 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             verdict = verdicts[src] = match_packet(drop_table, Packet(src, BS_ID)) == DROP
         return verdict
 
-    benign_bytes_generated = 0
-    benign_bytes_delivered = 0
-    benign_bytes_delivered_attack = 0
     attack_trace: list[tuple[int, str, int]] = []
-    cpu_acc_pkts = 0
-    cpu_ewma = 0.0
-    smoothing = cfg.resolved_calibration().cpu_smoothing
-    cpu_samples: list[tuple[int, float]] = []
-    attack_window = (cfg.attack.start_ms, cfg.attack.stop_ms) if cfg.attack else None
 
-    def settle_window(t0: int, t1: int, window: slice, window_batches: list) -> None:
-        nonlocal benign_bytes_generated, benign_bytes_delivered, benign_bytes_delivered_attack
-        nonlocal cpu_acc_pkts, cpu_ewma
+    def settle_window(t0: int, t1: int, window: slice, window_batches: list) -> tuple[int, int, int]:
+        """Settle one window; returns (benign bytes generated, benign bytes
+        delivered, unblocked attack packets)."""
+        generated_bytes = 0
+        delivered_bytes = 0
         window_benign: list[tuple[int, int, int, int]] = []  # (t, node_id, size, seq)
         benign_counts: dict[str, int] = {}
         for t, nid, size in zip(arr_t[window].tolist(), arr_node[window].tolist(), arr_size[window].tolist()):
@@ -318,7 +301,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                 continue  # depleted node emits nothing
             counters["generated"] += 1
             counters["benign_generated"] += 1
-            benign_bytes_generated += size
+            generated_bytes += size
             node_seq[nid] += 1
             src = sensor_name[nid]
             if is_blocked(src):
@@ -341,13 +324,12 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                 continue
             c, b = attack_offered.get(src, (0, 0))
             attack_offered[src] = (c + count, b + nbytes)
-            cpu_acc_pkts += count
 
         if distb:
-            for src in sorted(benign_counts):
-                controllers[ctrl_of[src]].traffic_window.record(src, t1, benign_counts[src])
-            for src in sorted(attack_offered):
-                controllers[ctrl_of[src]].traffic_window.record(src, t1, attack_offered[src][0])
+            for src, count in benign_counts.items():
+                traffic_window.record(src, t1, count)
+            for src, (count, _) in attack_offered.items():
+                traffic_window.record(src, t1, count)
 
         benign_bytes = sum(size for _, _, size, _ in window_benign)
         attack_bytes = sum(b for _, b in attack_offered.values())
@@ -361,15 +343,12 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
 
         acc = 0.0
-        in_attack = attack_window is not None and attack_window[0] < t1 <= attack_window[1]
         for t, nid, size, seq in window_benign:
             if acc + size <= benign_budget + 1e-6:
                 acc += size
                 counters["delivered"] += 1
                 counters["benign_delivered"] += 1
-                benign_bytes_delivered += size
-                if in_attack:
-                    benign_bytes_delivered_attack += size
+                delivered_bytes += size
                 if distb:
                     src = sensor_name[nid]
                     payload = f"{nid}|{seq}|{t}|{size}".encode()
@@ -393,18 +372,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             counters["dropped"] += count - delivered
             counters["attack_dropped"] += count - delivered
             attack_trace.append((t1, src, int(nbytes * attack_ratio)))
-
-        if cfg.attack is not None and t1 % CPU_SAMPLE_MS == 0:
-            kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
-            cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
-            cpu_samples.append((t1, cpu_ewma))
-            cpu_acc_pkts = 0
-
-    def detect(now: int) -> None:
-        for ctrl in controllers:
-            for src in detect_flood(ctrl, now):
-                if block_flow(drop_table, src, now):
-                    verdicts.clear()
+        return generated_bytes, delivered_bytes, sum(count for count, _ in attack_offered.values())
 
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
@@ -415,16 +383,36 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
     batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
     windows_settled = 0
+    benign_bytes_generated = benign_bytes_delivered = benign_bytes_delivered_attack = 0
+    cpu_acc_pkts = 0
+    cpu_ewma = 0.0
+    smoothing = cfg.resolved_calibration().cpu_smoothing
+    cpu_samples: list[tuple[int, float]] = []
     try:
         for w in range(1, len(ends)):
             t1 = ends[w]
             while next_round_at() < t1:
                 node_set = do_round(node_set)
             window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
-            settle_window(ends[w - 1], t1, slice(arr_ends[w - 1], arr_ends[w]), window_batches)
+            generated, delivered, attack_pkts = settle_window(
+                ends[w - 1], t1, slice(arr_ends[w - 1], arr_ends[w]), window_batches
+            )
             windows_settled += 1
+            benign_bytes_generated += generated
+            benign_bytes_delivered += delivered
+            if cfg.attack is not None:
+                if cfg.attack.start_ms < t1 <= cfg.attack.stop_ms:
+                    benign_bytes_delivered_attack += delivered
+                cpu_acc_pkts += attack_pkts
+                if t1 % CPU_SAMPLE_MS == 0:
+                    kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
+                    cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
+                    cpu_samples.append((t1, cpu_ewma))
+                    cpu_acc_pkts = 0
             if distb:
-                detect(t1)
+                for src in detect_flood(traffic_window, theta, t1):
+                    if block_flow(drop_table, src, t1):
+                        verdicts.clear()
             if next_round_at() == t1 < end:
                 node_set = do_round(node_set)
             if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
@@ -631,18 +619,15 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     thr_nominal = {"distb": [], "baseline": []}
     for n in thr["nodes"]:
         for mode, key in (("distb", "distb"), ("of-baseline", "baseline")):
-            raw = run_raw(_throughput_cfg(base, int(n), mode))
-            kbps = raw.benign_bytes_delivered * 8.0 / 1000.0 / (THROUGHPUT_SIM_MS / 1000.0)
-            thr_nominal[key].append(kbps)
+            bundle = run_scenario(_throughput_cfg(base, int(n), mode))
+            thr_nominal[key].append(bundle.raw["benign_kbps"])
 
     bw = tables["bandwidth_mbps"]
     bw_nominal = {"distb": [], "baseline": []}
-    dur_s = (BANDWIDTH_ATTACK_STOP_MS - BANDWIDTH_ATTACK_START_MS) / 1000.0
     for rate in bw["arrival_rate_kps"]:
         for mode, key in (("distb", "distb"), ("of-baseline", "baseline")):
-            raw = run_raw(_bandwidth_cfg(base, float(rate), mode))
-            mbps = raw.benign_bytes_delivered_attack_window * 8.0 / 1e6 / dur_s
-            bw_nominal[key].append(mbps)
+            bundle = run_scenario(_bandwidth_cfg(base, float(rate), mode))
+            bw_nominal[key].append(bundle.raw["attack_window_benign_mbps"])
 
     cpu_table = tables["cpu_pct"]
     cpu_base = float(cpu_table["cpu"][0])

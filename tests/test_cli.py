@@ -47,9 +47,10 @@ def test_run_twice_is_byte_identical(tmp_path, small_cfg_path):
     assert (out1 / "ledger.ndjson").read_bytes() == (out2 / "ledger.ndjson").read_bytes()
 
 
-def test_unknown_config_key_exit_1(tmp_path):
+@pytest.mark.parametrize("doc", [{"nodecount": 5}, {"n_controllers": 5}], ids=["misspelt", "retired"])
+def test_unknown_config_key_exit_1(tmp_path, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nodecount": 5}))
+    bad.write_text(json.dumps(doc))
     assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
 

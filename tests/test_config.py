@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distb.calibration import load_default
-from distb.config import ScenarioConfig, config_from_dict, parse_config
+from distb.config import _KNOWN_KEYS, ScenarioConfig, config_from_dict, parse_config
 from distb.errors import ConfigError
 
 
@@ -20,7 +21,6 @@ def test_empty_object_gives_defaults(tmp_path):
     assert cfg.node_count == 50
     assert cfg.sim_time_ms == 500_000
     assert cfg.data_rate_mbps == 10.0
-    assert cfg.n_controllers == 5
     assert cfg.n_gateways == 2
     assert cfg.area_side_m == 2500.0
     assert cfg.packet_size_bytes == (128, 1024)
@@ -132,6 +132,14 @@ def test_to_dict_round_trips_through_from_dict():
     )
     again = config_from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_config_knobs_agree_across_dataclass_echo_and_parser():
+    # A knob is a dataclass field, a to_dict() key and a parser key at once,
+    # so a deleted knob cannot linger in any one of them.
+    knobs = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"calibration"}
+    assert set(ScenarioConfig().to_dict()) == knobs
+    assert _KNOWN_KEYS == knobs | {"calibration"}
 
 
 # --- every input either parses or raises ConfigError ---------------------------

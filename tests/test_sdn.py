@@ -9,14 +9,12 @@ from distb.sdn import (
     BLOCK_PRIORITY,
     DROP,
     FORWARD_TO_CONTROLLER,
-    ControllerState,
     FlowRule,
     FlowTable,
     Match,
     Packet,
     SlidingWindow,
     block_flow,
-    controller_index,
     detect_flood,
     forward,
     install_rule,
@@ -101,56 +99,56 @@ def test_hundred_rules_lookup_matches_oracle():
 
 
 def test_detect_flood_zero_traffic():
-    ctrl = ControllerState(flood_threshold=10)
-    assert detect_flood(ctrl, now=1000) == []
+    assert detect_flood(SlidingWindow(), threshold=10, now=1000) == []
 
 
 def test_detect_flood_half_threshold_silent():
-    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
+    window = SlidingWindow(window_ms=200)
     for src in ("a", "b", "c"):
-        ctrl.traffic_window.record(src, at=900, count=5)
-    assert detect_flood(ctrl, now=1000) == []
+        window.record(src, at=900, count=5)
+    assert detect_flood(window, threshold=10, now=1000) == []
 
 
 def test_detect_flood_flags_10x_within_one_window():
     # normal rate 10 pps -> theta = 5 * 10 * 0.2 = 10; attacker at 100 pps
-    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
-    ctrl.traffic_window.record("atk", at=100, count=10)
-    ctrl.traffic_window.record("atk", at=200, count=10)
-    ctrl.traffic_window.record("s-1", at=200, count=2)
-    assert detect_flood(ctrl, now=200) == ["atk"]
+    window = SlidingWindow(window_ms=200)
+    window.record("atk", at=100, count=10)
+    window.record("atk", at=200, count=10)
+    window.record("s-1", at=200, count=2)
+    assert detect_flood(window, threshold=10, now=200) == ["atk"]
 
 
 def test_detect_flood_at_threshold_not_flagged():
-    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
-    ctrl.traffic_window.record("a", at=100, count=10)
-    assert detect_flood(ctrl, now=200) == []
-    ctrl.traffic_window.record("a", at=150, count=1)
-    assert detect_flood(ctrl, now=200) == ["a"]
+    window = SlidingWindow(window_ms=200)
+    window.record("a", at=100, count=10)
+    assert detect_flood(window, threshold=10, now=200) == []
+    window.record("a", at=150, count=1)
+    assert detect_flood(window, threshold=10, now=200) == ["a"]
 
 
 def test_detect_flood_window_slides():
-    ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=10)
-    ctrl.traffic_window.record("a", at=100, count=50)
-    assert detect_flood(ctrl, now=200) == ["a"]
+    window = SlidingWindow(window_ms=200)
+    window.record("a", at=100, count=50)
+    assert detect_flood(window, threshold=10, now=200) == ["a"]
     # counts fall out of the window once it slides past them
-    assert detect_flood(ctrl, now=400) == []
+    assert detect_flood(window, threshold=10, now=400) == []
 
 
 def test_detect_completeness_and_soundness_random():
+    # The flagged sources come back in sorted order, whatever the record order.
     rng = np.random.default_rng(7)
     for _ in range(50):
         theta = float(rng.integers(5, 20))
-        ctrl = ControllerState(traffic_window=SlidingWindow(window_ms=200), flood_threshold=theta)
-        expected = set()
-        for s in range(6):
+        window = SlidingWindow(window_ms=200)
+        expected = []
+        for s in rng.permutation(6).tolist():
             src = f"s-{s}"
             count = int(rng.integers(0, 2 * int(theta) + 2))
             if count:
-                ctrl.traffic_window.record(src, at=500, count=count)
+                window.record(src, at=500, count=count)
             if count > theta:
-                expected.add(src)
-        assert set(detect_flood(ctrl, now=500)) == expected
+                expected.append(src)
+        assert detect_flood(window, threshold=theta, now=500) == sorted(expected)
 
 
 def test_block_flow_installs_drop_and_silences():
@@ -170,7 +168,8 @@ def test_block_flow_idempotent():
 
 def test_blocked_sources_have_drop_rule_invariant():
     # Engine level: every gateway table in flow_tables.json holds exactly one
-    # drop rule per blocked source, in block order, installed at the block time.
+    # drop rule per blocked source, in block order, installed at the block time;
+    # rules installed in the same window go in ascending src order.
     # The low detector multiplier also blocks benign sensors, later and one at
     # a time, so the blocks fall at several times. It also lets one window of
     # flood cross the threshold, so the detector flags each attacker again one
@@ -186,7 +185,9 @@ def test_blocked_sources_have_drop_rule_invariant():
         {"match": {"src": src, "dst": None}, "action": ["drop"], "priority": BLOCK_PRIORITY, "installed_at": t}
         for src, t in raw.block_times.items()
     ]
-    assert [r["installed_at"] for r in expected] == sorted(raw.block_times.values())
+    blocks = [(t, src) for src, t in raw.block_times.items()]
+    assert blocks == sorted(blocks)
+    assert len(set(raw.block_times.values())) < len(blocks)  # some window blocks several sources
     doc = json.loads(_flow_tables_json(raw, cfg.n_gateways))
     assert list(doc) == ["gateways"]
     assert [g["id"] for g in doc["gateways"]] == [0, 1, 2]
@@ -208,10 +209,3 @@ def test_gateway_count_only_sets_the_copies_written():
     three = json.loads(_flow_tables_json(raw3, cfg3.n_gateways))["gateways"]
     assert [g["id"] for g in one] == [0] and [g["id"] for g in three] == [0, 1, 2]
     assert [g["flow_table"] for g in three] == [one[0]["flow_table"]] * 3
-
-
-def test_controller_index_stable_partition():
-    idx = [controller_index(f"s-{i}", 5) for i in range(50)]
-    assert idx == [controller_index(f"s-{i}", 5) for i in range(50)]
-    assert all(0 <= i < 5 for i in idx)
-    assert len(set(idx)) > 1
