@@ -31,6 +31,7 @@ from .simulator import (
     measure_throughput,
     recalibrate,
     run_raw,
+    throughput_cfg,
 )
 
 EXIT_OK = 0
@@ -212,7 +213,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _parse_nodes_spec(spec: str) -> list[int]:
+def _parse_nodes_spec(spec: str, cfg: ScenarioConfig) -> list[int]:
+    """The --nodes counts; the largest one's run is validated before the list is built."""
     is_range = ":" in spec
     parts = spec.split(":") if is_range else [p for p in spec.split(",") if p]
     try:
@@ -225,15 +227,16 @@ def _parse_nodes_spec(spec: str) -> list[int]:
         start, stop, step = values
         if step <= 0 or start < 1 or stop < start:
             raise ConfigError(f"bad --nodes range {spec!r}")
-        return list(range(start, stop + 1, step))
-    if not values or any(c < 1 for c in values):
+        values = range(start, stop + 1, step)
+    elif not values or any(c < 1 for c in values):
         raise ConfigError(f"bad --nodes list {spec!r}")
-    return values
+    validate_config(throughput_cfg(cfg, values[-1] if is_range else max(values), "distb"))
+    return list(values)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    counts = _parse_nodes_spec(args.nodes)
+    counts = _parse_nodes_spec(args.nodes, cfg)
     rows = measure_throughput(cfg, node_counts=counts)
     files = {
         "throughput.csv": render_csv("throughput.csv", rows),

@@ -1,17 +1,26 @@
-"""Scenario configuration: defaults, strict JSON parsing, validation."""
+"""Scenario configuration: defaults, strict JSON parsing, validation.
+
+Each knob is declared once, as a dataclass field with its default; the five
+topology knobs are `TopologyParams` fields that `ScenarioConfig` inherits.
+The JSON echo (`to_dict`), the parser's known keys, the reader of each plain
+field (chosen by its annotation) and the finite check on every float knob are
+all read off those declarations.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .calibration import Calibration, load_default
 from .errors import ConfigError
+from .topology import TopologyParams
 
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
+MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
 MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; inject_attack builds one tuple each
@@ -38,7 +47,7 @@ class ConsensusConfig:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(TopologyParams):
     mode: str = "distb"
     node_count: int = 50
     area_side_m: float = 2500.0
@@ -53,11 +62,6 @@ class ScenarioConfig:
     file_transfer_mb: tuple[float, ...] | None = None
     unregistered_fraction: float = 0.0
     round_period_ms: int = 10_000
-    head_cost_j: float = 1.0
-    tx_cost_j: float = 0.2
-    energy_range_j: tuple[float, float] = (50.0, 100.0)
-    coverage_range_m: tuple[float, float] = (100.0, 400.0)
-    z_max_m: float = 30.0
     detector_window_ms: int = 200
     detector_multiplier: float = 5.0
     t_pending_ms: int = 30_000
@@ -72,57 +76,12 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "node_count": self.node_count,
-            "area_side_m": self.area_side_m,
-            "seed": self.seed,
-            "data_rate_mbps": self.data_rate_mbps,
-            "packet_size_bytes": list(self.packet_size_bytes),
-            "sim_time_ms": self.sim_time_ms,
-            "sensor_rate_pps": self.sensor_rate_pps,
-            "n_gateways": self.n_gateways,
-            "attack": None
-            if self.attack is None
-            else {
-                "start_ms": self.attack.start_ms,
-                "stop_ms": self.attack.stop_ms,
-                "sources": self.attack.sources,
-                "multiplier": self.attack.multiplier,
-                "ramp_ms": self.attack.ramp_ms,
-            },
-            "consensus": {
-                "kind": self.consensus.kind,
-                "difficulty": self.consensus.difficulty,
-                "stakes": {k: v for k, v in self.consensus.stakes},
-            },
-            "file_transfer_mb": None if self.file_transfer_mb is None else list(self.file_transfer_mb),
-            "unregistered_fraction": self.unregistered_fraction,
-            "round_period_ms": self.round_period_ms,
-            "head_cost_j": self.head_cost_j,
-            "tx_cost_j": self.tx_cost_j,
-            "energy_range_j": list(self.energy_range_j),
-            "coverage_range_m": list(self.coverage_range_m),
-            "z_max_m": self.z_max_m,
-            "detector_window_ms": self.detector_window_ms,
-            "detector_multiplier": self.detector_multiplier,
-            "t_pending_ms": self.t_pending_ms,
-            "block_batch": self.block_batch,
-            "block_interval_ms": self.block_interval_ms,
-        }
+        """Every knob as JSON; the manifest echoes the calibration on its own."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "calibration"}
+        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        doc["attack"] = None if self.attack is None else asdict(self.attack)
+        doc["consensus"] = {**asdict(self.consensus), "stakes": self.consensus.stakes_dict()}
         return doc
-
-
-# Float fields whose range check alone would let an infinity through.
-_FINITE_FIELDS = (
-    "area_side_m",
-    "data_rate_mbps",
-    "sensor_rate_pps",
-    "head_cost_j",
-    "tx_cost_j",
-    "z_max_m",
-    "detector_multiplier",
-)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -132,15 +91,16 @@ def _require(cond: bool, message: str) -> None:
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _require(cfg.mode in MODES, f"mode must be one of {MODES} (got {cfg.mode!r})")
-    _require(cfg.node_count >= 1, f"node_count must be >= 1 (got {cfg.node_count})")
+    _require(1 <= cfg.node_count <= MAX_NODES, f"node_count must be in 1..{MAX_NODES} (got {cfg.node_count})")
     _require(cfg.seed >= 0, f"seed must be >= 0 (got {cfg.seed})")
     _require(cfg.area_side_m > 0, f"area_side_m must be > 0 (got {cfg.area_side_m})")
     _require(cfg.sim_time_ms > 0, f"sim_time_ms must be > 0 (got {cfg.sim_time_ms})")
     _require(cfg.data_rate_mbps > 0, f"data_rate_mbps must be > 0 (got {cfg.data_rate_mbps})")
     _require(cfg.sensor_rate_pps > 0, f"sensor_rate_pps must be > 0 (got {cfg.sensor_rate_pps})")
-    for name in _FINITE_FIELDS:
-        value = getattr(cfg, name)
-        _require(math.isfinite(value), f"{name} must be finite (got {value})")
+    for f in fields(cfg):
+        if f.type == "float":  # a range check alone would let an infinity through
+            value = getattr(cfg, f.name)
+            _require(math.isfinite(value), f"{f.name} must be finite (got {value})")
     _require(cfg.z_max_m >= 0, f"z_max_m must be >= 0 (got {cfg.z_max_m})")
     # int * int is exact and int-vs-float comparison never overflows
     _require(
@@ -259,73 +219,55 @@ def _pair(key: str, value, parse) -> tuple:
     return (parse(key, value[0]), parse(key, value[1]))
 
 
-_SIMPLE_KEYS = {
-    "mode": _text,
-    "node_count": _integer,
-    "area_side_m": _real,
-    "seed": _integer,
-    "data_rate_mbps": _real,
-    "sim_time_ms": _integer,
-    "sensor_rate_pps": _real,
-    "n_gateways": _integer,
-    "unregistered_fraction": _real,
-    "round_period_ms": _integer,
-    "head_cost_j": _real,
-    "tx_cost_j": _real,
-    "z_max_m": _real,
-    "detector_window_ms": _integer,
-    "detector_multiplier": _real,
-    "t_pending_ms": _integer,
-    "block_batch": _integer,
-    "block_interval_ms": _integer,
+# The reader of a plain field, keyed by its annotation as written.
+_READERS = {
+    "int": _integer,
+    "float": _real,
+    "str": _text,
+    "tuple[int, int]": lambda key, value: _pair(key, value, _integer),
+    "tuple[float, float]": lambda key, value: _pair(key, value, _real),
 }
+# The fields config_from_dict reads by hand; every other field needs a reader.
+_HAND_PARSED = frozenset({"attack", "consensus", "stakes", "file_transfer_mb", "calibration"})
 
-_PAIR_KEYS = {"packet_size_bytes": _integer, "energy_range_j": _real, "coverage_range_m": _real}
-_ATTACK_KEYS = {
-    "start_ms": _integer,
-    "stop_ms": _integer,
-    "sources": _integer,
-    "multiplier": _real,
-    "ramp_ms": _integer,
-}
-_KNOWN_KEYS = (
-    set(_SIMPLE_KEYS)
-    | set(_PAIR_KEYS)
-    | {"attack", "consensus", "file_transfer_mb", "calibration"}
-)
+
+def _plain_readers(cls) -> dict:
+    readers = {}
+    for f in fields(cls):
+        if f.name not in _HAND_PARSED:
+            if f.type not in _READERS:  # a knob the parser would silently drop
+                raise TypeError(f"{cls.__name__}.{f.name}: no config reader for {f.type!r}")
+            readers[f.name] = _READERS[f.type]
+    return readers
+
+
+_PLAIN_READERS = {cls: _plain_readers(cls) for cls in (ScenarioConfig, AttackConfig, ConsensusConfig)}
+
+
+def _read_plain(cls, doc: dict, section: str | None = None) -> dict:
+    """The plain fields of `cls` that `doc` sets, read by annotation; unknown keys are refused."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section or 'config'} key {sorted(unknown)[0]!r}")
+    prefix = "" if section is None else f"{section}."
+    return {key: read(prefix + key, doc[key]) for key, read in _PLAIN_READERS[cls].items() if key in doc}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a config from a JSON-style dict; unknown keys and mistyped values are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    kwargs: dict = {}
-    for key, parse in _SIMPLE_KEYS.items():
-        if key in doc:
-            kwargs[key] = parse(key, doc[key])
-    for key, parse in _PAIR_KEYS.items():
-        if key in doc:
-            kwargs[key] = _pair(key, doc[key], parse)
+    kwargs = _read_plain(ScenarioConfig, doc)
     if doc.get("attack") is not None:
-        a = _object("attack", doc["attack"])
-        unknown = set(a) - set(_ATTACK_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown attack key {sorted(unknown)[0]!r}")
+        a = _read_plain(AttackConfig, _object("attack", doc["attack"]), "attack")
         if "start_ms" not in a or "stop_ms" not in a:
             raise ConfigError("attack requires start_ms and stop_ms")
-        kwargs["attack"] = AttackConfig(**{k: _ATTACK_KEYS[k](f"attack.{k}", v) for k, v in a.items()})
+        kwargs["attack"] = AttackConfig(**a)
     if doc.get("consensus") is not None:
         c = _object("consensus", doc["consensus"])
-        unknown = set(c) - {"kind", "difficulty", "stakes"}
-        if unknown:
-            raise ConfigError(f"unknown consensus key {sorted(unknown)[0]!r}")
         stakes = {} if c.get("stakes") is None else _object("consensus.stakes", c["stakes"])
         kwargs["consensus"] = ConsensusConfig(
-            kind=_text("consensus.kind", c.get("kind", "pow")),
-            difficulty=_integer("consensus.difficulty", c.get("difficulty", 8)),
+            **_read_plain(ConsensusConfig, c, "consensus"),
             stakes=tuple(sorted((str(k), _real("consensus.stakes", v)) for k, v in stakes.items())),
         )
     if doc.get("file_transfer_mb") is not None:
@@ -339,10 +281,9 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read a JSON config file; absent fields take the defaults above."""
-    text = Path(path).read_text()  # missing file surfaces as OSError
+    """Read a UTF-8 JSON config file; absent fields take the defaults above."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))  # a missing file surfaces as OSError
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(doc)

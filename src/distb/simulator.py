@@ -55,7 +55,7 @@ from .sdn import (
     detect_flood,
     match_packet,
 )
-from .topology import NodeSet, TopologyParams, generate_topology
+from .topology import NodeSet, generate_topology
 
 CPU_SAMPLE_MS = 200
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
@@ -209,14 +209,7 @@ class MetricsBundle:
 def run_raw(cfg: ScenarioConfig) -> RawResult:
     """Run the window loop and return raw, calibration-free results."""
     cfg = validate_config(cfg)
-    topo_params = TopologyParams(
-        z_max_m=cfg.z_max_m,
-        energy_range_j=cfg.energy_range_j,
-        coverage_range_m=cfg.coverage_range_m,
-        head_cost_j=cfg.head_cost_j,
-        tx_cost_j=cfg.tx_cost_j,
-    )
-    node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, topo_params)
+    node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     rng_misc = np.random.default_rng([cfg.seed, 3])
     distb = cfg.mode == "distb"
@@ -273,7 +266,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
 
     def do_round(node_set: NodeSet) -> NodeSet:
         due = next_round_at()
-        _, node_set = run_round(node_set, topo_params, counters["rounds"])
+        _, node_set = run_round(node_set, cfg, counters["rounds"])
         counters["rounds"] += 1
         for n in node_set.nodes:
             if n.depleted and n.id not in depleted_at:
@@ -517,7 +510,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsBundle:
 # Metric batteries (the sweeps behind the CSV families)
 
 
-def _throughput_cfg(cfg: ScenarioConfig, n: int, mode: str) -> ScenarioConfig:
+def throughput_cfg(cfg: ScenarioConfig, n: int, mode: str) -> ScenarioConfig:
+    """The run that measures `mode`'s throughput at `n` nodes."""
     return cfg.with_(
         mode=mode, node_count=n, attack=None, sim_time_ms=THROUGHPUT_SIM_MS, file_transfer_mb=None
     )
@@ -549,7 +543,7 @@ def measure_throughput(cfg: ScenarioConfig, node_counts=None) -> list[tuple[int,
     for n in counts:
         per_mode = {}
         for mode in ("distb", "of-baseline"):
-            bundle = run_scenario(_throughput_cfg(cfg, n, mode))
+            bundle = run_scenario(throughput_cfg(cfg, n, mode))
             per_mode[mode] = bundle.throughput_series[n]
         rows.append((n, per_mode["distb"], per_mode["of-baseline"]))
     return rows
@@ -619,7 +613,7 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     thr_nominal = {"distb": [], "baseline": []}
     for n in thr["nodes"]:
         for mode, key in (("distb", "distb"), ("of-baseline", "baseline")):
-            bundle = run_scenario(_throughput_cfg(base, int(n), mode))
+            bundle = run_scenario(throughput_cfg(base, int(n), mode))
             thr_nominal[key].append(bundle.raw["benign_kbps"])
 
     bw = tables["bandwidth_mbps"]

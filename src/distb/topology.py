@@ -62,7 +62,7 @@ class NodeSet:
 
 @dataclass(frozen=True)
 class TopologyParams:
-    """Placement and energy-model knobs (defaults sized for ~50-node runs)."""
+    """Placement and energy-model knobs, sized for ~50-node runs; `ScenarioConfig` inherits them."""
 
     z_max_m: float = 30.0
     energy_range_j: tuple[float, float] = (50.0, 100.0)

@@ -117,11 +117,16 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
         {"packet_size_bytes": [1, 2**70]},
         {"consensus": {"difficulty": 40}},
         {"sim_time_ms": 500_000, "attack": {"start_ms": 0, "stop_ms": 500_000, "sources": 10**9}},
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_out_of_range_config_exit_1(tmp_path, override, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**SMALL_CFG, **override}))
+    if isinstance(override, bytes):
+        bad.write_bytes(override)
+    else:
+        bad.write_text(json.dumps({**SMALL_CFG, **override}))
     assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
@@ -252,9 +257,21 @@ def test_sweep_range_spec(tmp_path, small_cfg_path):
 
 
 def test_sweep_bad_spec_exit_1(tmp_path, small_cfg_path, capsys):
-    for spec in ("5:1:2", "abc", "1:x:2", "1,,b"):
+    # 1:1000000000:1 is refused before its list of 10^9 counts is built
+    for spec in ("5:1:2", "abc", "1:x:2", "1,,b", "1:1000000000:1"):
         assert main(["sweep", "--nodes", spec, "-c", str(small_cfg_path), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: "), spec
+
+
+def test_sweep_checks_largest_count_before_any_run(tmp_path, small_cfg_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("measure_throughput ran before the node counts were checked")
+
+    monkeypatch.setattr("distb.cli.measure_throughput", no_run)
+    code = main(["sweep", "--nodes", "1,2000000", "-c", str(small_cfg_path), "-o", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: node_count")
+    assert not (tmp_path / "o").exists()
 
 
 def test_calibrate_writes_round_trippable_record(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distb.calibration import load_default
-from distb.config import _KNOWN_KEYS, ScenarioConfig, config_from_dict, parse_config
+from distb.config import (
+    MAX_NODES,
+    _HAND_PARSED,
+    _READERS,
+    AttackConfig,
+    ConsensusConfig,
+    ScenarioConfig,
+    _plain_readers,
+    config_from_dict,
+    parse_config,
+)
 from distb.errors import ConfigError
 
 
@@ -31,6 +41,13 @@ def test_empty_object_gives_defaults(tmp_path):
 def test_negative_node_count_names_field(tmp_path):
     with pytest.raises(ConfigError, match="node_count"):
         parse_config(write_cfg(tmp_path, {"node_count": -3}))
+
+
+def test_node_count_bounded_at_any_rate():
+    # a tiny rate keeps the arrivals bound loose, so only MAX_NODES refuses 10^9 nodes
+    with pytest.raises(ConfigError, match="node_count"):
+        config_from_dict({"node_count": 10**9, "sensor_rate_pps": 1e-9})
+    assert config_from_dict({"node_count": MAX_NODES, "sensor_rate_pps": 1e-9}).node_count == MAX_NODES
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -123,15 +140,46 @@ def test_calibration_unknown_key_rejected():
         config_from_dict({"calibration": doc})
 
 
+# Every knob away from its default: an attack with a ramp, PoS stakes and file sizes.
+EVERY_KNOB = ScenarioConfig(
+    mode="of-baseline", node_count=12, area_side_m=1800.5, seed=7, data_rate_mbps=12.5,
+    packet_size_bytes=(64, 512), sim_time_ms=60_000, sensor_rate_pps=4.5, n_gateways=3,
+    attack=AttackConfig(start_ms=1000, stop_ms=9000, sources=4, multiplier=6.5, ramp_ms=2500),
+    consensus=ConsensusConfig(kind="pos", difficulty=5, stakes=(("v-a", 3.0), ("v-b", 1.5))),
+    file_transfer_mb=(1.0, 4.5), unregistered_fraction=0.25, round_period_ms=5000,
+    head_cost_j=1.25, tx_cost_j=0.3, energy_range_j=(40.0, 90.0), coverage_range_m=(150.0, 350.0),
+    z_max_m=20.0, detector_window_ms=300, detector_multiplier=4.0, t_pending_ms=15_000,
+    block_batch=6, block_interval_ms=2000,
+)
+
+
+def test_to_dict_echo_is_pinned():
+    # The manifest's config echo of EVERY_KNOB, byte for byte; no knob is at its default.
+    assert all(v != ScenarioConfig().to_dict()[k] for k, v in EVERY_KNOB.to_dict().items())
+    assert json.dumps(EVERY_KNOB.to_dict(), sort_keys=True) == (
+        '{"area_side_m": 1800.5, "attack": {"multiplier": 6.5, "ramp_ms": 2500, "sources": 4, '
+        '"start_ms": 1000, "stop_ms": 9000}, "block_batch": 6, "block_interval_ms": 2000, '
+        '"consensus": {"difficulty": 5, "kind": "pos", "stakes": {"v-a": 3.0, "v-b": 1.5}}, '
+        '"coverage_range_m": [150.0, 350.0], "data_rate_mbps": 12.5, "detector_multiplier": 4.0, '
+        '"detector_window_ms": 300, "energy_range_j": [40.0, 90.0], "file_transfer_mb": [1.0, 4.5], '
+        '"head_cost_j": 1.25, "mode": "of-baseline", "n_gateways": 3, "node_count": 12, '
+        '"packet_size_bytes": [64, 512], "round_period_ms": 5000, "seed": 7, "sensor_rate_pps": 4.5, '
+        '"sim_time_ms": 60000, "t_pending_ms": 15000, "tx_cost_j": 0.3, "unregistered_fraction": 0.25, '
+        '"z_max_m": 20.0}'
+    )
+
+
 def test_to_dict_round_trips_through_from_dict():
-    cfg = ScenarioConfig(
+    small = ScenarioConfig(
         node_count=12,
         attack=None,
         file_transfer_mb=(2.0, 8.0),
         consensus=ScenarioConfig().consensus,
     )
-    again = config_from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    for cfg in (small, EVERY_KNOB):
+        again = config_from_dict(cfg.to_dict())
+        assert again.to_dict() == cfg.to_dict()
+        assert again == cfg
 
 
 def test_config_knobs_agree_across_dataclass_echo_and_parser():
@@ -139,7 +187,24 @@ def test_config_knobs_agree_across_dataclass_echo_and_parser():
     # so a deleted knob cannot linger in any one of them.
     knobs = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"calibration"}
     assert set(ScenarioConfig().to_dict()) == knobs
-    assert _KNOWN_KEYS == knobs | {"calibration"}
+    assert config_from_dict(ScenarioConfig().to_dict()) == ScenarioConfig()
+    with pytest.raises(ConfigError, match="unknown config key 'n_controllers'"):
+        config_from_dict({"n_controllers": 5})
+
+
+def test_every_config_field_has_a_reader():
+    for cls in (ScenarioConfig, AttackConfig, ConsensusConfig):
+        for f in dataclasses.fields(cls):
+            assert f.type in _READERS or f.name in _HAND_PARSED, f"{cls.__name__}.{f.name}"
+    assert set(_plain_readers(AttackConfig)) == {"start_ms", "stop_ms", "sources", "multiplier", "ramp_ms"}
+    assert set(_plain_readers(ConsensusConfig)) == {"kind", "difficulty"}
+
+    @dataclasses.dataclass(frozen=True)
+    class WithNewKnob(ScenarioConfig):
+        weights: list[float] = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="WithNewKnob.weights"):
+        _plain_readers(WithNewKnob)
 
 
 # --- every input either parses or raises ConfigError ---------------------------
@@ -222,6 +287,18 @@ def test_equal_range_bounds_accepted():
         ("z_max_m", float("inf")),
         ("z_max_m", -1.0),
         ("head_cost_j", float("inf")),
+        ("data_rate_mbps", float("inf")),
+        ("tx_cost_j", float("inf")),
+        ("detector_multiplier", float("inf")),
+        ("unregistered_fraction", float("inf")),
+        ("area_side_m", float("nan")),
+        ("data_rate_mbps", float("nan")),
+        ("sensor_rate_pps", float("nan")),
+        ("head_cost_j", float("nan")),
+        ("tx_cost_j", float("nan")),
+        ("z_max_m", float("nan")),
+        ("detector_multiplier", float("nan")),
+        ("unregistered_fraction", float("nan")),
     ],
 )
 def test_unbounded_floats_rejected(key, value):
