@@ -14,12 +14,15 @@ principles, so the reproduction is calibrated explicitly and auditable:
 * the CPU model is base + kappa * smoothed unblocked attack load, with kappa
   chosen so the nominal flooding scenario peaks at the reference peak.
 
-`distb calibrate` recomputes everything from the embedded tables and prints
-residuals; the shipped default record is exactly that output.
+A `Calibration` holds its checked JSON document, whose layout `_SHAPE` alone
+declares; every level of it refuses unknown keys. `distb calibrate`
+recomputes everything from the embedded tables and prints residuals; the
+shipped default record is exactly that output.
 """
-
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,17 +32,11 @@ import numpy as np
 
 from .errors import ConfigError
 
-_REF_CACHE: dict | None = None
-_DEFAULT_CACHE = None
 
-
+@functools.cache
 def load_reference_tables() -> dict:
     """Embedded reference tables (versioned fixture, see data/reference_tables.json)."""
-    global _REF_CACHE
-    if _REF_CACHE is None:
-        text = resources.files("distb.data").joinpath("reference_tables.json").read_text()
-        _REF_CACHE = json.loads(text)
-    return _REF_CACHE
+    return json.loads(resources.files("distb.data").joinpath("reference_tables.json").read_text())
 
 
 def fit_gas(tables: dict | None = None) -> tuple[float, float]:
@@ -68,99 +65,9 @@ def fit_response(tables: dict | None = None) -> dict[str, dict[str, float]]:
     return out
 
 
-@dataclass(frozen=True)
-class Calibration:
-    gas_base: float
-    gas_per_tx: float
-    response: dict  # mode -> {"alpha": float, "beta": float}; modes distb/core
-    throughput_nodes: tuple
-    throughput_env: dict  # mode -> values at throughput_nodes; modes distb/baseline
-    throughput_nominal: dict  # mode -> raw simulated kbps at the same anchors
-    bandwidth_rates: tuple
-    bandwidth_env: dict
-    bandwidth_nominal: dict  # raw simulated Mbps during the nominal attack runs
-    cpu_base_pct: float
-    cpu_kappa: float
-    cpu_smoothing: float
-
-    # -- model evaluation ---------------------------------------------------
-
-    def response_ms(self, mode: str, size_mb: float) -> float:
-        if size_mb <= 0:
-            raise ConfigError(f"file size must be positive (got {size_mb})")
-        fit = self.response["core" if mode != "distb" else "distb"]
-        return fit["alpha"] + fit["beta"] * float(np.log2(size_mb))
-
-    def throughput_envelope(self, mode: str, n: int) -> float:
-        key = "distb" if mode == "distb" else "baseline"
-        return float(np.interp(n, self.throughput_nodes, self.throughput_env[key]))
-
-    def throughput_nominal_kbps(self, mode: str, n: int) -> float:
-        key = "distb" if mode == "distb" else "baseline"
-        return float(np.interp(n, self.throughput_nodes, self.throughput_nominal[key]))
-
-    def bandwidth_envelope(self, mode: str, rate_kpps: float) -> float:
-        key = "distb" if mode == "distb" else "baseline"
-        return float(np.interp(rate_kpps, self.bandwidth_rates, self.bandwidth_env[key]))
-
-    def bandwidth_nominal_mbps(self, mode: str, rate_kpps: float) -> float:
-        key = "distb" if mode == "distb" else "baseline"
-        return float(np.interp(rate_kpps, self.bandwidth_rates, self.bandwidth_nominal[key]))
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "gas": {"base": self.gas_base, "per_tx": self.gas_per_tx},
-            "response": {m: dict(v) for m, v in sorted(self.response.items())},
-            "throughput": {
-                "nodes": list(self.throughput_nodes),
-                "env": {m: list(v) for m, v in sorted(self.throughput_env.items())},
-                "nominal": {m: list(v) for m, v in sorted(self.throughput_nominal.items())},
-            },
-            "bandwidth": {
-                "rates": list(self.bandwidth_rates),
-                "env": {m: list(v) for m, v in sorted(self.bandwidth_env.items())},
-                "nominal": {m: list(v) for m, v in sorted(self.bandwidth_nominal.items())},
-            },
-            "cpu": {
-                "base_pct": self.cpu_base_pct,
-                "kappa": self.cpu_kappa,
-                "smoothing": self.cpu_smoothing,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Calibration":
-        unknown = set(doc) - set(_SHAPE)
-        if unknown:
-            raise ConfigError(f"unknown calibration key {sorted(unknown)[0]!r}")
-        _check_shape(doc, _SHAPE, "calibration")
-        for table, anchors in (("throughput", "nodes"), ("bandwidth", "rates")):
-            n = len(doc[table][anchors])
-            for part in ("env", "nominal"):
-                for mode, values in doc[table][part].items():
-                    if len(values) != n:
-                        where = f"calibration.{table}.{part}.{mode}"
-                        raise ConfigError(f"{where} needs {n} values, one per {anchors} entry")
-        return cls(
-            gas_base=float(doc["gas"]["base"]),
-            gas_per_tx=float(doc["gas"]["per_tx"]),
-            response={m: dict(v) for m, v in doc["response"].items()},
-            throughput_nodes=tuple(doc["throughput"]["nodes"]),
-            throughput_env={m: tuple(v) for m, v in doc["throughput"]["env"].items()},
-            throughput_nominal={m: tuple(v) for m, v in doc["throughput"]["nominal"].items()},
-            bandwidth_rates=tuple(doc["bandwidth"]["rates"]),
-            bandwidth_env={m: tuple(v) for m, v in doc["bandwidth"]["env"].items()},
-            bandwidth_nominal={m: tuple(v) for m, v in doc["bandwidth"]["nominal"].items()},
-            cpu_base_pct=float(doc["cpu"]["base_pct"]),
-            cpu_kappa=float(doc["cpu"]["kappa"]),
-            cpu_smoothing=float(doc["cpu"]["smoothing"]),
-        )
-
-
-# The fields a calibration record must carry: a number where the shape has
-# 0.0, a non-empty list of numbers where it has [].
+# The calibration record's layout: a number where the shape has 0.0, a
+# non-empty list of numbers where it has []. Each table's env and nominal rows
+# hold one value per anchor, and its anchors (`_ANCHORS`) strictly increase.
 _MODES = {"distb": [], "baseline": []}
 _SHAPE = {
     "gas": {"base": 0.0, "per_tx": 0.0},
@@ -169,6 +76,59 @@ _SHAPE = {
     "bandwidth": {"rates": [], "env": _MODES, "nominal": _MODES},
     "cpu": {"base_pct": 0.0, "kappa": 0.0, "smoothing": 0.0},
 }
+_ANCHORS = {"throughput": "nodes", "bandwidth": "rates"}
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """A calibration document laid out as `_SHAPE`; build one with `from_dict`."""
+
+    doc: dict
+
+    gas_base = property(lambda self: float(self.doc["gas"]["base"]))
+    gas_per_tx = property(lambda self: float(self.doc["gas"]["per_tx"]))
+    cpu_base_pct = property(lambda self: float(self.doc["cpu"]["base_pct"]))
+    cpu_kappa = property(lambda self: float(self.doc["cpu"]["kappa"]))
+    cpu_smoothing = property(lambda self: float(self.doc["cpu"]["smoothing"]))
+
+    def response_ms(self, mode: str, size_mb: float) -> float:
+        if size_mb <= 0:
+            raise ConfigError(f"file size must be positive (got {size_mb})")
+        fit = self.doc["response"]["distb" if mode == "distb" else "core"]
+        return fit["alpha"] + fit["beta"] * float(np.log2(size_mb))
+
+    def _interp(self, table: str, part: str, mode: str, x: float) -> float:
+        t = self.doc[table]
+        return float(np.interp(x, t[_ANCHORS[table]], t[part]["distb" if mode == "distb" else "baseline"]))
+
+    def throughput_envelope(self, mode: str, n: int) -> float:
+        return self._interp("throughput", "env", mode, n)
+
+    def throughput_nominal_kbps(self, mode: str, n: int) -> float:
+        return self._interp("throughput", "nominal", mode, n)
+
+    def bandwidth_envelope(self, mode: str, rate_kpps: float) -> float:
+        return self._interp("bandwidth", "env", mode, rate_kpps)
+
+    def bandwidth_nominal_mbps(self, mode: str, rate_kpps: float) -> float:
+        return self._interp("bandwidth", "nominal", mode, rate_kpps)
+
+    def to_dict(self) -> dict:
+        return copy.deepcopy(self.doc)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Calibration":
+        _check_shape(doc, _SHAPE, "calibration")
+        for table, anchors in _ANCHORS.items():
+            xs = doc[table][anchors]
+            for part in ("env", "nominal"):
+                for mode, values in doc[table][part].items():
+                    if len(values) != len(xs):
+                        where = f"calibration.{table}.{part}.{mode}"
+                        raise ConfigError(f"{where} needs {len(xs)} values, one per {anchors} entry")
+            if any(a >= b for a, b in zip(xs, xs[1:])):  # np.interp does not check
+                raise ConfigError(f"calibration.{table}.{anchors} must be strictly increasing")
+        return cls(copy.deepcopy(doc))
 
 
 def _is_finite_number(value) -> bool:
@@ -179,10 +139,13 @@ def _is_finite_number(value) -> bool:
 
 
 def _check_shape(value, shape, where: str) -> None:
-    """Raise ConfigError unless `value` has the nested layout of `shape`."""
+    """Raise ConfigError unless `value` has the nested layout of `shape`, and no more."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a JSON object")
+        unknown = sorted(set(value) - set(shape))
+        if unknown:
+            raise ConfigError(f"unknown {where} key {unknown[0]!r}")
         for key, sub in shape.items():
             if key not in value:
                 raise ConfigError(f"{where} is missing field {key!r}")
@@ -194,10 +157,8 @@ def _check_shape(value, shape, where: str) -> None:
         raise ConfigError(f"{where} must be a finite number (got {value!r})")
 
 
+@functools.cache
 def load_default() -> Calibration:
     """The shipped calibration record (regenerable via `distb calibrate`)."""
-    global _DEFAULT_CACHE
-    if _DEFAULT_CACHE is None:
-        text = resources.files("distb.data").joinpath("default_calibration.json").read_text()
-        _DEFAULT_CACHE = Calibration.from_dict(json.loads(text))
-    return _DEFAULT_CACHE
+    text = resources.files("distb.data").joinpath("default_calibration.json").read_text()
+    return Calibration.from_dict(json.loads(text))

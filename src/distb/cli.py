@@ -238,14 +238,18 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     counts = _parse_nodes_spec(args.nodes, cfg)
     rows = measure_throughput(cfg, node_counts=counts)
+    # The runs share throughput_cfg's config; each sets its own node_count and mode.
+    shared = throughput_cfg(cfg, counts[0], "distb").to_dict()
+    del shared["node_count"], shared["mode"]
+    manifest = {
+        "config": shared,
+        "seed": cfg.seed,
+        "calibration": cfg.resolved_calibration().to_dict(),
+        "node_counts": counts,
+    }
     files = {
         "throughput.csv": render_csv("throughput.csv", rows),
-        "manifest.json": json.dumps(
-            {"config": cfg.to_dict(), "seed": cfg.seed, "node_counts": counts},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     }
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
@@ -269,7 +273,7 @@ def cmd_calibrate(args) -> int:
             resp_err = max(resp_err, abs(calib.response_ms(mode, float(s)) - y) / y)
     print(f"gas: base={calib.gas_base:.3f} per_tx={calib.gas_per_tx:.3f} max_rel_err={gas_err:.4f}")
     for mode in ("distb", "core"):
-        fit = calib.response[mode]
+        fit = doc["response"][mode]
         print(f"response[{mode}]: alpha={fit['alpha']:.3f} beta={fit['beta']:.3f}")
     print(f"response max_rel_err={resp_err:.4f}")
     print(f"cpu: base={calib.cpu_base_pct} kappa={calib.cpu_kappa:.4f} smoothing={calib.cpu_smoothing}")

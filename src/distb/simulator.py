@@ -630,17 +630,19 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     max_load = max((load for _, load in raw.cpu_load_samples), default=0.0)
     kappa = (cpu_peak - cpu_base) / max_load if max_load > 0 else 0.0
 
-    return Calibration(
-        gas_base=gas_base,
-        gas_per_tx=gas_per_tx,
-        response=response,
-        throughput_nodes=tuple(int(n) for n in thr["nodes"]),
-        throughput_env={"distb": tuple(map(float, thr["distb"])), "baseline": tuple(map(float, thr["baseline"]))},
-        throughput_nominal={k: tuple(v) for k, v in thr_nominal.items()},
-        bandwidth_rates=tuple(float(r) for r in bw["arrival_rate_kps"]),
-        bandwidth_env={"distb": tuple(map(float, bw["distb"])), "baseline": tuple(map(float, bw["baseline"]))},
-        bandwidth_nominal={k: tuple(v) for k, v in bw_nominal.items()},
-        cpu_base_pct=cpu_base,
-        cpu_kappa=kappa,
-        cpu_smoothing=base.resolved_calibration().cpu_smoothing,
-    )
+    doc = {
+        "gas": {"base": gas_base, "per_tx": gas_per_tx},
+        "response": response,
+        "throughput": {
+            "nodes": [int(n) for n in thr["nodes"]],
+            "env": {k: [float(v) for v in thr[k]] for k in ("distb", "baseline")},
+            "nominal": thr_nominal,
+        },
+        "bandwidth": {
+            "rates": [float(r) for r in bw["arrival_rate_kps"]],
+            "env": {k: [float(v) for v in bw[k]] for k in ("distb", "baseline")},
+            "nominal": bw_nominal,
+        },
+        "cpu": {"base_pct": cpu_base, "kappa": kappa, "smoothing": base.resolved_calibration().cpu_smoothing},
+    }
+    return Calibration.from_dict(doc)

@@ -1,10 +1,12 @@
 import json
 import os
 import stat
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from distb.calibration import load_default
 from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, main
 
 SMALL_CFG = {
@@ -133,57 +135,6 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_chain_on_run_export(tmp_path, small_cfg_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
-    assert main(["validate-chain", str(out / "ledger.ndjson")]) == EXIT_OK
-    assert "valid" in capsys.readouterr().out
-
-
-def test_validate_chain_detects_tampered_export(tmp_path, small_cfg_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
-    path = out / "ledger.ndjson"
-    lines = path.read_text().splitlines()
-    assert len(lines) >= 3
-    doc = json.loads(lines[2])
-    assert doc["txs"], "expected transactions in block 2"
-    payload = doc["txs"][0]["payload_hex"]
-    doc["txs"][0]["payload_hex"] = ("0" if payload[0] != "0" else "1") + payload[1:]
-    lines[2] = json.dumps(doc, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
-    assert "block 2" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("nonce", [-1, 2**64])
-def test_validate_chain_flags_out_of_range_nonce(tmp_path, small_cfg_path, capsys, nonce):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
-    path = out / "ledger.ndjson"
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[1])
-    doc["nonce"] = nonce
-    lines[1] = json.dumps(doc, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
-    assert "block 1" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("timestamp", [-1, 2**64])
-def test_validate_chain_flags_out_of_range_tx_timestamp(tmp_path, small_cfg_path, capsys, timestamp):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
-    path = out / "ledger.ndjson"
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[1])
-    doc["txs"][0]["timestamp"] = timestamp
-    lines[1] = json.dumps(doc, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
-    assert "chain INVALID at block 1" in capsys.readouterr().out
-
-
 @pytest.fixture(scope="module")
 def run_export(tmp_path_factory):
     """The lines of one `distb run` ledger export, shared by the tests that edit it."""
@@ -192,6 +143,51 @@ def run_export(tmp_path_factory):
     cfg.write_text(json.dumps(SMALL_CFG))
     assert main(["run", "-c", str(cfg), "-o", str(tmp / "out")]) == EXIT_OK
     return (tmp / "out" / "ledger.ndjson").read_text().splitlines()
+
+
+def test_validate_chain_on_run_export(tmp_path, run_export, capsys):
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text("\n".join(run_export) + "\n")
+    assert main(["validate-chain", str(ledger)]) == EXIT_OK
+    assert "valid" in capsys.readouterr().out
+
+
+def test_validate_chain_detects_tampered_export(tmp_path, run_export, capsys):
+    lines = list(run_export)
+    assert len(lines) >= 3
+    doc = json.loads(lines[2])
+    assert doc["txs"], "expected transactions in block 2"
+    payload = doc["txs"][0]["payload_hex"]
+    doc["txs"][0]["payload_hex"] = ("0" if payload[0] != "0" else "1") + payload[1:]
+    lines[2] = json.dumps(doc, sort_keys=True)
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert "block 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nonce", [-1, 2**64])
+def test_validate_chain_flags_out_of_range_nonce(tmp_path, run_export, capsys, nonce):
+    lines = list(run_export)
+    doc = json.loads(lines[1])
+    doc["nonce"] = nonce
+    lines[1] = json.dumps(doc, sort_keys=True)
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert "block 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("timestamp", [-1, 2**64])
+def test_validate_chain_flags_out_of_range_tx_timestamp(tmp_path, run_export, capsys, timestamp):
+    lines = list(run_export)
+    doc = json.loads(lines[1])
+    doc["txs"][0]["timestamp"] = timestamp
+    lines[1] = json.dumps(doc, sort_keys=True)
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert "chain INVALID at block 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -249,6 +245,20 @@ def test_sweep_over_node_list(tmp_path, small_cfg_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "5", "10"]
 
 
+def test_sweep_manifest_echoes_the_runs_config(tmp_path):
+    # every sweep run is a 10 s, attack-free throughput run, whatever the user's horizon and attack
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "sim_time_ms": 60000, "attack": {"start_ms": 1000, "stop_ms": 5000}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--nodes", "5,10", "-c", str(cfg), "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["sim_time_ms"] == 10000
+    assert manifest["config"]["attack"] is None
+    assert "node_count" not in manifest["config"] and "mode" not in manifest["config"]
+    assert manifest["node_counts"] == [5, 10] and manifest["seed"] == 5
+    assert manifest["calibration"] == load_default().to_dict()
+
+
 def test_sweep_range_spec(tmp_path, small_cfg_path):
     out = tmp_path / "out"
     assert main(["sweep", "--nodes", "5:15:5", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
@@ -287,6 +297,7 @@ def test_calibrate_writes_round_trippable_record(tmp_path, capsys, monkeypatch):
     cfg = parse_config(cfg_path)
     assert cfg.calibration is not None
     assert cfg.calibration.to_dict() == json.loads(out.read_text())
+    assert out.read_bytes() == resources.files("distb.data").joinpath("default_calibration.json").read_bytes()
 
 
 def test_compare_summary(tmp_path, small_cfg_path, capsys):

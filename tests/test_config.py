@@ -134,10 +134,29 @@ def test_calibration_field_round_trips(tmp_path):
 
 
 def test_calibration_unknown_key_rejected():
-    doc = load_default().to_dict()
-    doc["extra"] = 1
-    with pytest.raises(ConfigError, match="extra"):
-        config_from_dict({"calibration": doc})
+    # Each edit leaves a field the engine would ignore or misread; every level refuses it.
+    cases = [
+        (lambda d: d.update(extra=1), "unknown calibration key 'extra'"),
+        (lambda d: d["gas"].update(bogus=1), "unknown calibration.gas key 'bogus'"),
+        (lambda d: d["response"]["distb"].update(gamma=1.0), "unknown calibration.response.distb key 'gamma'"),
+        (lambda d: d["response"].update(edge=d["response"]["distb"]), "unknown calibration.response key 'edge'"),
+        (
+            lambda d: d["throughput"]["env"].update(pos=d["throughput"]["env"]["distb"]),
+            "unknown calibration.throughput.env key 'pos'",
+        ),
+        (lambda d: d["throughput"]["nodes"].reverse(), "calibration.throughput.nodes must be strictly increasing"),
+        (lambda d: d["bandwidth"]["rates"].reverse(), "calibration.bandwidth.rates must be strictly increasing"),
+        (
+            lambda d: d["bandwidth"]["rates"].__setitem__(1, d["bandwidth"]["rates"][0]),
+            "calibration.bandwidth.rates must be strictly increasing",
+        ),
+    ]
+    for edit, message in cases:
+        doc = load_default().to_dict()
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"calibration": doc})
+        assert str(err.value) == message
 
 
 # Every knob away from its default: an attack with a ramp, PoS stakes and file sizes.

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import time
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from distb import blockchain as bc
-from distb.calibration import load_default
+from distb.calibration import Calibration, load_default
 from distb.cli import _flow_tables_json
 from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError
@@ -252,8 +251,9 @@ def test_cpu_series_follows_calibration_smoothing():
     cfg = small_attack_cfg()
     default = run_scenario(cfg).cpu_series
     assert run_scenario(cfg.with_(calibration=load_default())).cpu_series == default
-    calib = dataclasses.replace(load_default(), cpu_smoothing=0.9)
-    assert run_scenario(cfg.with_(calibration=calib)).cpu_series != default
+    doc = load_default().to_dict()
+    doc["cpu"]["smoothing"] = 0.9
+    assert run_scenario(cfg.with_(calibration=Calibration.from_dict(doc))).cpu_series != default
 
 
 def test_response_series_uses_file_transfer_sizes():
