@@ -29,9 +29,11 @@ humans and files only; they are never hashed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
+import struct
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -44,10 +46,18 @@ from .errors import (
 )
 
 ZERO_HASH = bytes(32)
+_sha256 = hashlib.sha256
+_pack_u64 = struct.Struct(">Q").pack
+_pack_2u64 = struct.Struct(">QQ").pack
+_TX_PREFIX_CACHE = 1 << 14  # (sensor, destination) pairs whose body prefix is kept
 
 
 def _u64(x: int) -> bytes:
-    return int(x).to_bytes(8, "big")
+    try:
+        return _pack_u64(x)
+    except struct.error:
+        # out of range or not an int: raise (OverflowError) or truncate as int.to_bytes does
+        return int(x).to_bytes(8, "big")
 
 
 def _ser_bytes(b: bytes) -> bytes:
@@ -59,14 +69,14 @@ def _ser_str(s: str) -> bytes:
 
 
 def digest(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 # ---------------------------------------------------------------------------
 # Transactions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     tx_id: bytes
     sensor_id: str
@@ -76,8 +86,17 @@ class Transaction:
     checksum: bytes
 
 
+@functools.lru_cache(maxsize=_TX_PREFIX_CACHE)
+def _tx_prefix(sensor_id: str, destination: str) -> bytes:
+    return _ser_str(sensor_id) + _ser_str(destination)
+
+
 def tx_body_bytes(sensor_id: str, destination: str, timestamp: int, payload: bytes, checksum: bytes) -> bytes:
-    return _ser_str(sensor_id) + _ser_str(destination) + _u64(timestamp) + _ser_bytes(payload) + checksum
+    try:
+        fixed = _pack_2u64(timestamp, len(payload))  # u64(timestamp) + the payload's length prefix
+    except struct.error:
+        fixed = _u64(timestamp) + _u64(len(payload))
+    return b"".join((_tx_prefix(sensor_id, destination), fixed, payload, checksum))
 
 
 def make_transaction(sensor_id: str, destination: str, payload: bytes, now: int) -> Transaction:
@@ -88,14 +107,7 @@ def make_transaction(sensor_id: str, destination: str, payload: bytes, now: int)
         raise ValueError("timestamp must be non-negative")
     checksum = digest(payload)
     tx_id = digest(tx_body_bytes(sensor_id, destination, now, payload, checksum))
-    return Transaction(
-        tx_id=tx_id,
-        sensor_id=sensor_id,
-        destination=destination,
-        timestamp=now,
-        payload=payload,
-        checksum=checksum,
-    )
+    return Transaction(tx_id, sensor_id, destination, now, payload, checksum)
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ class Verdict:
 
     @classmethod
     def valid(cls) -> "Verdict":
-        return cls("valid")
+        return _VALID
 
     @classmethod
     def pending(cls, reason: str) -> "Verdict":
@@ -128,6 +140,9 @@ class Verdict:
     @property
     def is_invalid(self) -> bool:
         return self.status == "invalid"
+
+
+_VALID = Verdict("valid")  # frozen, so every Valid verdict can be this one
 
 
 @dataclass
@@ -167,14 +182,14 @@ def verify_transaction(tx: Transaction, contract: ContractState) -> Verdict:
 # Blocks and mining
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sealer:
     kind: str  # pow | pos
     difficulty: int = 0
     validator: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     timestamp: int
@@ -233,10 +248,11 @@ def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> 
     sealer = Sealer(kind="pow", difficulty=difficulty)
     base = hashlib.sha256(_header_prefix(index, now, prev_hash, [t.tx_id for t in tx_list], sealer))
     target = pow_target(difficulty)
+    copy, pack = base.copy, _pack_u64
     nonce = 0
     while True:
-        h = base.copy()
-        h.update(nonce.to_bytes(8, "big"))
+        h = copy()
+        h.update(pack(nonce))
         block_hash = h.digest()
         if block_hash < target:
             return Block(

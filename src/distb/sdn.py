@@ -24,13 +24,13 @@ def forward(next_hop: str) -> tuple:
     return ("forward", next_hop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """Exact-match predicate; None fields are wildcards."""
 
@@ -41,7 +41,7 @@ class Match:
         return (self.src is None or self.src == pkt.src) and (self.dst is None or self.dst == pkt.dst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRule:
     match: Match
     action: tuple

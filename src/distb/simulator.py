@@ -19,8 +19,15 @@ packet arrivals are pre-drawn Poisson processes held as three sorted arrays
 timestamp order. Flood traffic arrives as deterministic per-window batches,
 which makes detection latency exact arithmetic instead of a coin flip.
 
-Each window shares the configured link capacity proportionally between
-benign and unblocked attack bytes; whatever misses the budget is dropped.
+Per-node state lives in lists indexed by node id: the ms from which the node
+is depleted (a depleted node emits nothing from its round's due time on),
+the packets it has emitted so far (the sequence number its payloads carry,
+dropped ones included), and whether the drop table blocks it (re-read from
+the table whenever a block changes it). Each window shares the configured
+link capacity proportionally between benign and unblocked attack bytes.
+Benign packets take the budget in arrival order: a packet that would
+overrun it is dropped and the next, possibly smaller, packet is still
+tried.
 In distb mode every delivered sensor packet becomes a ledger transaction
 (verify -> admit -> mine -> storage commit) and each flood suspect gets a
 drop rule in the one drop table all gateways enforce; in of-baseline mode
@@ -37,7 +44,9 @@ any other; sweeps may run instances in parallel and merge rows afterwards.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -214,7 +223,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     rng_misc = np.random.default_rng([cfg.seed, 3])
     distb = cfg.mode == "distb"
 
-    sensor_name = {n.id: f"s-{n.id}" for n in node_set.nodes}
+    names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
     contract = bc.ContractState()
     unregistered: set[int] = set()
     if cfg.unregistered_fraction > 0:
@@ -223,12 +232,15 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             unregistered = {int(i) for i in rng_misc.choice(cfg.node_count, size=k, replace=False)}
     for n in node_set.nodes:
         if n.id not in unregistered:
-            contract.register(sensor_name[n.id])
+            contract.register(names[n.id])
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
     drop_table = FlowTable()
-    # src -> whether drop_table drops its packets; valid until a block changes the table
+    # Whether drop_table drops a source's packets, valid until a block changes
+    # the table: per node id for sensors (the table starts empty), and per
+    # name, filled on first use, for attack sources.
+    blocked = [False] * len(names)
     verdicts: dict[str, bool] = {}
 
     ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
@@ -257,8 +269,12 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
 
-    depleted_at: dict[int, int] = {}
-    node_seq: dict[int, int] = dict.fromkeys(sensor_name, 0)
+    # Per-node state, indexed by node id: the ms from which the node emits
+    # nothing (past the horizon until a round depletes it), and the packets it
+    # has emitted so far, the sequence number its payloads carry.
+    never = cfg.sim_time_ms + 1
+    depleted_from = [never] * len(names)
+    emitted = [0] * len(names)
     terminated_early = False
 
     def next_round_at() -> int:
@@ -269,103 +285,112 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         _, node_set = run_round(node_set, cfg, counters["rounds"])
         counters["rounds"] += 1
         for n in node_set.nodes:
-            if n.depleted and n.id not in depleted_at:
-                depleted_at[n.id] = due
+            if n.depleted and depleted_from[n.id] == never:
+                depleted_from[n.id] = due
         return node_set
 
-    def is_blocked(src: str) -> bool:
-        verdict = verdicts.get(src)
-        if verdict is None:
-            verdict = verdicts[src] = match_packet(drop_table, Packet(src, BS_ID)) == DROP
-        return verdict
+    def is_dropped(src: str) -> bool:
+        return match_packet(drop_table, Packet(src, BS_ID)) == DROP
+
+    def refresh_verdicts() -> None:
+        blocked[:] = map(is_dropped, names)
+        verdicts.clear()
 
     attack_trace: list[tuple[int, str, int]] = []
 
-    def settle_window(t0: int, t1: int, window: slice, window_batches: list) -> tuple[int, int, int]:
-        """Settle one window; returns (benign bytes generated, benign bytes
-        delivered, unblocked attack packets)."""
-        generated_bytes = 0
-        delivered_bytes = 0
-        window_benign: list[tuple[int, int, int, int]] = []  # (t, node_id, size, seq)
-        benign_counts: dict[str, int] = {}
-        for t, nid, size in zip(arr_t[window].tolist(), arr_node[window].tolist(), arr_size[window].tolist()):
-            dep = depleted_at.get(nid)
-            if dep is not None and t >= dep:
+    def settle_window(t0: int, t1: int, lo: int, hi: int, window_batches: list) -> tuple[int, int, int]:
+        """Settle one window over arrivals lo:hi; returns (benign bytes
+        generated, benign bytes delivered, unblocked attack packets)."""
+        generated = generated_bytes = n_blocked = offered_bytes = 0
+        window_benign: list[tuple[int, int, int, int]] = []  # unblocked (t, node_id, size, seq)
+        for t, nid, size in zip(arr_t[lo:hi].tolist(), arr_node[lo:hi].tolist(), arr_size[lo:hi].tolist()):
+            if t >= depleted_from[nid]:
                 continue  # depleted node emits nothing
-            counters["generated"] += 1
-            counters["benign_generated"] += 1
+            generated += 1
             generated_bytes += size
-            node_seq[nid] += 1
-            src = sensor_name[nid]
-            if is_blocked(src):
-                counters["dropped"] += 1
-                counters["blocked"] += 1
-                counters["benign_dropped"] += 1
+            seq = emitted[nid] = emitted[nid] + 1
+            if blocked[nid]:
+                n_blocked += 1
                 continue
-            window_benign.append((t, nid, size, node_seq[nid]))
-            if distb:
-                benign_counts[src] = benign_counts.get(src, 0) + 1
+            window_benign.append((t, nid, size, seq))
+            offered_bytes += size
 
+        atk_generated = atk_blocked = attack_bytes = 0
         attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
         for _, src, count, nbytes in window_batches:
-            counters["generated"] += count
-            counters["attack_generated"] += count
-            if is_blocked(src):
-                counters["dropped"] += count
-                counters["blocked"] += count
-                counters["attack_dropped"] += count
+            atk_generated += count
+            verdict = verdicts.get(src)
+            if verdict is None:
+                verdict = verdicts[src] = is_dropped(src)
+            if verdict:
+                atk_blocked += count
                 continue
             c, b = attack_offered.get(src, (0, 0))
             attack_offered[src] = (c + count, b + nbytes)
+            attack_bytes += nbytes
 
         if distb:
-            for src, count in benign_counts.items():
-                traffic_window.record(src, t1, count)
+            for nid, count in Counter(map(itemgetter(1), window_benign)).items():
+                traffic_window.record(names[nid], t1, count)
             for src, (count, _) in attack_offered.items():
                 traffic_window.record(src, t1, count)
 
-        benign_bytes = sum(size for _, _, size, _ in window_benign)
-        attack_bytes = sum(b for _, b in attack_offered.values())
         capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
-        total = benign_bytes + attack_bytes
+        total = offered_bytes + attack_bytes
         if total <= capacity:
-            benign_budget = float(benign_bytes)
+            benign_budget = float(offered_bytes)
             attack_ratio = 1.0
         else:
-            benign_budget = capacity * benign_bytes / total
+            benign_budget = capacity * offered_bytes / total
             attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
 
-        acc = 0.0
+        # Skip and continue: a packet that misses the budget is dropped and a
+        # later, smaller one may still fit. The int sum stays below 2**53, and
+        # int-float comparison is exact.
+        limit = benign_budget + 1e-6
+        delivered_bytes = delivered = parked = rejected = 0
         for t, nid, size, seq in window_benign:
-            if acc + size <= benign_budget + 1e-6:
-                acc += size
-                counters["delivered"] += 1
-                counters["benign_delivered"] += 1
-                delivered_bytes += size
-                if distb:
-                    src = sensor_name[nid]
-                    payload = f"{nid}|{seq}|{t}|{size}".encode()
-                    tx = bc.make_transaction(src, BS_ID, payload, t)
-                    verdict = bc.verify_transaction(tx, contract)
-                    bc.admit_or_park(ledger, tx, verdict, t1)
-                    if verdict.is_pending:
-                        counters["parked_txs"] += 1
-                    elif verdict.is_invalid:
-                        counters["rejected_txs"] += 1
-                    while len(ledger.queued) >= cfg.block_batch:
-                        commit(list(ledger.queued.values())[: cfg.block_batch], t1)
-            else:
-                counters["dropped"] += 1
-                counters["benign_dropped"] += 1
+            if delivered_bytes + size > limit:
+                continue
+            delivered_bytes += size
+            delivered += 1
+            if distb:
+                payload = f"{nid}|{seq}|{t}|{size}".encode()
+                tx = bc.make_transaction(names[nid], BS_ID, payload, t)
+                verdict = bc.verify_transaction(tx, contract)
+                bc.admit_or_park(ledger, tx, verdict, t1)
+                if verdict.is_pending:
+                    parked += 1
+                elif verdict.is_invalid:
+                    rejected += 1
+                while len(ledger.queued) >= cfg.block_batch:
+                    commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+
+        atk_delivered = atk_packets = 0
         for src in sorted(attack_offered):
             count, nbytes = attack_offered[src]
-            delivered = int(count * attack_ratio)
-            counters["delivered"] += delivered
-            counters["attack_delivered"] += delivered
-            counters["dropped"] += count - delivered
-            counters["attack_dropped"] += count - delivered
+            atk_packets += count
+            atk_delivered += int(count * attack_ratio)
             attack_trace.append((t1, src, int(nbytes * attack_ratio)))
-        return generated_bytes, delivered_bytes, sum(count for count, _ in attack_offered.values())
+
+        benign_dropped = generated - delivered
+        atk_dropped = atk_generated - atk_delivered
+        for key, value in (
+            ("benign_generated", generated),
+            ("benign_delivered", delivered),
+            ("benign_dropped", benign_dropped),
+            ("attack_generated", atk_generated),
+            ("attack_delivered", atk_delivered),
+            ("attack_dropped", atk_dropped),
+            ("generated", generated + atk_generated),
+            ("delivered", delivered + atk_delivered),
+            ("dropped", benign_dropped + atk_dropped),
+            ("blocked", n_blocked + atk_blocked),
+            ("parked_txs", parked),
+            ("rejected_txs", rejected),
+        ):
+            counters[key] += value
+        return generated_bytes, delivered_bytes, atk_packets
 
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
@@ -388,7 +413,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                 node_set = do_round(node_set)
             window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
             generated, delivered, attack_pkts = settle_window(
-                ends[w - 1], t1, slice(arr_ends[w - 1], arr_ends[w]), window_batches
+                ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
             )
             windows_settled += 1
             benign_bytes_generated += generated
@@ -403,9 +428,9 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                     cpu_samples.append((t1, cpu_ewma))
                     cpu_acc_pkts = 0
             if distb:
-                for src in detect_flood(traffic_window, theta, t1):
-                    if block_flow(drop_table, src, t1):
-                        verdicts.clear()
+                changed = [block_flow(drop_table, src, t1) for src in detect_flood(traffic_window, theta, t1)]
+                if any(changed):
+                    refresh_verdicts()
             if next_round_at() == t1 < end:
                 node_set = do_round(node_set)
             if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):

@@ -73,6 +73,31 @@ def test_tx_fixture_matches_independent_sha256():
     assert tx.tx_id == hashlib.sha256(body).digest()
 
 
+def test_cached_body_prefix_matches_uncached_concatenation():
+    def ser(b):
+        return len(b).to_bytes(8, "big") + b
+
+    checksum = hashlib.sha256(b"pq").digest()
+    bc.tx_body_bytes("s-é7", "bs", 5, b"p", checksum)  # caches the (sensor, destination) prefix
+    body = bc.tx_body_bytes("s-é7", "bs", 6, b"pq", checksum)
+    assert body == ser("s-é7".encode()) + ser(b"bs") + (6).to_bytes(8, "big") + ser(b"pq") + checksum
+
+
+def test_u64_outside_range_raises_overflow_error():
+    # the type int.to_bytes raises, which check_block and the CLI catch
+    with pytest.raises(OverflowError):
+        bc.make_transaction("s-01", "bs", b"x", 2**64)
+    for timestamp in (2**64, -1):
+        with pytest.raises(OverflowError):
+            bc.tx_body_bytes("s-01", "bs", timestamp, b"x", bytes(32))
+
+
+def test_check_block_reports_nonce_outside_u64_range():
+    block = dataclasses.replace(fresh_chain(2, difficulty=0).blocks[1], nonce=2**64)
+    reason = bc.check_block(block)
+    assert isinstance(reason, str) and reason and "\n" not in reason
+
+
 def test_verify_valid_pending_invalid():
     contract = bc.ContractState(known_sensors={"s-00"})
     good = make_tx(0)

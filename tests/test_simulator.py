@@ -40,9 +40,14 @@ def small_attack_cfg(seed=7, mode="distb"):
 # at a window end, between settle and mine (C on a mine tick with transactions
 # queued, D mining every window). E pins the window bounds: its two arrivals at
 # t = 0 belong to the first window, and an attack batch due exactly at a window
-# end belongs to the window after it. Each digest was measured on an earlier
-# engine (the event heap for B-D, per-window cursors for E) with its outputs
-# mapped to the current schema.
+# end belongs to the window after it. F pins the per-packet settle: a 0.5 Mbps
+# link congests 58 of its 60 windows, so the budget skips packets that miss it
+# and still delivers later smaller ones; a low detector multiplier blocks
+# three benign sensors mid-run; twelve nodes deplete in rounds due inside a
+# window (one arrival falls exactly on its node's depletion ms); PoS seals,
+# unregistered sensors park and expire, and the attack ramps. Each digest was
+# measured on an earlier engine (the event heap for B-D, per-window cursors
+# for E, per-packet dicts for F) with its outputs mapped to the current schema.
 TICK_ORDER_CASES = {
     "B": (
         {"node_count": 15, "sim_time_ms": 4030, "seed": 3, "round_period_ms": 70, "block_interval_ms": 130,
@@ -63,6 +68,14 @@ TICK_ORDER_CASES = {
         {"node_count": 30, "sim_time_ms": 2000, "seed": 24,
          "attack": {"start_ms": 500, "stop_ms": 1500, "sources": 2, "multiplier": 10.0}},
         "9ec465a8947c3d3e26122b978b5ca9fc2a873ee358410efeddae74152a349533",
+    ),
+    "F": (
+        {"node_count": 30, "sim_time_ms": 6000, "seed": 10, "data_rate_mbps": 0.5, "round_period_ms": 230,
+         "block_interval_ms": 500, "energy_range_j": [0.2, 10.0], "head_cost_j": 0.2, "tx_cost_j": 0.1,
+         "unregistered_fraction": 0.2, "t_pending_ms": 700, "detector_multiplier": 3.0,
+         "consensus": {"kind": "pos", "stakes": {"a": 3.0, "b": 1.0}},
+         "attack": {"start_ms": 1000, "stop_ms": 5000, "sources": 2, "multiplier": 10.0, "ramp_ms": 2000}},
+        "2f0ee01301db0f40987890ca05f734573207e1807e8ca645464b0f2274838f57",
     ),
 }
 
