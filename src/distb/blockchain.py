@@ -35,6 +35,7 @@ import json
 import random
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     DuplicateTransactionError,
@@ -455,22 +456,6 @@ def tx_from_display(doc: dict) -> Transaction:
     )
 
 
-def block_to_dict(block: Block) -> dict:
-    return {
-        "index": block.index,
-        "timestamp": block.timestamp,
-        "prev_hash": block.prev_hash.hex(),
-        "nonce": block.nonce,
-        "sealer": {
-            "kind": block.sealer.kind,
-            "difficulty": block.sealer.difficulty,
-            "validator": block.sealer.validator,
-        },
-        "hash": block.hash.hex(),
-        "txs": [tx_display_dict(t) for t in block.tx_list],
-    }
-
-
 def block_from_dict(doc: dict) -> Block:
     return Block(
         index=_field(doc, "index", int),
@@ -487,9 +472,35 @@ def block_from_dict(doc: dict) -> Block:
     )
 
 
+def ledger_lines(ledger: Ledger):
+    """Yield the ledger export, one newline-terminated line per block.
+
+    Each line is the block's JSON form as `json.dumps(..., sort_keys=True)`
+    writes it: keys in sorted order, `", "` and `": "` separators, bytes as
+    lowercase hex, and strings escaped to ASCII by the escaper it uses.
+    """
+    esc = encode_basestring_ascii
+    for b in ledger.blocks:
+        s = b.sealer
+        txs = ", ".join(
+            [
+                f'{{"checksum": "{t.checksum.hex()}", "destination": {esc(t.destination)}, '
+                f'"payload_hex": "{t.payload.hex()}", "sensor_id": {esc(t.sensor_id)}, '
+                f'"timestamp": {t.timestamp:d}, "tx_id": "{t.tx_id.hex()}"}}'
+                for t in b.tx_list
+            ]
+        )
+        yield (
+            f'{{"hash": "{b.hash.hex()}", "index": {b.index:d}, "nonce": {b.nonce:d}, '
+            f'"prev_hash": "{b.prev_hash.hex()}", "sealer": {{"difficulty": {s.difficulty:d}, '
+            f'"kind": {esc(s.kind)}, "validator": {esc(s.validator)}}}, '
+            f'"timestamp": {b.timestamp:d}, "txs": [{txs}]}}\n'
+        )
+
+
 def export_ledger(ledger: Ledger) -> str:
-    """Newline-delimited JSON, one block per line."""
-    return "".join(json.dumps(block_to_dict(b), sort_keys=True) + "\n" for b in ledger.blocks)
+    """Newline-delimited JSON, one block per line (see `ledger_lines`)."""
+    return "".join(ledger_lines(ledger))
 
 
 def load_ledger(text: str) -> Ledger:
@@ -506,9 +517,10 @@ def load_ledger(text: str) -> Ledger:
 class BlockStore:
     """Content-addressed in-memory block storage; record id = block hash (hex).
 
-    It holds the `Block` objects themselves. Reads run `check_tx` on every
-    transaction and `check_block` on the block, and fail loudly on any
-    corruption.
+    It holds the `Block` objects themselves; no JSON form is kept, since
+    `ledger_lines` formats the export from the chain's blocks when it is
+    written. Reads run `check_tx` on every transaction and `check_block` on
+    the block, and fail loudly on any corruption.
     """
 
     def __init__(self):

@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import blockchain as bc
@@ -107,13 +108,20 @@ def _load_config(path: str | None) -> ScenarioConfig:
     return _apply_env_seed(cfg)
 
 
-def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
-    """Stage everything, then move into place; no partial output on failure."""
+def _write_outputs(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
+    """Stage everything, then move into place; no partial output on failure.
+
+    A file's content is a string or an iterable of lines, which is written
+    to the staging file as it is produced."""
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".distb-staging-", dir=out_dir))
     try:
-        for name, text in files.items():
-            (staging / name).write_text(text)
+        for name, content in files.items():
+            with open(staging / name, "w") as f:
+                if isinstance(content, str):
+                    f.write(content)
+                else:
+                    f.writelines(content)
         for name in files:
             os.replace(staging / name, out_dir / name)
     finally:
@@ -164,7 +172,7 @@ def cmd_run(args) -> int:
     bundle = bundle_from_raw(cfg, raw)
     files, _ = _battery_files(cfg)
     files["manifest.json"] = _manifest(cfg, bundle)
-    files["ledger.ndjson"] = bc.export_ledger(raw.ledger)
+    files["ledger.ndjson"] = bc.ledger_lines(raw.ledger)
     files["flow_tables.json"] = _flow_tables_json(raw, cfg.n_gateways)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
@@ -206,7 +214,7 @@ def cmd_compare(args) -> int:
         bundle_distb,
         extra={"baseline_counters": {k: bundle_base.counters[k] for k in sorted(bundle_base.counters)}},
     )
-    files["ledger.ndjson"] = bc.export_ledger(raw_distb.ledger)
+    files["ledger.ndjson"] = bc.ledger_lines(raw_distb.ledger)
     files["flow_tables.json"] = _flow_tables_json(raw_distb, cfg.n_gateways)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")

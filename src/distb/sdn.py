@@ -13,6 +13,7 @@ table, the one table every gateway enforces.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 FORWARD_TO_CONTROLLER = ("controller",)
@@ -57,28 +58,28 @@ class FlowTable:
 
 @dataclass
 class SlidingWindow:
-    """Per-source arrival counts over a sliding window of `window_ms`."""
+    """Per-source arrival totals over a sliding window of `window_ms`.
+
+    `record` adds an arrival to its source's running total and queues it;
+    `detect_flood` takes queued arrivals out of the totals once the window
+    has slid past them, so no source's arrivals are ever recounted. Times
+    must not decrease: record times among records, detect times among
+    detects, and a detect may not come before the latest record. A
+    decreasing time raises ValueError.
+    """
 
     window_ms: int = 200
-    buckets: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    totals: dict[str, int] = field(default_factory=dict)
+    queue: deque[tuple[int, str, int]] = field(default_factory=deque)  # (at, src, count), oldest first
+    last_record: int | None = None
+    last_detect: int | None = None
 
     def record(self, src: str, at: int, count: int = 1) -> None:
-        self.buckets.setdefault(src, []).append((at, count))
-        self._trim(src, at)
-
-    def count(self, src: str, now: int) -> int:
-        entries = self.buckets.get(src, [])
-        lo = now - self.window_ms
-        return sum(c for t, c in entries if lo < t <= now)
-
-    def sources(self) -> list[str]:
-        return sorted(self.buckets)
-
-    def _trim(self, src: str, now: int) -> None:
-        lo = now - 4 * self.window_ms
-        entries = self.buckets[src]
-        if entries and entries[0][0] < lo:
-            self.buckets[src] = [(t, c) for t, c in entries if t >= lo]
+        if self.last_record is not None and at < self.last_record:
+            raise ValueError(f"record at {at} ms comes before the latest record at {self.last_record} ms")
+        self.last_record = at
+        self.queue.append((at, src, count))
+        self.totals[src] = self.totals.get(src, 0) + count
 
 
 def match_packet(table: FlowTable, pkt: Packet) -> tuple:
@@ -113,9 +114,24 @@ def install_rule(table: FlowTable, rule: FlowRule) -> bool:
 
 
 def detect_flood(window: SlidingWindow, threshold: float, now: int) -> list[str]:
-    """Sources whose count over the last window exceeds the threshold, in
-    sorted order. Pure query."""
-    return [src for src in window.sources() if window.count(src, now) > threshold]
+    """Sources whose count over (now - window_ms, now] exceeds the threshold,
+    in sorted order.
+
+    Not a pure query: it first drops the arrivals at or before
+    now - window_ms from the window's totals, and a source whose total
+    reaches 0 leaves them."""
+    for prev, what in ((window.last_detect, "detect"), (window.last_record, "record")):
+        if prev is not None and now < prev:
+            raise ValueError(f"detect at {now} ms comes before the latest {what} at {prev} ms")
+    window.last_detect = now
+    queue, totals = window.queue, window.totals
+    lo = now - window.window_ms
+    while queue and queue[0][0] <= lo:
+        _, src, count = queue.popleft()
+        left = totals.pop(src, 0) - count
+        if left:
+            totals[src] = left
+    return sorted(src for src, total in totals.items() if total > threshold)
 
 
 def block_flow(table: FlowTable, src: str, now: int) -> bool:

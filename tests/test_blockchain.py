@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -396,6 +397,65 @@ def test_export_round_trip_stays_valid():
     again = bc.load_ledger(text)
     assert bc.validate_chain(again) == (True, None)
     assert bc.export_ledger(again) == text
+
+
+def block_to_dict(block):
+    """A block's JSON form as a dict; `json.dumps(..., sort_keys=True)` of it
+    is the oracle for `ledger_lines`."""
+    return {
+        "index": block.index,
+        "timestamp": block.timestamp,
+        "prev_hash": block.prev_hash.hex(),
+        "nonce": block.nonce,
+        "sealer": {
+            "kind": block.sealer.kind,
+            "difficulty": block.sealer.difficulty,
+            "validator": block.sealer.validator,
+        },
+        "hash": block.hash.hex(),
+        "txs": [bc.tx_display_dict(t) for t in block.tx_list],
+    }
+
+
+def oracle_lines(blocks):
+    return [json.dumps(block_to_dict(b), sort_keys=True) + "\n" for b in blocks]
+
+
+# Strings as `block_from_dict` accepts them, with the characters JSON escapes
+# drawn often: quotes, backslashes, control characters, non-ASCII (astral and
+# a lone surrogate included).
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800'), st.characters()))
+_u64 = st.integers(0, 2**64 - 1)
+_tx = st.builds(
+    bc.Transaction,
+    tx_id=st.binary(min_size=32, max_size=32),
+    sensor_id=_json_text,
+    destination=_json_text,
+    timestamp=_u64,
+    payload=st.binary(max_size=64),
+    checksum=st.binary(min_size=32, max_size=32),
+)
+_block = st.builds(
+    bc.Block,
+    index=_u64,
+    timestamp=_u64,
+    prev_hash=st.binary(min_size=32, max_size=32),
+    tx_list=st.lists(_tx, max_size=4).map(tuple),
+    nonce=_u64,
+    sealer=st.one_of(
+        st.builds(bc.Sealer, kind=st.just("pow"), difficulty=st.integers(0, 256)),
+        st.builds(bc.Sealer, kind=st.just("pos"), validator=_json_text),
+    ),
+    hash=st.binary(min_size=32, max_size=32),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(_block, max_size=3))
+def test_ledger_lines_match_sorted_json_dumps(blocks):
+    ledger = bc.Ledger(blocks=blocks)
+    assert list(bc.ledger_lines(ledger)) == oracle_lines(blocks)
+    assert bc.export_ledger(ledger) == "".join(oracle_lines(blocks))
 
 
 def test_append_only_serialization_prefix_stable():

@@ -3,12 +3,11 @@ import json
 import pytest
 
 from distb.calibration import fit_gas, fit_response, load_default, load_reference_tables
-from distb.simulator import recalibrate
 
 
 @pytest.fixture(scope="module")
-def refit():
-    return recalibrate()
+def refit(recalibration):
+    return recalibration.calibration
 
 
 def test_gas_fit_rows_within_10pct():

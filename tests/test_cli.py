@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from distb.blockchain import export_ledger
 from distb.calibration import load_default
-from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, main
+from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, _write_outputs, main
+from distb.config import parse_config
+from distb.simulator import run_raw
 
 SMALL_CFG = {
     "node_count": 8,
@@ -143,6 +146,24 @@ def run_export(tmp_path_factory):
     cfg.write_text(json.dumps(SMALL_CFG))
     assert main(["run", "-c", str(cfg), "-o", str(tmp / "out")]) == EXIT_OK
     return (tmp / "out" / "ledger.ndjson").read_text().splitlines()
+
+
+def test_run_streams_the_ledger_export(tmp_path, run_export):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CFG))
+    expected = export_ledger(run_raw(parse_config(cfg)).ledger)
+    assert "".join(line + "\n" for line in run_export) == expected
+
+
+def test_failing_line_generator_leaves_no_output(tmp_path):
+    def lines():
+        yield "{}\n"
+        raise RuntimeError("export failed")
+
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="export failed"):
+        _write_outputs(out, {"gas.csv": "tx_count,gas\n", "ledger.ndjson": lines(), "flow_tables.json": "{}\n"})
+    assert list(out.iterdir()) == []
 
 
 def test_validate_chain_on_run_export(tmp_path, run_export, capsys):
@@ -284,13 +305,10 @@ def test_sweep_checks_largest_count_before_any_run(tmp_path, small_cfg_path, cap
     assert not (tmp_path / "o").exists()
 
 
-def test_calibrate_writes_round_trippable_record(tmp_path, capsys, monkeypatch):
-    from distb.config import parse_config
-
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "calibration.json"
-    assert main(["calibrate", "-o", str(out)]) == EXIT_OK
-    printed = capsys.readouterr().out
+def test_calibrate_writes_round_trippable_record(tmp_path, recalibration):
+    # `recalibration` ran `distb calibrate -o <dir>/calibration.json` from that dir.
+    out = recalibration.out
+    printed = recalibration.printed
     assert "gas:" in printed and "response[distb]" in printed and "kappa" in printed
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"calibration": json.loads(out.read_text())}))

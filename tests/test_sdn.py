@@ -1,6 +1,9 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb.blockchain import export_ledger
 from distb.cli import _flow_tables_json
@@ -149,6 +152,80 @@ def test_detect_completeness_and_soundness_random():
             if count > theta:
                 expected.append(src)
         assert detect_flood(window, threshold=theta, now=500) == sorted(expected)
+
+
+class RecountWindow:
+    """The detector as it was before running totals: every detect recounts
+    each source's bucket of (at, count) entries. Kept as the oracle."""
+
+    def __init__(self, window_ms):
+        self.window_ms = window_ms
+        self.buckets = {}
+
+    def record(self, src, at, count):
+        self.buckets.setdefault(src, []).append((at, count))
+        lo = at - 4 * self.window_ms
+        entries = self.buckets[src]
+        if entries and entries[0][0] < lo:
+            self.buckets[src] = [(t, c) for t, c in entries if t >= lo]
+
+    def count(self, src, now):
+        lo = now - self.window_ms
+        return sum(c for t, c in self.buckets.get(src, []) if lo < t <= now)
+
+    def detect(self, threshold, now):
+        return [src for src in sorted(self.buckets) if self.count(src, now) > threshold]
+
+
+_window_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 150), st.integers(0, 20)),
+        st.tuples(
+            st.just("detect"),
+            st.floats(min_value=0, max_value=40, allow_nan=False),
+            st.integers(0, 300),
+            st.integers(0, 300),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_ms=st.integers(1, 1000).filter(lambda w: w % 100), ops=_window_ops)
+def test_running_totals_match_recount(window_ms, ops):
+    # Record times never decrease, nor do detect times, and a detect never
+    # comes before the latest record; a record may fall behind the latest
+    # detect. Steps of 0 repeat timestamps.
+    window, oracle = SlidingWindow(window_ms=window_ms), RecountWindow(window_ms)
+    last_record = last_detect = 0
+    for op in ops:
+        if op[0] == "record":
+            _, src, step, count = op
+            last_record += step
+            window.record(src, at=last_record, count=count)
+            oracle.record(src, last_record, count)
+        else:
+            _, theta, step_record, step_detect = op
+            now = max(last_record + step_record, last_detect + step_detect)
+            last_detect = now
+            assert detect_flood(window, threshold=theta, now=now) == oracle.detect(theta, now)
+            # a source leaves the totals once none of its arrivals is queued
+            assert set(window.totals) <= {src for _, src, _ in window.queue}
+
+
+def test_decreasing_times_raise():
+    window = SlidingWindow(window_ms=200)
+    window.record("a", at=300, count=1)
+    with pytest.raises(ValueError, match="before the latest record"):
+        window.record("a", at=299, count=1)
+    with pytest.raises(ValueError, match="before the latest record"):
+        detect_flood(window, threshold=0, now=299)
+    assert detect_flood(window, threshold=0, now=400) == ["a"]
+    with pytest.raises(ValueError, match="before the latest detect"):
+        detect_flood(window, threshold=0, now=399)
+    window.record("b", at=350, count=1)  # behind the latest detect, after the latest record
+    assert detect_flood(window, threshold=0, now=400) == ["a", "b"]
 
 
 def test_block_flow_installs_drop_and_silences():
