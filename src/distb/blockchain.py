@@ -155,6 +155,12 @@ class ContractState:
     def register(self, sensor_id: str) -> None:
         self.known_sensors.add(sensor_id)
 
+    def verdict(self, sensor_id: str) -> Verdict:
+        """The registry rule: Valid for a registered sensor, else Pending."""
+        if sensor_id in self.known_sensors:
+            return Verdict.valid()
+        return Verdict.pending(f"unknown sensor {sensor_id}")
+
 
 def check_tx(tx: Transaction) -> str | None:
     """The one transaction integrity check: None if intact, else the reason."""
@@ -174,9 +180,7 @@ def verify_transaction(tx: Transaction, contract: ContractState) -> Verdict:
     reason = check_tx(tx)
     if reason is not None:
         return Verdict.invalid(reason)
-    if tx.sensor_id not in contract.known_sensors:
-        return Verdict.pending(f"unknown sensor {tx.sensor_id}")
-    return Verdict.valid()
+    return contract.verdict(tx.sensor_id)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +543,6 @@ class BlockStore:
             if reason is not None:
                 raise StorageIntegrityError(f"record {record_id} failed verification: {reason}")
         return block
-
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._mem
 
 
 def commit_to_storage(ledger: Ledger, block: Block, store: BlockStore) -> str:

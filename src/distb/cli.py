@@ -159,10 +159,9 @@ def _manifest(cfg: ScenarioConfig, bundle, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _flow_tables_json(raw, n_gateways: int) -> str:
-    """The run's one drop table, written once per gateway id: every gateway enforces it."""
-    table = flow_table_to_dict(raw.drop_table)
-    doc = {"gateways": [{"id": i, "flow_table": table} for i in range(n_gateways)]}
+def _flow_tables_json(raw) -> str:
+    """The run's one drop table, which every gateway enforces."""
+    doc = {"drop_table": flow_table_to_dict(raw.drop_table)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -173,7 +172,7 @@ def cmd_run(args) -> int:
     files, _ = _battery_files(cfg)
     files["manifest.json"] = _manifest(cfg, bundle)
     files["ledger.ndjson"] = bc.ledger_lines(raw.ledger)
-    files["flow_tables.json"] = _flow_tables_json(raw, cfg.n_gateways)
+    files["flow_tables.json"] = _flow_tables_json(raw)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
     return EXIT_OK
@@ -215,7 +214,7 @@ def cmd_compare(args) -> int:
         extra={"baseline_counters": {k: bundle_base.counters[k] for k in sorted(bundle_base.counters)}},
     )
     files["ledger.ndjson"] = bc.ledger_lines(raw_distb.ledger)
-    files["flow_tables.json"] = _flow_tables_json(raw_distb, cfg.n_gateways)
+    files["flow_tables.json"] = _flow_tables_json(raw_distb)
     _write_outputs(Path(args.out), files)
     print(f"wrote {len(files)} files to {args.out}")
     return EXIT_OK

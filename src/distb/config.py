@@ -24,6 +24,7 @@ MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
 MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; inject_attack builds one tuple each
+MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 
 
@@ -56,7 +57,6 @@ class ScenarioConfig(TopologyParams):
     packet_size_bytes: tuple[int, int] = (128, 1024)
     sim_time_ms: int = 500_000
     sensor_rate_pps: float = 10.0
-    n_gateways: int = 2
     attack: AttackConfig | None = None
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     file_transfer_mb: tuple[float, ...] | None = None
@@ -119,12 +119,16 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi,
             f"{name} must satisfy 0 < min <= max, both finite (got {lo}..{hi})",
         )
-    _require(cfg.n_gateways >= 1, f"n_gateways must be >= 1 (got {cfg.n_gateways})")
     _require(
         0.0 <= cfg.unregistered_fraction <= 1.0,
         f"unregistered_fraction must be in [0, 1] (got {cfg.unregistered_fraction})",
     )
     _require(cfg.round_period_ms > 0, f"round_period_ms must be > 0 (got {cfg.round_period_ms})")
+    for steps, period in (("settlement windows", WINDOW_MS), ("clustering rounds", cfg.round_period_ms)):
+        _require(
+            cfg.sim_time_ms <= MAX_STEPS * period,
+            f"{steps} per run, sim_time_ms / {period} ms, must be <= {MAX_STEPS} (got {cfg.sim_time_ms} ms)",
+        )
     _require(cfg.head_cost_j >= 0, f"head_cost_j must be >= 0 (got {cfg.head_cost_j})")
     _require(cfg.tx_cost_j >= 0, f"tx_cost_j must be >= 0 (got {cfg.tx_cost_j})")
     _require(cfg.detector_window_ms > 0, f"detector_window_ms must be > 0 (got {cfg.detector_window_ms})")

@@ -29,11 +29,13 @@ Benign packets take the budget in arrival order: a packet that would
 overrun it is dropped and the next, possibly smaller, packet is still
 tried.
 In distb mode every delivered sensor packet becomes a ledger transaction
-(verify -> admit -> mine -> storage commit) and each flood suspect gets a
-drop rule in the one drop table all gateways enforce; in of-baseline mode
-both the pipeline and the mitigation are disabled.
+(registry verdict -> admit -> mine -> storage commit) and each flood
+suspect gets a drop rule in the one drop table all gateways enforce; in
+of-baseline mode both the pipeline and the mitigation are disabled.
 
-Raw counters and byte totals come straight from the engine. The metric
+Raw counters and byte totals come straight from the engine. In distb mode
+every delivered sensor packet is accounted for once: benign_delivered =
+committed_txs + expired_txs + pending_at_end + queued_at_end. The metric
 series reported in reference units go through the calibration record (see
 calibration.py for the envelope * raw/nominal construction).
 
@@ -156,8 +158,9 @@ _COUNTER_KEYS = (
     "attack_dropped",
     "committed_txs",
     "parked_txs",
-    "rejected_txs",
     "expired_txs",
+    "pending_at_end",
+    "queued_at_end",
     "blocks",
     "rounds",
 )
@@ -174,7 +177,6 @@ class RawResult:
     attack_trace: list  # (window_end_ms, src, delivered_bytes)
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
     ledger: bc.Ledger
-    contract: bc.ContractState
     drop_table: FlowTable  # one drop rule per blocked source, in block order: the only record of a block
     store: bc.BlockStore
     terminated_early: bool
@@ -224,15 +226,9 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     distb = cfg.mode == "distb"
 
     names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
-    contract = bc.ContractState()
-    unregistered: set[int] = set()
-    if cfg.unregistered_fraction > 0:
-        k = int(round(cfg.unregistered_fraction * cfg.node_count))
-        if k:
-            unregistered = {int(i) for i in rng_misc.choice(cfg.node_count, size=k, replace=False)}
-    for n in node_set.nodes:
-        if n.id not in unregistered:
-            contract.register(names[n.id])
+    k = int(round(cfg.unregistered_fraction * cfg.node_count))
+    unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
+    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
@@ -348,7 +344,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         # later, smaller one may still fit. The int sum stays below 2**53, and
         # int-float comparison is exact.
         limit = benign_budget + 1e-6
-        delivered_bytes = delivered = parked = rejected = 0
+        delivered_bytes = delivered = parked = 0
         for t, nid, size, seq in window_benign:
             if delivered_bytes + size > limit:
                 continue
@@ -357,12 +353,10 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             if distb:
                 payload = f"{nid}|{seq}|{t}|{size}".encode()
                 tx = bc.make_transaction(names[nid], BS_ID, payload, t)
-                verdict = bc.verify_transaction(tx, contract)
+                verdict = contract.verdict(tx.sensor_id)
                 bc.admit_or_park(ledger, tx, verdict, t1)
                 if verdict.is_pending:
                     parked += 1
-                elif verdict.is_invalid:
-                    rejected += 1
                 while len(ledger.queued) >= cfg.block_batch:
                     commit(list(ledger.queued.values())[: cfg.block_batch], t1)
 
@@ -387,7 +381,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             ("dropped", benign_dropped + atk_dropped),
             ("blocked", n_blocked + atk_blocked),
             ("parked_txs", parked),
-            ("rejected_txs", rejected),
         ):
             counters[key] += value
         return generated_bytes, delivered_bytes, atk_packets
@@ -443,6 +436,8 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     if distb and ledger.queued and not terminated_early:
         commit(list(ledger.queued.values()), cfg.sim_time_ms)
     counters["blocks"] = len(ledger.blocks)
+    counters["pending_at_end"] = len(ledger.pending)
+    counters["queued_at_end"] = len(ledger.queued)  # non-zero only when the network died
 
     return RawResult(
         counters=counters,
@@ -452,7 +447,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         attack_trace=attack_trace,
         cpu_load_samples=cpu_samples,
         ledger=ledger,
-        contract=contract,
         drop_table=drop_table,
         store=store,
         terminated_early=terminated_early,

@@ -107,6 +107,8 @@ def test_verify_valid_pending_invalid():
     unknown = make_tx(7)
     v = bc.verify_transaction(unknown, contract)
     assert v.is_pending and "s-07" in v.reason
+    # On an intact tx, verify_transaction returns the registry's verdict, which the engine asks directly.
+    assert [contract.verdict(t.sensor_id) for t in (good, unknown)] == [bc.Verdict.valid(), v]
 
     tampered = bc.Transaction(
         tx_id=good.tx_id,

@@ -19,6 +19,10 @@ SMALL_CFG = {
 }
 
 
+# A horizon whose expected arrivals and seals stay small
+HUGE_HORIZON = {"sim_time_ms": 10**12, "node_count": 1, "sensor_rate_pps": 1e-4}
+
+
 @pytest.fixture
 def small_cfg_path(tmp_path):
     path = tmp_path / "cfg.json"
@@ -52,7 +56,9 @@ def test_run_twice_is_byte_identical(tmp_path, small_cfg_path):
     assert (out1 / "ledger.ndjson").read_bytes() == (out2 / "ledger.ndjson").read_bytes()
 
 
-@pytest.mark.parametrize("doc", [{"nodecount": 5}, {"n_controllers": 5}], ids=["misspelt", "retired"])
+@pytest.mark.parametrize(
+    "doc", [{"nodecount": 5}, {"n_controllers": 5}, {"n_gateways": 2}], ids=["misspelt", "retired", "retired-gateways"]
+)
 def test_unknown_config_key_exit_1(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -122,6 +128,12 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
         {"packet_size_bytes": [1, 2**70]},
         {"consensus": {"difficulty": 40}},
         {"sim_time_ms": 500_000, "attack": {"start_ms": 0, "stop_ms": 500_000, "sources": 10**9}},
+        # 10**10 settlement windows, under every other bound, in each consensus and mode
+        {**HUGE_HORIZON, "consensus": {"difficulty": 0}},
+        {**HUGE_HORIZON, "consensus": {"kind": "pos", "stakes": {"a": 1.0}}},
+        {**HUGE_HORIZON, "consensus": {"difficulty": 0}, "mode": "of-baseline"},
+        # 10**7 clustering rounds in 10**5 windows; free rounds never exhaust the network
+        {"sim_time_ms": 10**7, "round_period_ms": 1, "head_cost_j": 0, "tx_cost_j": 0},
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param(b"[" * 100_000, id="nested-too-deep"),
     ],

@@ -31,7 +31,6 @@ def test_empty_object_gives_defaults(tmp_path):
     assert cfg.node_count == 50
     assert cfg.sim_time_ms == 500_000
     assert cfg.data_rate_mbps == 10.0
-    assert cfg.n_gateways == 2
     assert cfg.area_side_m == 2500.0
     assert cfg.packet_size_bytes == (128, 1024)
     assert cfg.consensus.kind == "pow" and cfg.consensus.difficulty == 8
@@ -162,7 +161,7 @@ def test_calibration_unknown_key_rejected():
 # Every knob away from its default: an attack with a ramp, PoS stakes and file sizes.
 EVERY_KNOB = ScenarioConfig(
     mode="of-baseline", node_count=12, area_side_m=1800.5, seed=7, data_rate_mbps=12.5,
-    packet_size_bytes=(64, 512), sim_time_ms=60_000, sensor_rate_pps=4.5, n_gateways=3,
+    packet_size_bytes=(64, 512), sim_time_ms=60_000, sensor_rate_pps=4.5,
     attack=AttackConfig(start_ms=1000, stop_ms=9000, sources=4, multiplier=6.5, ramp_ms=2500),
     consensus=ConsensusConfig(kind="pos", difficulty=5, stakes=(("v-a", 3.0), ("v-b", 1.5))),
     file_transfer_mb=(1.0, 4.5), unregistered_fraction=0.25, round_period_ms=5000,
@@ -181,7 +180,7 @@ def test_to_dict_echo_is_pinned():
         '"consensus": {"difficulty": 5, "kind": "pos", "stakes": {"v-a": 3.0, "v-b": 1.5}}, '
         '"coverage_range_m": [150.0, 350.0], "data_rate_mbps": 12.5, "detector_multiplier": 4.0, '
         '"detector_window_ms": 300, "energy_range_j": [40.0, 90.0], "file_transfer_mb": [1.0, 4.5], '
-        '"head_cost_j": 1.25, "mode": "of-baseline", "n_gateways": 3, "node_count": 12, '
+        '"head_cost_j": 1.25, "mode": "of-baseline", "node_count": 12, '
         '"packet_size_bytes": [64, 512], "round_period_ms": 5000, "seed": 7, "sensor_rate_pps": 4.5, '
         '"sim_time_ms": 60000, "t_pending_ms": 15000, "tx_cost_j": 0.3, "unregistered_fraction": 0.25, '
         '"z_max_m": 20.0}'
@@ -291,6 +290,20 @@ def test_integral_float_is_an_integer():
 def test_geometry_and_energy_ranges_bounded(key, pair):
     with pytest.raises(ConfigError, match=key):
         config_from_dict({key: pair})
+
+
+def test_loop_counts_capped_at_a_million_each():
+    # 10**8 ms holds exactly 10**6 windows of 100 ms and 10**6 rounds of 100 ms.
+    quiet = {"node_count": 1, "sensor_rate_pps": 1e-4, "consensus": {"difficulty": 0}}
+    config_from_dict({**quiet, "sim_time_ms": 10**8, "round_period_ms": 100})
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({**quiet, "sim_time_ms": 10**8 + 1, "round_period_ms": 1000})
+    assert str(err.value) == (
+        "settlement windows per run, sim_time_ms / 100 ms, must be <= 1000000 (got 100000001 ms)"
+    )
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({**quiet, "sim_time_ms": 10**8, "round_period_ms": 99})
+    assert str(err.value) == "clustering rounds per run, sim_time_ms / 99 ms, must be <= 1000000 (got 100000000 ms)"
 
 
 def test_equal_range_bounds_accepted():

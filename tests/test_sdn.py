@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distb.blockchain import export_ledger
 from distb.cli import _flow_tables_json
 from distb.config import AttackConfig, ScenarioConfig
 from distb.sdn import (
@@ -244,16 +243,17 @@ def test_block_flow_idempotent():
 
 
 def test_blocked_sources_have_drop_rule_invariant():
-    # Engine level: every gateway table in flow_tables.json holds exactly one
-    # drop rule per blocked source, in block order, installed at the block time;
-    # rules installed in the same window go in ascending src order.
+    # Engine level: the drop table in flow_tables.json, which every gateway
+    # enforces, holds exactly one drop rule per blocked source, in block order,
+    # installed at the block time; rules installed in the same window go in
+    # ascending src order.
     # The low detector multiplier also blocks benign sensors, later and one at
     # a time, so the blocks fall at several times. It also lets one window of
     # flood cross the threshold, so the detector flags each attacker again one
     # window after its block, which must neither move the block nor add a rule.
     attack = AttackConfig(start_ms=500, stop_ms=2500, sources=4, multiplier=10.0)
     cfg = ScenarioConfig(
-        node_count=10, sim_time_ms=4000, seed=7, n_gateways=3, attack=attack, detector_multiplier=2.5
+        node_count=10, sim_time_ms=4000, seed=7, attack=attack, detector_multiplier=2.5
     )
     raw = run_raw(cfg)
     assert sorted(bundle_from_raw(cfg, raw).raw["block_times_ms"].items()) == sorted(raw.block_times.items())
@@ -265,24 +265,5 @@ def test_blocked_sources_have_drop_rule_invariant():
     blocks = [(t, src) for src, t in raw.block_times.items()]
     assert blocks == sorted(blocks)
     assert len(set(raw.block_times.values())) < len(blocks)  # some window blocks several sources
-    doc = json.loads(_flow_tables_json(raw, cfg.n_gateways))
-    assert list(doc) == ["gateways"]
-    assert [g["id"] for g in doc["gateways"]] == [0, 1, 2]
-    for gateway in doc["gateways"]:
-        assert gateway["flow_table"] == {"default_action": ["controller"], "rules": expected}
-
-
-def test_gateway_count_only_sets_the_copies_written():
-    # One drop table serves every gateway, so n_gateways changes nothing the
-    # engine measures: only how many identical gateway entries are written.
-    attack = AttackConfig(start_ms=500, stop_ms=2500, sources=4, multiplier=10.0)
-    base = ScenarioConfig(node_count=10, sim_time_ms=4000, seed=7, attack=attack, detector_multiplier=2.5)
-    cfg1, cfg3 = base.with_(n_gateways=1), base.with_(n_gateways=3)
-    raw1, raw3 = run_raw(cfg1), run_raw(cfg3)
-    assert raw1.block_times and raw1.block_times == raw3.block_times
-    assert bundle_from_raw(cfg1, raw1).to_json() == bundle_from_raw(cfg3, raw3).to_json()
-    assert export_ledger(raw1.ledger) == export_ledger(raw3.ledger)
-    one = json.loads(_flow_tables_json(raw1, cfg1.n_gateways))["gateways"]
-    three = json.loads(_flow_tables_json(raw3, cfg3.n_gateways))["gateways"]
-    assert [g["id"] for g in one] == [0] and [g["id"] for g in three] == [0, 1, 2]
-    assert [g["flow_table"] for g in three] == [one[0]["flow_table"]] * 3
+    doc = json.loads(_flow_tables_json(raw))
+    assert doc == {"drop_table": {"default_action": ["controller"], "rules": expected}}

@@ -32,6 +32,15 @@ def small_attack_cfg(seed=7, mode="distb"):
     )
 
 
+def assert_ledger_books_close(raw):
+    """Every delivered sensor packet is committed, expired, parked or queued at the end."""
+    c = raw.counters
+    assert c["pending_at_end"] == len(raw.ledger.pending)
+    assert c["queued_at_end"] == len(raw.ledger.queued)
+    assert c["queued_at_end"] == 0 or raw.terminated_early
+    assert c["benign_delivered"] == c["committed_txs"] + c["expired_txs"] + c["pending_at_end"] + c["queued_at_end"]
+
+
 # --- tick order -------------------------------------------------------------
 
 # Output digests that pin the per-window order: rounds due before the window
@@ -47,27 +56,32 @@ def small_attack_cfg(seed=7, mode="distb"):
 # window (one arrival falls exactly on its node's depletion ms); PoS seals,
 # unregistered sensors park and expire, and the attack ramps. Each digest was
 # measured on an earlier engine (the event heap for B-D, per-window cursors
-# for E, per-packet dicts for F) with its outputs mapped to the current schema.
+# for E, per-packet dicts for F) with its outputs mapped to the current schema,
+# and mapped again when the engine stopped verifying its own transactions:
+# counters without rejected_txs and with pending_at_end and queued_at_end taken
+# from the ledger's waiting room and queue at the end, and flow tables written
+# as the one {"drop_table": ...}. C dies with four valid transactions queued;
+# F ends with four parked.
 TICK_ORDER_CASES = {
     "B": (
         {"node_count": 15, "sim_time_ms": 4030, "seed": 3, "round_period_ms": 70, "block_interval_ms": 130,
          "attack": {"start_ms": 450, "stop_ms": 3000, "sources": 3, "multiplier": 10.0}},
-        "5a5c501ac10a3ab31b51341d925b883d430892136843691d564eebcc1499f5c8",
+        "ae5775cd0d2f68f7e29d18d39872df6f2f152a7aaf5c32fedccf658031ccf5b9",
     ),
     "C": (
         {"node_count": 8, "sim_time_ms": 30000, "seed": 3, "round_period_ms": 100, "block_interval_ms": 1000,
          "head_cost_j": 0.02, "tx_cost_j": 0.01, "energy_range_j": [0.035, 0.21]},
-        "2ed4085655a6aca2138ff1ba4865ef8f37e85bb98a74c961bdcc1362873396fb",
+        "5bf4a075b05cfe012a739509d0a00b716e078dae3fce33e191e2d58bb73d4a6e",
     ),
     "D": (
         {"node_count": 10, "sim_time_ms": 60000, "seed": 5, "round_period_ms": 500, "block_interval_ms": 100,
          "head_cost_j": 0.2, "tx_cost_j": 0.05, "energy_range_j": [0.5, 1.0]},
-        "0333c0e099b4c5ef58ae23d7e6c03131d56a4ea669e10a12bd26d63011b75274",
+        "2cae815052ac149a3cd274af88d1912c0252e60abc3fc40906ed47e500d03794",
     ),
     "E": (
         {"node_count": 30, "sim_time_ms": 2000, "seed": 24,
          "attack": {"start_ms": 500, "stop_ms": 1500, "sources": 2, "multiplier": 10.0}},
-        "9ec465a8947c3d3e26122b978b5ca9fc2a873ee358410efeddae74152a349533",
+        "382d779c1087c27a124892dc8456e9eb226f31bf2c469fc93af442be63e7a4ef",
     ),
     "F": (
         {"node_count": 30, "sim_time_ms": 6000, "seed": 10, "data_rate_mbps": 0.5, "round_period_ms": 230,
@@ -75,7 +89,7 @@ TICK_ORDER_CASES = {
          "unregistered_fraction": 0.2, "t_pending_ms": 700, "detector_multiplier": 3.0,
          "consensus": {"kind": "pos", "stakes": {"a": 3.0, "b": 1.0}},
          "attack": {"start_ms": 1000, "stop_ms": 5000, "sources": 2, "multiplier": 10.0, "ramp_ms": 2000}},
-        "2f0ee01301db0f40987890ca05f734573207e1807e8ca645464b0f2274838f57",
+        "ce59c255e83e2f956d948e82339d4de3448381fc7f9af22f5725ffe9b8850a7f",
     ),
 }
 
@@ -86,10 +100,11 @@ def test_tick_order_pinned_by_output_digest(name):
     cfg = config_from_dict(doc)
     raw = run_raw(cfg)
     h = hashlib.sha256()
-    outputs = (bundle_from_raw(cfg, raw).to_json(), bc.export_ledger(raw.ledger), _flow_tables_json(raw, cfg.n_gateways))
+    outputs = (bundle_from_raw(cfg, raw).to_json(), bc.export_ledger(raw.ledger), _flow_tables_json(raw))
     for text in outputs:
         h.update(text.encode("utf-8") + b"\0")
     assert h.hexdigest() == expected
+    assert_ledger_books_close(raw)
 
 
 # --- traffic generation ------------------------------------------------------
@@ -250,6 +265,7 @@ def test_unregistered_sensors_park_and_expire():
     assert raw.counters["expired_txs"] > 0
     assert raw.counters["committed_txs"] < raw.counters["benign_delivered"]
     assert bc.validate_chain(raw.ledger) == (True, None)
+    assert_ledger_books_close(raw)
 
 
 def test_pos_consensus_scenario():
