@@ -8,9 +8,10 @@ principles, so the reproduction is calibrated explicitly and auditable:
   relative residuals so the small sizes carry their weight;
 * throughput and bandwidth keep the embedded reference rows as per-mode
   envelope anchors (piecewise-linear between anchors) plus the raw figures
-  the nominal simulation produced when the calibration was computed; at run
-  time a metric is envelope * (raw / nominal raw), so the simulated dynamics
-  still move the number when a scenario deviates from the nominal setup;
+  the nominal simulation produced when the calibration was computed; a
+  battery turns a raw figure into envelope * (raw / nominal raw), so the
+  simulated dynamics still move the number when a scenario deviates from the
+  nominal setup;
 * the CPU model is base + kappa * smoothed unblocked attack load, with kappa
   chosen so the nominal flooding scenario peaks at the reference peak.
 
@@ -104,14 +105,10 @@ class Calibration:
     def throughput_envelope(self, mode: str, n: int) -> float:
         return self._interp("throughput", "env", mode, n)
 
-    def throughput_nominal_kbps(self, mode: str, n: int) -> float:
-        return self._interp("throughput", "nominal", mode, n)
-
-    def bandwidth_envelope(self, mode: str, rate_kpps: float) -> float:
-        return self._interp("bandwidth", "env", mode, rate_kpps)
-
-    def bandwidth_nominal_mbps(self, mode: str, rate_kpps: float) -> float:
-        return self._interp("bandwidth", "nominal", mode, rate_kpps)
+    def scaled(self, table: str, mode: str, x: float, raw: float) -> float:
+        """`table`'s value at anchor x for raw figure `raw`: envelope * raw/nominal (the envelope if nominal is 0)."""
+        nominal = self._interp(table, "nominal", mode, x)
+        return self._interp(table, "env", mode, x) * (raw / nominal if nominal > 0 else 1.0)
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.doc)

@@ -51,10 +51,6 @@ CSV_HEADERS = {
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, int):
         return str(v)
     return format(float(v), ".6g")
@@ -65,31 +61,6 @@ def render_csv(name: str, rows) -> str:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def bundle_to_csvs(bundle) -> dict[str, str]:
-    """Render one scenario bundle into the metric CSV schemas.
-
-    A single run covers one mode, so the other mode's column stays empty;
-    the full two-column files come from the sweep batteries.
-    """
-    is_distb = bundle.mode == "distb"
-
-    def split(value):
-        return (value, None) if is_distb else (None, value)
-
-    thr = [(n,) + split(v) for n, v in sorted(bundle.throughput_series.items())]
-    bw = [(r,) + split(v) for r, v in sorted(bundle.bandwidth_series.items())]
-    resp = [(s,) + split(v) for s, v in sorted(bundle.response_series.items())]
-    gas = sorted(bundle.gas_series.items())
-    cpu = list(bundle.cpu_series)
-    return {
-        "throughput.csv": render_csv("throughput.csv", thr),
-        "bandwidth.csv": render_csv("bandwidth.csv", bw),
-        "response.csv": render_csv("response.csv", resp),
-        "gas.csv": render_csv("gas.csv", gas),
-        "cpu.csv": render_csv("cpu.csv", cpu),
-    }
 
 
 def _apply_env_seed(cfg: ScenarioConfig) -> ScenarioConfig:

@@ -59,7 +59,6 @@ class ScenarioConfig(TopologyParams):
     sensor_rate_pps: float = 10.0
     attack: AttackConfig | None = None
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
-    file_transfer_mb: tuple[float, ...] | None = None
     unregistered_fraction: float = 0.0
     round_period_ms: int = 10_000
     detector_window_ms: int = 200
@@ -179,11 +178,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.calibration is not None:
         smoothing = cfg.calibration.cpu_smoothing
         _require(0 < smoothing <= 1, f"calibration cpu.smoothing must be in (0, 1] (got {smoothing})")
-    if cfg.file_transfer_mb is not None:
-        _require(
-            all(0 < s < math.inf for s in cfg.file_transfer_mb),
-            "file_transfer_mb sizes must be positive and finite",
-        )
     return cfg
 
 
@@ -232,7 +226,7 @@ _READERS = {
     "tuple[float, float]": lambda key, value: _pair(key, value, _real),
 }
 # The fields config_from_dict reads by hand; every other field needs a reader.
-_HAND_PARSED = frozenset({"attack", "consensus", "stakes", "file_transfer_mb", "calibration"})
+_HAND_PARSED = frozenset({"attack", "consensus", "stakes", "calibration"})
 
 
 def _plain_readers(cls) -> dict:
@@ -274,11 +268,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             **_read_plain(ConsensusConfig, c, "consensus"),
             stakes=tuple(sorted((str(k), _real("consensus.stakes", v)) for k, v in stakes.items())),
         )
-    if doc.get("file_transfer_mb") is not None:
-        sizes = doc["file_transfer_mb"]
-        if not isinstance(sizes, list):
-            raise ConfigError(f"file_transfer_mb must be a list of sizes (got {sizes!r})")
-        kwargs["file_transfer_mb"] = tuple(_real("file_transfer_mb", s) for s in sizes)
     if doc.get("calibration") is not None:
         kwargs["calibration"] = Calibration.from_dict(_object("calibration", doc["calibration"]))
     return validate_config(ScenarioConfig(**kwargs))

@@ -29,15 +29,17 @@ Benign packets take the budget in arrival order: a packet that would
 overrun it is dropped and the next, possibly smaller, packet is still
 tried.
 In distb mode every delivered sensor packet becomes a ledger transaction
-(registry verdict -> admit -> mine -> storage commit) and each flood
+(registry verdict -> admit -> mine -> chain append) and each flood
 suspect gets a drop rule in the one drop table all gateways enforce; in
 of-baseline mode both the pipeline and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
 every delivered sensor packet is accounted for once: benign_delivered =
-committed_txs + expired_txs + pending_at_end + queued_at_end. The metric
-series reported in reference units go through the calibration record (see
-calibration.py for the envelope * raw/nominal construction).
+committed_txs + expired_txs + pending_at_end + queued_at_end. A run's bundle
+keeps only what the run measured: its counters and raw figures. The metric
+batteries turn raw figures into reference units through the calibration
+record (see calibration.py for the envelope * raw/nominal construction), and
+`recalibrate` records the same sweeps' raw figures as the nominal rows.
 
 Each scenario instance is strictly single-threaded and shares no state with
 any other; sweeps may run instances in parallel and merge rows afterwards.
@@ -55,7 +57,7 @@ import numpy as np
 from . import blockchain as bc
 from .calibration import Calibration, fit_gas, fit_response, load_reference_tables
 from .clustering import run_round
-from .config import WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
+from .config import MODES, WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
 from .sdn import (
     DROP,
@@ -178,7 +180,6 @@ class RawResult:
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
     ledger: bc.Ledger
     drop_table: FlowTable  # one drop rule per blocked source, in block order: the only record of a block
-    store: bc.BlockStore
     terminated_early: bool
     events_processed: int  # settlement windows run
 
@@ -190,26 +191,16 @@ class RawResult:
 
 @dataclass
 class MetricsBundle:
-    """Calibrated metric series plus raw counters for one scenario run."""
+    """What one scenario run measured: its counters and raw figures, uncalibrated."""
 
     mode: str
-    throughput_series: dict  # node_count -> kbps
-    bandwidth_series: dict  # arrival rate (thousand/s) -> Mbps
-    response_series: dict  # file Mb -> ms
-    gas_series: dict  # tx count -> gas
-    cpu_series: list  # (t_s, cpu percent)
     counters: dict
     terminated_early: bool
-    raw: dict
+    raw: dict  # benign_kbps, attack_window_benign_mbps, blocked_sources, ...
 
     def to_json(self) -> str:
         doc = {
             "mode": self.mode,
-            "throughput_series": {str(k): v for k, v in sorted(self.throughput_series.items())},
-            "bandwidth_series": {str(k): v for k, v in sorted(self.bandwidth_series.items())},
-            "response_series": {str(k): v for k, v in sorted(self.response_series.items())},
-            "gas_series": {str(k): v for k, v in sorted(self.gas_series.items())},
-            "cpu_series": [[t, v] for t, v in self.cpu_series],
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "terminated_early": self.terminated_early,
             "raw": {k: self.raw[k] for k in sorted(self.raw)},
@@ -240,7 +231,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     verdicts: dict[str, bool] = {}
 
     ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
-    store = bc.BlockStore()
     stakes = cfg.consensus.stakes_dict()
 
     def seal(txs, now: int) -> bc.Block:
@@ -251,9 +241,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         return bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
 
     def commit(txs, now: int) -> None:
-        block = seal(txs, now)
-        bc.append_block(ledger, block)
-        bc.commit_to_storage(ledger, block, store)
+        bc.append_block(ledger, seal(txs, now))
         counters["committed_txs"] += len(txs)
 
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
@@ -448,7 +436,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         cpu_load_samples=cpu_samples,
         ledger=ledger,
         drop_table=drop_table,
-        store=store,
         terminated_early=terminated_early,
         events_processed=windows_settled,
     )
@@ -462,43 +449,17 @@ def attack_rate_kpps(cfg: ScenarioConfig) -> float:
 
 
 def bundle_from_raw(cfg: ScenarioConfig, raw: RawResult) -> MetricsBundle:
-    """Map raw loop output into calibrated, reference-scale metric series."""
-    calib = cfg.resolved_calibration()
-    tables = load_reference_tables()
+    """The run's counters and raw figures; no calibration is applied here."""
     sim_s = cfg.sim_time_ms / 1000.0
     benign_kbps = raw.benign_bytes_delivered * 8.0 / 1000.0 / sim_s
-    benign_mbps = benign_kbps / 1000.0
-
-    nominal = calib.throughput_nominal_kbps(cfg.mode, cfg.node_count)
-    ratio = benign_kbps / nominal if nominal > 0 else 1.0
-    throughput_series = {cfg.node_count: calib.throughput_envelope(cfg.mode, cfg.node_count) * ratio}
-
-    bandwidth_series = {}
     raw_attack_mbps = None
     if cfg.attack is not None:
-        rate = attack_rate_kpps(cfg)
         dur_s = (cfg.attack.stop_ms - cfg.attack.start_ms) / 1000.0
         raw_attack_mbps = raw.benign_bytes_delivered_attack_window * 8.0 / 1e6 / dur_s
-        nominal_bw = calib.bandwidth_nominal_mbps(cfg.mode, rate)
-        bw_ratio = raw_attack_mbps / nominal_bw if nominal_bw > 0 else 1.0
-        bandwidth_series = {rate: calib.bandwidth_envelope(cfg.mode, rate) * bw_ratio}
-
-    sizes = cfg.file_transfer_mb if cfg.file_transfer_mb is not None else tables["response_ms"]["file_mb"]
-    response_series = {float(s): calib.response_ms(cfg.mode, float(s)) for s in sizes}
-
-    gas_series = {
-        int(n): bc.gas_for(int(n), calib.gas_base, calib.gas_per_tx)
-        for n in tables["gas"]["tx_count"]
-    }
-
-    cpu_series = [
-        (t_ms / 1000.0, calib.cpu_base_pct + calib.cpu_kappa * load)
-        for t_ms, load in raw.cpu_load_samples
-    ]
 
     raw_extras = {
         "benign_kbps": benign_kbps,
-        "benign_mbps": benign_mbps,
+        "benign_mbps": benign_kbps / 1000.0,
         "benign_bytes_delivered": raw.benign_bytes_delivered,
         "benign_bytes_generated": raw.benign_bytes_generated,
         "attack_window_benign_mbps": raw_attack_mbps,
@@ -508,11 +469,6 @@ def bundle_from_raw(cfg: ScenarioConfig, raw: RawResult) -> MetricsBundle:
     }
     return MetricsBundle(
         mode=cfg.mode,
-        throughput_series=throughput_series,
-        bandwidth_series=bandwidth_series,
-        response_series=response_series,
-        gas_series=gas_series,
-        cpu_series=cpu_series,
         counters=dict(raw.counters),
         terminated_early=raw.terminated_early,
         raw=raw_extras,
@@ -531,9 +487,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsBundle:
 
 def throughput_cfg(cfg: ScenarioConfig, n: int, mode: str) -> ScenarioConfig:
     """The run that measures `mode`'s throughput at `n` nodes."""
-    return cfg.with_(
-        mode=mode, node_count=n, attack=None, sim_time_ms=THROUGHPUT_SIM_MS, file_transfer_mb=None
-    )
+    return cfg.with_(mode=mode, node_count=n, attack=None, sim_time_ms=THROUGHPUT_SIM_MS)
 
 
 def _bandwidth_cfg(cfg: ScenarioConfig, rate_kpps: float, mode: str) -> ScenarioConfig:
@@ -544,11 +498,20 @@ def _bandwidth_cfg(cfg: ScenarioConfig, rate_kpps: float, mode: str) -> Scenario
         sources=BANDWIDTH_ATTACK_SOURCES,
         multiplier=mult,
     )
-    return cfg.with_(mode=mode, attack=attack, sim_time_ms=BANDWIDTH_SIM_MS, file_transfer_mb=None)
+    return cfg.with_(mode=mode, attack=attack, sim_time_ms=BANDWIDTH_SIM_MS)
 
 
 def _cpu_cfg(cfg: ScenarioConfig) -> ScenarioConfig:
-    return cfg.with_(mode="distb", file_transfer_mb=None, **CPU_BATTERY)
+    return cfg.with_(mode="distb", **CPU_BATTERY)
+
+
+def _sweep(cfg: ScenarioConfig, xs, battery_cfg, figure: str) -> list[list[tuple[ScenarioConfig, float]]]:
+    """Run each (x, mode) battery config once: per x, [(config, raw[figure])] in MODES order."""
+    sweep = []
+    for x in xs:
+        runs = [battery_cfg(cfg, x, mode) for mode in MODES]
+        sweep.append([(run_cfg, run_scenario(run_cfg).raw[figure]) for run_cfg in runs])
+    return sweep
 
 
 def measure_throughput(cfg: ScenarioConfig, node_counts=None) -> list[tuple[int, float, float]]:
@@ -558,32 +521,29 @@ def measure_throughput(cfg: ScenarioConfig, node_counts=None) -> list[tuple[int,
     )
     if not counts:
         raise ValueError("node_counts must be non-empty")
-    rows = []
-    for n in counts:
-        per_mode = {}
-        for mode in ("distb", "of-baseline"):
-            bundle = run_scenario(throughput_cfg(cfg, n, mode))
-            per_mode[mode] = bundle.throughput_series[n]
-        rows.append((n, per_mode["distb"], per_mode["of-baseline"]))
-    return rows
+    calib = cfg.resolved_calibration()
+    return [
+        (n, *(calib.scaled("throughput", c.mode, c.node_count, kbps) for c, kbps in runs))
+        for n, runs in zip(counts, _sweep(cfg, counts, throughput_cfg, "benign_kbps"))
+    ]
 
 
 def measure_bandwidth_under_attack(cfg: ScenarioConfig, rates=None) -> list[tuple[float, float, float]]:
-    """Benign bandwidth under flood per arrival rate: (rate_kpps, distb, baseline) Mbps."""
+    """Benign bandwidth under flood per arrival rate: (rate_kpps, distb, baseline) Mbps.
+
+    Each value is read off the calibration at the battery run's own attack
+    rate, which can sit one ulp from the rate that labels the row.
+    """
     rate_list = list(rates) if rates is not None else list(
         load_reference_tables()["bandwidth_mbps"]["arrival_rate_kps"]
     )
     if not rate_list:
         raise ValueError("rates must be non-empty")
-    rows = []
-    for rate in rate_list:
-        per_mode = {}
-        for mode in ("distb", "of-baseline"):
-            bundle = run_scenario(_bandwidth_cfg(cfg, rate, mode))
-            (_, value), = bundle.bandwidth_series.items()
-            per_mode[mode] = value
-        rows.append((float(rate), per_mode["distb"], per_mode["of-baseline"]))
-    return rows
+    calib = cfg.resolved_calibration()
+    return [
+        (float(rate), *(calib.scaled("bandwidth", c.mode, attack_rate_kpps(c), mbps) for c, mbps in runs))
+        for rate, runs in zip(rate_list, _sweep(cfg, rate_list, _bandwidth_cfg, "attack_window_benign_mbps"))
+    ]
 
 
 def measure_response_time(cfg: ScenarioConfig, file_sizes=None) -> list[tuple[float, float, float]]:
@@ -608,39 +568,36 @@ def measure_gas(cfg: ScenarioConfig, tx_counts=None) -> list[tuple[int, int]]:
 
 
 def measure_cpu_flooding(cfg: ScenarioConfig) -> list[tuple[float, float]]:
-    """CPU% trace for the flooding scenario, sampled every 0.2 s."""
-    bundle = run_scenario(_cpu_cfg(cfg))
-    return list(bundle.cpu_series)
+    """CPU% trace for the flooding scenario, sampled every 0.2 s: base + kappa * smoothed load."""
+    calib = cfg.resolved_calibration()
+    return [
+        (t_ms / 1000.0, calib.cpu_base_pct + calib.cpu_kappa * load)
+        for t_ms, load in run_raw(_cpu_cfg(cfg)).cpu_load_samples
+    ]
 
 
 def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     """Re-fit all calibration constants from the embedded reference tables.
 
     Gas and response are pure table fits. Throughput and bandwidth keep the
-    table rows as envelopes and record the raw figures the nominal battery
-    scenarios produce, so that envelope * raw/nominal reproduces the tables
-    under the default setup and still tracks dynamics when a scenario
-    deviates. The CPU gain is set so the nominal flood peaks at the table
-    peak.
+    table rows as envelopes and record the raw figures of the battery sweeps
+    that `measure_throughput` and `measure_bandwidth_under_attack` run, so
+    that envelope * raw/nominal reproduces the tables under the default setup
+    and still tracks dynamics when a scenario deviates. The CPU gain is set
+    so the nominal flood peaks at the table peak.
     """
     base = cfg if cfg is not None else ScenarioConfig()
     tables = load_reference_tables()
     gas_base, gas_per_tx = fit_gas(tables)
     response = fit_response(tables)
 
-    thr = tables["throughput_kbps"]
-    thr_nominal = {"distb": [], "baseline": []}
-    for n in thr["nodes"]:
-        for mode, key in (("distb", "distb"), ("of-baseline", "baseline")):
-            bundle = run_scenario(throughput_cfg(base, int(n), mode))
-            thr_nominal[key].append(bundle.raw["benign_kbps"])
+    def nominal(sweep) -> dict:  # each x's runs come in MODES order: distb, then of-baseline
+        return {key: [runs[i][1] for runs in sweep] for i, key in enumerate(("distb", "baseline"))}
 
+    thr = tables["throughput_kbps"]
+    thr_nominal = nominal(_sweep(base, thr["nodes"], throughput_cfg, "benign_kbps"))
     bw = tables["bandwidth_mbps"]
-    bw_nominal = {"distb": [], "baseline": []}
-    for rate in bw["arrival_rate_kps"]:
-        for mode, key in (("distb", "distb"), ("of-baseline", "baseline")):
-            bundle = run_scenario(_bandwidth_cfg(base, float(rate), mode))
-            bw_nominal[key].append(bundle.raw["attack_window_benign_mbps"])
+    bw_nominal = nominal(_sweep(base, bw["arrival_rate_kps"], _bandwidth_cfg, "attack_window_benign_mbps"))
 
     cpu_table = tables["cpu_pct"]
     cpu_base = float(cpu_table["cpu"][0])

@@ -30,34 +30,49 @@ def small_cfg_path(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def run_out(tmp_path_factory):
+    """The output directory of one `distb run` on SMALL_CFG, shared by the tests that read it."""
+    tmp = tmp_path_factory.mktemp("export")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CFG))
+    assert main(["run", "-c", str(cfg), "-o", str(tmp / "out")]) == EXIT_OK
+    return tmp / "out"
+
+
+@pytest.fixture(scope="module")
+def run_export(run_out):
+    """The lines of that run's ledger export, shared by the tests that edit it."""
+    return (run_out / "ledger.ndjson").read_text().splitlines()
+
+
 def read_metric_files(out_dir):
     return {name: (out_dir / name).read_bytes() for name in CSV_HEADERS}
 
 
-def test_run_writes_expected_files(tmp_path, small_cfg_path):
-    out = tmp_path / "out"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
+def test_run_writes_expected_files(run_out):
     for name, header in CSV_HEADERS.items():
-        text = (out / name).read_text()
+        text = (run_out / name).read_text()
         assert text.splitlines()[0] == header
-    assert (out / "manifest.json").exists()
-    assert (out / "ledger.ndjson").exists()
-    assert (out / "flow_tables.json").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    assert (run_out / "manifest.json").exists()
+    assert (run_out / "ledger.ndjson").exists()
+    assert (run_out / "flow_tables.json").exists()
+    manifest = json.loads((run_out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["counters"]["generated"] == manifest["counters"]["delivered"] + manifest["counters"]["dropped"]
 
 
-def test_run_twice_is_byte_identical(tmp_path, small_cfg_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out1)]) == EXIT_OK
-    assert main(["run", "-c", str(small_cfg_path), "-o", str(out2)]) == EXIT_OK
-    assert read_metric_files(out1) == read_metric_files(out2)
-    assert (out1 / "ledger.ndjson").read_bytes() == (out2 / "ledger.ndjson").read_bytes()
+def test_run_twice_is_byte_identical(tmp_path, small_cfg_path, run_out):
+    out = tmp_path / "again"
+    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_OK
+    assert read_metric_files(out) == read_metric_files(run_out)
+    assert (out / "ledger.ndjson").read_bytes() == (run_out / "ledger.ndjson").read_bytes()
 
 
 @pytest.mark.parametrize(
-    "doc", [{"nodecount": 5}, {"n_controllers": 5}, {"n_gateways": 2}], ids=["misspelt", "retired", "retired-gateways"]
+    "doc",
+    [{"nodecount": 5}, {"n_controllers": 5}, {"n_gateways": 2}, {"file_transfer_mb": [2.0, 32.0]}],
+    ids=["misspelt", "retired", "retired-gateways", "retired-file-sizes"],
 )
 def test_unknown_config_key_exit_1(tmp_path, doc):
     bad = tmp_path / "bad.json"
@@ -118,7 +133,6 @@ def test_distb_seed_env_rejects_negative(tmp_path, small_cfg_path, monkeypatch, 
         {"packet_size_bytes": ["a", 2]},
         {"attack": [1]},
         {"calibration": {"gas": 1}},
-        {"file_transfer_mb": 5},
         {"consensus": {"kind": "pos", "stakes": [1]}},
         {"node_count": 1.7},
         {"energy_range_j": [100, 50]},
@@ -148,16 +162,6 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
-
-
-@pytest.fixture(scope="module")
-def run_export(tmp_path_factory):
-    """The lines of one `distb run` ledger export, shared by the tests that edit it."""
-    tmp = tmp_path_factory.mktemp("export")
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(SMALL_CFG))
-    assert main(["run", "-c", str(cfg), "-o", str(tmp / "out")]) == EXIT_OK
-    return (tmp / "out" / "ledger.ndjson").read_text().splitlines()
 
 
 def test_run_streams_the_ledger_export(tmp_path, run_export):

@@ -158,13 +158,13 @@ def test_calibration_unknown_key_rejected():
         assert str(err.value) == message
 
 
-# Every knob away from its default: an attack with a ramp, PoS stakes and file sizes.
+# Every knob away from its default: an attack with a ramp and PoS stakes.
 EVERY_KNOB = ScenarioConfig(
     mode="of-baseline", node_count=12, area_side_m=1800.5, seed=7, data_rate_mbps=12.5,
     packet_size_bytes=(64, 512), sim_time_ms=60_000, sensor_rate_pps=4.5,
     attack=AttackConfig(start_ms=1000, stop_ms=9000, sources=4, multiplier=6.5, ramp_ms=2500),
     consensus=ConsensusConfig(kind="pos", difficulty=5, stakes=(("v-a", 3.0), ("v-b", 1.5))),
-    file_transfer_mb=(1.0, 4.5), unregistered_fraction=0.25, round_period_ms=5000,
+    unregistered_fraction=0.25, round_period_ms=5000,
     head_cost_j=1.25, tx_cost_j=0.3, energy_range_j=(40.0, 90.0), coverage_range_m=(150.0, 350.0),
     z_max_m=20.0, detector_window_ms=300, detector_multiplier=4.0, t_pending_ms=15_000,
     block_batch=6, block_interval_ms=2000,
@@ -179,7 +179,7 @@ def test_to_dict_echo_is_pinned():
         '"start_ms": 1000, "stop_ms": 9000}, "block_batch": 6, "block_interval_ms": 2000, '
         '"consensus": {"difficulty": 5, "kind": "pos", "stakes": {"v-a": 3.0, "v-b": 1.5}}, '
         '"coverage_range_m": [150.0, 350.0], "data_rate_mbps": 12.5, "detector_multiplier": 4.0, '
-        '"detector_window_ms": 300, "energy_range_j": [40.0, 90.0], "file_transfer_mb": [1.0, 4.5], '
+        '"detector_window_ms": 300, "energy_range_j": [40.0, 90.0], '
         '"head_cost_j": 1.25, "mode": "of-baseline", "node_count": 12, '
         '"packet_size_bytes": [64, 512], "round_period_ms": 5000, "seed": 7, "sensor_rate_pps": 4.5, '
         '"sim_time_ms": 60000, "t_pending_ms": 15000, "tx_cost_j": 0.3, "unregistered_fraction": 0.25, '
@@ -191,7 +191,6 @@ def test_to_dict_round_trips_through_from_dict():
     small = ScenarioConfig(
         node_count=12,
         attack=None,
-        file_transfer_mb=(2.0, 8.0),
         consensus=ScenarioConfig().consensus,
     )
     for cfg in (small, EVERY_KNOB):

@@ -14,6 +14,7 @@ from distb.simulator import (
     bundle_from_raw,
     generate_traffic,
     inject_attack,
+    measure_response_time,
     run_raw,
     run_scenario,
 )
@@ -61,27 +62,29 @@ def assert_ledger_books_close(raw):
 # counters without rejected_txs and with pending_at_end and queued_at_end taken
 # from the ledger's waiting room and queue at the end, and flow tables written
 # as the one {"drop_table": ...}. C dies with four valid transactions queued;
-# F ends with four parked.
+# F ends with four parked. They were mapped once more when the run bundle
+# dropped its calibrated series: the parent engine's bundle JSON, parsed,
+# stripped of its five *_series keys and re-dumped with sort_keys=True.
 TICK_ORDER_CASES = {
     "B": (
         {"node_count": 15, "sim_time_ms": 4030, "seed": 3, "round_period_ms": 70, "block_interval_ms": 130,
          "attack": {"start_ms": 450, "stop_ms": 3000, "sources": 3, "multiplier": 10.0}},
-        "ae5775cd0d2f68f7e29d18d39872df6f2f152a7aaf5c32fedccf658031ccf5b9",
+        "4a6cfbe21d6d57544805e571dadf463643673859dda0762fb4efc476fd7c4ad6",
     ),
     "C": (
         {"node_count": 8, "sim_time_ms": 30000, "seed": 3, "round_period_ms": 100, "block_interval_ms": 1000,
          "head_cost_j": 0.02, "tx_cost_j": 0.01, "energy_range_j": [0.035, 0.21]},
-        "5bf4a075b05cfe012a739509d0a00b716e078dae3fce33e191e2d58bb73d4a6e",
+        "8e5518ffc894504df17c81466f86434fb53535d0f9bb72343882d492a1f62f85",
     ),
     "D": (
         {"node_count": 10, "sim_time_ms": 60000, "seed": 5, "round_period_ms": 500, "block_interval_ms": 100,
          "head_cost_j": 0.2, "tx_cost_j": 0.05, "energy_range_j": [0.5, 1.0]},
-        "2cae815052ac149a3cd274af88d1912c0252e60abc3fc40906ed47e500d03794",
+        "73c5b598be6cd3c6fa15100cf6845cfb8b8d34cae178084a7b553079bb19b04a",
     ),
     "E": (
         {"node_count": 30, "sim_time_ms": 2000, "seed": 24,
          "attack": {"start_ms": 500, "stop_ms": 1500, "sources": 2, "multiplier": 10.0}},
-        "382d779c1087c27a124892dc8456e9eb226f31bf2c469fc93af442be63e7a4ef",
+        "d32e0e8e19077b1ca7a0896051dc8154d401a66c6eed94436602b364fc2bb86f",
     ),
     "F": (
         {"node_count": 30, "sim_time_ms": 6000, "seed": 10, "data_rate_mbps": 0.5, "round_period_ms": 230,
@@ -89,7 +92,7 @@ TICK_ORDER_CASES = {
          "unregistered_fraction": 0.2, "t_pending_ms": 700, "detector_multiplier": 3.0,
          "consensus": {"kind": "pos", "stakes": {"a": 3.0, "b": 1.0}},
          "attack": {"start_ms": 1000, "stop_ms": 5000, "sources": 2, "multiplier": 10.0, "ramp_ms": 2000}},
-        "ce59c255e83e2f956d948e82339d4de3448381fc7f9af22f5725ffe9b8850a7f",
+        "a928f6d83390a8f1ec13f223caa75c5d9dcc164fe353af5cc656db0be65bed02",
     ),
 }
 
@@ -217,7 +220,6 @@ def test_ledger_consistency_in_distb_mode():
     assert raw.counters["committed_txs"] == raw.counters["benign_delivered"]
     assert bc.validate_chain(raw.ledger) == (True, None)
     assert raw.ledger.queued == {}
-    assert all(raw.store.get(b.hash.hex()) == b for b in raw.ledger.blocks)
 
 
 def test_baseline_has_no_chain():
@@ -278,30 +280,27 @@ def test_pos_consensus_scenario():
 
 def test_cpu_series_follows_calibration_smoothing():
     cfg = small_attack_cfg()
-    default = run_scenario(cfg).cpu_series
-    assert run_scenario(cfg.with_(calibration=load_default())).cpu_series == default
+    default = run_raw(cfg).cpu_load_samples
+    assert default
+    assert run_raw(cfg.with_(calibration=load_default())).cpu_load_samples == default
     doc = load_default().to_dict()
     doc["cpu"]["smoothing"] = 0.9
-    assert run_scenario(cfg.with_(calibration=Calibration.from_dict(doc))).cpu_series != default
+    assert run_raw(cfg.with_(calibration=Calibration.from_dict(doc))).cpu_load_samples != default
 
 
-def test_response_series_uses_file_transfer_sizes():
-    cfg = SMALL.with_(file_transfer_mb=(2.0, 32.0))
-    bundle = run_scenario(cfg)
-    assert sorted(bundle.response_series) == [2.0, 32.0]
+def test_response_rows_use_the_given_file_sizes():
+    calib = load_default()
+    rows = measure_response_time(SMALL, file_sizes=(2.0, 32.0))
+    assert rows == [(s, calib.response_ms("distb", s), calib.response_ms("core", s)) for s in (2.0, 32.0)]
+    for bad in (0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"file size must be positive \\(got {bad}\\)"):
+            measure_response_time(SMALL, file_sizes=(2.0, bad))
 
 
 def test_attack_rate_kpps():
     cfg = small_attack_cfg()
     assert attack_rate_kpps(cfg) == 2 * 10.0 * 10.0 / 1000.0
     assert attack_rate_kpps(SMALL) == 0.0
-
-
-def test_bundle_from_raw_gas_series_matches_library():
-    bundle = run_scenario(SMALL)
-    calib = load_default()
-    for n, g in bundle.gas_series.items():
-        assert g == bc.gas_for(n, calib.gas_base, calib.gas_per_tx)
 
 
 def test_default_config_completes_under_60s():
