@@ -13,7 +13,6 @@ from distb.calibration import load_default
 
 contract = bc.ContractState(known_sensors={"s-01", "s-02"})
 ledger = bc.Ledger(t_pending_ms=30_000)
-store = bc.BlockStore()
 
 bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 8, 0, 0))
 print(f"genesis sealed: nonce={ledger.blocks[0].nonce} hash={ledger.blocks[0].hash.hex()[:16]}...")
@@ -40,11 +39,10 @@ forged = bc.Transaction(
 )
 print("tampered payload   ->", bc.verify_transaction(forged, contract).status)
 
-# Mine the queue, commit to content-addressed storage.
+# Mine the queue onto the chain.
 block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 8, now=6000, index=1)
 bc.append_block(ledger, block)
-rid = bc.commit_to_storage(ledger, block, store)
-print(f"\nblock 1 mined: nonce={block.nonce} txs={len(block.tx_list)} storage_id={rid[:16]}...")
+print(f"\nblock 1 mined: nonce={block.nonce} txs={len(block.tx_list)} hash={block.hash.hex()[:16]}...")
 print("chain valid:", bc.validate_chain(ledger))
 
 # Flip one byte anywhere and validation names the first bad block.

@@ -2,7 +2,7 @@
 """Walkthrough: run the metric batteries and print the reproduced evaluation
 tables next to the embedded reference rows.
 
-Takes ~15 s. Run:  python demos/04_reproduce_evaluation_tables.py
+Takes about 1 s. Run:  python demos/04_reproduce_evaluation_tables.py
 """
 
 from distb.calibration import load_reference_tables

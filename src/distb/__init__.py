@@ -2,21 +2,19 @@
 
 Library layout mirrors the subsystems: `topology` (world and energy model),
 `clustering` (head election and rounds), `sdn` (flow tables and flood
-mitigation), `blockchain` (transactions, chain, gas, storage), `simulator`
+mitigation), `blockchain` (transactions, chain, gas), `simulator`
 (the fixed-cadence window engine and metric batteries), `calibration`
 (table fits), and `cli` (the `distb` command).
 """
 
 from .blockchain import (
     Block,
-    BlockStore,
     ContractState,
     Ledger,
     Transaction,
     Verdict,
     admit_or_park,
     append_block,
-    commit_to_storage,
     expire_pending,
     gas_for,
     make_transaction,
@@ -35,9 +33,7 @@ from .errors import (
     EmptyBlockError,
     ExhaustedNetworkError,
     ForkRejectedError,
-    NotCommittedError,
     SealInvalidError,
-    StorageIntegrityError,
 )
 from .sdn import (
     FlowRule,

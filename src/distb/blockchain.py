@@ -1,5 +1,5 @@
 """Transaction pipeline: canonical hashing, contract checks, waiting room,
-consensus sealing, the append-only hash chain, gas accounting, and storage.
+consensus sealing, the append-only hash chain, and gas accounting.
 
 Canonical byte layout (everything hashed goes through this, never JSON):
 
@@ -37,14 +37,7 @@ import struct
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .errors import (
-    DuplicateTransactionError,
-    EmptyBlockError,
-    ForkRejectedError,
-    NotCommittedError,
-    SealInvalidError,
-    StorageIntegrityError,
-)
+from .errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
 
 ZERO_HASH = bytes(32)
 _sha256 = hashlib.sha256
@@ -426,7 +419,7 @@ def gas_for(batch_size: int, base: float, per_tx: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms and storage
+# JSON forms
 
 
 def tx_display_dict(tx: Transaction) -> dict:
@@ -516,37 +509,3 @@ def load_ledger(text: str) -> Ledger:
     for b in blocks:
         ledger.committed_ids.update(t.tx_id for t in b.tx_list)
     return ledger
-
-
-class BlockStore:
-    """Content-addressed in-memory block storage; record id = block hash (hex).
-
-    It holds the `Block` objects themselves; no JSON form is kept, since
-    `ledger_lines` formats the export from the chain's blocks when it is
-    written. Reads run `check_tx` on every transaction and `check_block` on
-    the block, and fail loudly on any corruption.
-    """
-
-    def __init__(self):
-        self._mem: dict[str, Block] = {}
-
-    def put(self, block: Block) -> str:
-        record_id = block.hash.hex()
-        self._mem[record_id] = block
-        return record_id
-
-    def get(self, record_id: str) -> Block:
-        block = self._mem[record_id]
-        if block.hash.hex() != record_id:
-            raise StorageIntegrityError(f"record {record_id} holds block {block.hash.hex()}")
-        for reason in (*map(check_tx, block.tx_list), check_block(block)):
-            if reason is not None:
-                raise StorageIntegrityError(f"record {record_id} failed verification: {reason}")
-        return block
-
-
-def commit_to_storage(ledger: Ledger, block: Block, store: BlockStore) -> str:
-    """Persist an appended block; committing twice is a no-op with the same id."""
-    if not (0 <= block.index < len(ledger.blocks) and ledger.blocks[block.index].hash == block.hash):
-        raise NotCommittedError("block is not part of the ledger")
-    return store.put(block)

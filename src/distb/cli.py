@@ -21,7 +21,7 @@ from pathlib import Path
 from . import blockchain as bc
 from .calibration import load_reference_tables
 from .config import ScenarioConfig, parse_config, validate_config
-from .errors import ConfigError, DistbError, StorageIntegrityError
+from .errors import ConfigError, DistbError
 from .sdn import flow_table_to_dict
 from .simulator import (
     bundle_from_raw,
@@ -326,9 +326,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StorageIntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
     except DistbError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM

@@ -32,11 +32,3 @@ class ForkRejectedError(DistbError):
 
 class SealInvalidError(DistbError):
     """Block hash does not match its header or misses the difficulty target."""
-
-
-class NotCommittedError(DistbError):
-    """Storage commit attempted for a block that is not part of the ledger."""
-
-
-class StorageIntegrityError(DistbError):
-    """A stored block fails its content address or its tx and seal checks."""

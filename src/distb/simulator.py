@@ -1,4 +1,4 @@
-"""Deterministic fixed-cadence engine tying the pieces together.
+"""Deterministic fixed-cadence engine tying the pieces together, in two stages.
 
 One scenario run drives a single logical clock in simulated milliseconds,
 advanced one 100 ms settlement window at a time (the last window ends at
@@ -11,6 +11,11 @@ sim_time_ms and may be shorter). For each window end t1 the engine:
 4. mines the queued transactions if t1 is a multiple of block_interval_ms
    or the horizon;
 5. sweeps the waiting room if t1 is a whole second or the horizon.
+
+Nothing in steps 1-3 reads the ledger. They form the link stage
+(`run_link`), which logs every delivered sensor packet; `run_raw` then runs
+the ledger stage, steps 4-5 and each logged packet's admission at its t1,
+over that log. The metric batteries read link figures and run `run_link`.
 
 Rounds fall every round_period_ms from t=0 and need not line up with
 windows. A round that finds no live node ends the run at that point. Sensor
@@ -31,7 +36,7 @@ tried.
 In distb mode every delivered sensor packet becomes a ledger transaction
 (registry verdict -> admit -> mine -> chain append) and each flood
 suspect gets a drop rule in the one drop table all gateways enforce; in
-of-baseline mode both the pipeline and the mitigation are disabled.
+of-baseline mode both the ledger stage and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
 every delivered sensor packet is accounted for once: benign_delivered =
@@ -48,6 +53,7 @@ any other; sweeps may run instances in parallel and merge rows afterwards.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -147,7 +153,7 @@ def inject_attack(attack: AttackConfig | None, sensor_rate_pps: float, sim_time_
     return batches
 
 
-_COUNTER_KEYS = (
+_LINK_COUNTERS = (
     "generated",
     "delivered",
     "dropped",
@@ -158,35 +164,40 @@ _COUNTER_KEYS = (
     "attack_generated",
     "attack_delivered",
     "attack_dropped",
-    "committed_txs",
-    "parked_txs",
-    "expired_txs",
-    "pending_at_end",
-    "queued_at_end",
-    "blocks",
     "rounds",
 )
+_LEDGER_COUNTERS = ("committed_txs", "parked_txs", "expired_txs", "pending_at_end", "queued_at_end", "blocks")
 
 
 @dataclass
-class RawResult:
-    """Everything the engine measured, before calibration is applied."""
+class LinkResult:
+    """What the link stage measured: traffic, blocks and CPU load, no ledger."""
 
-    counters: dict
+    counters: dict  # the _LINK_COUNTERS
     benign_bytes_generated: int
     benign_bytes_delivered: int
     benign_bytes_delivered_attack_window: int
     attack_trace: list  # (window_end_ms, src, delivered_bytes)
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
-    ledger: bc.Ledger
     drop_table: FlowTable  # one drop rule per blocked source, in block order: the only record of a block
     terminated_early: bool
     events_processed: int  # settlement windows run
+    last_tick: int  # the last window end whose steps 3-5 ran (see the module docstring)
+    delivered: array  # distb mode: t, node id, size, seq of each delivered benign packet, flat, in settlement order
+    delivered_through: array  # 0, then len(delivered) at the end of each settled window
 
     @property
     def block_times(self) -> dict:
         """src -> ms at which its drop rule engaged, in block order."""
         return {rule.match.src: rule.installed_at for rule in self.drop_table.rules}
+
+
+@dataclass
+class RawResult(LinkResult):
+    """Everything the engine measured, before calibration is applied: the link
+    stage's figures, the ledger stage's chain, and all counters of both."""
+
+    ledger: bc.Ledger
 
 
 @dataclass
@@ -208,18 +219,14 @@ class MetricsBundle:
         return json.dumps(doc, sort_keys=True)
 
 
-def run_raw(cfg: ScenarioConfig) -> RawResult:
-    """Run the window loop and return raw, calibration-free results."""
+def run_link(cfg: ScenarioConfig) -> LinkResult:
+    """Run the window loop's link stage: rounds, traffic, settlement, the
+    flood detector and the CPU samples. Builds no transaction."""
     cfg = validate_config(cfg)
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
-    rng_misc = np.random.default_rng([cfg.seed, 3])
     distb = cfg.mode == "distb"
-
     names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
-    k = int(round(cfg.unregistered_fraction * cfg.node_count))
-    unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
-    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
@@ -230,23 +237,9 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     blocked = [False] * len(names)
     verdicts: dict[str, bool] = {}
 
-    ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
-    stakes = cfg.consensus.stakes_dict()
-
-    def seal(txs, now: int) -> bc.Block:
-        index = len(ledger.blocks)
-        if cfg.consensus.kind == "pos":
-            validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
-            return bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
-        return bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
-
-    def commit(txs, now: int) -> None:
-        bc.append_block(ledger, seal(txs, now))
-        counters["committed_txs"] += len(txs)
-
-    counters = dict.fromkeys(_COUNTER_KEYS, 0)
-    if distb:
-        commit([], 0)  # genesis
+    counters = dict.fromkeys(_LINK_COUNTERS, 0)
+    delivered_log = array("q")
+    delivered_through = array("q", [0])
 
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
@@ -332,21 +325,15 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
         # later, smaller one may still fit. The int sum stays below 2**53, and
         # int-float comparison is exact.
         limit = benign_budget + 1e-6
-        delivered_bytes = delivered = parked = 0
+        delivered_bytes = delivered = 0
         for t, nid, size, seq in window_benign:
             if delivered_bytes + size > limit:
                 continue
             delivered_bytes += size
             delivered += 1
             if distb:
-                payload = f"{nid}|{seq}|{t}|{size}".encode()
-                tx = bc.make_transaction(names[nid], BS_ID, payload, t)
-                verdict = contract.verdict(tx.sensor_id)
-                bc.admit_or_park(ledger, tx, verdict, t1)
-                if verdict.is_pending:
-                    parked += 1
-                while len(ledger.queued) >= cfg.block_batch:
-                    commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+                delivered_log.extend((t, nid, size, seq))
+        delivered_through.append(len(delivered_log))
 
         atk_delivered = atk_packets = 0
         for src in sorted(attack_offered):
@@ -368,7 +355,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             ("delivered", delivered + atk_delivered),
             ("dropped", benign_dropped + atk_dropped),
             ("blocked", n_blocked + atk_blocked),
-            ("parked_txs", parked),
         ):
             counters[key] += value
         return generated_bytes, delivered_bytes, atk_packets
@@ -381,7 +367,7 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     ends = [*range(0, end, WINDOW_MS), end]
     arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
     batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
-    windows_settled = 0
+    last_tick = 0
     benign_bytes_generated = benign_bytes_delivered = benign_bytes_delivered_attack = 0
     cpu_acc_pkts = 0
     cpu_ewma = 0.0
@@ -396,7 +382,6 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
             generated, delivered, attack_pkts = settle_window(
                 ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
             )
-            windows_settled += 1
             benign_bytes_generated += generated
             benign_bytes_delivered += delivered
             if cfg.attack is not None:
@@ -414,31 +399,93 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
                     refresh_verdicts()
             if next_round_at() == t1 < end:
                 node_set = do_round(node_set)
-            if distb and ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-                commit(list(ledger.queued.values()), t1)
-            if distb and (t1 % 1000 == 0 or t1 == end):
-                counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
+            last_tick = t1
     except ExhaustedNetworkError:
         terminated_early = True
 
-    if distb and ledger.queued and not terminated_early:
-        commit(list(ledger.queued.values()), cfg.sim_time_ms)
-    counters["blocks"] = len(ledger.blocks)
-    counters["pending_at_end"] = len(ledger.pending)
-    counters["queued_at_end"] = len(ledger.queued)  # non-zero only when the network died
-
-    return RawResult(
+    return LinkResult(
         counters=counters,
         benign_bytes_generated=benign_bytes_generated,
         benign_bytes_delivered=benign_bytes_delivered,
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
         attack_trace=attack_trace,
         cpu_load_samples=cpu_samples,
-        ledger=ledger,
         drop_table=drop_table,
         terminated_early=terminated_early,
-        events_processed=windows_settled,
+        events_processed=len(delivered_through) - 1,
+        last_tick=last_tick,
+        delivered=delivered_log,
+        delivered_through=delivered_through,
     )
+
+
+def run_raw(cfg: ScenarioConfig) -> RawResult:
+    """Run the link stage, then the ledger stage over its delivered packets,
+    and return raw, calibration-free results.
+
+    Window by window, each packet becomes a transaction that is admitted or
+    parked at its window end t1, sealing a block whenever `block_batch` are
+    queued. Then, up to `last_tick`, the queue is mined on
+    `block_interval_ms` ends and the waiting room swept every second, both
+    also at the horizon. The trap: a round due exactly at t1 runs after
+    settlement, so if it exhausts the network, that window's packets are
+    admitted but its mine and sweep never run. The leftover queue is sealed
+    at the horizon unless the run ended early.
+    """
+    cfg = validate_config(cfg)
+    link = run_link(cfg)
+    counters = link.counters | dict.fromkeys(_LEDGER_COUNTERS, 0)
+    ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
+    if cfg.mode == "distb":
+        _run_ledger(cfg, link, ledger, counters)
+    counters["blocks"] = len(ledger.blocks)
+    counters["pending_at_end"] = len(ledger.pending)
+    counters["queued_at_end"] = len(ledger.queued)  # non-zero only when the network died
+    return RawResult(**{**vars(link), "counters": counters}, ledger=ledger)
+
+
+def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
+    """The ledger stage over the link stage's delivered packets (see run_raw)."""
+    rng_misc = np.random.default_rng([cfg.seed, 3])
+    names = [f"s-{i}" for i in range(cfg.node_count)]
+    k = int(round(cfg.unregistered_fraction * cfg.node_count))
+    unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
+    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
+    stakes = cfg.consensus.stakes_dict()
+
+    def commit(txs, now: int) -> None:
+        index = len(ledger.blocks)
+        if cfg.consensus.kind == "pos":
+            validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
+            block = bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
+        else:
+            block = bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
+        bc.append_block(ledger, block)
+        counters["committed_txs"] += len(txs)
+
+    commit([], 0)  # genesis
+    end = cfg.sim_time_ms
+    through = link.delivered_through
+    for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
+        t1 = min(w * WINDOW_MS, end)
+        packets = iter(link.delivered[lo:hi])
+        for t, nid, size, seq in zip(packets, packets, packets, packets):
+            payload = f"{nid}|{seq}|{t}|{size}".encode()
+            tx = bc.make_transaction(names[nid], BS_ID, payload, t)
+            verdict = contract.verdict(tx.sensor_id)
+            bc.admit_or_park(ledger, tx, verdict, t1)
+            if verdict.is_pending:
+                counters["parked_txs"] += 1
+            while len(ledger.queued) >= cfg.block_batch:
+                commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+        if t1 > link.last_tick:
+            break  # a round at t1 exhausted the network before the mine
+        if ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+            commit(list(ledger.queued.values()), t1)
+        if t1 % 1000 == 0 or t1 == end:
+            counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
+    if ledger.queued and not link.terminated_early:
+        commit(list(ledger.queued.values()), end)
 
 
 def attack_rate_kpps(cfg: ScenarioConfig) -> float:
@@ -448,30 +495,32 @@ def attack_rate_kpps(cfg: ScenarioConfig) -> float:
     return cfg.attack.sources * cfg.attack.multiplier * cfg.sensor_rate_pps / 1000.0
 
 
-def bundle_from_raw(cfg: ScenarioConfig, raw: RawResult) -> MetricsBundle:
-    """The run's counters and raw figures; no calibration is applied here."""
+def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:
+    """The raw figures the link stage measured; no calibration is applied here."""
     sim_s = cfg.sim_time_ms / 1000.0
-    benign_kbps = raw.benign_bytes_delivered * 8.0 / 1000.0 / sim_s
+    benign_kbps = link.benign_bytes_delivered * 8.0 / 1000.0 / sim_s
     raw_attack_mbps = None
     if cfg.attack is not None:
         dur_s = (cfg.attack.stop_ms - cfg.attack.start_ms) / 1000.0
-        raw_attack_mbps = raw.benign_bytes_delivered_attack_window * 8.0 / 1e6 / dur_s
-
-    raw_extras = {
+        raw_attack_mbps = link.benign_bytes_delivered_attack_window * 8.0 / 1e6 / dur_s
+    return {
         "benign_kbps": benign_kbps,
         "benign_mbps": benign_kbps / 1000.0,
-        "benign_bytes_delivered": raw.benign_bytes_delivered,
-        "benign_bytes_generated": raw.benign_bytes_generated,
+        "benign_bytes_delivered": link.benign_bytes_delivered,
+        "benign_bytes_generated": link.benign_bytes_generated,
         "attack_window_benign_mbps": raw_attack_mbps,
-        "blocked_sources": sorted(raw.block_times),
-        "block_times_ms": {k: raw.block_times[k] for k in sorted(raw.block_times)},
-        "chain_length": len(raw.ledger.blocks),
+        "blocked_sources": sorted(link.block_times),
+        "block_times_ms": {k: link.block_times[k] for k in sorted(link.block_times)},
     }
+
+
+def bundle_from_raw(cfg: ScenarioConfig, raw: RawResult) -> MetricsBundle:
+    """The run's counters and raw figures; no calibration is applied here."""
     return MetricsBundle(
         mode=cfg.mode,
         counters=dict(raw.counters),
         terminated_early=raw.terminated_early,
-        raw=raw_extras,
+        raw={**link_figures(cfg, raw), "chain_length": len(raw.ledger.blocks)},
     )
 
 
@@ -506,11 +555,12 @@ def _cpu_cfg(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def _sweep(cfg: ScenarioConfig, xs, battery_cfg, figure: str) -> list[list[tuple[ScenarioConfig, float]]]:
-    """Run each (x, mode) battery config once: per x, [(config, raw[figure])] in MODES order."""
+    """Run each (x, mode) battery config's link stage once: per x,
+    [(config, link figure)] in MODES order."""
     sweep = []
     for x in xs:
         runs = [battery_cfg(cfg, x, mode) for mode in MODES]
-        sweep.append([(run_cfg, run_scenario(run_cfg).raw[figure]) for run_cfg in runs])
+        sweep.append([(run_cfg, link_figures(run_cfg, run_link(run_cfg))[figure]) for run_cfg in runs])
     return sweep
 
 
@@ -572,7 +622,7 @@ def measure_cpu_flooding(cfg: ScenarioConfig) -> list[tuple[float, float]]:
     calib = cfg.resolved_calibration()
     return [
         (t_ms / 1000.0, calib.cpu_base_pct + calib.cpu_kappa * load)
-        for t_ms, load in run_raw(_cpu_cfg(cfg)).cpu_load_samples
+        for t_ms, load in run_link(_cpu_cfg(cfg)).cpu_load_samples
     ]
 
 
@@ -602,8 +652,8 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     cpu_table = tables["cpu_pct"]
     cpu_base = float(cpu_table["cpu"][0])
     cpu_peak = float(max(cpu_table["cpu"]))
-    raw = run_raw(_cpu_cfg(base))
-    max_load = max((load for _, load in raw.cpu_load_samples), default=0.0)
+    link = run_link(_cpu_cfg(base))
+    max_load = max((load for _, load in link.cpu_load_samples), default=0.0)
     kappa = (cpu_peak - cpu_base) / max_load if max_load > 0 else 0.0
 
     doc = {

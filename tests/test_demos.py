@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("01_topology_and_clustering.py", "02_flow_rules_and_flood_mitigation.py", "03_transaction_ledger_pipeline.py")
+DEMOS = (
+    "01_topology_and_clustering.py",
+    "02_flow_rules_and_flood_mitigation.py",
+    "03_transaction_ledger_pipeline.py",
+    "04_reproduce_evaluation_tables.py",
+)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

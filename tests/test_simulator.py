@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 
@@ -10,11 +11,16 @@ from distb.cli import _flow_tables_json
 from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError
 from distb.simulator import (
+    LinkResult,
     attack_rate_kpps,
     bundle_from_raw,
     generate_traffic,
     inject_attack,
+    measure_bandwidth_under_attack,
+    measure_cpu_flooding,
     measure_response_time,
+    measure_throughput,
+    run_link,
     run_raw,
     run_scenario,
 )
@@ -108,6 +114,24 @@ def test_tick_order_pinned_by_output_digest(name):
         h.update(text.encode("utf-8") + b"\0")
     assert h.hexdigest() == expected
     assert_ledger_books_close(raw)
+    link = run_link(cfg)  # the link stage alone measures what run_raw's link stage did
+    for f in dataclasses.fields(LinkResult):
+        if f.name == "counters":
+            assert link.counters == {k: raw.counters[k] for k in link.counters}
+        else:
+            assert getattr(link, f.name) == getattr(raw, f.name), f.name
+
+
+def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a battery touched the ledger")
+
+    for name in ("make_transaction", "mine_block", "seal_block_pos"):
+        monkeypatch.setattr(bc, name, refuse)
+    cfg = ScenarioConfig(node_count=5)
+    assert [row[0] for row in measure_throughput(cfg, node_counts=(1, 5))] == [1, 5]
+    assert [row[0] for row in measure_bandwidth_under_attack(cfg, rates=(6.0, 12.0))] == [6.0, 12.0]
+    assert measure_cpu_flooding(cfg)
 
 
 # --- traffic generation ------------------------------------------------------
