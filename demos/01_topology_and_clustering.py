@@ -5,9 +5,9 @@ energy budget drain over rounds until the network dies.
 Run:  python demos/01_topology_and_clustering.py
 """
 
-from distb.clustering import cluster_set_to_json, run_round, select_cluster_heads, sort_nodes
+from distb.clustering import run_round
 from distb.errors import ExhaustedNetworkError
-from distb.topology import TopologyParams, generate_topology, refresh_dist_bs
+from distb.topology import TopologyParams, generate_topology
 
 # A 50-node field in a 2.5 km square, seeded so the story repeats exactly.
 ns = generate_topology(50, 2500.0, seed=42)
@@ -15,12 +15,12 @@ print(f"placed {len(ns.nodes)} nodes; base station at "
       f"({ns.base_station.location.x:.0f}, {ns.base_station.location.y:.0f}, 0)")
 
 # One election: sort by (energy desc, distance-to-BS asc, id) and scan.
-clusters = select_cluster_heads(sort_nodes(refresh_dist_bs(ns)))
+# A round also charges energy; this look keeps only the election.
+clusters, _ = run_round(ns, TopologyParams())
 print(f"\nround 0 elects {len(clusters.clusters)} cluster heads:")
 for c in clusters.clusters[:5]:
     print(f"  head {c.head_id:2d} with {len(c.member_ids)} members")
 print("  ...")
-print("\nJSON form (first 120 chars):", cluster_set_to_json(clusters)[:120], "...")
 
 # Heads pay for aggregation and the uplink, members for one transmission.
 # With aggressive costs the field visibly ages; re-election rotates the

@@ -24,7 +24,7 @@ from .blockchain import (
     verify_transaction,
 )
 from .calibration import Calibration, load_default, load_reference_tables
-from .clustering import Cluster, ClusterSet, run_round, select_cluster_heads, sort_nodes
+from .clustering import Cluster, ClusterSet, run_round
 from .config import AttackConfig, ConsensusConfig, ScenarioConfig, parse_config
 from .errors import (
     ConfigError,

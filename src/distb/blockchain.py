@@ -20,8 +20,9 @@ Canonical byte layout (everything hashed goes through this, never JSON):
     block hash       = SHA-256(block header)
 
 A pow seal requires the block hash to carry at least `difficulty` leading
-zero bits (0 <= difficulty <= 256). The genesis block has index 0 and an
-all-zero prev_hash.
+zero bits (0 <= difficulty <= 256) and an empty validator; a pos seal requires
+a non-empty validator and difficulty 0, so no sealer field escapes the hash.
+The genesis block has index 0 and an all-zero prev_hash.
 
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
@@ -363,8 +364,12 @@ def check_block(block: Block) -> str | None:
         return "hash does not match header"
     if block.sealer.kind == "pow" and not block.hash < pow_target(block.sealer.difficulty):
         return "hash misses difficulty target"
+    if block.sealer.kind == "pow" and block.sealer.validator:
+        return "pow seal with a validator"
     if block.sealer.kind == "pos" and not block.sealer.validator:
         return "pos seal without validator"
+    if block.sealer.kind == "pos" and block.sealer.difficulty:
+        return "pos seal with a difficulty"
     return None
 
 

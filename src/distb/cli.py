@@ -149,6 +149,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _pct(part: float, whole: float) -> float | None:
+    """part / whole in percent; None (JSON null) where whole is 0 and the figure is undefined."""
+    return part / whole * 100.0 if whole else None
+
+
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     raw_distb = run_raw(cfg.with_(mode="distb"))
@@ -157,8 +162,7 @@ def cmd_compare(args) -> int:
     bundle_base = bundle_from_raw(cfg.with_(mode="of-baseline"), raw_base)
     files, series = _battery_files(cfg)
 
-    resp = series["response"]
-    reduction = [(core - d) / core * 100.0 for _, d, core in resp]
+    reduction = [_pct(core - d, core) for _, d, core in series["response"]]
     bw = series["bandwidth"]
     distb_col = [r[1] for r in bw]
     base_col = [r[2] for r in bw]
@@ -168,10 +172,10 @@ def cmd_compare(args) -> int:
         abs(main_distb_mbps - main_base_mbps) / main_base_mbps * 100.0 if main_base_mbps else 0.0
     )
     summary = {
-        "response_reduction_pct_avg": sum(reduction) / len(reduction),
+        "response_reduction_pct_avg": None if None in reduction else sum(reduction) / len(reduction),
         "bandwidth_drop_pct": {
-            "distb": (distb_col[0] - distb_col[-1]) / distb_col[0] * 100.0,
-            "baseline": (base_col[0] - base_col[-1]) / base_col[0] * 100.0,
+            "distb": _pct(distb_col[0] - distb_col[-1], distb_col[0]),
+            "baseline": _pct(base_col[0] - base_col[-1], base_col[0]),
         },
         "main_bandwidth_delta_pct": delta_pct,
         "throughput_ratio": {

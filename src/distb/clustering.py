@@ -1,12 +1,13 @@
-"""Energy-aware cluster head selection and the per-round loop.
+"""Energy-aware cluster head selection: one round of it, as the engine runs it.
 
-Selection walks the node list in a single composite order (energy descending,
-distance to the base station ascending, id ascending). The first unassigned
-node becomes a head; every later unassigned node strictly inside the head's
-coverage radius becomes its member. Heads therefore never have less energy
-than their members, and member assignment is first-wins.
+`run_round` is the only head election. It walks the live nodes in a single
+composite order (energy descending, distance to the base station ascending,
+id ascending). The first unassigned node becomes a head; every later
+unassigned node strictly inside the head's coverage radius becomes its member.
+Heads therefore never have less energy than their members, and member
+assignment is first-wins.
 
-Each round re-sorts, re-elects, then charges energy: a head pays
+After the election the round charges energy: a head pays
 head_cost + tx_cost * len(members), a member pays tx_cost. Depleted nodes
 drop out of later rounds. A round works on arrays of the nodes' coordinates
 and energies; every distance it keeps or compares against a radius is still
@@ -15,7 +16,6 @@ and energies; every distance it keeps or compares against a radius is still
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +38,6 @@ class Cluster:
 class ClusterSet:
     clusters: tuple[Cluster, ...]
     round: int = 0
-
-
-def sort_key(node) -> tuple[float, float, int]:
-    return (-node.energy, node.dist_bs, node.id)
-
-
-def sort_nodes(node_set: NodeSet) -> NodeSet:
-    """Order by energy descending, dist_bs ascending, id ascending (stable, total)."""
-    return NodeSet(
-        nodes=sorted(node_set.nodes, key=sort_key),
-        base_station=node_set.base_station,
-    )
 
 
 def _elect(nodes: list, xyz: np.ndarray) -> list[tuple[int, list[int]]]:
@@ -85,34 +73,15 @@ def _coords(nodes: list) -> np.ndarray:
     return xyz
 
 
-def _clusters(nodes: list, elected: list[tuple[int, list[int]]]) -> tuple[Cluster, ...]:
-    return tuple(
-        Cluster(head_id=nodes[i].id, member_ids=tuple(nodes[j].id for j in members))
-        for i, members in elected
-    )
-
-
-def select_cluster_heads(node_set: NodeSet, round_no: int = 0) -> ClusterSet:
-    """Elect heads and assign members over an already-sorted node set.
-
-    Every node ends as exactly one of head or member. Membership uses the
-    strict predicate distance(head, candidate) < head.area.
-    """
-    nodes = node_set.nodes
-    if not nodes:
-        raise ValueError("cannot cluster an empty node set")
-    elected = _elect(nodes, _coords(nodes))
-    return ClusterSet(clusters=_clusters(nodes, elected), round=round_no)
-
-
 def run_round(
     node_set: NodeSet,
     params: TopologyParams,
     round_no: int = 0,
 ) -> tuple[ClusterSet, NodeSet]:
-    """One clustering epoch over arrays: dist_bs, sort, elect, charge energy.
+    """One clustering epoch over arrays: distance to the base station, sort,
+    elect, charge energy.
 
-    Returns the election result and the post-charge node set (flags updated,
+    Returns the election result and the post-charge node set (new energies,
     depleted nodes kept in the list but excluded from the election). Raises
     ExhaustedNetworkError when no node holds energy.
     """
@@ -131,26 +100,15 @@ def run_round(
     elected = _elect(ordered, xyz[:, order])
 
     cost = np.where(alive, params.tx_cost_j, 0.0)
-    head = np.zeros(len(nodes), dtype=bool)
     for i, members in elected:
-        k = order[i]
-        head[k] = True
-        cost[k] = params.head_cost_j + params.tx_cost_j * len(members)
+        cost[order[i]] = params.head_cost_j + params.tx_cost_j * len(members)
     energy = np.where(alive, np.maximum(0.0, energy - cost), energy)
-    updated = [
-        Node(id=n.id, location=n.location, energy=e, area=n.area, head=h, member=a and not h, dist_bs=d)
-        for n, e, h, a, d in zip(nodes, energy.tolist(), head.tolist(), alive.tolist(), dist_bs.tolist())
-    ]
-    clusters = ClusterSet(clusters=_clusters(ordered, elected), round=round_no)
+    updated = [Node(id=n.id, location=n.location, energy=e, area=n.area) for n, e in zip(nodes, energy.tolist())]
+    clusters = ClusterSet(
+        clusters=tuple(
+            Cluster(head_id=ordered[i].id, member_ids=tuple(ordered[j].id for j in members))
+            for i, members in elected
+        ),
+        round=round_no,
+    )
     return clusters, NodeSet(nodes=updated, base_station=node_set.base_station)
-
-
-def cluster_set_to_json(cluster_set: ClusterSet) -> str:
-    doc = {
-        "round": cluster_set.round,
-        "clusters": [
-            {"head_id": c.head_id, "member_ids": list(c.member_ids)}
-            for c in cluster_set.clusters
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)

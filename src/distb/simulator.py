@@ -488,13 +488,6 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
         commit(list(ledger.queued.values()), end)
 
 
-def attack_rate_kpps(cfg: ScenarioConfig) -> float:
-    """Aggregate attack arrival rate in thousand packets per second."""
-    if cfg.attack is None:
-        return 0.0
-    return cfg.attack.sources * cfg.attack.multiplier * cfg.sensor_rate_pps / 1000.0
-
-
 def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:
     """The raw figures the link stage measured; no calibration is applied here."""
     sim_s = cfg.sim_time_ms / 1000.0
@@ -579,11 +572,7 @@ def measure_throughput(cfg: ScenarioConfig, node_counts=None) -> list[tuple[int,
 
 
 def measure_bandwidth_under_attack(cfg: ScenarioConfig, rates=None) -> list[tuple[float, float, float]]:
-    """Benign bandwidth under flood per arrival rate: (rate_kpps, distb, baseline) Mbps.
-
-    Each value is read off the calibration at the battery run's own attack
-    rate, which can sit one ulp from the rate that labels the row.
-    """
+    """Benign bandwidth under flood per arrival rate: (rate_kpps, distb, baseline) Mbps."""
     rate_list = list(rates) if rates is not None else list(
         load_reference_tables()["bandwidth_mbps"]["arrival_rate_kps"]
     )
@@ -591,7 +580,7 @@ def measure_bandwidth_under_attack(cfg: ScenarioConfig, rates=None) -> list[tupl
         raise ValueError("rates must be non-empty")
     calib = cfg.resolved_calibration()
     return [
-        (float(rate), *(calib.scaled("bandwidth", c.mode, attack_rate_kpps(c), mbps) for c, mbps in runs))
+        (float(rate), *(calib.scaled("bandwidth", c.mode, rate, mbps) for c, mbps in runs))
         for rate, runs in zip(rate_list, _sweep(cfg, rate_list, _bandwidth_cfg, "attack_window_benign_mbps"))
     ]
 

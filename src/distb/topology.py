@@ -1,17 +1,16 @@
 """Physical world model: node placement, the base station, and energy bookkeeping.
 
-Nodes live in a square footprint with a bounded height band. Every node carries
-residual energy (joules), a coverage radius ("area", meters) inside which it may
-adopt cluster members, and its distance to the base station. Nodes and the base
-station never move; the clustering round recomputes that distance from the
-coordinates and writes it into the nodes it returns.
+Nodes live in a square footprint with a bounded height band. A node carries
+only what outlives a clustering round: its id, its location, its residual
+energy (joules) and its coverage radius ("area", meters) inside which it may
+adopt cluster members. Nodes and the base station never move; each round
+derives the distances and roles it needs from these fields and keeps none.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,12 @@ class BaseStation:
 
 @dataclass
 class Node:
-    """One IoT sensor. `head`/`member` are per-round flags, never both true."""
+    """One IoT sensor: the state that carries from one clustering round to the next."""
 
     id: int
     location: Point3
     energy: float
     area: float
-    head: bool = False
-    member: bool = False
-    dist_bs: float = 0.0
 
     @property
     def depleted(self) -> bool:
@@ -90,8 +86,7 @@ def generate_topology(
     """Place `n` nodes uniformly at random in the footprint, deterministically per seed.
 
     The base station sits at the footprint center at ground level. Initial
-    energy and coverage radius are drawn uniformly from the configured ranges;
-    dist_bs is populated immediately.
+    energy and coverage radius are drawn uniformly from the configured ranges.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
@@ -107,64 +102,5 @@ def generate_topology(
     nodes = []
     for i in range(n):
         loc = Point3(float(xs[i]), float(ys[i]), float(zs[i]))
-        nodes.append(
-            Node(
-                id=i,
-                location=loc,
-                energy=float(energies[i]),
-                area=float(radii[i]),
-                dist_bs=distance(loc, bs.location),
-            )
-        )
-    return NodeSet(nodes=nodes, base_station=bs)
-
-
-def refresh_dist_bs(node_set: NodeSet) -> NodeSet:
-    """Return a copy with dist_bs recomputed against the current base station."""
-    bs = node_set.base_station
-    nodes = [replace(n, dist_bs=distance(n.location, bs.location)) for n in node_set.nodes]
-    return NodeSet(nodes=nodes, base_station=bs)
-
-
-def node_set_to_json(node_set: NodeSet) -> str:
-    """Serialize for test fixtures: id, x, y, z, energy, area per node."""
-    doc = {
-        "base_station": {
-            "x": node_set.base_station.location.x,
-            "y": node_set.base_station.location.y,
-            "z": node_set.base_station.location.z,
-        },
-        "nodes": [
-            {
-                "id": n.id,
-                "x": n.location.x,
-                "y": n.location.y,
-                "z": n.location.z,
-                "energy": n.energy,
-                "area": n.area,
-            }
-            for n in node_set.nodes
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def node_set_from_json(text: str) -> NodeSet:
-    doc = json.loads(text)
-    bs = BaseStation(Point3(doc["base_station"]["x"], doc["base_station"]["y"], doc["base_station"]["z"]))
-    nodes = []
-    for rec in doc["nodes"]:
-        loc = Point3(rec["x"], rec["y"], rec["z"])
-        nodes.append(
-            Node(
-                id=int(rec["id"]),
-                location=loc,
-                energy=float(rec["energy"]),
-                area=float(rec["area"]),
-                dist_bs=distance(loc, bs.location),
-            )
-        )
-    ids = [n.id for n in nodes]
-    if len(set(ids)) != len(ids):
-        raise ValueError("node ids must be unique")
+        nodes.append(Node(id=i, location=loc, energy=float(energies[i]), area=float(radii[i])))
     return NodeSet(nodes=nodes, base_station=bs)

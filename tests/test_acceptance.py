@@ -20,7 +20,7 @@ import numpy as np
 
 from distb import blockchain as bc
 from distb.calibration import load_default, load_reference_tables
-from distb.clustering import select_cluster_heads, sort_nodes
+from distb.clustering import run_round
 from distb.config import AttackConfig, ScenarioConfig
 from distb.simulator import (
     measure_bandwidth_under_attack,
@@ -31,7 +31,7 @@ from distb.simulator import (
     run_raw,
     run_scenario,
 )
-from distb.topology import NodeSet, generate_topology, refresh_dist_bs
+from distb.topology import TopologyParams, generate_topology
 
 TABLES = load_reference_tables()
 
@@ -82,15 +82,14 @@ def test_criterion_1_chs_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(1, 11))
         ns = generate_topology(n, float(rng.choice([300, 800, 2500])), seed=trial)
-        got = select_cluster_heads(sort_nodes(refresh_dist_bs(ns)))
+        got = run_round(ns, TopologyParams())[0]
         assert [(c.head_id, c.member_ids) for c in got.clusters] == oracle_algorithm(ns), trial
 
     for trial in range(1000):
         n = int(rng.integers(1, 101))
         ns = generate_topology(n, 2500.0, seed=10_000 + trial)
-        s = sort_nodes(refresh_dist_bs(ns))
-        cs = select_cluster_heads(s)
-        by_id = {node.id: node for node in s.nodes}
+        cs = run_round(ns, TopologyParams())[0]
+        by_id = {node.id: node for node in ns.nodes}
         seen = []
         for c in cs.clusters:
             seen.append(c.head_id)
@@ -105,7 +104,7 @@ def test_criterion_1_chs_oracle_equivalence():
                 )
                 assert d < head.area
                 assert head.energy >= member.energy
-        assert sorted(seen) == sorted(node.id for node in s.nodes)
+        assert sorted(seen) == sorted(node.id for node in ns.nodes)
     print("CRITERION 1 PASS: oracle equivalence on 200 sets; invariants on 1000 sets")
 
 

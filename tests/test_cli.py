@@ -9,7 +9,7 @@ import pytest
 from distb.blockchain import export_ledger
 from distb.calibration import load_default
 from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, _write_outputs, main
-from distb.config import parse_config
+from distb.config import config_from_dict, parse_config
 from distb.simulator import run_raw
 
 SMALL_CFG = {
@@ -257,6 +257,25 @@ def test_validate_chain_mistyped_field_exit_4(tmp_path, run_export, capsys, path
     assert err.startswith("cannot parse ledger: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "consensus, key, value",
+    [({}, "validator", "mallory"), ({"kind": "pos", "stakes": {"a": 1.0}}, "difficulty", 99)],
+    ids=["pow-validator", "pos-difficulty"],
+)
+def test_validate_chain_flags_a_sealer_field_its_kind_does_not_hash(tmp_path, capsys, consensus, key, value):
+    # a pow header holds no validator and a pos header no difficulty, so the
+    # edit leaves the hash intact; the seal check must refuse it all the same
+    raw = run_raw(config_from_dict({"node_count": 4, "sim_time_ms": 1000, "consensus": consensus}))
+    lines = export_ledger(raw.ledger).splitlines()
+    doc = json.loads(lines[1])
+    doc["sealer"][key] = value
+    lines[1] = json.dumps(doc, sort_keys=True)
+    ledger = tmp_path / "ledger.ndjson"
+    ledger.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(ledger)]) == EXIT_INTEGRITY
+    assert "chain INVALID at block 1" in capsys.readouterr().out
+
+
 def test_validate_chain_empty_file_is_parse_error(tmp_path):
     empty = tmp_path / "empty.ndjson"
     empty.write_text("")
@@ -345,3 +364,25 @@ def test_compare_summary(tmp_path, small_cfg_path, capsys):
     assert summary["main_bandwidth_delta_pct"] <= 5.0
     ratios = summary["throughput_ratio"]
     assert all(v >= 1.0 for n, v in ratios.items() if int(n) >= 5)
+
+
+def _compare_summary(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["compare", "-c", str(cfg), "-o", str(out)]) == EXIT_OK
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_compare_writes_null_for_a_drop_from_a_dead_battery(tmp_path):
+    # the bandwidth battery's network dies, so its first row, the drop's denominator, is 0
+    summary = _compare_summary(tmp_path, {"energy_range_j": [0.01, 0.02], "sim_time_ms": 2000})
+    assert summary["bandwidth_drop_pct"] == {"distb": None, "baseline": None}
+
+
+def test_compare_writes_null_for_a_reduction_against_a_zero_core_response(tmp_path):
+    calib = load_default().to_dict()
+    calib["response"]["core"] = {"alpha": 0, "beta": 0}
+    summary = _compare_summary(tmp_path, {**SMALL_CFG, "calibration": calib})
+    assert summary["response_reduction_pct_avg"] is None
+    assert summary["bandwidth_drop_pct"]["distb"] is not None

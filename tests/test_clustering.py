@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distb.clustering import run_round, select_cluster_heads, sort_nodes
+from distb.clustering import run_round
 from distb.errors import ExhaustedNetworkError
 from distb.topology import (
     BaseStation,
@@ -15,7 +16,6 @@ from distb.topology import (
     TopologyParams,
     distance,
     generate_topology,
-    refresh_dist_bs,
 )
 
 
@@ -24,7 +24,7 @@ def make_node(nid, x, y, z, energy, area):
 
 
 def make_set(nodes, bs=(0.0, 0.0, 0.0)):
-    return refresh_dist_bs(NodeSet(nodes=nodes, base_station=BaseStation(Point3(*bs))))
+    return NodeSet(nodes=nodes, base_station=BaseStation(Point3(*bs)))
 
 
 # --- independent re-execution oracle (selection sort + greedy scan) ---------
@@ -73,8 +73,18 @@ def oracle_clusters(node_set):
 
 
 def library_clusters(node_set):
-    cs = select_cluster_heads(sort_nodes(refresh_dist_bs(node_set)))
+    cs, _ = run_round(node_set, TopologyParams())
     return [(c.head_id, c.member_ids) for c in cs.clusters]
+
+
+def election_order(node_set):
+    """The order `run_round` elects in: with every radius 0, each node heads its own cluster."""
+    solo = NodeSet(nodes=[replace(n, area=0.0) for n in node_set.nodes], base_station=node_set.base_station)
+    return [head_id for head_id, _ in library_clusters(solo)]
+
+
+def sort_key(node, node_set):
+    return (-node.energy, distance(node.location, node_set.base_station.location), node.id)
 
 
 # --- sort ---------------------------------------------------------------
@@ -86,12 +96,12 @@ def test_sort_composite_key_forced():
     b = make_node(1, 30, 0, 0, 9.0, 100)
     c = make_node(2, 20, 0, 0, 9.0, 100)
     ns = make_set([a, b, c])
-    assert [n.id for n in sort_nodes(ns).nodes] == [2, 1, 0]
+    assert election_order(ns) == [2, 1, 0]
 
 
 def test_sort_single_node():
     ns = make_set([make_node(0, 1, 1, 1, 5.0, 100)])
-    assert [n.id for n in sort_nodes(ns).nodes] == [0]
+    assert election_order(ns) == [0]
 
 
 def test_sort_matches_exhaustive_oracle():
@@ -103,10 +113,9 @@ def test_sort_matches_exhaustive_oracle():
             for i in range(10)
         ]
         ns = make_set(nodes)
-        got = [n.id for n in sort_nodes(ns).nodes]
         # independent comparison sort on the same key
-        expect = sorted(ns.nodes, key=lambda n: (-n.energy, n.dist_bs, n.id))
-        assert got == [n.id for n in expect]
+        expect = sorted(ns.nodes, key=lambda n: sort_key(n, ns))
+        assert election_order(ns) == [n.id for n in expect]
 
 
 # --- head selection -------------------------------------------------------
@@ -114,15 +123,14 @@ def test_sort_matches_exhaustive_oracle():
 
 def test_single_node_is_head():
     ns = make_set([make_node(0, 5, 5, 0, 10.0, 100)])
-    cs = select_cluster_heads(sort_nodes(ns))
-    assert [(c.head_id, c.member_ids) for c in cs.clusters] == [(0, ())]
+    assert library_clusters(ns) == [(0, ())]
 
 
 def test_two_distant_nodes_two_singleton_heads():
     ns = make_set([make_node(0, 0, 0, 0, 10.0, 50), make_node(1, 1000, 0, 0, 8.0, 50)])
-    cs = select_cluster_heads(sort_nodes(ns))
-    assert sorted(c.head_id for c in cs.clusters) == [0, 1]
-    assert all(c.member_ids == () for c in cs.clusters)
+    clusters = library_clusters(ns)
+    assert sorted(head_id for head_id, _ in clusters) == [0, 1]
+    assert all(members == () for _, members in clusters)
 
 
 def test_five_node_fixture_matches_oracle():
@@ -145,8 +153,9 @@ def test_selection_matches_oracle_on_seeded_sets():
 
 
 def test_empty_set_rejected():
-    with pytest.raises(ValueError):
-        select_cluster_heads(NodeSet(nodes=[], base_station=BaseStation(Point3(0, 0, 0))))
+    # no node holds energy, so there is no one to elect
+    with pytest.raises(ExhaustedNetworkError):
+        run_round(NodeSet(nodes=[], base_station=BaseStation(Point3(0, 0, 0))), TopologyParams())
 
 
 def test_determinism():
@@ -159,23 +168,20 @@ def test_determinism():
 def test_first_sorted_node_is_head():
     for seed in range(20):
         ns = generate_topology(15, 1000, seed=seed)
-        s = sort_nodes(refresh_dist_bs(ns))
-        cs = select_cluster_heads(s)
-        assert cs.clusters[0].head_id == s.nodes[0].id
+        first = min(ns.nodes, key=lambda n: sort_key(n, ns))
+        assert library_clusters(ns)[0][0] == first.id
 
 
 def test_partition_coverage_dominance_invariants():
     for seed in range(40):
         ns = generate_topology(30, 1500, seed=seed)
-        s = sort_nodes(refresh_dist_bs(ns))
-        cs = select_cluster_heads(s)
-        by_id = {n.id: n for n in s.nodes}
+        by_id = {n.id: n for n in ns.nodes}
         seen = []
-        for c in cs.clusters:
-            seen.append(c.head_id)
-            seen.extend(c.member_ids)
-            head = by_id[c.head_id]
-            for m in c.member_ids:
+        for head_id, members in library_clusters(ns):
+            seen.append(head_id)
+            seen.extend(members)
+            head = by_id[head_id]
+            for m in members:
                 member = by_id[m]
                 d = math.dist(
                     (head.location.x, head.location.y, head.location.z),
@@ -183,7 +189,7 @@ def test_partition_coverage_dominance_invariants():
                 )
                 assert d < head.area
                 assert head.energy >= member.energy
-        assert sorted(seen) == sorted(n.id for n in s.nodes)
+        assert sorted(seen) == sorted(n.id for n in ns.nodes)
 
 
 # --- rounds ---------------------------------------------------------------
@@ -195,9 +201,8 @@ def test_round_with_huge_energy_keeps_selection():
         nodes=[Node(n.id, n.location, 1e6 + n.energy, n.area) for n in ns.nodes],
         base_station=ns.base_station,
     )
-    expected = library_clusters(boosted)
     clusters, _ = run_round(boosted, TopologyParams(), round_no=0)
-    assert [(c.head_id, c.member_ids) for c in clusters.clusters] == expected
+    assert [(c.head_id, c.member_ids) for c in clusters.clusters] == oracle_clusters(boosted)
 
 
 def test_total_energy_strictly_decreases_until_exhaustion():
@@ -274,8 +279,6 @@ def node_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(node_sets(), st.floats(0.0, 5.0), st.floats(0.0, 2.0))
 def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
-    assert library_clusters(ns) == oracle_clusters(ns)
-
     params = TopologyParams(head_cost_j=head_cost, tx_cost_j=tx_cost)
     alive = [n for n in ns.nodes if n.energy > 0]
     if not alive:
@@ -288,18 +291,13 @@ def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
         ledger[head_id] = max(0.0, ledger[head_id] - (params.head_cost_j + params.tx_cost_j * len(members)))
         for m in members:
             ledger[m] = max(0.0, ledger[m] - params.tx_cost_j)
-    heads = {h for h, _ in oracle}
 
     clusters, after = run_round(ns, params, round_no=4)
     assert clusters.round == 4
     assert [(c.head_id, c.member_ids) for c in clusters.clusters] == oracle
-    bs = ns.base_station.location
     for before, n in zip(ns.nodes, after.nodes):
         assert (n.id, n.location, n.area) == (before.id, before.location, before.area)
         assert n.energy == ledger[n.id]
-        assert n.dist_bs == distance(n.location, bs)
-        assert n.head == (n.id in heads)
-        assert n.member == (before.energy > 0 and n.id not in heads)
 
 
 def test_membership_at_the_radius_follows_scalar_distance():
@@ -318,7 +316,6 @@ def test_membership_at_the_radius_follows_scalar_distance():
         r = distance(head, other)
         for area, members in ((r, ()), (math.nextafter(r, math.inf), (1,))):
             ns = make_set([Node(0, head, 9.0, area), Node(1, other, 1.0, 1.0)])
-            assert select_cluster_heads(ns).clusters[0].member_ids == members
             clusters, _ = run_round(ns, TopologyParams())
             assert clusters.clusters[0].member_ids == members
 
@@ -328,9 +325,8 @@ def test_non_finite_coordinate_rejected(bad):
     nodes = [make_node(0, 0.0, 0.0, 0.0, 5.0, 100.0), make_node(1, 10.0, bad, 0.0, 4.0, 100.0)]
     ns = NodeSet(nodes=nodes, base_station=BaseStation(Point3(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        select_cluster_heads(ns)
-    with pytest.raises(ValueError):
         run_round(ns, TopologyParams())
     good = NodeSet(nodes=nodes[:1], base_station=BaseStation(Point3(bad, 0.0, 0.0)))
     with pytest.raises(ValueError):
         run_round(good, TopologyParams())
+

@@ -8,14 +8,15 @@ import pytest
 from distb import blockchain as bc
 from distb.calibration import Calibration, load_default
 from distb.cli import _flow_tables_json
-from distb.config import AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
+from distb.config import MODES, AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError
 from distb.simulator import (
     LinkResult,
-    attack_rate_kpps,
+    _bandwidth_cfg,
     bundle_from_raw,
     generate_traffic,
     inject_attack,
+    link_figures,
     measure_bandwidth_under_attack,
     measure_cpu_flooding,
     measure_response_time,
@@ -321,10 +322,21 @@ def test_response_rows_use_the_given_file_sizes():
             measure_response_time(SMALL, file_sizes=(2.0, bad))
 
 
-def test_attack_rate_kpps():
-    cfg = small_attack_cfg()
-    assert attack_rate_kpps(cfg) == 2 * 10.0 * 10.0 / 1000.0
-    assert attack_rate_kpps(SMALL) == 0.0
+def test_bandwidth_rows_read_the_calibration_at_their_own_rate():
+    # At 7.3 pps the battery's multiplier puts the 13 and 24 kpps runs one ulp
+    # below their row's rate; the row still reads the calibration at its label.
+    cfg = ScenarioConfig(
+        seed=4, node_count=60, sensor_rate_pps=7.3,
+        consensus=ConsensusConfig(kind="pos", stakes=(("a", 3.0), ("b", 1.0))),
+    )
+    calib = cfg.resolved_calibration()
+    rows = measure_bandwidth_under_attack(cfg, rates=(13.0, 24.0))
+    assert [r[0] for r in rows] == [13.0, 24.0]
+    for rate, *cells in rows:
+        for mode, cell in zip(MODES, cells):
+            run_cfg = _bandwidth_cfg(cfg, rate, mode)
+            raw = link_figures(run_cfg, run_link(run_cfg))["attack_window_benign_mbps"]
+            assert cell == calib.scaled("bandwidth", mode, rate, raw), (rate, mode)
 
 
 def test_default_config_completes_under_60s():

@@ -1,15 +1,9 @@
-import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from distb.topology import (
-    Point3,
-    distance,
-    generate_topology,
-    node_set_from_json,
-    node_set_to_json,
-)
+from distb.topology import Node, Point3, distance, generate_topology
 
 
 def test_distance_identity():
@@ -42,16 +36,15 @@ def test_distance_symmetry_and_triangle():
 def test_generate_topology_deterministic():
     a = generate_topology(50, 2500, seed=42)
     b = generate_topology(50, 2500, seed=42)
-    assert node_set_to_json(a) == node_set_to_json(b)
+    assert a == b
     c = generate_topology(50, 2500, seed=43)
-    assert node_set_to_json(a) != node_set_to_json(c)
+    assert a != c
 
 
 def test_generate_topology_single_node():
     ns = generate_topology(1, 1000, seed=5)
     assert len(ns.nodes) == 1
-    n = ns.nodes[0]
-    assert n.dist_bs == distance(n.location, ns.base_station.location)
+    assert ns.nodes[0].id == 0
 
 
 def test_generate_topology_bounds():
@@ -75,11 +68,5 @@ def test_generate_topology_unique_ids():
     assert len(set(ids)) == len(ids)
 
 
-def test_json_round_trip():
-    ns = generate_topology(12, 500, seed=2)
-    text = node_set_to_json(ns)
-    back = node_set_from_json(text)
-    assert node_set_to_json(back) == text
-    for a, b in zip(ns.nodes, back.nodes):
-        assert a.id == b.id
-        assert math.isclose(a.dist_bs, b.dist_bs)
+def test_node_carries_no_per_round_state():
+    assert [f.name for f in fields(Node)] == ["id", "location", "energy", "area"]
