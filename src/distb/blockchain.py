@@ -35,7 +35,9 @@ import hashlib
 import json
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
@@ -286,21 +288,22 @@ def seal_block_pos(txs, prev_hash: bytes, validator: str, now: int, index: int) 
     )
 
 
-def select_validator(stakes: dict[str, float], seed: int) -> str:
-    """Seeded stake-weighted choice; zero-stake validators are never picked."""
-    entries = [(v, w) for v, w in sorted(stakes.items()) if w > 0]
+def stake_table(stakes: dict[str, float]) -> tuple[list[str], list[float], float]:
+    """The stakes checked once: positive-stake validators by name, running and total stake."""
     if any(w < 0 for w in stakes.values()):
         raise ValueError("stakes must be non-negative")
+    entries = [(v, w) for v, w in sorted(stakes.items()) if w > 0]
     if not entries:
         raise ValueError("at least one validator needs positive stake")
-    total = sum(w for _, w in entries)
+    weights = [w for _, w in entries]
+    return [v for v, _ in entries], list(accumulate(weights)), sum(weights)
+
+
+def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
+    """Seeded stake-weighted choice from stakes or their `stake_table`; zero stake is never picked."""
+    names, running, total = stakes if isinstance(stakes, tuple) else stake_table(stakes)
     r = random.Random(seed).random() * total
-    acc = 0.0
-    for v, w in entries:
-        acc += w
-        if r < acc:
-            return v
-    return entries[-1][0]
+    return names[min(bisect_right(running, r), len(names) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,13 @@ def cmd_compare(args) -> int:
     base_col = [r[2] for r in bw]
     main_distb_mbps = bundle_distb.raw["benign_mbps"]
     main_base_mbps = bundle_base.raw["benign_mbps"]
-    delta_pct = (
-        abs(main_distb_mbps - main_base_mbps) / main_base_mbps * 100.0 if main_base_mbps else 0.0
-    )
     summary = {
         "response_reduction_pct_avg": None if None in reduction else sum(reduction) / len(reduction),
         "bandwidth_drop_pct": {
             "distb": _pct(distb_col[0] - distb_col[-1], distb_col[0]),
             "baseline": _pct(base_col[0] - base_col[-1], base_col[0]),
         },
-        "main_bandwidth_delta_pct": delta_pct,
+        "main_bandwidth_delta_pct": _pct(abs(main_distb_mbps - main_base_mbps), main_base_mbps),
         "throughput_ratio": {
             str(n): (d / b if b else None) for n, d, b in series["throughput"]
         },

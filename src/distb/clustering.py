@@ -1,6 +1,6 @@
 """Energy-aware cluster head selection: one round of it, as the engine runs it.
 
-`run_round` is the only head election. It walks the live nodes in a single
+`elect` is the only head election. It walks the live nodes in a single
 composite order (energy descending, distance to the base station ascending,
 id ascending). The first unassigned node becomes a head; every later
 unassigned node strictly inside the head's coverage radius becomes its member.
@@ -9,13 +9,16 @@ assignment is first-wins.
 
 After the election the round charges energy: a head pays
 head_cost + tx_cost * len(members), a member pays tx_cost. Depleted nodes
-drop out of later rounds. A round works on arrays of the nodes' coordinates
-and energies; every distance it keeps or compares against a radius is still
+drop out of later rounds. Only energy changes between rounds, so a run builds
+one `Geometry` (coordinates, distances to the base station, and each node's
+cover, found the first time it heads) and each round maps an energy array to
+the next. Every distance kept or compared against a radius is still
 `topology.distance`, so the result is the scalar definition's, bit for bit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,75 +43,79 @@ class ClusterSet:
     round: int = 0
 
 
-def _elect(nodes: list, xyz: np.ndarray) -> list[tuple[int, list[int]]]:
-    """Greedy election over `nodes` in list order: (head position, member positions).
+class Geometry:
+    """What every round of a run shares, by node list position: ids, locations, radii,
+    coordinates, distances to the base station, and covers. Raises ValueError on a
+    non-finite coordinate of a node or the base station."""
 
-    Each head takes one distance row as a vector. The nodes that row puts
-    inside the radius, widened by _BAND, are confirmed with the scalar
-    `distance`, because numpy's squares can round one ulp away from libm's
-    pow; membership is therefore exactly distance(head, candidate) < head.area.
-    Positions before a head are all assigned already, so "free" is "free and
-    later", and members come out in ascending position (first-wins).
+    def __init__(self, node_set: NodeSet):
+        nodes = node_set.nodes
+        self.ids = np.array([n.id for n in nodes], dtype=np.int64)
+        self.locations = [n.location for n in nodes]
+        self.areas = [n.area for n in nodes]
+        self.xyz = np.array([(p.x, p.y, p.z) for p in self.locations], dtype=float).reshape(-1, 3).T
+        if not np.isfinite(self.xyz).all():
+            raise ValueError("clustering requires finite coordinates")
+        bs = node_set.base_station.location
+        self.dist_bs = np.array([distance(p, bs) for p in self.locations], dtype=float)
+        self.covers: list[array | None] = [None] * len(nodes)
+
+    def cover(self, i: int) -> array:
+        """The other positions strictly inside node i's radius: a vector distance row finds
+        them within _BAND, and the scalar `distance` confirms each (numpy's squares can
+        round one ulp away from libm's pow)."""
+        cover = self.covers[i]
+        if cover is None:
+            x, y, z = self.xyz
+            d = np.sqrt(((x[i] - x) ** 2 + (y[i] - y) ** 2) + (z[i] - z) ** 2)
+            area, loc = self.areas[i], self.locations[i]
+            near = np.flatnonzero(d < area + _BAND * max(area, 1.0)).tolist()
+            cover = array("i", [j for j in near if j != i and distance(loc, self.locations[j]) < area])
+            self.covers[i] = cover
+        return cover
+
+
+def elect(
+    geo: Geometry, energy: np.ndarray, params: TopologyParams
+) -> tuple[list[tuple[int, list[int]]], np.ndarray]:
+    """One clustering epoch over per-position energies: sort, elect, charge. Returns the
+    (head, members) positions in election order, and the post-charge energies (depleted
+    nodes are left out and keep theirs). Raises ExhaustedNetworkError when none is alive.
     """
-    free = np.ones(len(nodes), dtype=bool)
-    elected = []
-    for i in range(len(nodes)):
-        if not free[i]:
-            continue
-        free[i] = False
-        head = nodes[i]
-        d = np.sqrt(((xyz[0, i] - xyz[0]) ** 2 + (xyz[1, i] - xyz[1]) ** 2) + (xyz[2, i] - xyz[2]) ** 2)
-        near = np.flatnonzero(free & (d < head.area + _BAND * max(head.area, 1.0)))
-        members = [j for j in near.tolist() if distance(head.location, nodes[j].location) < head.area]
-        free[members] = False
-        elected.append((i, members))
-    return elected
-
-
-def _coords(nodes: list) -> np.ndarray:
-    """Coordinates as a (3, n) array; raises ValueError on a non-finite one."""
-    xyz = np.array([(n.location.x, n.location.y, n.location.z) for n in nodes], dtype=float).T
-    if not np.isfinite(xyz).all():
-        raise ValueError("clustering requires finite coordinates")
-    return xyz
-
-
-def run_round(
-    node_set: NodeSet,
-    params: TopologyParams,
-    round_no: int = 0,
-) -> tuple[ClusterSet, NodeSet]:
-    """One clustering epoch over arrays: distance to the base station, sort,
-    elect, charge energy.
-
-    Returns the election result and the post-charge node set (new energies,
-    depleted nodes kept in the list but excluded from the election). Raises
-    ExhaustedNetworkError when no node holds energy.
-    """
-    nodes = node_set.nodes
-    bs = node_set.base_station.location
-    xyz = _coords(nodes)
-    dist_bs = np.array([distance(n.location, bs) for n in nodes], dtype=float)
-    energy = np.array([n.energy for n in nodes], dtype=float)
-    ids = np.array([n.id for n in nodes])
     alive = ~(energy <= 0.0)
     alive_pos = np.flatnonzero(alive)
     if not len(alive_pos):
         raise ExhaustedNetworkError("all nodes depleted")
-    order = alive_pos[np.lexsort((ids[alive_pos], dist_bs[alive_pos], -energy[alive_pos]))]
-    ordered = [nodes[k] for k in order.tolist()]
-    elected = _elect(ordered, xyz[:, order])
+    order = alive_pos[np.lexsort((geo.ids[alive_pos], geo.dist_bs[alive_pos], -energy[alive_pos]))].tolist()
+    rank = {i: r for r, i in enumerate(order)}
+    free = alive.tolist()
+    elected = []
+    for i in order:
+        if not free[i]:
+            continue
+        free[i] = False
+        # Every position ranked before a head is assigned, so free members rank after it.
+        members = sorted([j for j in geo.cover(i) if free[j]], key=rank.__getitem__)
+        for j in members:
+            free[j] = False
+        elected.append((i, members))
 
     cost = np.where(alive, params.tx_cost_j, 0.0)
     for i, members in elected:
-        cost[order[i]] = params.head_cost_j + params.tx_cost_j * len(members)
-    energy = np.where(alive, np.maximum(0.0, energy - cost), energy)
-    updated = [Node(id=n.id, location=n.location, energy=e, area=n.area) for n, e in zip(nodes, energy.tolist())]
+        cost[i] = params.head_cost_j + params.tx_cost_j * len(members)
+    return elected, np.where(alive, np.maximum(0.0, energy - cost), energy)
+
+
+def run_round(node_set: NodeSet, params: TopologyParams, round_no: int = 0) -> tuple[ClusterSet, NodeSet]:
+    """`elect` on a fresh geometry: the election result and the post-charge node set
+    (new energies, depleted nodes kept in the list but excluded from the election)."""
+    nodes = node_set.nodes
+    geo = Geometry(node_set)
+    elected, energy = elect(geo, np.array([n.energy for n in nodes], dtype=float), params)
+    ids = geo.ids.tolist()
     clusters = ClusterSet(
-        clusters=tuple(
-            Cluster(head_id=ordered[i].id, member_ids=tuple(ordered[j].id for j in members))
-            for i, members in elected
-        ),
+        clusters=tuple(Cluster(head_id=ids[i], member_ids=tuple(ids[j] for j in members)) for i, members in elected),
         round=round_no,
     )
+    updated = [Node(id=n.id, location=n.location, energy=e, area=n.area) for n, e in zip(nodes, energy.tolist())]
     return clusters, NodeSet(nodes=updated, base_station=node_set.base_station)

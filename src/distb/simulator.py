@@ -24,11 +24,13 @@ packet arrivals are pre-drawn Poisson processes held as three sorted arrays
 timestamp order. Flood traffic arrives as deterministic per-window batches,
 which makes detection latency exact arithmetic instead of a coin flip.
 
-Per-node state lives in lists indexed by node id: the ms from which the node
-is depleted (a depleted node emits nothing from its round's due time on),
-the packets it has emitted so far (the sequence number its payloads carry,
-dropped ones included), and whether the drop table blocks it (re-read from
-the table whenever a block changes it). Each window shares the configured
+Per-node state is indexed by node id: the residual energy, one float64 array
+that each round charges over the clustering `Geometry` the run builds once,
+and three lists: the ms from which the node is depleted, read off that array
+after each round (a depleted node emits nothing from its round's due time
+on), the packets it has emitted so far (the sequence number its payloads
+carry, dropped ones included), and whether the drop table blocks it (re-read
+from the table whenever a block changes it). Each window shares the configured
 link capacity proportionally between benign and unblocked attack bytes.
 Benign packets take the budget in arrival order: a packet that would
 overrun it is dropped and the next, possibly smaller, packet is still
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import blockchain as bc
 from .calibration import Calibration, fit_gas, fit_response, load_reference_tables
-from .clustering import run_round
+from .clustering import Geometry, elect
 from .config import MODES, WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
 from .sdn import (
@@ -74,7 +76,7 @@ from .sdn import (
     detect_flood,
     match_packet,
 )
-from .topology import NodeSet, generate_topology
+from .topology import generate_topology
 
 CPU_SAMPLE_MS = 200
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
@@ -246,9 +248,11 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
 
-    # Per-node state, indexed by node id: the ms from which the node emits
-    # nothing (past the horizon until a round depletes it), and the packets it
-    # has emitted so far, the sequence number its payloads carry.
+    # Per-node state, indexed by node id: the residual energy, the ms from
+    # which the node emits nothing (past the horizon until a round depletes
+    # it), and the packets it has emitted so far, its payloads' sequence number.
+    geometry = Geometry(node_set)
+    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
     never = cfg.sim_time_ms + 1
     depleted_from = [never] * len(names)
     emitted = [0] * len(names)
@@ -257,14 +261,14 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     def next_round_at() -> int:
         return counters["rounds"] * cfg.round_period_ms
 
-    def do_round(node_set: NodeSet) -> NodeSet:
+    def do_round(energy: np.ndarray) -> np.ndarray:
         due = next_round_at()
-        _, node_set = run_round(node_set, cfg, counters["rounds"])
+        _, energy = elect(geometry, energy, cfg)
         counters["rounds"] += 1
-        for n in node_set.nodes:
-            if n.depleted and depleted_from[n.id] == never:
-                depleted_from[n.id] = due
-        return node_set
+        for i in np.flatnonzero(energy <= 0.0).tolist():
+            if depleted_from[i] == never:
+                depleted_from[i] = due
+        return energy
 
     def is_dropped(src: str) -> bool:
         return match_packet(drop_table, Packet(src, BS_ID)) == DROP
@@ -377,7 +381,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         for w in range(1, len(ends)):
             t1 = ends[w]
             while next_round_at() < t1:
-                node_set = do_round(node_set)
+                energy = do_round(energy)
             window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
             generated, delivered, attack_pkts = settle_window(
                 ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
@@ -398,7 +402,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
                 if any(changed):
                     refresh_verdicts()
             if next_round_at() == t1 < end:
-                node_set = do_round(node_set)
+                energy = do_round(energy)
             last_tick = t1
     except ExhaustedNetworkError:
         terminated_early = True
@@ -451,11 +455,12 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     k = int(round(cfg.unregistered_fraction * cfg.node_count))
     unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
     contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
-    stakes = cfg.consensus.stakes_dict()
+    pos = cfg.consensus.kind == "pos"
+    stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
 
     def commit(txs, now: int) -> None:
         index = len(ledger.blocks)
-        if cfg.consensus.kind == "pos":
+        if pos:
             validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
             block = bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
         else:

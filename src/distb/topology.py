@@ -3,8 +3,9 @@
 Nodes live in a square footprint with a bounded height band. A node carries
 only what outlives a clustering round: its id, its location, its residual
 energy (joules) and its coverage radius ("area", meters) inside which it may
-adopt cluster members. Nodes and the base station never move; each round
-derives the distances and roles it needs from these fields and keeps none.
+adopt cluster members. Nodes, radii and the base station never move, so a
+run derives the distances once (`clustering.Geometry`) and its rounds change
+only the residual energies; a round keeps no role on the node.
 """
 
 from __future__ import annotations

@@ -375,9 +375,12 @@ def _compare_summary(tmp_path, doc):
 
 
 def test_compare_writes_null_for_a_drop_from_a_dead_battery(tmp_path):
-    # the bandwidth battery's network dies, so its first row, the drop's denominator, is 0
+    # the bandwidth battery's network dies, so its first row, the drop's denominator, is 0;
+    # the main runs' network dies in round 0 too, so the delta's denominator, the baseline's
+    # delivered bandwidth, is 0 as well
     summary = _compare_summary(tmp_path, {"energy_range_j": [0.01, 0.02], "sim_time_ms": 2000})
     assert summary["bandwidth_drop_pct"] == {"distb": None, "baseline": None}
+    assert summary["main_bandwidth_delta_pct"] is None
 
 
 def test_compare_writes_null_for_a_reduction_against_a_zero_core_response(tmp_path):

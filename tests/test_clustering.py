@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distb.clustering import run_round
+from distb.clustering import Geometry, elect, run_round
 from distb.errors import ExhaustedNetworkError
 from distb.topology import (
     BaseStation,
@@ -300,24 +300,31 @@ def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
         assert n.energy == ledger[n.id]
 
 
-def test_membership_at_the_radius_follows_scalar_distance():
-    # numpy's squares can round one ulp away from libm's pow, so the vector
-    # distance and `distance` disagree on a few pairs; on those pairs above all,
-    # a candidate exactly on the head's radius must stay out and one just
-    # inside must join.
+def radius_pairs():
+    """(head, other) point pairs on which the vector distance and `distance`
+    disagree (numpy's squares can round one ulp away from libm's pow), then
+    20 on which they agree."""
     rng = np.random.default_rng(11)
     a = rng.uniform(0.0, 2500.0, (20_000, 6))
     vec = np.sqrt(((a[:, 0] - a[:, 3]) ** 2 + (a[:, 1] - a[:, 4]) ** 2) + (a[:, 2] - a[:, 5]) ** 2)
     rows = [
         row for row, v in zip(a.tolist(), vec.tolist()) if v != distance(Point3(*row[:3]), Point3(*row[3:]))
     ]
-    for row in rows + a[:20].tolist():
-        head, other = Point3(*row[:3]), Point3(*row[3:])
+    return [(Point3(*row[:3]), Point3(*row[3:])) for row in rows + a[:20].tolist()]
+
+
+def test_membership_at_the_radius_follows_scalar_distance():
+    # On the pairs where the vector distance and `distance` disagree above
+    # all, a candidate exactly on the head's radius must stay out and one just
+    # inside must join, in the first round and in every later one that reuses
+    # the cover.
+    for head, other in radius_pairs():
         r = distance(head, other)
         for area, members in ((r, ()), (math.nextafter(r, math.inf), (1,))):
             ns = make_set([Node(0, head, 9.0, area), Node(1, other, 1.0, 1.0)])
             clusters, _ = run_round(ns, TopologyParams())
             assert clusters.clusters[0].member_ids == members
+            drive_to_exhaustion(ns, TopologyParams())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -330,3 +337,44 @@ def test_non_finite_coordinate_rejected(bad):
     with pytest.raises(ValueError):
         run_round(good, TopologyParams())
 
+
+# --- one geometry through a whole run ---------------------------------------
+
+
+def drive_to_exhaustion(ns, params):
+    """Elect with one Geometry and one energy array, as the engine does, until
+    the network dies. Every round must be oracle_clusters over the nodes still
+    alive, with each energy equal to an independent ledger's. Returns the
+    number of rounds."""
+    geo = Geometry(ns)
+    energy = np.array([n.energy for n in ns.nodes], dtype=float)
+    ids = [n.id for n in ns.nodes]
+    ledger = dict(zip(ids, energy.tolist()))
+    for r in range(10_000):
+        alive = [replace(n, energy=ledger[n.id]) for n in ns.nodes if ledger[n.id] > 0]
+        if not alive:
+            with pytest.raises(ExhaustedNetworkError):
+                elect(geo, energy, params)
+            return r
+        oracle = oracle_clusters(NodeSet(nodes=alive, base_station=ns.base_station))
+        elected, energy = elect(geo, energy, params)
+        assert [(ids[i], tuple(ids[j] for j in members)) for i, members in elected] == oracle, r
+        for head_id, members in oracle:
+            ledger[head_id] = max(0.0, ledger[head_id] - (params.head_cost_j + params.tx_cost_j * len(members)))
+            for m in members:
+                ledger[m] = max(0.0, ledger[m] - params.tx_cost_j)
+        assert energy.tolist() == [ledger[i] for i in ids], r
+    pytest.fail("network never exhausted")
+
+
+def test_one_geometry_serves_every_round_of_dense_sets():
+    params = TopologyParams(energy_range_j=(5.0, 15.0), head_cost_j=2.0, tx_cost_j=0.5)
+    for seed in range(4):
+        ns = generate_topology(60, 700.0, seed=seed, params=params)
+        assert drive_to_exhaustion(ns, params) > 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_sets(), st.floats(1.0, 5.0), st.floats(0.5, 2.0))
+def test_one_geometry_serves_every_round_of_tied_and_dead_nodes(ns, head_cost, tx_cost):
+    drive_to_exhaustion(ns, TopologyParams(head_cost_j=head_cost, tx_cost_j=tx_cost))
