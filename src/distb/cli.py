@@ -16,6 +16,7 @@ import shutil
 import sys
 import tempfile
 from collections.abc import Iterable
+from itertools import zip_longest
 from pathlib import Path
 
 from . import blockchain as bc
@@ -264,7 +265,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate_chain(args) -> int:
     try:
-        text = Path(args.ledger).read_text()
+        text = Path(args.ledger).read_bytes().decode()  # no newline translation
         if not text.strip():
             raise ValueError("empty ledger file")
         ledger = bc.load_ledger(text)
@@ -274,10 +275,15 @@ def cmd_validate_chain(args) -> int:
         print(f"cannot parse ledger: {exc}", file=sys.stderr)
         return EXIT_IO
     ok, bad_index = bc.validate_chain(ledger)
-    if ok:
+    note = ""
+    if ok:  # a valid chain must also be its one canonical export, line for line
+        lines = zip_longest(text.splitlines(keepends=True), bc.ledger_lines(ledger))
+        bad_index = next((i for i, (got, canonical) in enumerate(lines) if got != canonical), None)
+        note = " (not canonical)"
+    if bad_index is None:
         print(f"chain valid ({len(ledger.blocks)} blocks)")
         return EXIT_OK
-    print(f"chain INVALID at block {bad_index}")
+    print(f"chain INVALID at block {bad_index}{note}")
     return EXIT_INTEGRITY
 
 

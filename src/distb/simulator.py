@@ -20,21 +20,26 @@ over that log. The metric batteries read link figures and run `run_link`.
 Rounds fall every round_period_ms from t=0 and need not line up with
 windows. A round that finds no live node ends the run at that point. Sensor
 packet arrivals are pre-drawn Poisson processes held as three sorted arrays
-(time, node, size); each window takes its slice, found with searchsorted, in
-timestamp order. Flood traffic arrives as deterministic per-window batches,
-which makes detection latency exact arithmetic instead of a coin flip.
+(time, node, size); each window takes its slice, found with searchsorted.
+Flood traffic arrives as deterministic per-window batches, which makes
+detection latency exact arithmetic instead of a coin flip.
 
-Per-node state is indexed by node id: the residual energy, one float64 array
-that each round charges over the clustering `Geometry` the run builds once,
-and three lists: the ms from which the node is depleted, read off that array
-after each round (a depleted node emits nothing from its round's due time
-on), the packets it has emitted so far (the sequence number its payloads
-carry, dropped ones included), and whether the drop table blocks it (re-read
-from the table whenever a block changes it). Each window shares the configured
-link capacity proportionally between benign and unblocked attack bytes.
-Benign packets take the budget in arrival order: a packet that would
-overrun it is dropped and the next, possibly smaller, packet is still
-tried.
+Per-node state is three arrays indexed by node id: the residual energy,
+which each round charges over the clustering `Geometry` the run builds once;
+the ms from which the node is depleted, read off the energy after each round
+(a depleted node emits nothing from its round's due time on); and whether
+the drop table blocks it (re-read from the table whenever a block changes
+it). Within a span, the windows settled before the next round, the last two
+change only when the detector installs a drop rule. So array operations mark
+each arrival of a span at once as alive (its node not depleted) and offered
+(alive and not blocked), and re-mark the rest of the span after a block; the
+per-window loop keeps scalar work. Each window shares the configured link
+capacity proportionally between benign and unblocked attack bytes. Benign
+packets take the budget in arrival order: a packet that would overrun it is
+dropped and the next, possibly smaller, packet is still tried, a greedy that
+only congested windows run. When the loop ends, the delivered packets' log
+and each payload's sequence number (1 + the arrival's rank among its node's
+alive arrivals, so dropped and blocked ones count) are read off the marks.
 In distb mode every delivered sensor packet becomes a ledger transaction
 (registry verdict -> admit -> mine -> chain append) and each flood
 suspect gets a drop rule in the one drop table all gateways enforce; in
@@ -56,9 +61,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -185,7 +189,9 @@ class LinkResult:
     terminated_early: bool
     events_processed: int  # settlement windows run
     last_tick: int  # the last window end whose steps 3-5 ran (see the module docstring)
-    delivered: array  # distb mode: t, node id, size, seq of each delivered benign packet, flat, in settlement order
+    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, built once
+    # the loop ends; seq is 1 + the arrival's rank among its node's alive arrivals
+    delivered: array
     delivered_through: array  # 0, then len(delivered) at the end of each settled window
 
     @property
@@ -221,6 +227,22 @@ class MetricsBundle:
         return json.dumps(doc, sort_keys=True)
 
 
+def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
+    """Which packets, in arrival order, take a byte budget: skip and continue,
+    so a packet that would overrun it is dropped and a later, smaller one may
+    still fit. Returns a bool mask over `sizes`. Sums stay below 2**53, where
+    comparing int64 with float64 is exact."""
+    k = int(np.searchsorted(np.cumsum(sizes), limit, side="right"))  # the prefix that fits
+    mask = np.arange(len(sizes)) < k
+    acc = int(sizes[:k].sum())
+    fits = k + np.flatnonzero(sizes[k:] + acc <= limit)  # a packet that misses never fits later
+    while len(fits):
+        mask[fits[0]] = True
+        acc += int(sizes[fits[0]])
+        fits = fits[1:][sizes[fits[1:]] + acc <= limit]
+    return mask
+
+
 def run_link(cfg: ScenarioConfig) -> LinkResult:
     """Run the window loop's link stage: rounds, traffic, settlement, the
     flood detector and the CPU samples. Builds no transaction."""
@@ -229,6 +251,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     distb = cfg.mode == "distb"
     names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
+    n_nodes = len(names)
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
@@ -236,26 +259,25 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     # Whether drop_table drops a source's packets, valid until a block changes
     # the table: per node id for sensors (the table starts empty), and per
     # name, filled on first use, for attack sources.
-    blocked = [False] * len(names)
+    blocked = np.zeros(n_nodes, dtype=bool)
     verdicts: dict[str, bool] = {}
-
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
-    delivered_log = array("q")
-    delivered_through = array("q", [0])
 
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    # Per arrival: alive (its node not yet depleted) and offered (alive and not
+    # blocked), marked when its span is prepared, and taken (delivered), marked
+    # when its window settles.
+    alive, offered, taken = (np.zeros(len(arr_t), dtype=bool) for _ in range(3))
 
-    # Per-node state, indexed by node id: the residual energy, the ms from
-    # which the node emits nothing (past the horizon until a round depletes
-    # it), and the packets it has emitted so far, its payloads' sequence number.
+    # Per-node state, indexed by node id: the residual energy, and the ms from
+    # which the node emits nothing (past the horizon until a round depletes it).
     geometry = Geometry(node_set)
     energy = np.array([n.energy for n in node_set.nodes], dtype=float)
     never = cfg.sim_time_ms + 1
-    depleted_from = [never] * len(names)
-    emitted = [0] * len(names)
+    depleted_from = np.full(n_nodes, never)
     terminated_early = False
 
     def next_round_at() -> int:
@@ -265,133 +287,110 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         due = next_round_at()
         _, energy = elect(geometry, energy, cfg)
         counters["rounds"] += 1
-        for i in np.flatnonzero(energy <= 0.0).tolist():
-            if depleted_from[i] == never:
-                depleted_from[i] = due
+        np.minimum(depleted_from, np.where(energy <= 0.0, due, never), out=depleted_from)
         return energy
 
     def is_dropped(src: str) -> bool:
         return match_packet(drop_table, Packet(src, BS_ID)) == DROP
 
-    def refresh_verdicts() -> None:
-        blocked[:] = map(is_dropped, names)
-        verdicts.clear()
-
-    attack_trace: list[tuple[int, str, int]] = []
-
-    def settle_window(t0: int, t1: int, lo: int, hi: int, window_batches: list) -> tuple[int, int, int]:
-        """Settle one window over arrivals lo:hi; returns (benign bytes
-        generated, benign bytes delivered, unblocked attack packets)."""
-        generated = generated_bytes = n_blocked = offered_bytes = 0
-        window_benign: list[tuple[int, int, int, int]] = []  # unblocked (t, node_id, size, seq)
-        for t, nid, size in zip(arr_t[lo:hi].tolist(), arr_node[lo:hi].tolist(), arr_size[lo:hi].tolist()):
-            if t >= depleted_from[nid]:
-                continue  # depleted node emits nothing
-            generated += 1
-            generated_bytes += size
-            seq = emitted[nid] = emitted[nid] + 1
-            if blocked[nid]:
-                n_blocked += 1
-                continue
-            window_benign.append((t, nid, size, seq))
-            offered_bytes += size
-
-        atk_generated = atk_blocked = attack_bytes = 0
-        attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
-        for _, src, count, nbytes in window_batches:
-            atk_generated += count
-            verdict = verdicts.get(src)
-            if verdict is None:
-                verdict = verdicts[src] = is_dropped(src)
-            if verdict:
-                atk_blocked += count
-                continue
-            c, b = attack_offered.get(src, (0, 0))
-            attack_offered[src] = (c + count, b + nbytes)
-            attack_bytes += nbytes
-
-        if distb:
-            for nid, count in Counter(map(itemgetter(1), window_benign)).items():
-                traffic_window.record(names[nid], t1, count)
-            for src, (count, _) in attack_offered.items():
-                traffic_window.record(src, t1, count)
-
-        capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
-        total = offered_bytes + attack_bytes
-        if total <= capacity:
-            benign_budget = float(offered_bytes)
-            attack_ratio = 1.0
-        else:
-            benign_budget = capacity * offered_bytes / total
-            attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
-
-        # Skip and continue: a packet that misses the budget is dropped and a
-        # later, smaller one may still fit. The int sum stays below 2**53, and
-        # int-float comparison is exact.
-        limit = benign_budget + 1e-6
-        delivered_bytes = delivered = 0
-        for t, nid, size, seq in window_benign:
-            if delivered_bytes + size > limit:
-                continue
-            delivered_bytes += size
-            delivered += 1
-            if distb:
-                delivered_log.extend((t, nid, size, seq))
-        delivered_through.append(len(delivered_log))
-
-        atk_delivered = atk_packets = 0
-        for src in sorted(attack_offered):
-            count, nbytes = attack_offered[src]
-            atk_packets += count
-            atk_delivered += int(count * attack_ratio)
-            attack_trace.append((t1, src, int(nbytes * attack_ratio)))
-
-        benign_dropped = generated - delivered
-        atk_dropped = atk_generated - atk_delivered
-        for key, value in (
-            ("benign_generated", generated),
-            ("benign_delivered", delivered),
-            ("benign_dropped", benign_dropped),
-            ("attack_generated", atk_generated),
-            ("attack_delivered", atk_delivered),
-            ("attack_dropped", atk_dropped),
-            ("generated", generated + atk_generated),
-            ("delivered", delivered + atk_delivered),
-            ("dropped", benign_dropped + atk_dropped),
-            ("blocked", n_blocked + atk_blocked),
-        ):
-            counters[key] += value
-        return generated_bytes, delivered_bytes, atk_packets
-
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
     # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
-    # (the first window from t = 0) and the attack batches at t < ends[w].
+    # (the first window from t = 0), arr_ends[w - 1]:arr_ends[w], and the
+    # attack batches at t < ends[w].
     end = cfg.sim_time_ms
     ends = [*range(0, end, WINDOW_MS), end]
-    arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
+    arr_ends = np.searchsorted(arr_t, ends, side="right")
+    arr_ends[0] = 0
     batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
-    last_tick = 0
-    benign_bytes_generated = benign_bytes_delivered = benign_bytes_delivered_attack = 0
+
+    def prepare(wa: int) -> tuple[int, list]:
+        """Mark alive and offered over the span of windows wa..wb-1, those
+        settled before the next round; a block makes the caller re-prepare.
+        Returns wb and each window's offered bytes."""
+        wb = bisect_right(ends, next_round_at())
+        bounds = arr_ends[wa - 1 : wb]
+        lo, hi = bounds[0], bounds[-1]
+        nid = arr_node[lo:hi]
+        alive[lo:hi] = arr_t[lo:hi] < depleted_from[nid]
+        offered[lo:hi] = on = alive[lo:hi] & ~blocked[nid]
+        span_bytes = np.diff(np.concatenate(([0], np.cumsum(arr_size[lo:hi] * on)))[bounds - lo]).tolist()
+        return wb, span_bytes
+
+    attack_trace: list[tuple[int, str, int]] = []
+    last_tick = settled = span_start = span_end = 0
+    benign_bytes_delivered_attack = 0
     cpu_acc_pkts = 0
     cpu_ewma = 0.0
     smoothing = cfg.resolved_calibration().cpu_smoothing
     cpu_samples: list[tuple[int, float]] = []
     try:
         for w in range(1, len(ends)):
-            t1 = ends[w]
+            t0, t1 = ends[w - 1], ends[w]
             while next_round_at() < t1:
                 energy = do_round(energy)
-            window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
-            generated, delivered, attack_pkts = settle_window(
-                ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
-            )
-            benign_bytes_generated += generated
-            benign_bytes_delivered += delivered
+            if w >= span_end:  # spans end at a round, so this also follows every round
+                span_start = w
+                span_end, span_bytes = prepare(w)
+            offered_bytes = span_bytes[w - span_start]
+
+            atk_generated = atk_blocked = attack_bytes = 0
+            attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
+            for _, src, count, nbytes in batches[batch_ends[w - 1] : batch_ends[w]]:
+                atk_generated += count
+                verdict = verdicts.get(src)
+                if verdict is None:
+                    verdict = verdicts[src] = is_dropped(src)
+                if verdict:
+                    atk_blocked += count
+                    continue
+                c, b = attack_offered.get(src, (0, 0))
+                attack_offered[src] = (c + count, b + nbytes)
+                attack_bytes += nbytes
+
+            lo, hi = arr_ends[w - 1], arr_ends[w]
+            if distb:
+                by_node = np.bincount(arr_node[lo:hi][offered[lo:hi]])
+                nz = np.flatnonzero(by_node)
+                for i, count in zip(nz.tolist(), by_node[nz].tolist()):
+                    traffic_window.record(names[i], t1, count)
+                for src, (count, _) in attack_offered.items():
+                    traffic_window.record(src, t1, count)
+
+            capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
+            total = offered_bytes + attack_bytes
+            if total <= capacity:
+                benign_budget = float(offered_bytes)
+                attack_ratio = 1.0
+            else:
+                benign_budget = capacity * offered_bytes / total
+                attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
+
+            limit = benign_budget + 1e-6
+            delivered_bytes = offered_bytes
+            if offered_bytes > limit:  # congested
+                idx = lo + np.flatnonzero(offered[lo:hi])
+                idx = idx[fill_budget(arr_size[idx], limit)]
+                taken[idx] = True
+                delivered_bytes = int(arr_size[idx].sum())
+            else:
+                taken[lo:hi] = offered[lo:hi]
+            settled = w
+
+            atk_delivered = atk_packets = 0
+            for src in sorted(attack_offered):
+                count, nbytes = attack_offered[src]
+                atk_packets += count
+                atk_delivered += int(count * attack_ratio)
+                attack_trace.append((t1, src, int(nbytes * attack_ratio)))
+            counters["attack_generated"] += atk_generated
+            counters["attack_delivered"] += atk_delivered
+            counters["blocked"] += atk_blocked
+
             if cfg.attack is not None:
                 if cfg.attack.start_ms < t1 <= cfg.attack.stop_ms:
-                    benign_bytes_delivered_attack += delivered
-                cpu_acc_pkts += attack_pkts
+                    benign_bytes_delivered_attack += delivered_bytes
+                cpu_acc_pkts += atk_packets
                 if t1 % CPU_SAMPLE_MS == 0:
                     kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
                     cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
@@ -400,23 +399,52 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
             if distb:
                 changed = [block_flow(drop_table, src, t1) for src in detect_flood(traffic_window, theta, t1)]
                 if any(changed):
-                    refresh_verdicts()
+                    blocked[:] = [is_dropped(name) for name in names]  # not map(): numpy would take it as True
+                    verdicts.clear()
+                    span_end = 0
             if next_round_at() == t1 < end:
                 energy = do_round(energy)
             last_tick = t1
     except ExhaustedNetworkError:
         terminated_early = True
 
+    # The settled windows' benign figures, read off the per-arrival arrays.
+    hi = arr_ends[settled]
+    alive, offered, taken, sizes = alive[:hi], offered[:hi], taken[:hi], arr_size[:hi]
+    generated, n_offered, delivered = (int(np.count_nonzero(a)) for a in (alive, offered, taken))
+    counters |= {"benign_generated": generated, "benign_delivered": delivered}
+    counters["benign_dropped"] = generated - delivered
+    counters["blocked"] += generated - n_offered
+    counters["attack_dropped"] = counters["attack_generated"] - counters["attack_delivered"]
+    for key in ("generated", "delivered", "dropped"):
+        counters[key] = counters["benign_" + key] + counters["attack_" + key]
+    delivered_log = array("q")
+    delivered_through = array("q", bytes(8 * (settled + 1)))
+    if distb:
+        # Each payload's seq: 1 + the arrival's rank among its node's alive
+        # arrivals (dropped and blocked ones included), in array order.
+        nodes = arr_node[:hi][alive]
+        per_node = np.bincount(nodes, minlength=n_nodes)
+        rank = np.arange(1, len(nodes) + 1)
+        rank -= np.repeat(np.cumsum(per_node) - per_node, per_node)  # in node-sorted order
+        seq = np.empty_like(rank)
+        seq[np.argsort(nodes, kind="stable")] = rank
+        at = np.flatnonzero(taken)
+        delivered_log = array("q", [0]) * (4 * len(at))  # filled in place, through a numpy view
+        rows = np.frombuffer(delivered_log, dtype=np.int64).reshape(-1, 4)
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = arr_t[at], arr_node[at], sizes[at], seq[taken[alive]]
+        delivered_through = array("q", (4 * np.searchsorted(at, arr_ends[: settled + 1])).tobytes())
+
     return LinkResult(
         counters=counters,
-        benign_bytes_generated=benign_bytes_generated,
-        benign_bytes_delivered=benign_bytes_delivered,
+        benign_bytes_generated=int(sizes.sum(where=alive)),
+        benign_bytes_delivered=int(sizes.sum(where=taken)),
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
         attack_trace=attack_trace,
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
         terminated_early=terminated_early,
-        events_processed=len(delivered_through) - 1,
+        events_processed=settled,
         last_tick=last_tick,
         delivered=delivered_log,
         delivered_through=delivered_through,

@@ -1,0 +1,234 @@
+"""A longhand model of the engine's link stage, for differential tests.
+
+`reference_link` settles each window one packet at a time in plain Python:
+per-node lists for the depletion time, the packets emitted so far (each
+payload's sequence number) and the block verdict, and a skip-and-continue
+loop over the window's packets for the link budget. `run_link` must return
+exactly the same `LinkResult`. It shares only code with tests of its own:
+the topology, the clustering election, the traffic and attack draws, the
+flow table and the flood detector.
+"""
+
+from __future__ import annotations
+
+from array import array
+from collections import Counter
+from operator import itemgetter
+
+import numpy as np
+
+from distb.clustering import Geometry, elect
+from distb.config import WINDOW_MS, ScenarioConfig, validate_config
+from distb.errors import ExhaustedNetworkError
+from distb.sdn import DROP, FlowTable, Packet, SlidingWindow, block_flow, detect_flood, match_packet
+from distb.simulator import (
+    _LINK_COUNTERS,
+    BS_ID,
+    CPU_SAMPLE_MS,
+    LinkResult,
+    generate_traffic,
+    inject_attack,
+)
+from distb.topology import generate_topology
+
+
+def reference_link(cfg: ScenarioConfig) -> LinkResult:
+    """The link stage settled one packet at a time: rounds, traffic,
+    settlement, the flood detector and the CPU samples."""
+    cfg = validate_config(cfg)
+    node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
+    rng_traffic = np.random.default_rng([cfg.seed, 1])
+    distb = cfg.mode == "distb"
+    names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
+
+    theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
+    traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
+    drop_table = FlowTable()
+    # Whether drop_table drops a source's packets, valid until a block changes
+    # the table: per node id for sensors (the table starts empty), and per
+    # name, filled on first use, for attack sources.
+    blocked = [False] * len(names)
+    verdicts: dict[str, bool] = {}
+
+    counters = dict.fromkeys(_LINK_COUNTERS, 0)
+    delivered_log = array("q")
+    delivered_through = array("q", [0])
+
+    arr_t, arr_node, arr_size = generate_traffic(
+        node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
+    )
+    batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+
+    # Per-node state, indexed by node id: the residual energy, the ms from
+    # which the node emits nothing (past the horizon until a round depletes
+    # it), and the packets it has emitted so far, its payloads' sequence number.
+    geometry = Geometry(node_set)
+    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
+    never = cfg.sim_time_ms + 1
+    depleted_from = [never] * len(names)
+    emitted = [0] * len(names)
+    terminated_early = False
+
+    def next_round_at() -> int:
+        return counters["rounds"] * cfg.round_period_ms
+
+    def do_round(energy: np.ndarray) -> np.ndarray:
+        due = next_round_at()
+        _, energy = elect(geometry, energy, cfg)
+        counters["rounds"] += 1
+        for i in np.flatnonzero(energy <= 0.0).tolist():
+            if depleted_from[i] == never:
+                depleted_from[i] = due
+        return energy
+
+    def is_dropped(src: str) -> bool:
+        return match_packet(drop_table, Packet(src, BS_ID)) == DROP
+
+    def refresh_verdicts() -> None:
+        blocked[:] = map(is_dropped, names)
+        verdicts.clear()
+
+    attack_trace: list[tuple[int, str, int]] = []
+
+    def settle_window(t0: int, t1: int, lo: int, hi: int, window_batches: list) -> tuple[int, int, int]:
+        """Settle one window over arrivals lo:hi; returns (benign bytes
+        generated, benign bytes delivered, unblocked attack packets)."""
+        generated = generated_bytes = n_blocked = offered_bytes = 0
+        window_benign: list[tuple[int, int, int, int]] = []  # unblocked (t, node_id, size, seq)
+        for t, nid, size in zip(arr_t[lo:hi].tolist(), arr_node[lo:hi].tolist(), arr_size[lo:hi].tolist()):
+            if t >= depleted_from[nid]:
+                continue  # depleted node emits nothing
+            generated += 1
+            generated_bytes += size
+            seq = emitted[nid] = emitted[nid] + 1
+            if blocked[nid]:
+                n_blocked += 1
+                continue
+            window_benign.append((t, nid, size, seq))
+            offered_bytes += size
+
+        atk_generated = atk_blocked = attack_bytes = 0
+        attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
+        for _, src, count, nbytes in window_batches:
+            atk_generated += count
+            verdict = verdicts.get(src)
+            if verdict is None:
+                verdict = verdicts[src] = is_dropped(src)
+            if verdict:
+                atk_blocked += count
+                continue
+            c, b = attack_offered.get(src, (0, 0))
+            attack_offered[src] = (c + count, b + nbytes)
+            attack_bytes += nbytes
+
+        if distb:
+            for nid, count in Counter(map(itemgetter(1), window_benign)).items():
+                traffic_window.record(names[nid], t1, count)
+            for src, (count, _) in attack_offered.items():
+                traffic_window.record(src, t1, count)
+
+        capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
+        total = offered_bytes + attack_bytes
+        if total <= capacity:
+            benign_budget = float(offered_bytes)
+            attack_ratio = 1.0
+        else:
+            benign_budget = capacity * offered_bytes / total
+            attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
+
+        # Skip and continue: a packet that misses the budget is dropped and a
+        # later, smaller one may still fit. The int sum stays below 2**53, and
+        # int-float comparison is exact.
+        limit = benign_budget + 1e-6
+        delivered_bytes = delivered = 0
+        for t, nid, size, seq in window_benign:
+            if delivered_bytes + size > limit:
+                continue
+            delivered_bytes += size
+            delivered += 1
+            if distb:
+                delivered_log.extend((t, nid, size, seq))
+        delivered_through.append(len(delivered_log))
+
+        atk_delivered = atk_packets = 0
+        for src in sorted(attack_offered):
+            count, nbytes = attack_offered[src]
+            atk_packets += count
+            atk_delivered += int(count * attack_ratio)
+            attack_trace.append((t1, src, int(nbytes * attack_ratio)))
+
+        benign_dropped = generated - delivered
+        atk_dropped = atk_generated - atk_delivered
+        for key, value in (
+            ("benign_generated", generated),
+            ("benign_delivered", delivered),
+            ("benign_dropped", benign_dropped),
+            ("attack_generated", atk_generated),
+            ("attack_delivered", atk_delivered),
+            ("attack_dropped", atk_dropped),
+            ("generated", generated + atk_generated),
+            ("delivered", delivered + atk_delivered),
+            ("dropped", benign_dropped + atk_dropped),
+            ("blocked", n_blocked + atk_blocked),
+        ):
+            counters[key] += value
+        return generated_bytes, delivered_bytes, atk_packets
+
+    # Fixed cadence: one pass per settlement window, in the order documented
+    # in the module docstring. Rounds need not fall on window ends. Window w
+    # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
+    # (the first window from t = 0) and the attack batches at t < ends[w].
+    end = cfg.sim_time_ms
+    ends = [*range(0, end, WINDOW_MS), end]
+    arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
+    batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
+    last_tick = 0
+    benign_bytes_generated = benign_bytes_delivered = benign_bytes_delivered_attack = 0
+    cpu_acc_pkts = 0
+    cpu_ewma = 0.0
+    smoothing = cfg.resolved_calibration().cpu_smoothing
+    cpu_samples: list[tuple[int, float]] = []
+    try:
+        for w in range(1, len(ends)):
+            t1 = ends[w]
+            while next_round_at() < t1:
+                energy = do_round(energy)
+            window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
+            generated, delivered, attack_pkts = settle_window(
+                ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
+            )
+            benign_bytes_generated += generated
+            benign_bytes_delivered += delivered
+            if cfg.attack is not None:
+                if cfg.attack.start_ms < t1 <= cfg.attack.stop_ms:
+                    benign_bytes_delivered_attack += delivered
+                cpu_acc_pkts += attack_pkts
+                if t1 % CPU_SAMPLE_MS == 0:
+                    kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
+                    cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
+                    cpu_samples.append((t1, cpu_ewma))
+                    cpu_acc_pkts = 0
+            if distb:
+                changed = [block_flow(drop_table, src, t1) for src in detect_flood(traffic_window, theta, t1)]
+                if any(changed):
+                    refresh_verdicts()
+            if next_round_at() == t1 < end:
+                energy = do_round(energy)
+            last_tick = t1
+    except ExhaustedNetworkError:
+        terminated_early = True
+
+    return LinkResult(
+        counters=counters,
+        benign_bytes_generated=benign_bytes_generated,
+        benign_bytes_delivered=benign_bytes_delivered,
+        benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
+        attack_trace=attack_trace,
+        cpu_load_samples=cpu_samples,
+        drop_table=drop_table,
+        terminated_early=terminated_early,
+        events_processed=len(delivered_through) - 1,
+        last_tick=last_tick,
+        delivered=delivered_log,
+        delivered_through=delivered_through,
+    )

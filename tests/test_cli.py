@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -5,6 +7,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb.blockchain import export_ledger
 from distb.calibration import load_default
@@ -274,6 +278,55 @@ def test_validate_chain_flags_a_sealer_field_its_kind_does_not_hash(tmp_path, ca
     ledger.write_text("\n".join(lines) + "\n")
     assert main(["validate-chain", str(ledger)]) == EXIT_INTEGRITY
     assert "chain INVALID at block 1" in capsys.readouterr().out
+
+
+def _with_nested_key(doc):  # on the first transaction, or on the sealer of a block without one
+    (doc["txs"][0] if doc["txs"] else doc["sealer"])["note"] = "x"
+    return json.dumps(doc, sort_keys=True)
+
+
+# Re-encodings of one export line that parse to the same block: each is a
+# non-canonical export of a valid chain.
+REENCODINGS = {
+    "key-order": lambda doc: json.dumps(dict(reversed(doc.items()))),
+    "compact-separators": lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":")),
+    "wide-separators": lambda doc: json.dumps(doc, sort_keys=True, separators=(",  ", ": ")),
+    "upper-case-hash": lambda doc: json.dumps({**doc, "hash": doc["hash"].upper()}, sort_keys=True),
+    "extra-block-key": lambda doc: json.dumps({**doc, "note": "x"}, sort_keys=True),
+    "extra-nested-key": _with_nested_key,
+    "leading-space": lambda doc: " " + json.dumps(doc, sort_keys=True),
+    "trailing-space": lambda doc: json.dumps(doc, sort_keys=True) + " ",
+    "blank-line-before": lambda doc: "\n" + json.dumps(doc, sort_keys=True),
+    "crlf": lambda doc: json.dumps(doc, sort_keys=True) + "\r",
+    "escaped-letter": lambda doc: json.dumps(doc, sort_keys=True).replace('"pow"', '"\\u0070ow"'),
+}
+
+
+@pytest.fixture(scope="module")
+def reencoded_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reencoded") / "ledger.ndjson"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(edit=st.sampled_from(sorted(REENCODINGS)), pick=st.integers(min_value=0))
+def test_validate_chain_accepts_only_the_canonical_export(run_export, reencoded_path, edit, pick):
+    lines = list(run_export)
+    index = pick % len(lines)
+    lines[index] = REENCODINGS[edit](json.loads(lines[index]))
+    assert lines[index] != run_export[index]
+    reencoded_path.write_bytes(("\n".join(lines) + "\n").encode())
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["validate-chain", str(reencoded_path)]) == EXIT_INTEGRITY
+    assert printed.getvalue() == f"chain INVALID at block {index} (not canonical)\n"
+
+
+@pytest.mark.parametrize("end, bad_line", [("", -1), ("\n\n", 0)], ids=["no-final-newline", "trailing-blank-line"])
+def test_validate_chain_flags_a_non_canonical_file_end(tmp_path, run_export, capsys, end, bad_line):
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("\n".join(run_export) + end)
+    assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
+    assert capsys.readouterr().out == f"chain INVALID at block {len(run_export) + bad_line} (not canonical)\n"
 
 
 def test_validate_chain_empty_file_is_parse_error(tmp_path):

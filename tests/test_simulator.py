@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from engine_reference import reference_link
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distb import blockchain as bc
 from distb.calibration import Calibration, load_default
@@ -14,6 +17,7 @@ from distb.simulator import (
     LinkResult,
     _bandwidth_cfg,
     bundle_from_raw,
+    fill_budget,
     generate_traffic,
     inject_attack,
     link_figures,
@@ -133,6 +137,77 @@ def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
     assert [row[0] for row in measure_throughput(cfg, node_counts=(1, 5))] == [1, 5]
     assert [row[0] for row in measure_bandwidth_under_attack(cfg, rates=(6.0, 12.0))] == [6.0, 12.0]
     assert measure_cpu_flooding(cfg)
+
+
+# --- the link stage against its longhand model --------------------------------
+
+
+@st.composite
+def link_configs(draw):
+    """Small configs that reach every branch of the window loop: horizons off
+    the window grid, odd round periods (some longer than the run, so one span
+    holds many windows), networks that die, congested links, ramped and flat
+    floods, and detector thresholds low enough to block benign sensors."""
+    horizon = 100 * draw(st.integers(0, 29)) + draw(st.integers(1, 99))
+    attack = None
+    if draw(st.booleans()):
+        start = draw(st.integers(0, horizon - 1))
+        attack = {
+            "start_ms": start,
+            "stop_ms": draw(st.integers(start + 1, horizon)),
+            "sources": draw(st.integers(1, 3)),
+            "multiplier": draw(st.sampled_from([2.0, 10.0, 40.0])),
+            "ramp_ms": draw(st.sampled_from([0, 0, 250, 1500])),
+        }
+    energy_range, head_cost, tx_cost = draw(
+        st.sampled_from([((50.0, 100.0), 1.0, 0.2), ((0.2, 3.0), 0.2, 0.1), ((0.05, 0.4), 0.2, 0.1)])
+    )
+    return config_from_dict(
+        {
+            "mode": draw(st.sampled_from(MODES)),
+            "seed": draw(st.integers(0, 2**16)),
+            "node_count": draw(st.integers(1, 12)),
+            "sim_time_ms": horizon,
+            "round_period_ms": 2 * draw(st.integers(0, 2500)) + 1,
+            "sensor_rate_pps": draw(st.sampled_from([5.0, 10.0, 60.0, 300.0])),
+            "data_rate_mbps": draw(st.sampled_from([0.02, 0.1, 0.5, 10.0])),
+            "packet_size_bytes": draw(st.sampled_from([[128, 1024], [1, 64], [300, 300]])),
+            "detector_multiplier": draw(st.sampled_from([0.5, 1.5, 3.0, 5.0])),
+            "energy_range_j": list(energy_range),
+            "head_cost_j": head_cost,
+            "tx_cost_j": tx_cost,
+            "attack": attack,
+        }
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cfg=link_configs())
+def test_link_stage_matches_the_per_packet_reference(cfg):
+    got, want = run_link(cfg), reference_link(cfg)
+    for f in dataclasses.fields(LinkResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize(
+    "sizes, limit, taken",
+    [
+        ([100, 200, 50], 300.0, [True, True, False]),  # the prefix ends exactly on the limit
+        ([200, 150, 100, 60], 300.0, [True, False, True, False]),  # a miss, then a smaller one fits exactly
+        ([200, 150, 60, 40], 300.0, [True, False, True, True]),  # two late fits, the second exactly
+        ([300, 400, 500], 1200.000001, [True, True, True]),  # uncongested: everything fits
+        ([], 10.0, []),
+        ([11], 10.999999, [False]),
+    ],
+)
+def test_fill_budget_edges(sizes, limit, taken):
+    assert fill_budget(np.array(sizes, dtype=np.int64), limit).tolist() == taken
+
+
+def test_uncongested_windows_deliver_everything_offered():
+    link = run_link(config_from_dict({"mode": "of-baseline", "node_count": 12, "sim_time_ms": 3050, "seed": 2}))
+    assert link.counters["benign_delivered"] == link.counters["benign_generated"] > 0
+    assert link.benign_bytes_delivered == link.benign_bytes_generated
 
 
 # --- traffic generation ------------------------------------------------------
