@@ -24,6 +24,9 @@ zero bits (0 <= difficulty <= 256) and an empty validator; a pos seal requires
 a non-empty validator and difficulty 0, so no sealer field escapes the hash.
 The genesis block has index 0 and an all-zero prev_hash.
 
+A `Transaction` is an immutable named tuple, built a batch at a time by
+`make_transactions` (`make_transaction` is its one-row case).
+
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
 """
@@ -39,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
 
@@ -73,8 +77,7 @@ def digest(data: bytes) -> bytes:
 # Transactions
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     tx_id: bytes
     sensor_id: str
     destination: str
@@ -96,15 +99,25 @@ def tx_body_bytes(sensor_id: str, destination: str, timestamp: int, payload: byt
     return b"".join((_tx_prefix(sensor_id, destination), fixed, payload, checksum))
 
 
+def make_transactions(rows, destination: str) -> list[Transaction]:
+    """Build one transaction per (sensor_id, payload, timestamp) row, in order,
+    each with checksum and tx_id over the canonical bytes."""
+    txs = []
+    new = tuple.__new__  # skips the named tuple's Python-level constructor
+    for sensor_id, payload, now in rows:
+        if not sensor_id or not destination:
+            raise ValueError("sensor_id and destination must be non-empty")
+        if now < 0:
+            raise ValueError("timestamp must be non-negative")
+        checksum = _sha256(payload).digest()
+        tx_id = _sha256(tx_body_bytes(sensor_id, destination, now, payload, checksum)).digest()
+        txs.append(new(Transaction, (tx_id, sensor_id, destination, now, payload, checksum)))
+    return txs
+
+
 def make_transaction(sensor_id: str, destination: str, payload: bytes, now: int) -> Transaction:
     """Build a transaction with checksum and tx_id over the canonical bytes."""
-    if not sensor_id or not destination:
-        raise ValueError("sensor_id and destination must be non-empty")
-    if now < 0:
-        raise ValueError("timestamp must be non-negative")
-    checksum = digest(payload)
-    tx_id = digest(tx_body_bytes(sensor_id, destination, now, payload, checksum))
-    return Transaction(tx_id, sensor_id, destination, now, payload, checksum)
+    return make_transactions([(sensor_id, payload, now)], destination)[0]
 
 
 @dataclass(frozen=True)
@@ -201,6 +214,7 @@ class Block:
     hash: bytes
 
 
+@functools.lru_cache(maxsize=256)
 def _sealer_bytes(sealer: Sealer) -> bytes:
     if sealer.kind == "pow":
         return _ser_str("pow") + _u64(sealer.difficulty)
@@ -211,8 +225,7 @@ def _sealer_bytes(sealer: Sealer) -> bytes:
 
 def _header_prefix(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer) -> bytes:
     """The block header up to, not including, the nonce."""
-    head = _u64(index) + _u64(timestamp) + prev_hash + _u64(len(tx_ids)) + b"".join(tx_ids)
-    return head + _sealer_bytes(sealer)
+    return b"".join((_u64(index), _u64(timestamp), prev_hash, _u64(len(tx_ids)), *tx_ids, _sealer_bytes(sealer)))
 
 
 def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer, nonce: int) -> bytes:
@@ -332,12 +345,22 @@ class Ledger:
 
 def admit_or_park(ledger: Ledger, tx: Transaction, verdict: Verdict, now: int) -> None:
     """Route by verdict: Valid -> queue, Pending -> waiting room, Invalid -> dropped."""
-    if tx.tx_id in ledger.committed_ids or tx.tx_id in ledger.queued or tx.tx_id in ledger.pending:
-        raise DuplicateTransactionError(f"tx {tx.tx_id.hex()} already known")
+    admit_batch(ledger, [tx], verdict, now)
+
+
+def admit_batch(ledger: Ledger, txs: list[Transaction], verdict: Verdict, now: int) -> None:
+    """`admit_or_park` for txs that share a verdict, in order. Refuses the
+    batch if an id repeats in it or is committed, queued or parked already."""
+    tx_ids = [tx.tx_id for tx in txs]
+    fresh = set(tx_ids)
+    if len(fresh) < len(tx_ids) or not all(
+        known.isdisjoint(fresh) for known in (ledger.committed_ids, ledger.queued.keys(), ledger.pending.keys())
+    ):
+        raise DuplicateTransactionError("a tx id repeats or is already known")
     if verdict.is_valid:
-        ledger.queued[tx.tx_id] = tx
+        ledger.queued.update(zip(tx_ids, txs))
     elif verdict.is_pending:
-        ledger.pending[tx.tx_id] = (tx, now)
+        ledger.pending.update((tx.tx_id, (tx, now)) for tx in txs)
 
 
 def expire_pending(ledger: Ledger, contract: ContractState, now: int) -> list[bytes]:

@@ -12,8 +12,8 @@ head_cost + tx_cost * len(members), a member pays tx_cost. Depleted nodes
 drop out of later rounds. Only energy changes between rounds, so a run builds
 one `Geometry` (coordinates, distances to the base station, and each node's
 cover, found the first time it heads) and each round maps an energy array to
-the next. Every distance kept or compared against a radius is still
-`topology.distance`, so the result is the scalar definition's, bit for bit.
+the next. Every distance kept or compared against a radius still uses the
+scalar formula of `topology.distance`, so it matches that bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustedNetworkError
-from .topology import Node, NodeSet, TopologyParams, distance
+from .topology import Node, NodeSet, TopologyParams, distance, euclid
 
 # Candidate band around a head's radius (metres, relative above 1 m): far
 # wider than the rounding gap between numpy's squares and libm's pow.
@@ -62,15 +62,15 @@ class Geometry:
 
     def cover(self, i: int) -> array:
         """The other positions strictly inside node i's radius: a vector distance row finds
-        them within _BAND, and the scalar `distance` confirms each (numpy's squares can
-        round one ulp away from libm's pow)."""
+        them within _BAND, and the scalar `euclid` confirms each (numpy's squares can
+        round one ulp away from libm's pow); __init__ has checked every point finite."""
         cover = self.covers[i]
         if cover is None:
             x, y, z = self.xyz
             d = np.sqrt(((x[i] - x) ** 2 + (y[i] - y) ** 2) + (z[i] - z) ** 2)
             area, loc = self.areas[i], self.locations[i]
             near = np.flatnonzero(d < area + _BAND * max(area, 1.0)).tolist()
-            cover = array("i", [j for j in near if j != i and distance(loc, self.locations[j]) < area])
+            cover = array("i", [j for j in near if j != i and euclid(loc, self.locations[j]) < area])
             self.covers[i] = cover
         return cover
 

@@ -14,8 +14,11 @@ sim_time_ms and may be shorter). For each window end t1 the engine:
 
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
-the ledger stage, steps 4-5 and each logged packet's admission at its t1,
-over that log. The metric batteries read link figures and run `run_link`.
+the ledger stage over that log a window at a time. At each t1 it builds the
+window's transactions in one pass, admits them all by their sensor's
+registry verdict (asked once per sensor: nothing registers one mid-run),
+seals the queue's whole `block_batch` blocks, each stamped t1, and then runs
+steps 4-5. The metric batteries read link figures and run `run_link`.
 
 Rounds fall every round_period_ms from t=0 and need not line up with
 windows. A round that finds no live node ends the run at that point. Sensor
@@ -63,6 +66,7 @@ import json
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -455,14 +459,17 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     """Run the link stage, then the ledger stage over its delivered packets,
     and return raw, calibration-free results.
 
-    Window by window, each packet becomes a transaction that is admitted or
-    parked at its window end t1, sealing a block whenever `block_batch` are
-    queued. Then, up to `last_tick`, the queue is mined on
+    At each window end t1, the window's packets become transactions in one
+    pass: those of registered sensors join the queue in arrival order, the
+    others are parked, and the queue is cut into as many whole blocks of
+    `block_batch` as it holds, each stamped t1. These are the blocks that
+    sealing whenever `block_batch` are queued would give, since every block
+    of a window carries t1. Then, up to `last_tick`, the queue is mined on
     `block_interval_ms` ends and the waiting room swept every second, both
     also at the horizon. The trap: a round due exactly at t1 runs after
     settlement, so if it exhausts the network, that window's packets are
-    admitted but its mine and sweep never run. The leftover queue is sealed
-    at the horizon unless the run ended early.
+    admitted and its whole blocks cut, but its mine and sweep never run; the
+    leftover queue stays in `ledger.queued`.
     """
     cfg = validate_config(cfg)
     link = run_link(cfg)
@@ -485,6 +492,8 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
     pos = cfg.consensus.kind == "pos"
     stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
+    verdicts = [contract.verdict(name) for name in names]  # nothing registers a sensor mid-run
+    valid = [v.is_valid for v in verdicts]
 
     def commit(txs, now: int) -> None:
         index = len(ledger.blocks)
@@ -501,24 +510,25 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     through = link.delivered_through
     for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
         t1 = min(w * WINDOW_MS, end)
-        packets = iter(link.delivered[lo:hi])
-        for t, nid, size, seq in zip(packets, packets, packets, packets):
-            payload = f"{nid}|{seq}|{t}|{size}".encode()
-            tx = bc.make_transaction(names[nid], BS_ID, payload, t)
-            verdict = contract.verdict(tx.sensor_id)
-            bc.admit_or_park(ledger, tx, verdict, t1)
-            if verdict.is_pending:
-                counters["parked_txs"] += 1
-            while len(ledger.queued) >= cfg.block_batch:
-                commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+        rows = link.delivered[lo:hi]
+        ts, nids = rows[::4], rows[1::4]
+        payloads = [b"%d|%d|%d|%d" % (n, q, t, size) for t, n, size, q in zip(ts, nids, rows[2::4], rows[3::4])]
+        txs = bc.make_transactions(zip(map(names.__getitem__, nids), payloads, ts), BS_ID)
+        bc.admit_batch(ledger, list(compress(txs, map(valid.__getitem__, nids))), bc.Verdict.valid(), t1)
+        for tx, n in zip(txs, nids):
+            if not valid[n]:
+                bc.admit_or_park(ledger, tx, verdicts[n], t1)
+                counters["parked_txs"] += verdicts[n].is_pending
+        cut = len(ledger.queued) - len(ledger.queued) % cfg.block_batch
+        queued = list(ledger.queued.values())[:cut]
+        for i in range(0, cut, cfg.block_batch):  # every block of the window carries t1
+            commit(queued[i : i + cfg.block_batch], t1)
         if t1 > link.last_tick:
             break  # a round at t1 exhausted the network before the mine
         if ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
             commit(list(ledger.queued.values()), t1)
         if t1 % 1000 == 0 or t1 == end:
             counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
-    if ledger.queued and not link.terminated_early:
-        commit(list(ledger.queued.values()), end)
 
 
 def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:

@@ -75,6 +75,11 @@ def distance(p: Point3, q: Point3) -> float:
     """Euclidean distance between two 3D points; raises ValueError on non-finite input."""
     if not (p.is_finite() and q.is_finite()):
         raise ValueError("distance requires finite coordinates")
+    return euclid(p, q)
+
+
+def euclid(p: Point3, q: Point3) -> float:
+    """`distance` without the finiteness check, for points already checked."""
     return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2)
 
 

@@ -1,4 +1,4 @@
-"""A longhand model of the engine's link stage, for differential tests.
+"""Longhand models of the engine's two stages, for differential tests.
 
 `reference_link` settles each window one packet at a time in plain Python:
 per-node lists for the depletion time, the packets emitted so far (each
@@ -7,6 +7,13 @@ loop over the window's packets for the link budget. `run_link` must return
 exactly the same `LinkResult`. It shares only code with tests of its own:
 the topology, the clustering election, the traffic and attack draws, the
 flow table and the flood detector.
+
+`reference_ledger` runs the ledger stage one packet at a time: it builds,
+verdicts and admits each delivered packet at its window end and seals a
+block whenever `block_batch` are queued. Over the same `LinkResult`, the
+engine's ledger stage must leave the same chain, waiting room, queue and
+counters. It shares only code with tests of its own: the transaction and
+block builders, admission, sealing and the waiting-room sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from distb import blockchain as bc
 from distb.clustering import Geometry, elect
 from distb.config import WINDOW_MS, ScenarioConfig, validate_config
 from distb.errors import ExhaustedNetworkError
@@ -232,3 +240,50 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         delivered=delivered_log,
         delivered_through=delivered_through,
     )
+
+
+def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
+    """The ledger stage one packet at a time: each delivered packet is built,
+    verdicted and admitted or parked at its window end t1, and a block is
+    sealed whenever `block_batch` are queued."""
+    rng_misc = np.random.default_rng([cfg.seed, 3])
+    names = [f"s-{i}" for i in range(cfg.node_count)]
+    k = int(round(cfg.unregistered_fraction * cfg.node_count))
+    unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
+    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
+    pos = cfg.consensus.kind == "pos"
+    stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
+
+    def commit(txs, now: int) -> None:
+        index = len(ledger.blocks)
+        if pos:
+            validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
+            block = bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
+        else:
+            block = bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
+        bc.append_block(ledger, block)
+        counters["committed_txs"] += len(txs)
+
+    commit([], 0)  # genesis
+    end = cfg.sim_time_ms
+    through = link.delivered_through
+    for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
+        t1 = min(w * WINDOW_MS, end)
+        packets = iter(link.delivered[lo:hi])
+        for t, nid, size, seq in zip(packets, packets, packets, packets):
+            payload = f"{nid}|{seq}|{t}|{size}".encode()
+            tx = bc.make_transaction(names[nid], BS_ID, payload, t)
+            verdict = contract.verdict(tx.sensor_id)
+            bc.admit_or_park(ledger, tx, verdict, t1)
+            if verdict.is_pending:
+                counters["parked_txs"] += 1
+            while len(ledger.queued) >= cfg.block_batch:
+                commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+        if t1 > link.last_tick:
+            break  # a round at t1 exhausted the network before the mine
+        if ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+            commit(list(ledger.queued.values()), t1)
+        if t1 % 1000 == 0 or t1 == end:
+            counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
+    if ledger.queued and not link.terminated_early:
+        commit(list(ledger.queued.values()), end)

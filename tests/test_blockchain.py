@@ -77,6 +77,54 @@ def test_cached_body_prefix_matches_uncached_concatenation():
     assert body == ser("s-é7".encode()) + ser(b"bs") + (6).to_bytes(8, "big") + ser(b"pq") + checksum
 
 
+def independent_tx_id(sensor_id, destination, timestamp, payload):
+    def ser(b):
+        return len(b).to_bytes(8, "big") + b
+
+    checksum = hashlib.sha256(payload).digest()
+    body = ser(sensor_id.encode()) + ser(destination.encode()) + timestamp.to_bytes(8, "big") + ser(payload) + checksum
+    return hashlib.sha256(body).digest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["s-1", "s-2", "s-é7", "x"]), st.binary(max_size=40), st.integers(0, 2**64 - 1)),
+        max_size=12,
+    ),
+    destination=st.sampled_from(["bs", "gw-ü"]),
+)
+def test_make_transactions_equals_make_transaction_row_for_row(rows, destination):
+    txs = bc.make_transactions(rows, destination)
+    assert txs == [bc.make_transaction(s, destination, p, t) for s, p, t in rows]
+    for tx, (sensor_id, payload, timestamp) in zip(txs, rows):
+        assert type(tx) is bc.Transaction
+        assert tx == (tx.tx_id, sensor_id, destination, timestamp, payload, hashlib.sha256(payload).digest())
+        assert tx.tx_id == independent_tx_id(sensor_id, destination, timestamp, payload)
+        assert bc.check_tx(tx) is None
+
+
+@pytest.mark.parametrize(
+    "sensor_id, destination, timestamp, error",
+    [("", "bs", 1, ValueError), ("s-1", "", 1, ValueError), ("s-1", "bs", -1, ValueError),
+     ("s-1", "bs", 2**64, OverflowError)],
+)
+def test_make_transactions_refuses_what_make_transaction_refuses(sensor_id, destination, timestamp, error):
+    with pytest.raises(error):
+        bc.make_transaction(sensor_id, destination, b"x", timestamp)
+    with pytest.raises(error):  # also behind a good row
+        bc.make_transactions([("s-0", b"ok", 5), (sensor_id, b"x", timestamp)], destination or "")
+
+
+def test_transaction_is_an_immutable_hashable_named_tuple():
+    tx = make_tx(3)
+    with pytest.raises(AttributeError):
+        tx.payload = b"forged"
+    assert bc.Transaction(**tx._asdict()) == tx and hash(bc.Transaction(*tx)) == hash(tx)
+    assert bc.Transaction._fields == ("tx_id", "sensor_id", "destination", "timestamp", "payload", "checksum")
+    assert len({tx, make_tx(3), make_tx(4)}) == 2
+
+
 def test_u64_outside_range_raises_overflow_error():
     # the type int.to_bytes raises, which check_block and the CLI catch
     with pytest.raises(OverflowError):
@@ -156,6 +204,23 @@ def test_admit_duplicate_rejected():
     bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=10)
     with pytest.raises(DuplicateTransactionError):
         bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=11)
+
+
+@pytest.mark.parametrize("verdict", [bc.Verdict.valid(), bc.Verdict.pending("unknown"), bc.Verdict.invalid("bad")])
+def test_admit_batch_keeps_order_and_refuses_any_known_or_repeated_id(verdict):
+    ledger = fresh_chain(2, difficulty=0)
+    committed = ledger.blocks[1].tx_list[0]
+    queued, parked, fresh = make_tx(50), make_tx(51), [make_tx(52), make_tx(53)]
+    bc.admit_batch(ledger, [queued], bc.Verdict.valid(), now=0)
+    bc.admit_or_park(ledger, parked, bc.Verdict.pending("unknown"), now=0)
+    for batch in ([*fresh, committed], [*fresh, queued], [*fresh, parked], [fresh[0], *fresh]):
+        with pytest.raises(DuplicateTransactionError):
+            bc.admit_batch(ledger, batch, verdict, now=5)
+        assert list(ledger.queued) == [queued.tx_id] and list(ledger.pending) == [parked.tx_id]  # nothing admitted
+    bc.admit_batch(ledger, fresh[::-1], verdict, now=5)
+    want_queued = [queued, fresh[1], fresh[0]] if verdict.is_valid else [queued]
+    want_pending = [(parked, 0), (fresh[1], 5), (fresh[0], 5)] if verdict.is_pending else [(parked, 0)]
+    assert list(ledger.queued.values()) == want_queued and list(ledger.pending.values()) == want_pending
 
 
 def test_expire_empty_room_no_change():

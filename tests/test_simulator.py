@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import time
+from array import array
 
 import numpy as np
 import pytest
-from engine_reference import reference_link
+from engine_reference import reference_ledger, reference_link
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +13,12 @@ from distb import blockchain as bc
 from distb.calibration import Calibration, load_default
 from distb.cli import _flow_tables_json
 from distb.config import MODES, AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
-from distb.errors import ConfigError
+from distb.errors import ConfigError, DuplicateTransactionError
 from distb.simulator import (
+    _LEDGER_COUNTERS,
     LinkResult,
     _bandwidth_cfg,
+    _run_ledger,
     bundle_from_raw,
     fill_budget,
     generate_traffic,
@@ -131,7 +134,7 @@ def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a battery touched the ledger")
 
-    for name in ("make_transaction", "mine_block", "seal_block_pos"):
+    for name in ("make_transaction", "make_transactions", "mine_block", "seal_block_pos"):
         monkeypatch.setattr(bc, name, refuse)
     cfg = ScenarioConfig(node_count=5)
     assert [row[0] for row in measure_throughput(cfg, node_counts=(1, 5))] == [1, 5]
@@ -187,6 +190,79 @@ def test_link_stage_matches_the_per_packet_reference(cfg):
     got, want = run_link(cfg), reference_link(cfg)
     for f in dataclasses.fields(LinkResult):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+# --- the ledger stage against its per-packet model -----------------------------
+
+
+@st.composite
+def ledger_configs(draw):
+    """Small distb configs that reach every branch of the ledger stage: horizons
+    on and off the window grid, batches of 1-5, block intervals on and off it,
+    sensors that park and expire, PoS and cheap PoW seals, and networks that
+    die in a round between windows or exactly at a window end (a mine tick)."""
+    energy_range, head_cost, tx_cost = draw(
+        st.sampled_from([((50.0, 100.0), 1.0, 0.2), ((0.2, 3.0), 0.2, 0.1), ((0.05, 0.4), 0.2, 0.1), ((0.3, 0.6), 0.2, 0.1)])
+    )
+    consensus = draw(
+        st.one_of(
+            st.builds(lambda d: {"kind": "pow", "difficulty": d}, st.integers(0, 4)),
+            st.just({"kind": "pos", "stakes": {"a": 3.0, "b": 1.0}}),
+        )
+    )
+    return config_from_dict(
+        {
+            "seed": draw(st.integers(0, 2**16)),
+            "node_count": draw(st.integers(1, 12)),
+            "sim_time_ms": 100 * draw(st.integers(0, 29)) + draw(st.sampled_from([100, 1, 37, 99])),
+            "round_period_ms": draw(st.one_of(st.sampled_from([100, 200, 300]), st.integers(1, 1200))),
+            "sensor_rate_pps": draw(st.sampled_from([5.0, 20.0, 60.0])),
+            "data_rate_mbps": draw(st.sampled_from([0.1, 10.0])),
+            "block_batch": draw(st.integers(1, 5)),
+            "block_interval_ms": draw(st.one_of(st.sampled_from([200, 300, 1000]), st.integers(1, 1500))),
+            "unregistered_fraction": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            "t_pending_ms": draw(st.sampled_from([1, 300, 1000, 30_000])),
+            "energy_range_j": list(energy_range),
+            "head_cost_j": head_cost,
+            "tx_cost_j": tx_cost,
+            "consensus": consensus,
+        }
+    )
+
+
+def ledger_stage(stage, cfg, link):
+    """Run one ledger stage over `link` as run_raw does: its chain and its six counters."""
+    counters = dict.fromkeys(_LEDGER_COUNTERS, 0)
+    ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
+    stage(cfg, link, ledger, counters)
+    counters |= {"blocks": len(ledger.blocks), "pending_at_end": len(ledger.pending), "queued_at_end": len(ledger.queued)}
+    return ledger, counters
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cfg=ledger_configs())
+def test_ledger_stage_matches_the_per_packet_reference(cfg):
+    link = run_link(cfg)
+    (got, got_counters), (want, want_counters) = (ledger_stage(s, cfg, link) for s in (_run_ledger, reference_ledger))
+    assert bc.export_ledger(got) == bc.export_ledger(want)
+    assert got_counters == want_counters
+    assert list(got.pending) == list(want.pending)
+    assert list(got.queued) == list(want.queued)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"block_batch": 1}, {"block_batch": 8}, {"unregistered_fraction": 1.0}],  # seen committed, queued, parked
+)
+@pytest.mark.parametrize("through", [[0, 4, 8], [0, 8]])  # in a later window, or twice in one window
+def test_a_tx_id_seen_twice_in_the_ledger_stage_raises(knobs, through):
+    cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, **knobs)
+    link = run_link(cfg)
+    rows = link.delivered[:4]
+    assert rows, "the run delivers a packet"
+    twice = dataclasses.replace(link, delivered=rows + rows, delivered_through=array("q", through))
+    with pytest.raises(DuplicateTransactionError):
+        ledger_stage(_run_ledger, cfg, twice)
 
 
 @pytest.mark.parametrize(
