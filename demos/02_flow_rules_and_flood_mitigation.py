@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walkthrough: match-action flow tables, the sliding-window flood detector,
+"""Walkthrough: match-action flow tables, the flood detector's threshold,
 and what blocking does to benign bandwidth during a flood.
 
 Run:  python demos/02_flow_rules_and_flood_mitigation.py
@@ -12,9 +12,7 @@ from distb.sdn import (
     FlowTable,
     Match,
     Packet,
-    SlidingWindow,
     block_flow,
-    detect_flood,
     forward,
     match_packet,
 )
@@ -29,13 +27,16 @@ table.rules.append(FlowRule(Match(src="s-9"), DROP, priority=10))
 print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 
 # --- detector --------------------------------------------------------------
-# Normal sensors send ~10 packets/s; theta = 5x the expected count per 200 ms
-# window, so 10. An attacker at 10x trips it within one full window.
-window = SlidingWindow(window_ms=200)
-window.record("s-1", at=100, count=2)     # normal
-window.record("atk-0", at=100, count=10)  # 100 pps
-window.record("atk-0", at=200, count=10)
-print("suspects after one window  ->", detect_flood(window, threshold=10, now=200))
+# The engine keeps one running total per source (sensors and attackers alike)
+# of the packets it offered over the last detector_window_ms, and at every
+# 100 ms window end it blocks each unblocked source whose total exceeds
+# theta = detector_multiplier x sensor_rate_pps x detector_window_ms / 1000.
+# Normal sensors send ~10 packets/s, so by default theta = 5 x 10 x 0.2 = 10:
+# a sensor expects 2 packets per 200 ms. An attacker at 10x sends 10 per
+# 100 ms window and crosses theta after two windows.
+cfg = ScenarioConfig()
+theta = cfg.detector_multiplier * cfg.sensor_rate_pps * cfg.detector_window_ms / 1000
+print("default theta              ->", theta)
 
 # Blocking puts one maximal-priority drop rule into the drop table, the one
 # table every gateway enforces.
@@ -45,7 +46,8 @@ print("post-block action          ->", match_packet(drops, Packet("atk-0", "bs")
 
 # --- full scenario ---------------------------------------------------------
 # Five attackers flood from t=2s to t=18s. With mitigation on (distb mode)
-# they are cut off ~200 ms in; the baseline eats the whole flood.
+# they are cut off at the end of the first flooded window, 100 ms in; the
+# baseline eats the whole flood.
 base = ScenarioConfig(sim_time_ms=20_000, attack=AttackConfig(start_ms=2000, stop_ms=18_000, sources=5, multiplier=320.0))
 for mode in ("distb", "of-baseline"):
     raw = run_raw(base.with_(mode=mode))

@@ -40,9 +40,7 @@ from .sdn import (
     FlowTable,
     Match,
     Packet,
-    SlidingWindow,
     block_flow,
-    detect_flood,
     match_packet,
 )
 from .simulator import (

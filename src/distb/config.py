@@ -22,6 +22,8 @@ MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
 MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
 MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
+MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector counts them in int64
+MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; inject_attack builds one tuple each
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
@@ -101,6 +103,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             value = getattr(cfg, f.name)
             _require(math.isfinite(value), f"{f.name} must be finite (got {value})")
     _require(cfg.z_max_m >= 0, f"z_max_m must be >= 0 (got {cfg.z_max_m})")
+    for name in ("area_side_m", "z_max_m"):
+        value = getattr(cfg, name)
+        _require(value <= MAX_EXTENT_M, f"{name} must be <= {MAX_EXTENT_M} m (got {value})")
     # int * int is exact and int-vs-float comparison never overflows
     _require(
         cfg.node_count * cfg.sim_time_ms <= MAX_ARRIVALS * 1000 / cfg.sensor_rate_pps,
@@ -153,6 +158,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             0 < a.multiplier < math.inf, f"attack.multiplier must be > 0 and finite (got {a.multiplier})"
         )
         _require(a.ramp_ms >= 0, f"attack.ramp_ms must be >= 0 (got {a.ramp_ms})")
+        packets = a.sources * a.multiplier * cfg.sensor_rate_pps * (a.stop_ms - a.start_ms) / 1000
+        _require(
+            packets <= MAX_ATTACK_PACKETS,
+            f"expected attack packets attack.sources x attack.multiplier x sensor_rate_pps x "
+            f"(stop_ms - start_ms) / 1000 must be <= {MAX_ATTACK_PACKETS} (got {packets:.3g})",
+        )
     c = cfg.consensus
     _require(c.kind in ("pow", "pos"), f"consensus.kind must be pow or pos (got {c.kind!r})")
     if c.kind == "pow":
@@ -170,6 +181,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     else:
         stakes = c.stakes_dict()
         _require(bool(stakes), "consensus.stakes must name at least one validator")
+        for name in stakes:  # a seal carries its validator's name as UTF-8, which has no surrogates
+            _require(
+                name and not any("\ud800" <= c <= "\udfff" for c in name),
+                f"consensus.stakes names must be non-empty UTF-8 (got {name!r})",
+            )
         _require(
             all(0 <= v < math.inf for v in stakes.values()),
             "consensus.stakes must be non-negative and finite",

@@ -1,19 +1,18 @@
-"""Match-action flow tables, flood detection, and source blocking.
+"""Match-action flow tables and source blocking.
 
 Actions are plain tuples: ("forward", next_hop), ("drop",), and the table
 default ("controller",) meaning punt to the control plane. Lookup picks the
 highest-priority matching rule, breaking ties by earliest installed_at and
 then by rule position, so it is fully deterministic.
 
-Flood detection is one sliding-window rate check: a source whose packet
-count over the last `window_ms` exceeds the threshold is a suspect.
-Blocking installs one maximal-priority drop rule for the source into the drop
-table, the one table every gateway enforces.
+Blocking installs one maximal-priority drop rule for a source into the drop
+table, the one table every gateway enforces. Flood detection, which decides
+what to block, lives in the engine (`simulator.run_link`) as arithmetic over
+per-window packet counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 FORWARD_TO_CONTROLLER = ("controller",)
@@ -56,32 +55,6 @@ class FlowTable:
     default_action: tuple = FORWARD_TO_CONTROLLER
 
 
-@dataclass
-class SlidingWindow:
-    """Per-source arrival totals over a sliding window of `window_ms`.
-
-    `record` adds an arrival to its source's running total and queues it;
-    `detect_flood` takes queued arrivals out of the totals once the window
-    has slid past them, so no source's arrivals are ever recounted. Times
-    must not decrease: record times among records, detect times among
-    detects, and a detect may not come before the latest record. A
-    decreasing time raises ValueError.
-    """
-
-    window_ms: int = 200
-    totals: dict[str, int] = field(default_factory=dict)
-    queue: deque[tuple[int, str, int]] = field(default_factory=deque)  # (at, src, count), oldest first
-    last_record: int | None = None
-    last_detect: int | None = None
-
-    def record(self, src: str, at: int, count: int = 1) -> None:
-        if self.last_record is not None and at < self.last_record:
-            raise ValueError(f"record at {at} ms comes before the latest record at {self.last_record} ms")
-        self.last_record = at
-        self.queue.append((at, src, count))
-        self.totals[src] = self.totals.get(src, 0) + count
-
-
 def match_packet(table: FlowTable, pkt: Packet) -> tuple:
     """Action of the best matching rule, or the table default.
 
@@ -111,27 +84,6 @@ def install_rule(table: FlowTable, rule: FlowRule) -> bool:
             return False
     table.rules.append(rule)
     return True
-
-
-def detect_flood(window: SlidingWindow, threshold: float, now: int) -> list[str]:
-    """Sources whose count over (now - window_ms, now] exceeds the threshold,
-    in sorted order.
-
-    Not a pure query: it first drops the arrivals at or before
-    now - window_ms from the window's totals, and a source whose total
-    reaches 0 leaves them."""
-    for prev, what in ((window.last_detect, "detect"), (window.last_record, "record")):
-        if prev is not None and now < prev:
-            raise ValueError(f"detect at {now} ms comes before the latest {what} at {prev} ms")
-    window.last_detect = now
-    queue, totals = window.queue, window.totals
-    lo = now - window.window_ms
-    while queue and queue[0][0] <= lo:
-        _, src, count = queue.popleft()
-        left = totals.pop(src, 0) - count
-        if left:
-            totals[src] = left
-    return sorted(src for src, total in totals.items() if total > threshold)
 
 
 def block_flow(table: FlowTable, src: str, now: int) -> bool:

@@ -27,25 +27,30 @@ packet arrivals are pre-drawn Poisson processes held as three sorted arrays
 Flood traffic arrives as deterministic per-window batches, which makes
 detection latency exact arithmetic instead of a coin flip.
 
-Per-node state is three arrays indexed by node id: the residual energy,
-which each round charges over the clustering `Geometry` the run builds once;
+Per-node state is two arrays indexed by node id: the residual energy, which
+each round charges over the clustering `Geometry` the run builds once, and
 the ms from which the node is depleted, read off the energy after each round
-(a depleted node emits nothing from its round's due time on); and whether
-the drop table blocks it (re-read from the table whenever a block changes
-it). Within a span, the windows settled before the next round, the last two
-change only when the detector installs a drop rule. So array operations mark
-each arrival of a span at once as alive (its node not depleted) and offered
-(alive and not blocked), and re-mark the rest of the span after a block; the
-per-window loop keeps scalar work. Each window shares the configured link
-capacity proportionally between benign and unblocked attack bytes. Benign
-packets take the budget in arrival order: a packet that would overrun it is
-dropped and the next, possibly smaller, packet is still tried, a greedy that
-only congested windows run. When the loop ends, the delivered packets' log
-and each payload's sequence number (1 + the arrival's rank among its node's
-alive arrivals, so dropped and blocked ones count) are read off the marks.
-In distb mode every delivered sensor packet becomes a ledger transaction
-(registry verdict -> admit -> mine -> chain append) and each flood
-suspect gets a drop rule in the one drop table all gateways enforce; in
+(a depleted node emits nothing from its round's due time on). Two more are
+indexed by source, the sensors by node id and then the attack sources: the
+flood detector's totals, each source's offered packets over the last
+detector_window_ms, and whether the drop table blocks the source, re-read
+from the table after each block. At each window end the totals gain the
+window's counts and lose those of the windows that slid out, recounted from
+the settled marks. Within a span, the windows settled before the next round,
+depletion and blocks change only when the detector installs a drop rule. So
+array operations mark each arrival of a span at once as alive (its node not
+depleted) and offered (alive and not blocked), and re-mark the rest of the
+span after a block; the per-window loop keeps scalar work. Each window shares
+the configured link capacity proportionally between benign and unblocked
+attack bytes. Benign packets take the budget in arrival order: a packet that
+would overrun it is dropped and the next, possibly smaller, packet is still
+tried, a greedy that only congested windows run. When the loop ends, the
+delivered packets' log and each payload's sequence number (1 + the arrival's
+rank among its node's alive arrivals, so dropped and blocked ones count) are
+read off the marks. In distb mode every delivered sensor packet becomes a
+ledger transaction (registry verdict -> admit -> mine -> chain append) and
+each unblocked source whose total exceeds theta gets a drop rule in the one
+drop table all gateways enforce, those of one window in name order; in
 of-baseline mode both the ledger stage and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
@@ -75,15 +80,7 @@ from .calibration import Calibration, fit_gas, fit_response, load_reference_tabl
 from .clustering import Geometry, elect
 from .config import MODES, WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
-from .sdn import (
-    DROP,
-    FlowTable,
-    Packet,
-    SlidingWindow,
-    block_flow,
-    detect_flood,
-    match_packet,
-)
+from .sdn import DROP, FlowTable, Packet, block_flow, match_packet
 from .topology import generate_topology
 
 CPU_SAMPLE_MS = 200
@@ -254,23 +251,27 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     distb = cfg.mode == "distb"
-    names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
-    n_nodes = len(names)
-
-    theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
-    traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
-    drop_table = FlowTable()
-    # Whether drop_table drops a source's packets, valid until a block changes
-    # the table: per node id for sensors (the table starts empty), and per
-    # name, filled on first use, for attack sources.
-    blocked = np.zeros(n_nodes, dtype=bool)
-    verdicts: dict[str, bool] = {}
+    n_nodes = len(node_set.nodes)
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
 
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    # Source indices: the sensors by node id (their list position), then the
+    # attack sources in name order. atk_src and atk_count hold each batch's
+    # source index and packet count.
+    names = [f"s-{n.id}" for n in node_set.nodes] + sorted({src for _, src, _, _ in batches})
+    index = {name: i for i, name in enumerate(names)}
+    atk_src = [index[src] for _, src, _, _ in batches]
+    atk_count = np.array([count for _, _, count, _ in batches], dtype=np.int64)
+
+    theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
+    drop_table = FlowTable()
+    # Per source: whether drop_table drops its packets (re-read from the table
+    # after each block), and its offered packets over the detector's window.
+    blocked = np.zeros(len(names), dtype=bool)
+    totals = np.zeros(len(names), dtype=np.int64)
     # Per arrival: alive (its node not yet depleted) and offered (alive and not
     # blocked), marked when its span is prepared, and taken (delivered), marked
     # when its window settles.
@@ -294,9 +295,6 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         np.minimum(depleted_from, np.where(energy <= 0.0, due, never), out=depleted_from)
         return energy
 
-    def is_dropped(src: str) -> bool:
-        return match_packet(drop_table, Packet(src, BS_ID)) == DROP
-
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
     # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
@@ -307,6 +305,15 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     arr_ends = np.searchsorted(arr_t, ends, side="right")
     arr_ends[0] = 0
     batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
+
+    def window_counts(w: int) -> np.ndarray:
+        """Each source's packets in window w: a sensor's offered arrivals (final
+        once w has settled) and an attacker's batches, blocked or not (a blocked
+        source's total is never read again)."""
+        lo, hi, bl, bh = arr_ends[w - 1], arr_ends[w], batch_ends[w - 1], batch_ends[w]
+        counts = np.bincount(arr_node[lo:hi][offered[lo:hi]], minlength=len(names))
+        np.add.at(counts, atk_src[bl:bh], atk_count[bl:bh])
+        return counts
 
     def prepare(wa: int) -> tuple[int, list]:
         """Mark alive and offered over the span of windows wa..wb-1, those
@@ -323,6 +330,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 
     attack_trace: list[tuple[int, str, int]] = []
     last_tick = settled = span_start = span_end = 0
+    slid = 1  # the oldest window still in the detector's totals
     benign_bytes_delivered_attack = 0
     cpu_acc_pkts = 0
     cpu_ewma = 0.0
@@ -340,12 +348,10 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 
             atk_generated = atk_blocked = attack_bytes = 0
             attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
-            for _, src, count, nbytes in batches[batch_ends[w - 1] : batch_ends[w]]:
+            bl, bh = batch_ends[w - 1], batch_ends[w]
+            for (_, src, count, nbytes), i in zip(batches[bl:bh], atk_src[bl:bh]):
                 atk_generated += count
-                verdict = verdicts.get(src)
-                if verdict is None:
-                    verdict = verdicts[src] = is_dropped(src)
-                if verdict:
+                if blocked[i]:
                     atk_blocked += count
                     continue
                 c, b = attack_offered.get(src, (0, 0))
@@ -353,14 +359,6 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
                 attack_bytes += nbytes
 
             lo, hi = arr_ends[w - 1], arr_ends[w]
-            if distb:
-                by_node = np.bincount(arr_node[lo:hi][offered[lo:hi]])
-                nz = np.flatnonzero(by_node)
-                for i, count in zip(nz.tolist(), by_node[nz].tolist()):
-                    traffic_window.record(names[i], t1, count)
-                for src, (count, _) in attack_offered.items():
-                    traffic_window.record(src, t1, count)
-
             capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
             total = offered_bytes + attack_bytes
             if total <= capacity:
@@ -400,11 +398,16 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
                     cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
                     cpu_samples.append((t1, cpu_ewma))
                     cpu_acc_pkts = 0
-            if distb:
-                changed = [block_flow(drop_table, src, t1) for src in detect_flood(traffic_window, theta, t1)]
-                if any(changed):
-                    blocked[:] = [is_dropped(name) for name in names]  # not map(): numpy would take it as True
-                    verdicts.clear()
+            if distb:  # flag the unblocked sources over theta in (t1 - detector_window_ms, t1]
+                totals += window_counts(w)
+                while ends[slid] <= t1 - cfg.detector_window_ms:
+                    totals -= window_counts(slid)
+                    slid += 1
+                flagged = np.flatnonzero((totals > theta) & ~blocked).tolist()
+                if flagged:
+                    for name in sorted(names[i] for i in flagged):  # by name, so s-10 goes before s-2
+                        block_flow(drop_table, name, t1)
+                    blocked[:] = [match_packet(drop_table, Packet(name, BS_ID)) == DROP for name in names]
                     span_end = 0
             if next_round_at() == t1 < end:
                 energy = do_round(energy)

@@ -4,9 +4,11 @@
 per-node lists for the depletion time, the packets emitted so far (each
 payload's sequence number) and the block verdict, and a skip-and-continue
 loop over the window's packets for the link budget. `run_link` must return
-exactly the same `LinkResult`. It shares only code with tests of its own:
-the topology, the clustering election, the traffic and attack draws, the
-flow table and the flood detector.
+exactly the same `LinkResult`. Its flood detector keeps every offered count
+as a (window end, source, count) record and sums the records inside the
+detector's window again at every window end. It shares only code with tests
+of its own: the topology, the clustering election, the traffic and attack
+draws, and the flow table.
 
 `reference_ledger` runs the ledger stage one packet at a time: it builds,
 verdicts and admits each delivered packet at its window end and seals a
@@ -28,7 +30,7 @@ from distb import blockchain as bc
 from distb.clustering import Geometry, elect
 from distb.config import WINDOW_MS, ScenarioConfig, validate_config
 from distb.errors import ExhaustedNetworkError
-from distb.sdn import DROP, FlowTable, Packet, SlidingWindow, block_flow, detect_flood, match_packet
+from distb.sdn import DROP, FlowTable, Packet, block_flow, match_packet
 from distb.simulator import (
     _LINK_COUNTERS,
     BS_ID,
@@ -50,7 +52,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
-    traffic_window = SlidingWindow(window_ms=cfg.detector_window_ms)
+    records: list[tuple[int, str, int]] = []  # (window end, source, offered count), oldest first
     drop_table = FlowTable()
     # Whether drop_table drops a source's packets, valid until a block changes
     # the table: per node id for sensors (the table starts empty), and per
@@ -96,6 +98,14 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         blocked[:] = map(is_dropped, names)
         verdicts.clear()
 
+    def flood_suspects(t1: int) -> list[str]:
+        """Sources whose offered count over (t1 - detector_window_ms, t1] exceeds theta, in sorted order."""
+        totals: Counter = Counter()
+        for at, src, count in records:
+            if t1 - cfg.detector_window_ms < at <= t1:
+                totals[src] += count
+        return sorted(src for src, total in totals.items() if total > theta)
+
     attack_trace: list[tuple[int, str, int]] = []
 
     def settle_window(t0: int, t1: int, lo: int, hi: int, window_batches: list) -> tuple[int, int, int]:
@@ -131,9 +141,9 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
 
         if distb:
             for nid, count in Counter(map(itemgetter(1), window_benign)).items():
-                traffic_window.record(names[nid], t1, count)
+                records.append((t1, names[nid], count))
             for src, (count, _) in attack_offered.items():
-                traffic_window.record(src, t1, count)
+                records.append((t1, src, count))
 
         capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
         total = offered_bytes + attack_bytes
@@ -217,7 +227,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
                     cpu_samples.append((t1, cpu_ewma))
                     cpu_acc_pkts = 0
             if distb:
-                changed = [block_flow(drop_table, src, t1) for src in detect_flood(traffic_window, theta, t1)]
+                changed = [block_flow(drop_table, src, t1) for src in flood_suspects(t1)]
                 if any(changed):
                     refresh_verdicts()
             if next_round_at() == t1 < end:

@@ -168,6 +168,29 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        # 2e20 attack packets: past int64, where the detector counts them
+        {"sim_time_ms": 1000, "attack": {"start_ms": 0, "stop_ms": 1000, "sources": 2, "multiplier": 1e19}},
+        {"sim_time_ms": 1000, "attack": {"start_ms": 0, "stop_ms": 1000, "sources": 2, "multiplier": 1e300}},
+        # squared coordinate differences that overflow a float
+        {"area_side_m": 1e300},
+        {"z_max_m": 1e300},
+        # stake names a PoS seal cannot carry
+        {"consensus": {"kind": "pos", "stakes": {"": 1.0}}},
+        {"consensus": {"kind": "pos", "stakes": {"\ud800": 1.0}}},
+    ],
+    ids=["attack-1e19", "attack-1e300", "area-1e300", "z-1e300", "stake-empty", "stake-lone-surrogate"],
+)
+def test_configs_the_engine_cannot_run_exit_1_with_one_line(tmp_path, override, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, **override}))
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_run_streams_the_ledger_export(tmp_path, run_export):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_CFG))

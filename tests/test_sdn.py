@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from distb.cli import _flow_tables_json
 from distb.config import AttackConfig, ScenarioConfig
@@ -15,14 +13,12 @@ from distb.sdn import (
     FlowTable,
     Match,
     Packet,
-    SlidingWindow,
     block_flow,
-    detect_flood,
     forward,
     install_rule,
     match_packet,
 )
-from distb.simulator import bundle_from_raw, run_raw
+from distb.simulator import bundle_from_raw, run_link, run_raw
 
 
 def pkt(src="s-1", dst="bs"):
@@ -100,131 +96,21 @@ def test_hundred_rules_lookup_matches_oracle():
         assert match_packet(table, p) == oracle_match(table, p)
 
 
-def test_detect_flood_zero_traffic():
-    assert detect_flood(SlidingWindow(), threshold=10, now=1000) == []
-
-
-def test_detect_flood_half_threshold_silent():
-    window = SlidingWindow(window_ms=200)
-    for src in ("a", "b", "c"):
-        window.record(src, at=900, count=5)
-    assert detect_flood(window, threshold=10, now=1000) == []
-
-
-def test_detect_flood_flags_10x_within_one_window():
-    # normal rate 10 pps -> theta = 5 * 10 * 0.2 = 10; attacker at 100 pps
-    window = SlidingWindow(window_ms=200)
-    window.record("atk", at=100, count=10)
-    window.record("atk", at=200, count=10)
-    window.record("s-1", at=200, count=2)
-    assert detect_flood(window, threshold=10, now=200) == ["atk"]
-
-
-def test_detect_flood_at_threshold_not_flagged():
-    window = SlidingWindow(window_ms=200)
-    window.record("a", at=100, count=10)
-    assert detect_flood(window, threshold=10, now=200) == []
-    window.record("a", at=150, count=1)
-    assert detect_flood(window, threshold=10, now=200) == ["a"]
-
-
-def test_detect_flood_window_slides():
-    window = SlidingWindow(window_ms=200)
-    window.record("a", at=100, count=50)
-    assert detect_flood(window, threshold=10, now=200) == ["a"]
-    # counts fall out of the window once it slides past them
-    assert detect_flood(window, threshold=10, now=400) == []
-
-
-def test_detect_completeness_and_soundness_random():
-    # The flagged sources come back in sorted order, whatever the record order.
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        theta = float(rng.integers(5, 20))
-        window = SlidingWindow(window_ms=200)
-        expected = []
-        for s in rng.permutation(6).tolist():
-            src = f"s-{s}"
-            count = int(rng.integers(0, 2 * int(theta) + 2))
-            if count:
-                window.record(src, at=500, count=count)
-            if count > theta:
-                expected.append(src)
-        assert detect_flood(window, threshold=theta, now=500) == sorted(expected)
-
-
-class RecountWindow:
-    """The detector as it was before running totals: every detect recounts
-    each source's bucket of (at, count) entries. Kept as the oracle."""
-
-    def __init__(self, window_ms):
-        self.window_ms = window_ms
-        self.buckets = {}
-
-    def record(self, src, at, count):
-        self.buckets.setdefault(src, []).append((at, count))
-        lo = at - 4 * self.window_ms
-        entries = self.buckets[src]
-        if entries and entries[0][0] < lo:
-            self.buckets[src] = [(t, c) for t, c in entries if t >= lo]
-
-    def count(self, src, now):
-        lo = now - self.window_ms
-        return sum(c for t, c in self.buckets.get(src, []) if lo < t <= now)
-
-    def detect(self, threshold, now):
-        return [src for src in sorted(self.buckets) if self.count(src, now) > threshold]
-
-
-_window_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("record"), st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 150), st.integers(0, 20)),
-        st.tuples(
-            st.just("detect"),
-            st.floats(min_value=0, max_value=40, allow_nan=False),
-            st.integers(0, 300),
-            st.integers(0, 300),
-        ),
-    ),
-    max_size=60,
+@pytest.mark.parametrize(
+    "multiplier,blocked_at",
+    [
+        (4.0, None),  # 8 packets in any 200 ms; three 100 ms windows would hold 12
+        (5.0, None),  # 10 packets in 200 ms: at theta, not over it
+        (5.5, 1200),  # 6 + 6 at the second window end
+        (11.0, 1100),  # over theta in the first window
+    ],
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(window_ms=st.integers(1, 1000).filter(lambda w: w % 100), ops=_window_ops)
-def test_running_totals_match_recount(window_ms, ops):
-    # Record times never decrease, nor do detect times, and a detect never
-    # comes before the latest record; a record may fall behind the latest
-    # detect. Steps of 0 repeat timestamps.
-    window, oracle = SlidingWindow(window_ms=window_ms), RecountWindow(window_ms)
-    last_record = last_detect = 0
-    for op in ops:
-        if op[0] == "record":
-            _, src, step, count = op
-            last_record += step
-            window.record(src, at=last_record, count=count)
-            oracle.record(src, last_record, count)
-        else:
-            _, theta, step_record, step_detect = op
-            now = max(last_record + step_record, last_detect + step_detect)
-            last_detect = now
-            assert detect_flood(window, threshold=theta, now=now) == oracle.detect(theta, now)
-            # a source leaves the totals once none of its arrivals is queued
-            assert set(window.totals) <= {src for _, src, _ in window.queue}
-
-
-def test_decreasing_times_raise():
-    window = SlidingWindow(window_ms=200)
-    window.record("a", at=300, count=1)
-    with pytest.raises(ValueError, match="before the latest record"):
-        window.record("a", at=299, count=1)
-    with pytest.raises(ValueError, match="before the latest record"):
-        detect_flood(window, threshold=0, now=299)
-    assert detect_flood(window, threshold=0, now=400) == ["a"]
-    with pytest.raises(ValueError, match="before the latest detect"):
-        detect_flood(window, threshold=0, now=399)
-    window.record("b", at=350, count=1)  # behind the latest detect, after the latest record
-    assert detect_flood(window, threshold=0, now=400) == ["a", "b"]
+def test_detector_blocks_a_source_over_theta_in_its_window(multiplier, blocked_at):
+    # theta = 5 x 10 pps x 0.2 s = 10; the attacker sends round(multiplier)
+    # packets per 100 ms window from t = 1000 ms on.
+    attack = AttackConfig(start_ms=1000, stop_ms=2000, sources=1, multiplier=multiplier)
+    link = run_link(ScenarioConfig(node_count=3, sim_time_ms=3000, seed=1, attack=attack))
+    assert link.block_times.get("atk-0") == blocked_at
 
 
 def test_block_flow_installs_drop_and_silences():

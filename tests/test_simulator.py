@@ -192,6 +192,27 @@ def test_link_stage_matches_the_per_packet_reference(cfg):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+@pytest.mark.parametrize("window_ms", [1, 99, 150, 250, 1000])
+def test_link_stage_matches_the_reference_at_detector_windows_off_the_grid(window_ms):
+    # A detector window that is not a whole number of 100 ms windows slides its
+    # oldest window out at a different step; sensors and attackers are blocked.
+    cfg = config_from_dict(
+        {
+            "seed": 3,
+            "node_count": 12,
+            "sim_time_ms": 3050,
+            "sensor_rate_pps": 60.0,
+            "detector_window_ms": window_ms,
+            "detector_multiplier": 1.2,
+            "attack": {"start_ms": 400, "stop_ms": 2500, "sources": 3, "multiplier": 10.0, "ramp_ms": 1500},
+        }
+    )
+    got, want = run_link(cfg), reference_link(cfg)
+    assert {src.split("-")[0] for src in got.block_times} == {"atk", "s"}
+    for f in dataclasses.fields(LinkResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
 # --- the ledger stage against its per-packet model -----------------------------
 
 
