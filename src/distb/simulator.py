@@ -30,27 +30,29 @@ detection latency exact arithmetic instead of a coin flip.
 Per-node state is two arrays indexed by node id: the residual energy, which
 each round charges over the clustering `Geometry` the run builds once, and
 the ms from which the node is depleted, read off the energy after each round
-(a depleted node emits nothing from its round's due time on). Two more are
-indexed by source, the sensors by node id and then the attack sources: the
-flood detector's totals, each source's offered packets over the last
-detector_window_ms, and whether the drop table blocks the source, re-read
-from the table after each block. At each window end the totals gain the
-window's counts and lose those of the windows that slid out, recounted from
-the settled marks. Within a span, the windows settled before the next round,
-depletion and blocks change only when the detector installs a drop rule. So
-array operations mark each arrival of a span at once as alive (its node not
+(a depleted node emits nothing from its round's due time on). One more is
+indexed by source, the sensors by node id and then the attack sources:
+whether the drop table blocks the source, re-read from the table after each
+block. Within a span, the windows settled before the next round, depletion
+and blocks change only when the detector installs a drop rule. So array
+operations mark each arrival of a span at once as alive (its node not
 depleted) and offered (alive and not blocked), and re-mark the rest of the
-span after a block; the per-window loop keeps scalar work. Each window shares
-the configured link capacity proportionally between benign and unblocked
-attack bytes. Benign packets take the budget in arrival order: a packet that
+span after a block; the per-window loop keeps scalar work. The detector's
+block events are found once, when a round starts a span: a source's count
+never depends on another's block, and its sum over the last
+detector_window_ms rises only in a window where it sends, so one cumsum
+over the span's sparse (source, window) counts, with the lookback its first
+sum needs, gives each unblocked source's first crossing of theta. Each
+window shares the configured link capacity proportionally between benign
+and unblocked attack bytes. Benign packets take the budget in arrival order: a packet that
 would overrun it is dropped and the next, possibly smaller, packet is still
 tried, a greedy that only congested windows run. When the loop ends, the
 delivered packets' log and each payload's sequence number (1 + the arrival's
 rank among its node's alive arrivals, so dropped and blocked ones count) are
 read off the marks. In distb mode every delivered sensor packet becomes a
 ledger transaction (registry verdict -> admit -> mine -> chain append) and
-each unblocked source whose total exceeds theta gets a drop rule in the one
-drop table all gateways enforce, those of one window in name order; in
+each source gets a drop rule at its first crossing in the one drop table
+all gateways enforce, those of one window in name order; in
 of-baseline mode both the ledger stage and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
@@ -103,8 +105,9 @@ CPU_BATTERY = dict(
 def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
     """Seeded Poisson arrivals per node: int64 arrays (t_ms, node_id, size_bytes).
 
-    The three arrays are sorted together by time, then node id, then draw
-    order. Uses the order-statistics form of a Poisson process (count ~
+    `nodes` come in ascending id order, as `NodeSet.active()` gives them. The
+    three arrays are sorted together by time, then node id, then draw order.
+    Uses the order-statistics form of a Poisson process (count ~
     Poisson, times ~ sorted uniforms) so the draw is vectorized per node.
     """
     if rate_pps <= 0:
@@ -112,22 +115,26 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
     horizon_s = horizon_ms / 1000.0
     lo, hi = size_range
     times_all = []
-    nodes_all = []
+    counts = []
     sizes_all = []
     for node in nodes:
         count = int(rng.poisson(rate_pps * horizon_s))
+        counts.append(count)
         if count == 0:
             continue
         times_all.append(rng.uniform(0, horizon_ms, count))
-        nodes_all.append(np.full(count, node.id, dtype=np.int64))
         sizes_all.append(rng.integers(lo, hi + 1, count))
     if not times_all:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
     t = np.concatenate(times_all).astype(np.int64)
-    nid = np.concatenate(nodes_all)
+    nid = np.repeat(np.array([node.id for node in nodes], dtype=np.int64), counts)
     size = np.concatenate(sizes_all)
-    order = np.lexsort((np.arange(len(t)), nid, t))
+    # The arrays run by node id, each node's in draw order, so the position
+    # breaks time ties as (node id, draw order) would. The key fits int64:
+    # validate_config caps the horizon at 1e8 ms and the expected arrivals at
+    # 1e8, so keys stay near 1e16.
+    order = np.argsort(t * len(t) + np.arange(len(t)))
     return t[order], nid[order], size[order]
 
 
@@ -268,10 +275,8 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     drop_table = FlowTable()
-    # Per source: whether drop_table drops its packets (re-read from the table
-    # after each block), and its offered packets over the detector's window.
+    # Per source: whether drop_table drops its packets, re-read after each block.
     blocked = np.zeros(len(names), dtype=bool)
-    totals = np.zeros(len(names), dtype=np.int64)
     # Per arrival: alive (its node not yet depleted) and offered (alive and not
     # blocked), marked when its span is prepared, and taken (delivered), marked
     # when its window settles.
@@ -305,15 +310,38 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     arr_ends = np.searchsorted(arr_t, ends, side="right")
     arr_ends[0] = 0
     batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
+    # The detector's sum at window w covers windows first_in[w]..w, those that
+    # end after t1 - detector_window_ms. Keys are source * len(ends) + window.
+    first_in = np.searchsorted(ends, np.subtract(ends, cfg.detector_window_ms), side="right").clip(1)
+    atk_key = np.array(atk_src, dtype=np.int64) * len(ends) + np.searchsorted(ends, [b[0] for b in batches], "right")
 
-    def window_counts(w: int) -> np.ndarray:
-        """Each source's packets in window w: a sensor's offered arrivals (final
-        once w has settled) and an attacker's batches, blocked or not (a blocked
-        source's total is never read again)."""
-        lo, hi, bl, bh = arr_ends[w - 1], arr_ends[w], batch_ends[w - 1], batch_ends[w]
-        counts = np.bincount(arr_node[lo:hi][offered[lo:hi]], minlength=len(names))
-        np.add.at(counts, atk_src[bl:bh], atk_count[bl:bh])
-        return counts
+    def crossings(wa: int, wb: int) -> dict:
+        """The block events of the span wa..wb-1, once it is prepared: window ->
+        the unblocked sources whose offered packets over (t1 -
+        detector_window_ms, t1] first exceed theta there. Blocking one source
+        changes no other's counts, and a sum rises only in a window where its
+        source sends, so each first crossing is read off the sparse (source,
+        window) keys of the span and its lookback."""
+        look = first_in[wa] - 1
+        lo, hi = arr_ends[look], arr_ends[wb - 1]
+        on = lo + np.flatnonzero(offered[lo:hi])
+        atk = slice(batch_ends[look], batch_ends[wb - 1])
+        arr_win = ((arr_t[on] + WINDOW_MS - 1) // WINDOW_MS).clip(1)
+        key = np.concatenate((arr_node[on] * len(ends) + arr_win, atk_key[atk]))
+        order = np.argsort(key)
+        key, csum = key[order], np.cumsum(np.concatenate((np.ones(len(on), dtype=np.int64), atk_count[atk]))[order])
+        src, win = np.divmod(key, len(ends))
+        # Each entry's sum over its key's detector window. A sensor's arrivals
+        # in one window share a key, and all but the last read a partial sum,
+        # over theta only where the whole is, so each source's first entry over
+        # theta still falls in its first crossing window.
+        sums = csum - np.concatenate(([0], csum))[np.searchsorted(key, key - win + first_in[win])]
+        hit = np.flatnonzero((sums > theta) & (win >= wa) & ~blocked[src])
+        hit = hit[np.unique(src[hit], return_index=True)[1]]  # each source's first
+        events: dict[int, list] = {}
+        for w, i in zip(win[hit].tolist(), src[hit].tolist()):
+            events.setdefault(w, []).append(i)
+        return events
 
     def prepare(wa: int) -> tuple[int, list]:
         """Mark alive and offered over the span of windows wa..wb-1, those
@@ -330,7 +358,6 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 
     attack_trace: list[tuple[int, str, int]] = []
     last_tick = settled = span_start = span_end = 0
-    slid = 1  # the oldest window still in the detector's totals
     benign_bytes_delivered_attack = 0
     cpu_acc_pkts = 0
     cpu_ewma = 0.0
@@ -341,9 +368,10 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
             t0, t1 = ends[w - 1], ends[w]
             while next_round_at() < t1:
                 energy = do_round(energy)
-            if w >= span_end:  # spans end at a round, so this also follows every round
+            if w >= span_end:  # spans end at a round, so this follows every round
                 span_start = w
                 span_end, span_bytes = prepare(w)
+                events = crossings(w, span_end) if distb else {}
             offered_bytes = span_bytes[w - span_start]
 
             atk_generated = atk_blocked = attack_bytes = 0
@@ -398,17 +426,13 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
                     cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
                     cpu_samples.append((t1, cpu_ewma))
                     cpu_acc_pkts = 0
-            if distb:  # flag the unblocked sources over theta in (t1 - detector_window_ms, t1]
-                totals += window_counts(w)
-                while ends[slid] <= t1 - cfg.detector_window_ms:
-                    totals -= window_counts(slid)
-                    slid += 1
-                flagged = np.flatnonzero((totals > theta) & ~blocked).tolist()
-                if flagged:
-                    for name in sorted(names[i] for i in flagged):  # by name, so s-10 goes before s-2
-                        block_flow(drop_table, name, t1)
-                    blocked[:] = [match_packet(drop_table, Packet(name, BS_ID)) == DROP for name in names]
-                    span_end = 0
+            if w in events:  # the sources that first cross theta at t1
+                for name in sorted(names[i] for i in events[w]):  # by name, so s-10 goes before s-2
+                    block_flow(drop_table, name, t1)
+                blocked[:] = [match_packet(drop_table, Packet(name, BS_ID)) == DROP for name in names]
+                if w + 1 < span_end:  # re-mark the rest of the span; its events stand
+                    span_start = w + 1
+                    _, span_bytes = prepare(span_start)
             if next_round_at() == t1 < end:
                 energy = do_round(energy)
             last_tick = t1

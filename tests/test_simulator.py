@@ -17,6 +17,7 @@ from distb.errors import ConfigError, DuplicateTransactionError
 from distb.simulator import (
     _LEDGER_COUNTERS,
     LinkResult,
+    RawResult,
     _bandwidth_cfg,
     _run_ledger,
     bundle_from_raw,
@@ -213,6 +214,31 @@ def test_link_stage_matches_the_reference_at_detector_windows_off_the_grid(windo
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+def test_one_span_holds_many_block_events():
+    # One round at t = 0 and none after, so the span is the whole run and every
+    # block event comes from one pass over it: sensors and attackers cross at
+    # nine window ends, s-11 and s-2 in one window, s-0 and s-10 in another.
+    cfg = config_from_dict(
+        {
+            "seed": 0,
+            "node_count": 12,
+            "sim_time_ms": 3000,
+            "round_period_ms": 3000,
+            "sensor_rate_pps": 40.0,
+            "detector_multiplier": 1.5,
+            "attack": {"start_ms": 300, "stop_ms": 2500, "sources": 3, "multiplier": 4.0, "ramp_ms": 2000},
+        }
+    )
+    got, want = run_link(cfg), reference_link(cfg)
+    for f in dataclasses.fields(LinkResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.counters["rounds"] == 1
+    rules = [(rule.installed_at, rule.match.src) for rule in got.drop_table.rules]
+    assert len({t for t, _ in rules}) == 9
+    assert {src.split("-")[0] for _, src in rules} == {"atk", "s"}
+    assert [src for t, src in rules if t in (300, 400)] == ["s-11", "s-2", "s-0", "s-10"]
+
+
 # --- the ledger stage against its per-packet model -----------------------------
 
 
@@ -271,6 +297,45 @@ def test_ledger_stage_matches_the_per_packet_reference(cfg):
     assert list(got.queued) == list(want.queued)
 
 
+# --- both stages against both models, end to end -------------------------------
+
+
+def reference_raw(cfg):
+    """run_raw's outputs from the two longhand models run in sequence."""
+    link = reference_link(cfg)
+    stage = reference_ledger if cfg.mode == "distb" else (lambda *args: None)
+    ledger, counters = ledger_stage(stage, cfg, link)
+    return RawResult(**{**vars(link), "counters": link.counters | counters}, ledger=ledger)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # the network dies in a round at a window end that is a mine tick, with transactions queued
+        {"node_count": 8, "sim_time_ms": 12000, "seed": 3, "round_period_ms": 100, "block_interval_ms": 1000,
+         "head_cost_j": 0.02, "tx_cost_j": 0.01, "energy_range_j": [0.035, 0.21],
+         "consensus": {"kind": "pow", "difficulty": 2}},
+        # ... and in one between window ends, mining every window
+        {"node_count": 6, "sim_time_ms": 9050, "seed": 5, "round_period_ms": 430, "block_interval_ms": 100,
+         "head_cost_j": 0.2, "tx_cost_j": 0.05, "energy_range_j": [0.3, 0.9],
+         "consensus": {"kind": "pow", "difficulty": 2}},
+        # blocks of sensors and attackers, parked and expired transactions, PoS seals, a horizon off the grid
+        {"node_count": 12, "sim_time_ms": 3050, "seed": 4, "round_period_ms": 700, "block_batch": 3,
+         "block_interval_ms": 300, "unregistered_fraction": 0.25, "t_pending_ms": 400, "detector_multiplier": 1.5,
+         "sensor_rate_pps": 40.0, "data_rate_mbps": 0.1, "consensus": {"kind": "pos", "stakes": {"a": 3.0, "b": 1.0}},
+         "attack": {"start_ms": 400, "stop_ms": 2500, "sources": 2, "multiplier": 10.0, "ramp_ms": 1000}},
+        {"mode": "of-baseline", "node_count": 10, "sim_time_ms": 2550, "seed": 6,
+         "attack": {"start_ms": 500, "stop_ms": 2000, "sources": 2, "multiplier": 10.0}},
+    ],
+)
+def test_run_raw_matches_the_two_models_in_sequence(doc):
+    cfg = config_from_dict(doc)
+    got, want = run_raw(cfg), reference_raw(cfg)
+    assert bundle_from_raw(cfg, got).to_json() == bundle_from_raw(cfg, want).to_json()
+    assert bc.export_ledger(got.ledger) == bc.export_ledger(want.ledger)
+    assert _flow_tables_json(got) == _flow_tables_json(want)
+
+
 @pytest.mark.parametrize(
     "knobs",
     [{"block_batch": 1}, {"block_batch": 8}, {"unregistered_fraction": 1.0}],  # seen committed, queued, parked
@@ -321,6 +386,25 @@ def test_traffic_deterministic_and_sorted():
     t, nid, size = a
     assert len(t) == len(nid) == len(size) > 0
     assert np.all(t[:-1] <= t[1:])
+
+
+def test_traffic_breaks_time_ties_by_node_then_draw_order():
+    # 20 000 pps over 20 ms: about 20 arrivals per node per ms, so most share
+    # their ms with others of their own node and of other nodes.
+    nodes = generate_topology(6, 500, seed=2).nodes
+    got = generate_traffic(nodes, 20_000.0, np.random.default_rng([5, 1]), 20, (1, 10**6))
+    rng = np.random.default_rng([5, 1])  # the same draws, node by node
+    drawn = []
+    for node in nodes:
+        count = int(rng.poisson(20_000.0 * 0.02))
+        t = rng.uniform(0, 20, count).astype(np.int64)
+        drawn.append((t, np.full(count, node.id), rng.integers(1, 10**6 + 1, count)))
+    t, nid, size = (np.concatenate(column) for column in zip(*drawn))
+    order = np.lexsort((np.arange(len(t)), nid, t))
+    for a, b in zip(got, (t[order], nid[order], size[order])):
+        assert np.array_equal(a, b)
+    assert len(np.unique(t * 10 + nid)) < len(t)  # ties within a node
+    assert len(np.unique(t)) < len(np.unique(t * 10 + nid))  # and across nodes
 
 
 def test_traffic_depleted_nodes_emit_nothing():
