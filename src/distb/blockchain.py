@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import random
 import struct
 from bisect import bisect_right
@@ -309,7 +310,10 @@ def stake_table(stakes: dict[str, float]) -> tuple[list[str], list[float], float
     if not entries:
         raise ValueError("at least one validator needs positive stake")
     weights = [w for _, w in entries]
-    return [v for v, _ in entries], list(accumulate(weights)), sum(weights)
+    total = sum(weights)
+    if not math.isfinite(total):
+        raise ValueError("stakes must sum to a finite total")
+    return [v for v, _ in entries], list(accumulate(weights)), total
 
 
 def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:

@@ -25,7 +25,7 @@ MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in m
 MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector counts them in int64
 MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
-MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; inject_attack builds one tuple each
+MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a span's flood detector sorts one int64 key each
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 
@@ -190,6 +190,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             all(0 <= v < math.inf for v in stakes.values()),
             "consensus.stakes must be non-negative and finite",
         )
+        _require(sum(stakes.values()) < math.inf, "consensus.stakes must sum to a finite total")
         _require(any(v > 0 for v in stakes.values()), "consensus.stakes needs a positive stake")
     if cfg.calibration is not None:
         smoothing = cfg.calibration.cpu_smoothing

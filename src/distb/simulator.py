@@ -15,17 +15,23 @@ sim_time_ms and may be shorter). For each window end t1 the engine:
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
 the ledger stage over that log a window at a time. At each t1 it builds the
-window's transactions in one pass, admits them all by their sensor's
-registry verdict (asked once per sensor: nothing registers one mid-run),
-seals the queue's whole `block_batch` blocks, each stamped t1, and then runs
-steps 4-5. The metric batteries read link figures and run `run_link`.
+window's transactions in one pass, queues those of registered sensors and
+parks the rest (nothing registers a sensor mid-run), seals the queue's
+whole `block_batch` blocks, each stamped t1, and then runs steps 4-5. The
+metric batteries read link figures and run `run_link`.
+
+Nothing in steps 1-3 reads a window's settlement either: rounds read the
+energy, and the detector counts offered packets, not delivered ones. So
+`run_link`'s window loop keeps only what feeds later windows (the rounds,
+the marks of each span and the detector's blocks), and one settlement pass
+after the loop settles every window and takes the CPU samples.
 
 Rounds fall every round_period_ms from t=0 and need not line up with
 windows. A round that finds no live node ends the run at that point. Sensor
 packet arrivals are pre-drawn Poisson processes held as three sorted arrays
 (time, node, size); each window takes its slice, found with searchsorted.
-Flood traffic arrives as deterministic per-window batches, which makes
-detection latency exact arithmetic instead of a coin flip.
+Flood traffic is one deterministic count per window that every attacker
+sends, which makes detection latency exact arithmetic instead of a coin flip.
 
 Per-node state is two arrays indexed by node id: the residual energy, which
 each round charges over the clustering `Geometry` the run builds once, and
@@ -37,23 +43,27 @@ block. Within a span, the windows settled before the next round, depletion
 and blocks change only when the detector installs a drop rule. So array
 operations mark each arrival of a span at once as alive (its node not
 depleted) and offered (alive and not blocked), and re-mark the rest of the
-span after a block; the per-window loop keeps scalar work. The detector's
-block events are found once, when a round starts a span: a source's count
-never depends on another's block, and its sum over the last
+span after a block; a window's marks are final once the loop passes it. The
+detector's block events are found once, when a round starts a span: a
+source's count never depends on another's block, and its sum over the last
 detector_window_ms rises only in a window where it sends, so one cumsum
 over the span's sparse (source, window) counts, with the lookback its first
-sum needs, gives each unblocked source's first crossing of theta. Each
-window shares the configured link capacity proportionally between benign
-and unblocked attack bytes. Benign packets take the budget in arrival order: a packet that
-would overrun it is dropped and the next, possibly smaller, packet is still
-tried, a greedy that only congested windows run. When the loop ends, the
-delivered packets' log and each payload's sequence number (1 + the arrival's
-rank among its node's alive arrivals, so dropped and blocked ones count) are
-read off the marks. In distb mode every delivered sensor packet becomes a
-ledger transaction (registry verdict -> admit -> mine -> chain append) and
-each source gets a drop rule at its first crossing in the one drop table
-all gateways enforce, those of one window in name order; in
-of-baseline mode both the ledger stage and the mitigation are disabled.
+sum needs, gives each unblocked source's first crossing of theta.
+
+The settlement pass reads per-window arrays off the final marks and the
+drop table: offered bytes, unblocked attackers, capacity, and the benign
+budget and attack share. Each window shares the configured link capacity
+proportionally between benign and unblocked attack bytes. Benign packets
+take the budget in arrival order: a packet that would overrun it is dropped
+and the next, possibly smaller, packet is still tried, a greedy that only
+congested windows run. The delivered packets' log and each payload's
+sequence number (1 + the arrival's rank among its node's alive arrivals, so
+dropped and blocked ones count) are read off the marks. In distb mode every
+delivered sensor packet becomes a ledger transaction (registry verdict ->
+admit -> mine -> chain append) and each source gets a drop rule at its
+first crossing in the one drop table all gateways enforce, those of one
+window in name order; in of-baseline mode both the ledger stage and the
+mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
 every delivered sensor packet is accounted for once: benign_delivered =
@@ -138,33 +148,28 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
     return t[order], nid[order], size[order]
 
 
-def inject_attack(attack: AttackConfig | None, sensor_rate_pps: float, sim_time_ms: int):
-    """Deterministic flood batches: list of (t_ms, src, packet_count, bytes).
+def inject_attack(attack: AttackConfig | None, sensor_rate_pps: float, sim_time_ms: int) -> np.ndarray:
+    """Deterministic flood: the packets each attacker sends in each window, an
+    int64 array indexed like the window ends (entry 0 is always 0).
 
-    Each attacker emits multiplier x the normal per-source rate, optionally
-    ramping up linearly from 1x over ramp_ms. One batch per 100 ms window.
+    Every attacker sends one batch of multiplier x the normal per-source rate
+    at each 100 ms step from start_ms, optionally ramping up linearly from 1x
+    over ramp_ms; a batch at t lands in window t // WINDOW_MS + 1.
     """
+    sent = np.zeros(-(-sim_time_ms // WINDOW_MS) + 1, dtype=np.int64)
     if attack is None:
-        return []
+        return sent
     if not (0 <= attack.start_ms < attack.stop_ms <= sim_time_ms):
         raise ConfigError(
             f"attack window must satisfy 0 <= start < stop <= sim_time_ms "
             f"(got {attack.start_ms}..{attack.stop_ms} in {sim_time_ms})"
         )
-    batches = []
-    win_s = WINDOW_MS / 1000.0
-    for w_start in range(attack.start_ms, attack.stop_ms, WINDOW_MS):
-        if attack.ramp_ms > 0:
-            frac = min(1.0, (w_start - attack.start_ms) / attack.ramp_ms)
-            mult = 1.0 + (attack.multiplier - 1.0) * frac
-        else:
-            mult = attack.multiplier
-        count = int(round(mult * sensor_rate_pps * win_s))
-        if count <= 0:
-            continue
-        for i in range(attack.sources):
-            batches.append((w_start, f"atk-{i}", count, count * ATTACK_PKT_BYTES))
-    return batches
+    at = np.arange(attack.start_ms, attack.stop_ms, WINDOW_MS)
+    mult = attack.multiplier
+    if attack.ramp_ms > 0:
+        mult = 1.0 + (attack.multiplier - 1.0) * np.minimum(1.0, (at - attack.start_ms) / attack.ramp_ms)
+    sent[at // WINDOW_MS + 1] = np.round(mult * sensor_rate_pps * (WINDOW_MS / 1000.0))
+    return sent
 
 
 _LINK_COUNTERS = (
@@ -191,7 +196,6 @@ class LinkResult:
     benign_bytes_generated: int
     benign_bytes_delivered: int
     benign_bytes_delivered_attack_window: int
-    attack_trace: list  # (window_end_ms, src, delivered_bytes)
     cpu_load_samples: list  # (t_ms, smoothed unblocked attack kpps)
     drop_table: FlowTable  # one drop rule per blocked source, in block order: the only record of a block
     terminated_early: bool
@@ -252,8 +256,9 @@ def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
 
 
 def run_link(cfg: ScenarioConfig) -> LinkResult:
-    """Run the window loop's link stage: rounds, traffic, settlement, the
-    flood detector and the CPU samples. Builds no transaction."""
+    """Run the link stage: the window loop's rounds, spans and flood blocks,
+    then one settlement pass over the settled windows for the traffic figures
+    and the CPU samples. Builds no transaction."""
     cfg = validate_config(cfg)
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
@@ -264,23 +269,19 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
-    batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    flood = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    n_atk = cfg.attack.sources if cfg.attack is not None else 0
     # Source indices: the sensors by node id (their list position), then the
-    # attack sources in name order. atk_src and atk_count hold each batch's
-    # source index and packet count.
-    names = [f"s-{n.id}" for n in node_set.nodes] + sorted({src for _, src, _, _ in batches})
-    index = {name: i for i, name in enumerate(names)}
-    atk_src = [index[src] for _, src, _, _ in batches]
-    atk_count = np.array([count for _, _, count, _ in batches], dtype=np.int64)
+    # attack sources, each of which sends flood[w] packets in window w.
+    names = [f"s-{n.id}" for n in node_set.nodes] + [f"atk-{i}" for i in range(n_atk)]
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     drop_table = FlowTable()
     # Per source: whether drop_table drops its packets, re-read after each block.
     blocked = np.zeros(len(names), dtype=bool)
     # Per arrival: alive (its node not yet depleted) and offered (alive and not
-    # blocked), marked when its span is prepared, and taken (delivered), marked
-    # when its window settles.
-    alive, offered, taken = (np.zeros(len(arr_t), dtype=bool) for _ in range(3))
+    # blocked), marked when its span is prepared.
+    alive, offered = np.zeros(len(arr_t), dtype=bool), np.zeros(len(arr_t), dtype=bool)
 
     # Per-node state, indexed by node id: the residual energy, and the ms from
     # which the node emits nothing (past the horizon until a round depletes it).
@@ -303,17 +304,15 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
     # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
-    # (the first window from t = 0), arr_ends[w - 1]:arr_ends[w], and the
-    # attack batches at t < ends[w].
+    # (the first window from t = 0), arr_ends[w - 1]:arr_ends[w].
     end = cfg.sim_time_ms
     ends = [*range(0, end, WINDOW_MS), end]
     arr_ends = np.searchsorted(arr_t, ends, side="right")
     arr_ends[0] = 0
-    batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
     # The detector's sum at window w covers windows first_in[w]..w, those that
     # end after t1 - detector_window_ms. Keys are source * len(ends) + window.
     first_in = np.searchsorted(ends, np.subtract(ends, cfg.detector_window_ms), side="right").clip(1)
-    atk_key = np.array(atk_src, dtype=np.int64) * len(ends) + np.searchsorted(ends, [b[0] for b in batches], "right")
+    atk_base = np.arange(n_nodes, len(names)) * len(ends)
 
     def crossings(wa: int, wb: int) -> dict:
         """The block events of the span wa..wb-1, once it is prepared: window ->
@@ -325,11 +324,12 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         look = first_in[wa] - 1
         lo, hi = arr_ends[look], arr_ends[wb - 1]
         on = lo + np.flatnonzero(offered[lo:hi])
-        atk = slice(batch_ends[look], batch_ends[wb - 1])
+        sends = look + 1 + np.flatnonzero(flood[look + 1 : wb])  # the windows with attack batches
         arr_win = ((arr_t[on] + WINDOW_MS - 1) // WINDOW_MS).clip(1)
-        key = np.concatenate((arr_node[on] * len(ends) + arr_win, atk_key[atk]))
+        key = np.concatenate((arr_node[on] * len(ends) + arr_win, np.add.outer(atk_base, sends).ravel()))
+        count = np.concatenate((np.ones(len(on), dtype=np.int64), np.tile(flood[sends], n_atk)))
         order = np.argsort(key)
-        key, csum = key[order], np.cumsum(np.concatenate((np.ones(len(on), dtype=np.int64), atk_count[atk]))[order])
+        key, csum = key[order], np.cumsum(count[order])
         src, win = np.divmod(key, len(ends))
         # Each entry's sum over its key's detector window. A sensor's arrivals
         # in one window share a key, and all but the last read a partial sum,
@@ -343,105 +343,92 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
             events.setdefault(w, []).append(i)
         return events
 
-    def prepare(wa: int) -> tuple[int, list]:
+    def prepare(wa: int) -> int:
         """Mark alive and offered over the span of windows wa..wb-1, those
-        settled before the next round; a block makes the caller re-prepare.
-        Returns wb and each window's offered bytes."""
+        settled before the next round; a block makes the caller re-prepare
+        from the next window. Returns wb."""
         wb = bisect_right(ends, next_round_at())
-        bounds = arr_ends[wa - 1 : wb]
-        lo, hi = bounds[0], bounds[-1]
+        lo, hi = arr_ends[wa - 1], arr_ends[wb - 1]
         nid = arr_node[lo:hi]
         alive[lo:hi] = arr_t[lo:hi] < depleted_from[nid]
-        offered[lo:hi] = on = alive[lo:hi] & ~blocked[nid]
-        span_bytes = np.diff(np.concatenate(([0], np.cumsum(arr_size[lo:hi] * on)))[bounds - lo]).tolist()
-        return wb, span_bytes
+        offered[lo:hi] = alive[lo:hi] & ~blocked[nid]
+        return wb
 
-    attack_trace: list[tuple[int, str, int]] = []
-    last_tick = settled = span_start = span_end = 0
-    benign_bytes_delivered_attack = 0
-    cpu_acc_pkts = 0
-    cpu_ewma = 0.0
-    smoothing = cfg.resolved_calibration().cpu_smoothing
-    cpu_samples: list[tuple[int, float]] = []
+    last_tick = settled = span_end = 0
     try:
         for w in range(1, len(ends)):
-            t0, t1 = ends[w - 1], ends[w]
+            t1 = ends[w]
             while next_round_at() < t1:
                 energy = do_round(energy)
             if w >= span_end:  # spans end at a round, so this follows every round
-                span_start = w
-                span_end, span_bytes = prepare(w)
+                span_end = prepare(w)
                 events = crossings(w, span_end) if distb else {}
-            offered_bytes = span_bytes[w - span_start]
-
-            atk_generated = atk_blocked = attack_bytes = 0
-            attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
-            bl, bh = batch_ends[w - 1], batch_ends[w]
-            for (_, src, count, nbytes), i in zip(batches[bl:bh], atk_src[bl:bh]):
-                atk_generated += count
-                if blocked[i]:
-                    atk_blocked += count
-                    continue
-                c, b = attack_offered.get(src, (0, 0))
-                attack_offered[src] = (c + count, b + nbytes)
-                attack_bytes += nbytes
-
-            lo, hi = arr_ends[w - 1], arr_ends[w]
-            capacity = cfg.data_rate_mbps * 1e6 / 8.0 * (t1 - t0) / 1000.0
-            total = offered_bytes + attack_bytes
-            if total <= capacity:
-                benign_budget = float(offered_bytes)
-                attack_ratio = 1.0
-            else:
-                benign_budget = capacity * offered_bytes / total
-                attack_ratio = (capacity * attack_bytes / total) / attack_bytes if attack_bytes else 0.0
-
-            limit = benign_budget + 1e-6
-            delivered_bytes = offered_bytes
-            if offered_bytes > limit:  # congested
-                idx = lo + np.flatnonzero(offered[lo:hi])
-                idx = idx[fill_budget(arr_size[idx], limit)]
-                taken[idx] = True
-                delivered_bytes = int(arr_size[idx].sum())
-            else:
-                taken[lo:hi] = offered[lo:hi]
-            settled = w
-
-            atk_delivered = atk_packets = 0
-            for src in sorted(attack_offered):
-                count, nbytes = attack_offered[src]
-                atk_packets += count
-                atk_delivered += int(count * attack_ratio)
-                attack_trace.append((t1, src, int(nbytes * attack_ratio)))
-            counters["attack_generated"] += atk_generated
-            counters["attack_delivered"] += atk_delivered
-            counters["blocked"] += atk_blocked
-
-            if cfg.attack is not None:
-                if cfg.attack.start_ms < t1 <= cfg.attack.stop_ms:
-                    benign_bytes_delivered_attack += delivered_bytes
-                cpu_acc_pkts += atk_packets
-                if t1 % CPU_SAMPLE_MS == 0:
-                    kpps = cpu_acc_pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
-                    cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
-                    cpu_samples.append((t1, cpu_ewma))
-                    cpu_acc_pkts = 0
+            settled = w  # its marks are final: a block re-marks from w + 1 on
             if w in events:  # the sources that first cross theta at t1
                 for name in sorted(names[i] for i in events[w]):  # by name, so s-10 goes before s-2
                     block_flow(drop_table, name, t1)
                 blocked[:] = [match_packet(drop_table, Packet(name, BS_ID)) == DROP for name in names]
                 if w + 1 < span_end:  # re-mark the rest of the span; its events stand
-                    span_start = w + 1
-                    _, span_bytes = prepare(span_start)
+                    prepare(w + 1)
             if next_round_at() == t1 < end:
                 energy = do_round(energy)
             last_tick = t1
     except ExhaustedNetworkError:
         terminated_early = True
 
+    # Settle windows 1..settled at once, each under its final marks. An
+    # attacker blocked at window b's end sends unblocked through window b.
+    bounds = arr_ends[: settled + 1]
+    hi = bounds[-1]
+    alive, offered, sizes = alive[:hi], offered[:hi], arr_size[:hi]
+
+    def window_bytes(marks: np.ndarray) -> np.ndarray:
+        """Each settled window's bytes over the marked arrivals."""
+        return np.diff(np.concatenate(([0], np.cumsum(sizes * marks)))[bounds])
+
+    block_at = {rule.match.src: rule.installed_at for rule in drop_table.rules}
+    blocked_in = np.sort(np.searchsorted(ends, [block_at[n] for n in names[n_nodes:] if n in block_at]))
+    unblocked = n_atk - np.searchsorted(blocked_in, np.arange(1, settled + 1))
+    sent = flood[1 : settled + 1]
+    atk_packets = unblocked * sent
+    counters["attack_generated"] = n_atk * int(sent.sum())
+    counters["blocked"] = counters["attack_generated"] - int(atk_packets.sum())
+
+    # Each window shares the link capacity in proportion between benign and
+    # unblocked attack bytes.
+    offered_bytes, attack_bytes = window_bytes(offered), atk_packets * ATTACK_PKT_BYTES
+    capacity = cfg.data_rate_mbps * 1e6 / 8.0 * np.diff(ends[: settled + 1]) / 1000.0
+    total = offered_bytes + attack_bytes
+    over = total > capacity
+    budget = offered_bytes.astype(float)
+    budget[over] = capacity[over] * offered_bytes[over] / total[over]
+    ratio = np.ones(settled)  # the share of each attacker's packets delivered
+    shared = over & (attack_bytes > 0)
+    ratio[shared] = capacity[shared] * attack_bytes[shared] / total[shared] / attack_bytes[shared]
+    counters["attack_delivered"] = int((unblocked * (sent * ratio).astype(np.int64)).sum())
+    limit = budget + 1e-6
+    taken = offered.copy()
+    for w in np.flatnonzero(offered_bytes > limit).tolist():  # congested
+        idx = bounds[w] + np.flatnonzero(offered[bounds[w] : bounds[w + 1]])
+        taken[idx[~fill_budget(sizes[idx], limit[w])]] = False
+
+    benign_bytes_delivered_attack = 0
+    cpu_ewma = 0.0
+    smoothing = cfg.resolved_calibration().cpu_smoothing
+    cpu_samples: list[tuple[int, float]] = []
+    if cfg.attack is not None:
+        t_end = np.array(ends[1 : settled + 1], dtype=np.int64)
+        during = (cfg.attack.start_ms < t_end) & (t_end <= cfg.attack.stop_ms)
+        benign_bytes_delivered_attack = int(window_bytes(taken)[during].sum())
+        # Each CPU sample, at a multiple of CPU_SAMPLE_MS, takes the unblocked
+        # attack packets since the last one.
+        at = np.flatnonzero(t_end % CPU_SAMPLE_MS == 0)
+        for t1, pkts in zip(t_end[at].tolist(), np.diff(np.cumsum(atk_packets)[at], prepend=0).tolist()):
+            kpps = pkts / (CPU_SAMPLE_MS / 1000.0) / 1000.0
+            cpu_ewma = smoothing * kpps + (1.0 - smoothing) * cpu_ewma
+            cpu_samples.append((t1, cpu_ewma))
+
     # The settled windows' benign figures, read off the per-arrival arrays.
-    hi = arr_ends[settled]
-    alive, offered, taken, sizes = alive[:hi], offered[:hi], taken[:hi], arr_size[:hi]
     generated, n_offered, delivered = (int(np.count_nonzero(a)) for a in (alive, offered, taken))
     counters |= {"benign_generated": generated, "benign_delivered": delivered}
     counters["benign_dropped"] = generated - delivered
@@ -471,7 +458,6 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         benign_bytes_generated=int(sizes.sum(where=alive)),
         benign_bytes_delivered=int(sizes.sum(where=taken)),
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
-        attack_trace=attack_trace,
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
         terminated_early=terminated_early,
@@ -519,8 +505,8 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
     pos = cfg.consensus.kind == "pos"
     stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
-    verdicts = [contract.verdict(name) for name in names]  # nothing registers a sensor mid-run
-    valid = [v.is_valid for v in verdicts]
+    registered = [name in contract.known_sensors for name in names]  # nothing registers a sensor mid-run
+    unknown = bc.Verdict.pending("unknown sensor")
 
     def commit(txs, now: int) -> None:
         index = len(ledger.blocks)
@@ -541,11 +527,11 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
         ts, nids = rows[::4], rows[1::4]
         payloads = [b"%d|%d|%d|%d" % (n, q, t, size) for t, n, size, q in zip(ts, nids, rows[2::4], rows[3::4])]
         txs = bc.make_transactions(zip(map(names.__getitem__, nids), payloads, ts), BS_ID)
-        bc.admit_batch(ledger, list(compress(txs, map(valid.__getitem__, nids))), bc.Verdict.valid(), t1)
-        for tx, n in zip(txs, nids):
-            if not valid[n]:
-                bc.admit_or_park(ledger, tx, verdicts[n], t1)
-                counters["parked_txs"] += verdicts[n].is_pending
+        valid = list(map(registered.__getitem__, nids))
+        parked = [tx for tx, ok in zip(txs, valid) if not ok]
+        bc.admit_batch(ledger, list(compress(txs, valid)), bc.Verdict.valid(), t1)
+        bc.admit_batch(ledger, parked, unknown, t1)
+        counters["parked_txs"] += len(parked)
         cut = len(ledger.queued) - len(ledger.queued) % cfg.block_batch
         queued = list(ledger.queued.values())[:cut]
         for i in range(0, cut, cfg.block_batch):  # every block of the window carries t1

@@ -15,11 +15,15 @@ verdicts and admits each delivered packet at its window end and seals a
 block whenever `block_batch` are queued. Over the same `LinkResult`, the
 engine's ledger stage must leave the same chain, waiting room, queue and
 counters. It shares only code with tests of its own: the transaction and
-block builders, admission, sealing and the waiting-room sweep.
+block header builders, admission, PoS sealing and the waiting-room sweep.
+It seals PoW itself, hashing the header of each nonce from 0 until one has
+`difficulty` leading zero bits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from array import array
 from collections import Counter
 from operator import itemgetter
@@ -33,6 +37,7 @@ from distb.errors import ExhaustedNetworkError
 from distb.sdn import DROP, FlowTable, Packet, block_flow, match_packet
 from distb.simulator import (
     _LINK_COUNTERS,
+    ATTACK_PKT_BYTES,
     BS_ID,
     CPU_SAMPLE_MS,
     LinkResult,
@@ -67,7 +72,12 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
-    batches = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    # Each window's attack batches, (source, packets, bytes) per attacker.
+    sources = cfg.attack.sources if cfg.attack is not None else 0
+    batches = [
+        [(f"atk-{i}", count, count * ATTACK_PKT_BYTES) for i in range(sources)] if count else []
+        for count in inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms).tolist()
+    ]
 
     # Per-node state, indexed by node id: the residual energy, the ms from
     # which the node emits nothing (past the horizon until a round depletes
@@ -106,8 +116,6 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
                 totals[src] += count
         return sorted(src for src, total in totals.items() if total > theta)
 
-    attack_trace: list[tuple[int, str, int]] = []
-
     def settle_window(t0: int, t1: int, lo: int, hi: int, window_batches: list) -> tuple[int, int, int]:
         """Settle one window over arrivals lo:hi; returns (benign bytes
         generated, benign bytes delivered, unblocked attack packets)."""
@@ -127,7 +135,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
 
         atk_generated = atk_blocked = attack_bytes = 0
         attack_offered: dict[str, tuple[int, int]] = {}  # src -> (count, bytes)
-        for _, src, count, nbytes in window_batches:
+        for src, count, nbytes in window_batches:
             atk_generated += count
             verdict = verdicts.get(src)
             if verdict is None:
@@ -169,11 +177,9 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         delivered_through.append(len(delivered_log))
 
         atk_delivered = atk_packets = 0
-        for src in sorted(attack_offered):
-            count, nbytes = attack_offered[src]
+        for count, _ in attack_offered.values():
             atk_packets += count
             atk_delivered += int(count * attack_ratio)
-            attack_trace.append((t1, src, int(nbytes * attack_ratio)))
 
         benign_dropped = generated - delivered
         atk_dropped = atk_generated - atk_delivered
@@ -195,11 +201,10 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     # Fixed cadence: one pass per settlement window, in the order documented
     # in the module docstring. Rounds need not fall on window ends. Window w
     # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
-    # (the first window from t = 0) and the attack batches at t < ends[w].
+    # (the first window from t = 0) and its attack batches, batches[w].
     end = cfg.sim_time_ms
     ends = [*range(0, end, WINDOW_MS), end]
     arr_ends = [0, *np.searchsorted(arr_t, ends[1:], side="right").tolist()]
-    batch_ends = [0, *np.searchsorted([b[0] for b in batches], ends[1:]).tolist()]
     last_tick = 0
     benign_bytes_generated = benign_bytes_delivered = benign_bytes_delivered_attack = 0
     cpu_acc_pkts = 0
@@ -211,10 +216,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
             t1 = ends[w]
             while next_round_at() < t1:
                 energy = do_round(energy)
-            window_batches = batches[batch_ends[w - 1] : batch_ends[w]]
-            generated, delivered, attack_pkts = settle_window(
-                ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], window_batches
-            )
+            generated, delivered, attack_pkts = settle_window(ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], batches[w])
             benign_bytes_generated += generated
             benign_bytes_delivered += delivered
             if cfg.attack is not None:
@@ -241,7 +243,6 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         benign_bytes_generated=benign_bytes_generated,
         benign_bytes_delivered=benign_bytes_delivered,
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
-        attack_trace=attack_trace,
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
         terminated_early=terminated_early,
@@ -250,6 +251,17 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         delivered=delivered_log,
         delivered_through=delivered_through,
     )
+
+
+def seal_pow(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> bc.Block:
+    """A PoW block by brute force: the first nonce from 0 whose whole header
+    hashes to `difficulty` leading zero bits."""
+    sealer = bc.Sealer(kind="pow", difficulty=difficulty)
+    tx_ids = [tx.tx_id for tx in txs]
+    for nonce in itertools.count():
+        block_hash = hashlib.sha256(bc.block_header_bytes(index, now, prev_hash, tx_ids, sealer, nonce)).digest()
+        if int.from_bytes(block_hash, "big") >> (256 - difficulty) == 0:
+            return bc.Block(index, now, prev_hash, tuple(txs), nonce, sealer, block_hash)
 
 
 def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
@@ -270,7 +282,7 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
             validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
             block = bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
         else:
-            block = bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
+            block = seal_pow(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
         bc.append_block(ledger, block)
         counters["committed_txs"] += len(txs)
 

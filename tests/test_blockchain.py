@@ -358,6 +358,8 @@ def test_select_validator_rejects_all_zero():
         bc.select_validator({"a": 0.0, "b": 0.0}, seed=1)
     with pytest.raises(ValueError):
         bc.select_validator({}, seed=1)
+    with pytest.raises(ValueError, match="finite total"):  # each stake is finite, their sum is not
+        bc.stake_table({"a": 1e308, "b": 1e308})
 
 
 def test_select_validator_weighted_frequency():

@@ -180,8 +180,18 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
         # stake names a PoS seal cannot carry
         {"consensus": {"kind": "pos", "stakes": {"": 1.0}}},
         {"consensus": {"kind": "pos", "stakes": {"\ud800": 1.0}}},
+        # finite stakes whose total is not: the draw would always pick the last validator
+        {"consensus": {"kind": "pos", "stakes": {"a": 1e308, "b": 1e308}}},
     ],
-    ids=["attack-1e19", "attack-1e300", "area-1e300", "z-1e300", "stake-empty", "stake-lone-surrogate"],
+    ids=[
+        "attack-1e19",
+        "attack-1e300",
+        "area-1e300",
+        "z-1e300",
+        "stake-empty",
+        "stake-lone-surrogate",
+        "stake-sum-overflow",
+    ],
 )
 def test_configs_the_engine_cannot_run_exit_1_with_one_line(tmp_path, override, capsys):
     cfg = tmp_path / "cfg.json"

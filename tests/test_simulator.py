@@ -439,7 +439,8 @@ def test_traffic_rejects_non_positive_rate():
 
 
 def test_inject_attack_none_gives_no_events():
-    assert inject_attack(None, 10.0, 10_000) == []
+    sent = inject_attack(None, 10.0, 10_000)
+    assert sent.dtype == np.int64 and len(sent) == 101 and not sent.any()
 
 
 def test_inject_attack_malformed_window():
@@ -448,10 +449,23 @@ def test_inject_attack_malformed_window():
 
 
 def test_inject_attack_batches_cover_window():
-    batches = inject_attack(AttackConfig(start_ms=500, stop_ms=900, sources=2), 10.0, 2000)
-    times = sorted({t for t, _, _, _ in batches})
-    assert times == [500, 600, 700, 800]
-    assert {src for _, src, _, _ in batches} == {"atk-0", "atk-1"}
+    """One count per window, indexed like the window ends, that every attacker
+    sends; each case maps window -> count, 0 elsewhere."""
+    cases = [
+        # batches at 500..800 ms
+        (AttackConfig(start_ms=500, stop_ms=900, sources=2), 10.0, 2000, dict.fromkeys(range(6, 10), 10)),
+        # off the grid: batches at 333..833 ms, each in window t // 100 + 1, on a horizon off the grid too
+        (AttackConfig(start_ms=333, stop_ms=900, sources=2), 10.0, 2050, dict.fromkeys(range(4, 10), 10)),
+        # a ramp from 1x to 10x over 500 ms: 1, 2.8, 4.6, 6.4 and 8.2 packets, rounded
+        (AttackConfig(start_ms=0, stop_ms=800, ramp_ms=500), 10.0, 1000, {1: 1, 2: 3, 3: 5, 4: 6, 5: 8, 6: 10, 7: 10, 8: 10}),
+        # 0.3 to 0.6 packets per window: the first three round to 0
+        (AttackConfig(start_ms=0, stop_ms=600, multiplier=2.0, ramp_ms=400), 3.0, 600, {4: 1, 5: 1, 6: 1}),
+    ]
+    for attack, rate_pps, sim_ms, sent in cases:
+        counts = inject_attack(attack, rate_pps, sim_ms)
+        assert counts.dtype == np.int64
+        assert len(counts) == len([*range(0, sim_ms, 100), sim_ms])
+        assert counts.tolist() == [sent.get(w, 0) for w in range(len(counts))], attack
 
 
 def test_attacker_at_normal_rate_never_flagged():
@@ -468,11 +482,16 @@ def test_attackers_at_10x_flagged_by_700ms():
 
 
 def test_post_block_silence():
-    raw = run_raw(small_attack_cfg())
-    for t_end, src, delivered_bytes in raw.attack_trace:
-        blocked_at = raw.block_times.get(src)
-        if blocked_at is not None and t_end > blocked_at:
-            assert delivered_bytes == 0
+    """A blocked attacker delivers nothing: cut the flood off at the last
+    block, and the full run delivers the same attack packets and counts every
+    extra one as blocked."""
+    cfg = small_attack_cfg()
+    raw = run_raw(cfg)
+    cut = run_raw(cfg.with_(attack=dataclasses.replace(cfg.attack, stop_ms=max(raw.block_times.values()))))
+    extra = raw.counters["attack_generated"] - cut.counters["attack_generated"]
+    assert extra > 0 and cut.block_times == raw.block_times
+    assert raw.counters["attack_delivered"] == cut.counters["attack_delivered"] > 0
+    assert raw.counters["blocked"] - cut.counters["blocked"] == extra
 
 
 def test_baseline_mode_never_blocks():
