@@ -510,29 +510,54 @@ def ledger_lines(ledger: Ledger):
     Each line is the block's JSON form as `json.dumps(..., sort_keys=True)`
     writes it: keys in sorted order, `", "` and `": "` separators, bytes as
     lowercase hex, and strings escaped to ASCII by the escaper it uses.
+    Each distinct string is escaped once per call: `get(s) or esc(s)` reads
+    the cache first, and an escaped string is never empty, so never false.
     """
-    esc = encode_basestring_ascii
+    cache: dict[str, str] = {}
+    get = cache.get
+
+    def esc(text: str) -> str:
+        out = cache[text] = encode_basestring_ascii(text)
+        return out
+
     for b in ledger.blocks:
         s = b.sealer
         txs = ", ".join(
             [
-                f'{{"checksum": "{t.checksum.hex()}", "destination": {esc(t.destination)}, '
-                f'"payload_hex": "{t.payload.hex()}", "sensor_id": {esc(t.sensor_id)}, '
-                f'"timestamp": {t.timestamp:d}, "tx_id": "{t.tx_id.hex()}"}}'
-                for t in b.tx_list
+                f'{{"checksum": "{c.hex()}", "destination": {get(d) or esc(d)}, '
+                f'"payload_hex": "{p.hex()}", "sensor_id": {get(sid) or esc(sid)}, '
+                f'"timestamp": {ts:d}, "tx_id": "{i.hex()}"}}'
+                for i, sid, d, ts, p, c in b.tx_list
             ]
         )
         yield (
             f'{{"hash": "{b.hash.hex()}", "index": {b.index:d}, "nonce": {b.nonce:d}, '
             f'"prev_hash": "{b.prev_hash.hex()}", "sealer": {{"difficulty": {s.difficulty:d}, '
-            f'"kind": {esc(s.kind)}, "validator": {esc(s.validator)}}}, '
+            f'"kind": {get(s.kind) or esc(s.kind)}, "validator": {get(s.validator) or esc(s.validator)}}}, '
             f'"timestamp": {b.timestamp:d}, "txs": [{txs}]}}\n'
         )
 
 
 def export_ledger(ledger: Ledger) -> str:
-    """Newline-delimited JSON, one block per line (see `ledger_lines`)."""
-    return "".join(ledger_lines(ledger))
+    """Newline-delimited JSON, one block per line (see `ledger_lines`).
+
+    The text grows in place and is never held twice. CPython resizes a str
+    in place on `text += line` while the local `text` holds its only
+    reference, so no line outlives its append and the text is never copied
+    whole. `"".join(ledger_lines(...))` would instead keep every line alive
+    in a list while it allocates the joined copy: twice the export at the
+    peak. Keep the loop shape: a plain `for` over the lines, appending to a
+    bare local. On 3.11 the in-place append is the specialised form of
+    `+=`, and code whose back edge is a conditional jump is not specialised
+    within the call, so `while chunk := "".join(islice(lines, n)): text +=
+    chunk` copies the whole text on every append.
+    `tests/test_blockchain.py::test_export_ledger_peak_stays_near_its_length`
+    guards this.
+    """
+    text = ""
+    for line in ledger_lines(ledger):
+        text += line
+    return text
 
 
 def load_ledger(text: str) -> Ledger:

@@ -26,6 +26,7 @@ MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector coun
 MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a span's flood detector sorts one int64 key each
+MAX_ATTACK_SOURCES = 1_000  # each block rescans the drop table for every source, so blocking grows as its square
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 
@@ -135,7 +136,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         )
     _require(cfg.head_cost_j >= 0, f"head_cost_j must be >= 0 (got {cfg.head_cost_j})")
     _require(cfg.tx_cost_j >= 0, f"tx_cost_j must be >= 0 (got {cfg.tx_cost_j})")
-    _require(cfg.detector_window_ms > 0, f"detector_window_ms must be > 0 (got {cfg.detector_window_ms})")
+    _require(
+        0 < cfg.detector_window_ms <= MAX_STEPS * WINDOW_MS,  # no run is longer; the detector subtracts it in int64
+        f"detector_window_ms must be in 1..{MAX_STEPS * WINDOW_MS} (got {cfg.detector_window_ms})",
+    )
     _require(cfg.detector_multiplier > 0, f"detector_multiplier must be > 0 (got {cfg.detector_multiplier})")
     _require(cfg.t_pending_ms > 0, f"t_pending_ms must be > 0 (got {cfg.t_pending_ms})")
     _require(cfg.block_batch >= 1, f"block_batch must be >= 1 (got {cfg.block_batch})")
@@ -147,7 +151,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             f"attack window must satisfy 0 <= start < stop <= sim_time_ms "
             f"(got {a.start_ms}..{a.stop_ms} in {cfg.sim_time_ms})",
         )
-        _require(a.sources >= 1, f"attack.sources must be >= 1 (got {a.sources})")
+        _require(
+            1 <= a.sources <= MAX_ATTACK_SOURCES,
+            f"attack.sources must be in 1..{MAX_ATTACK_SOURCES} (got {a.sources})",
+        )
         windows = len(range(a.start_ms, a.stop_ms, WINDOW_MS))
         _require(
             a.sources * windows <= MAX_ATTACK_BATCHES,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,6 +525,25 @@ def test_ledger_lines_match_sorted_json_dumps(blocks):
     ledger = bc.Ledger(blocks=blocks)
     assert list(bc.ledger_lines(ledger)) == oracle_lines(blocks)
     assert bc.export_ledger(ledger) == "".join(oracle_lines(blocks))
+
+
+def test_export_ledger_peak_stays_near_its_length():
+    """The export grows in place, so the memory traced while it is built
+    peaks near its own length; joining a list of its lines peaks near twice."""
+    ledger = bc.Ledger()
+    for i in range(300):
+        rows = [(f"s-{j:02d}", f"r{i}-{j}".encode(), i * 10) for j in range(16)]
+        prev = ledger.blocks[-1].hash if ledger.blocks else bc.ZERO_HASH
+        ledger.blocks.append(bc.mine_block(bc.make_transactions(rows, "bs"), prev, 0, i * 1000, i))
+    tracemalloc.start()
+    try:
+        text = bc.export_ledger(ledger)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "".join(bc.ledger_lines(ledger))
+    assert len(text) > 1_000_000
+    assert peak <= 1.25 * len(text) + 64 * 1024
 
 
 def test_append_only_serialization_prefix_stable():

@@ -1,19 +1,31 @@
 import contextlib
 import io
 import json
+import math
 import os
 import stat
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from distb.blockchain import export_ledger
 from distb.calibration import load_default
-from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, _write_outputs, main
-from distb.config import config_from_dict, parse_config
+from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_SIM, _write_outputs, main
+from distb.config import (
+    MAX_ARRIVALS,
+    MAX_ATTACK_PACKETS,
+    MAX_ATTACK_SOURCES,
+    MAX_EXTENT_M,
+    MAX_PACKET_BYTES,
+    MAX_STEPS,
+    WINDOW_MS,
+    config_from_dict,
+    parse_config,
+)
 from distb.simulator import run_raw
 
 SMALL_CFG = {
@@ -182,6 +194,10 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
         {"consensus": {"kind": "pos", "stakes": {"\ud800": 1.0}}},
         # finite stakes whose total is not: the draw would always pick the last validator
         {"consensus": {"kind": "pos", "stakes": {"a": 1e308, "b": 1e308}}},
+        # a detector window the detector cannot subtract from an int64 window end
+        {"detector_window_ms": 2**63},
+        # more attack sources than the drop table blocks in well under a second
+        {"attack": {"start_ms": 0, "stop_ms": 2000, "sources": MAX_ATTACK_SOURCES + 1}},
     ],
     ids=[
         "attack-1e19",
@@ -191,6 +207,8 @@ def test_out_of_range_config_exit_1(tmp_path, override, capsys):
         "stake-empty",
         "stake-lone-surrogate",
         "stake-sum-overflow",
+        "detector-window-2e63",
+        "attack-sources-over-cap",
     ],
 )
 def test_configs_the_engine_cannot_run_exit_1_with_one_line(tmp_path, override, capsys):
@@ -199,6 +217,84 @@ def test_configs_the_engine_cannot_run_exit_1_with_one_line(tmp_path, override, 
     assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+_TINY = 5e-324  # the smallest positive float
+_HUGE = sys.float_info.max
+
+
+def _up_to(cap, *also):
+    """A float at `cap`, one step under it, one of `also`, or any in (0, cap]."""
+    return st.sampled_from([cap, math.nextafter(cap, 0), *also]) | st.floats(_TINY, cap)
+
+
+@st.composite
+def near_cap_configs(draw):
+    """Configs at or near each cap `validate_config` holds, small enough to run
+    in milliseconds: horizons up to 2 s, PoW d up to 4, at most 12 nodes, and
+    sensor rates up to 1 pps, so the batteries' runs (up to 60 nodes for 20 s)
+    stay small too. A run at the arrival cap would hold 10^8 readings, so
+    that cap is met only from just above, where it refuses."""
+    horizon = draw(st.integers(1, 2000))
+    nodes = draw(st.integers(1, 12))
+    rate = draw(_up_to(1.0, 1e-3, 0.01))
+    if draw(st.integers(0, 19)) == 0:  # expected arrivals one part in 10^12 over the cap
+        rate = MAX_ARRIVALS * 1000 / (nodes * horizon) * (1 + 1e-12)
+    ints = st.sampled_from([1, 2, 100, 10**6, 2**62, 10**30])
+    doc = {
+        "mode": draw(st.sampled_from(["distb", "of-baseline"])),
+        "seed": draw(st.sampled_from([0, 2**32 - 1, 10**30]) | st.integers(0, 2**16)),
+        "node_count": nodes,
+        "sim_time_ms": horizon,
+        "sensor_rate_pps": rate,
+        "area_side_m": draw(_up_to(MAX_EXTENT_M, _TINY)),
+        "z_max_m": draw(st.just(0.0) | _up_to(MAX_EXTENT_M)),
+        "data_rate_mbps": draw(_up_to(_HUGE, _TINY, 1e-3, 10.0)),
+        "packet_size_bytes": sorted(draw(st.lists(st.sampled_from([1, 128, MAX_PACKET_BYTES]), min_size=2, max_size=2))),
+        "energy_range_j": sorted(draw(st.lists(_up_to(_HUGE, _TINY, 0.05, 100.0), min_size=2, max_size=2))),
+        "coverage_range_m": sorted(draw(st.lists(_up_to(_HUGE, _TINY, 300.0), min_size=2, max_size=2))),
+        "head_cost_j": draw(st.sampled_from([0.0, _TINY, 1.0, 1e300])),
+        "tx_cost_j": draw(st.sampled_from([0.0, _TINY, 0.2, 1e300])),
+        "unregistered_fraction": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "round_period_ms": draw(st.sampled_from([500, 10_000, 10**30])),
+        "detector_window_ms": draw(st.sampled_from([1, 99, 200, MAX_STEPS * WINDOW_MS, 10**30])),
+        "detector_multiplier": draw(_up_to(_HUGE, _TINY, 5.0)),
+        "t_pending_ms": draw(ints),
+        "block_batch": draw(ints),
+        "block_interval_ms": draw(ints),
+    }
+    if draw(st.booleans()):
+        start = draw(st.integers(0, horizon - 1))
+        stop = draw(st.integers(start + 1, horizon))
+        sources = draw(st.sampled_from([1, 5, MAX_ATTACK_SOURCES]))
+        # the multiplier that meets the attack-packet cap, where that is a finite float
+        cap = min(MAX_ATTACK_PACKETS * 1000 / (sources * rate * (stop - start)), _HUGE)
+        doc["attack"] = {
+            "start_ms": start,
+            "stop_ms": stop,
+            "sources": sources,
+            "multiplier": draw(_up_to(cap, _TINY, 10.0)),
+            "ramp_ms": draw(st.sampled_from([0, 1, horizon, 10**30])),
+        }
+    if draw(st.booleans()):
+        doc["consensus"] = {"kind": "pow", "difficulty": draw(st.integers(0, 4))}
+    else:
+        names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+        stakes = st.sampled_from([_TINY, 1.0, 3.0, 1e308, _HUGE, 0.0])
+        doc["consensus"] = {"kind": "pos", "stakes": draw(st.dictionaries(names, stakes, min_size=1, max_size=3))}
+    return doc
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=near_cap_configs())
+def test_configs_near_every_cap_run_or_exit_with_one_line(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if code != EXIT_OK:
+        assert code in (EXIT_CONFIG, EXIT_SIM)
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_run_streams_the_ledger_export(tmp_path, run_export):
