@@ -590,6 +590,11 @@ def throughput_cfg(cfg: ScenarioConfig, n: int, mode: str) -> ScenarioConfig:
 
 def _bandwidth_cfg(cfg: ScenarioConfig, rate_kpps: float, mode: str) -> ScenarioConfig:
     mult = rate_kpps * 1000.0 / (BANDWIDTH_ATTACK_SOURCES * cfg.sensor_rate_pps)
+    if mult == float("inf"):  # else validate_config blames attack.multiplier, which the config never set
+        raise ConfigError(
+            f"sensor_rate_pps is too small for the bandwidth battery: its {rate_kpps} kpps flood "
+            f"from {BANDWIDTH_ATTACK_SOURCES} sources is no finite multiple of it (got {cfg.sensor_rate_pps})"
+        )
     attack = AttackConfig(
         start_ms=BANDWIDTH_ATTACK_START_MS,
         stop_ms=BANDWIDTH_ATTACK_STOP_MS,

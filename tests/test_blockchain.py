@@ -327,6 +327,33 @@ def test_midstate_mining_matches_naive_loop(prev_hash, payloads, now, index, dif
     assert block.hash == bc.digest(prefix + nonce.to_bytes(8, "big"))
 
 
+def test_mining_past_the_packed_nonce_table_matches_longhand_search():
+    # d=11 puts the mean nonce at 2 048, past the 1 024 pre-packed nonces
+    tx = make_tx(0)
+    sealer = bc.Sealer(kind="pow", difficulty=11)
+    nonces = []
+    for now in range(4):
+        block = bc.mine_block([tx], bc.ZERO_HASH, 11, now, 1)
+        nonce = 0
+        while True:
+            h = hashlib.sha256(bc.block_header_bytes(1, now, bc.ZERO_HASH, [tx.tx_id], sealer, nonce)).digest()
+            if bc.leading_zero_bits(h) >= 11:
+                break
+            nonce += 1
+        assert type(block.nonce) is int
+        assert (block.nonce, block.hash) == (nonce, h)
+        nonces.append(nonce)
+    assert min(nonces) < len(bc._PACKED_NONCES) <= max(nonces)
+
+
+@pytest.mark.parametrize("difficulty", [0, 4, 8])
+def test_mining_on_hashlib_sha256_gives_the_same_block(monkeypatch, difficulty):
+    txs = [make_tx(i, payload=f"r{i}".encode()) for i in range(3)]
+    block = bc.mine_block(txs, bc.ZERO_HASH, difficulty, 77, 5)
+    monkeypatch.setattr(bc, "_builtin_sha256", hashlib.sha256)
+    assert bc.mine_block(txs, bc.ZERO_HASH, difficulty, 77, 5) == block
+
+
 @pytest.mark.parametrize("difficulty", [0, 1, 7, 8, 9, 255, 256])
 def test_pow_target_agrees_with_leading_zero_bits(difficulty):
     target = bc.pow_target(difficulty)

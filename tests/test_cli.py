@@ -219,6 +219,15 @@ def test_configs_the_engine_cannot_run_exit_1_with_one_line(tmp_path, override, 
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_sensor_rate_too_small_for_the_bandwidth_battery_is_named(tmp_path, capsys):
+    # the battery's flood multiplier, attack rate / (5 x sensor_rate_pps), overflows to inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "sensor_rate_pps": 1e-320}))
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: sensor_rate_pps ")
+
+
 _TINY = 5e-324  # the smallest positive float
 _HUGE = sys.float_info.max
 
