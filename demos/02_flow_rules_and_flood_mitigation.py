@@ -27,10 +27,13 @@ table.rules.append(FlowRule(Match(src="s-9"), DROP, priority=10))
 print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 
 # --- detector --------------------------------------------------------------
-# The engine keeps one running total per source (sensors and attackers alike)
-# of the packets it offered over the last detector_window_ms, and at every
-# 100 ms window end it blocks each unblocked source whose total exceeds
+# The detector counts the packets each source (sensors and attackers alike)
+# offered over the last detector_window_ms, and blocks an unblocked source at
+# the 100 ms window end where that count first exceeds
 # theta = detector_multiplier x sensor_rate_pps x detector_window_ms / 1000.
+# The engine finds those crossings once per span of windows between two
+# clustering rounds: one cumsum over the span's sparse (source, window)
+# counts gives each unblocked source's first crossing of theta.
 # Normal sensors send ~10 packets/s, so by default theta = 5 x 10 x 0.2 = 10:
 # a sensor expects 2 packets per 200 ms. An attacker at 10x sends 10 per
 # 100 ms window and crosses theta after two windows.

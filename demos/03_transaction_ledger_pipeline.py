@@ -17,27 +17,30 @@ ledger = bc.Ledger(t_pending_ms=30_000)
 bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 8, 0, 0))
 print(f"genesis sealed: nonce={ledger.blocks[0].nonce} hash={ledger.blocks[0].hash.hex()[:16]}...")
 
-# A well-formed reading from a registered sensor.
-tx = bc.make_transaction("s-01", "bs", b'{"temp": 21.4}', now=100)
+# A well-formed reading from a registered sensor. Transactions are built from
+# (sensor, payload, timestamp) rows, and the registry rules on the sender.
+[tx] = bc.make_transactions([("s-01", b'{"temp": 21.4}', 100)], "bs")
 print("\ndisplay form:", json.dumps(bc.tx_display_dict(tx), indent=2)[:180], "...")
-verdict = bc.verify_transaction(tx, contract)
-bc.admit_or_park(ledger, tx, verdict, now=100)
+verdict = contract.verdict(tx.sensor_id)
+bc.admit_batch(ledger, [tx], verdict, now=100)
 print("registered sensor  ->", verdict.status)
 
 # Unknown sender: parked, then promoted once the sensor registers.
-stranger = bc.make_transaction("s-77", "bs", b"hello?", now=120)
-bc.admit_or_park(ledger, stranger, bc.verify_transaction(stranger, contract), now=120)
+[stranger] = bc.make_transactions([("s-77", b"hello?", 120)], "bs")
+bc.admit_batch(ledger, [stranger], contract.verdict(stranger.sensor_id), now=120)
 print("unknown sensor     -> parked:", len(ledger.pending) == 1)
 contract.register("s-77")
 bc.expire_pending(ledger, contract, now=5000)
 print("after registration -> promoted to queue:", len(ledger.queued) == 2)
 
+# A transaction from outside the engine gets the integrity check first, as
+# every transaction of a ledger export does in `distb validate-chain`.
 # Tampered payload with a stale checksum: rejected outright.
 forged = bc.Transaction(
     tx_id=tx.tx_id, sensor_id=tx.sensor_id, destination=tx.destination,
     timestamp=tx.timestamp, payload=b'{"temp": 99.9}', checksum=tx.checksum,
 )
-print("tampered payload   ->", bc.verify_transaction(forged, contract).status)
+print("tampered payload   -> rejected:", bc.check_tx(forged))
 
 # Mine the queue onto the chain.
 block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 8, now=6000, index=1)

@@ -13,18 +13,18 @@ from .blockchain import (
     Ledger,
     Transaction,
     Verdict,
-    admit_or_park,
+    admit_batch,
     append_block,
+    check_tx,
     expire_pending,
     gas_for,
-    make_transaction,
+    make_transactions,
     mine_block,
     select_validator,
     validate_chain,
-    verify_transaction,
 )
 from .calibration import Calibration, load_default, load_reference_tables
-from .clustering import Cluster, ClusterSet, run_round
+from .clustering import Geometry, elect
 from .config import AttackConfig, ConsensusConfig, ScenarioConfig, parse_config
 from .errors import (
     ConfigError,
@@ -45,6 +45,7 @@ from .sdn import (
 )
 from .simulator import (
     MetricsBundle,
+    bundle_from_raw,
     generate_traffic,
     inject_attack,
     measure_bandwidth_under_attack,
@@ -53,8 +54,8 @@ from .simulator import (
     measure_response_time,
     measure_throughput,
     recalibrate,
-    run_scenario,
+    run_raw,
 )
-from .topology import BaseStation, Node, NodeSet, Point3, distance, generate_topology
+from .topology import BaseStation, Node, NodeSet, Point3, generate_topology
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ a non-empty validator and difficulty 0, so no sealer field escapes the hash.
 The genesis block has index 0 and an all-zero prev_hash.
 
 A `Transaction` is an immutable named tuple, built a batch at a time by
-`make_transactions` (`make_transaction` is its one-row case).
+`make_transactions`.
 
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
@@ -125,16 +125,11 @@ def make_transactions(rows, destination: str) -> list[Transaction]:
     return txs
 
 
-def make_transaction(sensor_id: str, destination: str, payload: bytes, now: int) -> Transaction:
-    """Build a transaction with checksum and tx_id over the canonical bytes."""
-    return make_transactions([(sensor_id, payload, now)], destination)[0]
-
-
 @dataclass(frozen=True)
 class Verdict:
-    """Exhaustive three-way validation outcome."""
+    """The registry's verdict on a sender: valid, or pending while it is unknown."""
 
-    status: str  # valid | pending | invalid
+    status: str  # valid | pending
     reason: str | None = None
 
     @classmethod
@@ -145,10 +140,6 @@ class Verdict:
     def pending(cls, reason: str) -> "Verdict":
         return cls("pending", reason)
 
-    @classmethod
-    def invalid(cls, reason: str) -> "Verdict":
-        return cls("invalid", reason)
-
     @property
     def is_valid(self) -> bool:
         return self.status == "valid"
@@ -156,10 +147,6 @@ class Verdict:
     @property
     def is_pending(self) -> bool:
         return self.status == "pending"
-
-    @property
-    def is_invalid(self) -> bool:
-        return self.status == "invalid"
 
 
 _VALID = Verdict("valid")  # frozen, so every Valid verdict can be this one
@@ -192,14 +179,6 @@ def check_tx(tx: Transaction) -> str | None:
     if tx.tx_id != digest(tx_body_bytes(tx.sensor_id, tx.destination, tx.timestamp, tx.payload, tx.checksum)):
         return "tx_id does not match canonical body"
     return None
-
-
-def verify_transaction(tx: Transaction, contract: ContractState) -> Verdict:
-    """Invalid on tampered or malformed content, Pending on unknown sender, else Valid."""
-    reason = check_tx(tx)
-    if reason is not None:
-        return Verdict.invalid(reason)
-    return contract.verdict(tx.sensor_id)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +337,10 @@ class Ledger:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
 
 
-def admit_or_park(ledger: Ledger, tx: Transaction, verdict: Verdict, now: int) -> None:
-    """Route by verdict: Valid -> queue, Pending -> waiting room, Invalid -> dropped."""
-    admit_batch(ledger, [tx], verdict, now)
-
-
 def admit_batch(ledger: Ledger, txs: list[Transaction], verdict: Verdict, now: int) -> None:
-    """`admit_or_park` for txs that share a verdict, in order. Refuses the
-    batch if an id repeats in it or is committed, queued or parked already."""
+    """Route txs that share a verdict, in order: Valid -> queue, Pending ->
+    waiting room, parked at `now`. Refuses the batch if an id repeats in it
+    or is committed, queued or parked already."""
     tx_ids = [tx.tx_id for tx in txs]
     fresh = set(tx_ids)
     if len(fresh) < len(tx_ids) or not all(
@@ -374,7 +349,7 @@ def admit_batch(ledger: Ledger, txs: list[Transaction], verdict: Verdict, now: i
         raise DuplicateTransactionError("a tx id repeats or is already known")
     if verdict.is_valid:
         ledger.queued.update(zip(tx_ids, txs))
-    elif verdict.is_pending:
+    else:
         ledger.pending.update((tx.tx_id, (tx, now)) for tx in txs)
 
 

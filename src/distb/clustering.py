@@ -13,34 +13,21 @@ drop out of later rounds. Only energy changes between rounds, so a run builds
 one `Geometry` (coordinates, distances to the base station, and each node's
 cover, found the first time it heads) and each round maps an energy array to
 the next. Every distance kept or compared against a radius still uses the
-scalar formula of `topology.distance`, so it matches that bit for bit.
+scalar formula of `topology.euclid`, so it matches that bit for bit.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExhaustedNetworkError
-from .topology import Node, NodeSet, TopologyParams, distance, euclid
+from .topology import NodeSet, TopologyParams, euclid
 
 # Candidate band around a head's radius (metres, relative above 1 m): far
 # wider than the rounding gap between numpy's squares and libm's pow.
 _BAND = 1e-9
-
-
-@dataclass(frozen=True)
-class Cluster:
-    head_id: int
-    member_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    clusters: tuple[Cluster, ...]
-    round: int = 0
 
 
 class Geometry:
@@ -54,10 +41,10 @@ class Geometry:
         self.locations = [n.location for n in nodes]
         self.areas = [n.area for n in nodes]
         self.xyz = np.array([(p.x, p.y, p.z) for p in self.locations], dtype=float).reshape(-1, 3).T
-        if not np.isfinite(self.xyz).all():
-            raise ValueError("clustering requires finite coordinates")
         bs = node_set.base_station.location
-        self.dist_bs = np.array([distance(p, bs) for p in self.locations], dtype=float)
+        if not (np.isfinite(self.xyz).all() and np.isfinite((bs.x, bs.y, bs.z)).all()):
+            raise ValueError("clustering requires finite coordinates")
+        self.dist_bs = np.array([euclid(p, bs) for p in self.locations], dtype=float)
         self.covers: list[array | None] = [None] * len(nodes)
 
     def cover(self, i: int) -> array:
@@ -105,17 +92,3 @@ def elect(
         cost[i] = params.head_cost_j + params.tx_cost_j * len(members)
     return elected, np.where(alive, np.maximum(0.0, energy - cost), energy)
 
-
-def run_round(node_set: NodeSet, params: TopologyParams, round_no: int = 0) -> tuple[ClusterSet, NodeSet]:
-    """`elect` on a fresh geometry: the election result and the post-charge node set
-    (new energies, depleted nodes kept in the list but excluded from the election)."""
-    nodes = node_set.nodes
-    geo = Geometry(node_set)
-    elected, energy = elect(geo, np.array([n.energy for n in nodes], dtype=float), params)
-    ids = geo.ids.tolist()
-    clusters = ClusterSet(
-        clusters=tuple(Cluster(head_id=ids[i], member_ids=tuple(ids[j] for j in members)) for i, members in elected),
-        round=round_no,
-    )
-    updated = [Node(id=n.id, location=n.location, energy=e, area=n.area) for n, e in zip(nodes, energy.tolist())]
-    return clusters, NodeSet(nodes=updated, base_station=node_set.base_station)

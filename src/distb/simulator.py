@@ -573,12 +573,6 @@ def bundle_from_raw(cfg: ScenarioConfig, raw: RawResult) -> MetricsBundle:
     )
 
 
-def run_scenario(cfg: ScenarioConfig) -> MetricsBundle:
-    """Run one scenario end to end; fully deterministic for a fixed config."""
-    cfg = validate_config(cfg)
-    return bundle_from_raw(cfg, run_raw(cfg))
-
-
 # ---------------------------------------------------------------------------
 # Metric batteries (the sweeps behind the CSV families)
 

@@ -22,9 +22,6 @@ class Point3:
     y: float
     z: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 @dataclass(frozen=True)
 class BaseStation:
@@ -40,10 +37,6 @@ class Node:
     energy: float
     area: float
 
-    @property
-    def depleted(self) -> bool:
-        return self.energy <= 0.0
-
 
 @dataclass
 class NodeSet:
@@ -53,8 +46,9 @@ class NodeSet:
     base_station: BaseStation
 
     def active(self) -> list[Node]:
-        """Nodes still holding energy; depleted ones drop out of clustering."""
-        return [n for n in self.nodes if not n.depleted]
+        """Nodes still holding energy; depleted ones drop out of clustering. The test
+        is `elect`'s, `not (energy <= 0.0)`, so a NaN energy counts as alive here too."""
+        return [n for n in self.nodes if not (n.energy <= 0.0)]
 
 
 @dataclass(frozen=True)
@@ -71,15 +65,9 @@ class TopologyParams:
 DEFAULT_PARAMS = TopologyParams()
 
 
-def distance(p: Point3, q: Point3) -> float:
-    """Euclidean distance between two 3D points; raises ValueError on non-finite input."""
-    if not (p.is_finite() and q.is_finite()):
-        raise ValueError("distance requires finite coordinates")
-    return euclid(p, q)
-
-
 def euclid(p: Point3, q: Point3) -> float:
-    """`distance` without the finiteness check, for points already checked."""
+    """Euclidean distance between two 3D points. It does not check them:
+    `clustering.Geometry` refuses non-finite coordinates before any is used."""
     return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2)
 
 

@@ -294,9 +294,9 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
         packets = iter(link.delivered[lo:hi])
         for t, nid, size, seq in zip(packets, packets, packets, packets):
             payload = f"{nid}|{seq}|{t}|{size}".encode()
-            tx = bc.make_transaction(names[nid], BS_ID, payload, t)
+            [tx] = bc.make_transactions([(names[nid], payload, t)], BS_ID)
             verdict = contract.verdict(tx.sensor_id)
-            bc.admit_or_park(ledger, tx, verdict, t1)
+            bc.admit_batch(ledger, [tx], verdict, t1)
             if verdict.is_pending:
                 counters["parked_txs"] += 1
             while len(ledger.queued) >= cfg.block_batch:

@@ -20,16 +20,16 @@ import numpy as np
 
 from distb import blockchain as bc
 from distb.calibration import load_default, load_reference_tables
-from distb.clustering import run_round
+from distb.clustering import Geometry, elect
 from distb.config import AttackConfig, ScenarioConfig
 from distb.simulator import (
+    bundle_from_raw,
     measure_bandwidth_under_attack,
     measure_cpu_flooding,
     measure_gas,
     measure_response_time,
     measure_throughput,
     run_raw,
-    run_scenario,
 )
 from distb.topology import TopologyParams, generate_topology
 
@@ -77,25 +77,31 @@ def oracle_algorithm(node_set):
     return out
 
 
+def engine_clusters(node_set):
+    """The engine's election, `elect` over the run's Geometry, as (head id, member ids) pairs."""
+    geo = Geometry(node_set)
+    elected, _ = elect(geo, np.array([n.energy for n in node_set.nodes], dtype=float), TopologyParams())
+    ids = geo.ids.tolist()
+    return [(ids[i], tuple(ids[j] for j in members)) for i, members in elected]
+
+
 def test_criterion_1_chs_oracle_equivalence():
     rng = np.random.default_rng(2024)
     for trial in range(200):
         n = int(rng.integers(1, 11))
         ns = generate_topology(n, float(rng.choice([300, 800, 2500])), seed=trial)
-        got = run_round(ns, TopologyParams())[0]
-        assert [(c.head_id, c.member_ids) for c in got.clusters] == oracle_algorithm(ns), trial
+        assert engine_clusters(ns) == oracle_algorithm(ns), trial
 
     for trial in range(1000):
         n = int(rng.integers(1, 101))
         ns = generate_topology(n, 2500.0, seed=10_000 + trial)
-        cs = run_round(ns, TopologyParams())[0]
         by_id = {node.id: node for node in ns.nodes}
         seen = []
-        for c in cs.clusters:
-            seen.append(c.head_id)
-            seen.extend(c.member_ids)
-            head = by_id[c.head_id]
-            for m in c.member_ids:
+        for head_id, member_ids in engine_clusters(ns):
+            seen.append(head_id)
+            seen.extend(member_ids)
+            head = by_id[head_id]
+            for m in member_ids:
                 member = by_id[m]
                 d = math.sqrt(
                     (head.location.x - member.location.x) ** 2
@@ -257,8 +263,8 @@ def test_criterion_7_chain_integrity():
         ledger = bc.Ledger(t_pending_ms=t_pending)
         for i in range(int(rng.integers(1, 10))):
             at = int(rng.integers(0, 5000))
-            tx = bc.make_transaction(f"u-{trial}-{i}", "bs", f"p{i}".encode(), at)
-            bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=at)
+            txs = bc.make_transactions([(f"u-{trial}-{i}", f"p{i}".encode(), at)], "bs")
+            bc.admit_batch(ledger, txs, bc.Verdict.pending("unknown"), now=at)
         sweep_at = int(rng.integers(0, 9000))
         bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)
         assert all(sweep_at - at < t_pending for _, at in ledger.pending.values())
@@ -266,7 +272,7 @@ def test_criterion_7_chain_integrity():
     # duplicate tx_id can never commit twice
     ledger = bc.Ledger()
     bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 8, 0, 0))
-    tx = bc.make_transaction("s-1", "bs", b"x", 1)
+    [tx] = bc.make_transactions([("s-1", b"x", 1)], "bs")
     bc.append_block(ledger, bc.mine_block([tx], ledger.tip_hash, 8, 10, 1))
     try:
         bc.append_block(ledger, bc.mine_block([tx], ledger.tip_hash, 8, 20, 2))
@@ -287,8 +293,8 @@ def test_criterion_8_determinism_and_conservation():
             seed=seed,
             attack=AttackConfig(start_ms=500, stop_ms=2000, sources=2, multiplier=10.0),
         )
-        a = run_scenario(cfg)
-        b = run_scenario(cfg)
+        a = bundle_from_raw(cfg, run_raw(cfg))
+        b = bundle_from_raw(cfg, run_raw(cfg))
         assert a.to_json() == b.to_json(), seed
         c = a.counters
         assert c["generated"] == c["delivered"] + c["dropped"], seed

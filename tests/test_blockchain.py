@@ -14,7 +14,8 @@ from distb.errors import DuplicateTransactionError, EmptyBlockError, ForkRejecte
 
 
 def make_tx(i=0, payload=b"reading", now=100):
-    return bc.make_transaction(f"s-{i:02d}", "bs", payload, now)
+    return bc.make_transactions([(f"s-{i:02d}", payload, now)], "bs")[0]
+
 
 
 def fresh_chain(n_blocks=5, difficulty=8):
@@ -32,29 +33,27 @@ def fresh_chain(n_blocks=5, difficulty=8):
 
 
 def test_tx_id_deterministic():
-    a = bc.make_transaction("s-01", "bs", b"abc", 100)
-    b = bc.make_transaction("s-01", "bs", b"abc", 100)
+    a, b = bc.make_transactions([("s-01", b"abc", 100), ("s-01", b"abc", 100)], "bs")
     assert a.tx_id == b.tx_id
     assert a.checksum == b.checksum
 
 
 def test_tx_payload_byte_changes_ids():
-    a = bc.make_transaction("s-01", "bs", b"abc", 100)
-    b = bc.make_transaction("s-01", "bs", b"abd", 100)
+    a, b = bc.make_transactions([("s-01", b"abc", 100), ("s-01", b"abd", 100)], "bs")
     assert a.tx_id != b.tx_id
     assert a.checksum != b.checksum
 
 
 def test_tx_requires_non_empty_fields():
     with pytest.raises(ValueError):
-        bc.make_transaction("", "bs", b"x", 1)
+        bc.make_transactions([("", b"x", 1)], "bs")
     with pytest.raises(ValueError):
-        bc.make_transaction("s-1", "", b"x", 1)
+        bc.make_transactions([("s-1", b"x", 1)], "")
 
 
 def test_tx_fixture_matches_independent_sha256():
     payload = bytes.fromhex("DEADBEEF")
-    tx = bc.make_transaction("s-01", "bs", payload, 100)
+    tx = make_tx(1, payload)
 
     def u64(x):
         return x.to_bytes(8, "big")
@@ -95,9 +94,9 @@ def independent_tx_id(sensor_id, destination, timestamp, payload):
     ),
     destination=st.sampled_from(["bs", "gw-ü"]),
 )
-def test_make_transactions_equals_make_transaction_row_for_row(rows, destination):
+def test_make_transactions_matches_independent_bytes_row_for_row(rows, destination):
     txs = bc.make_transactions(rows, destination)
-    assert txs == [bc.make_transaction(s, destination, p, t) for s, p, t in rows]
+    assert len(txs) == len(rows)
     for tx, (sensor_id, payload, timestamp) in zip(txs, rows):
         assert type(tx) is bc.Transaction
         assert tx == (tx.tx_id, sensor_id, destination, timestamp, payload, hashlib.sha256(payload).digest())
@@ -112,7 +111,7 @@ def test_make_transactions_equals_make_transaction_row_for_row(rows, destination
 )
 def test_make_transactions_refuses_what_make_transaction_refuses(sensor_id, destination, timestamp, error):
     with pytest.raises(error):
-        bc.make_transaction(sensor_id, destination, b"x", timestamp)
+        bc.make_transactions([(sensor_id, b"x", timestamp)], destination)
     with pytest.raises(error):  # also behind a good row
         bc.make_transactions([("s-0", b"ok", 5), (sensor_id, b"x", timestamp)], destination or "")
 
@@ -129,7 +128,7 @@ def test_transaction_is_an_immutable_hashable_named_tuple():
 def test_u64_outside_range_raises_overflow_error():
     # the type int.to_bytes raises, which check_block and the CLI catch
     with pytest.raises(OverflowError):
-        bc.make_transaction("s-01", "bs", b"x", 2**64)
+        bc.make_transactions([("s-01", b"x", 2**64)], "bs")
     for timestamp in (2**64, -1):
         with pytest.raises(OverflowError):
             bc.tx_body_bytes("s-01", "bs", timestamp, b"x", bytes(32))
@@ -148,15 +147,14 @@ def test_check_block_reports_nonce_outside_u64_range():
 
 
 def test_verify_valid_pending_invalid():
+    # The registry rules on the sender; check_tx, on the content.
     contract = bc.ContractState(known_sensors={"s-00"})
     good = make_tx(0)
-    assert bc.verify_transaction(good, contract).is_valid
+    assert bc.check_tx(good) is None and contract.verdict(good.sensor_id).is_valid
 
     unknown = make_tx(7)
-    v = bc.verify_transaction(unknown, contract)
-    assert v.is_pending and "s-07" in v.reason
-    # On an intact tx, verify_transaction returns the registry's verdict, which the engine asks directly.
-    assert [contract.verdict(t.sensor_id) for t in (good, unknown)] == [bc.Verdict.valid(), v]
+    v = contract.verdict(unknown.sensor_id)
+    assert bc.check_tx(unknown) is None and v.is_pending and "s-07" in v.reason
 
     tampered = bc.Transaction(
         tx_id=good.tx_id,
@@ -166,7 +164,7 @@ def test_verify_valid_pending_invalid():
         payload=b"readinh",  # flipped byte, stale checksum
         checksum=good.checksum,
     )
-    assert bc.verify_transaction(tampered, contract).is_invalid
+    assert bc.check_tx(tampered) == "payload checksum mismatch"
 
 
 # --- admission and waiting room ---------------------------------------------
@@ -176,7 +174,7 @@ def test_admit_valid_goes_to_queue_and_next_block():
     ledger = bc.Ledger()
     bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 0, 0, 0))
     tx = make_tx(0)
-    bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=10)
+    bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=10)
     assert list(ledger.queued) == [tx.tx_id]
     block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 0, 20, 1)
     bc.append_block(ledger, block)
@@ -187,33 +185,26 @@ def test_admit_valid_goes_to_queue_and_next_block():
 def test_admit_pending_parks():
     ledger = bc.Ledger()
     tx = make_tx(1)
-    bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=10)
+    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=10)
     assert ledger.queued == {}
     assert ledger.pending == {tx.tx_id: (tx, 10)}
-
-
-def test_admit_invalid_drops_with_audit():
-    ledger = bc.Ledger()
-    tx = make_tx(2)
-    bc.admit_or_park(ledger, tx, bc.Verdict.invalid("bad checksum"), now=10)
-    assert ledger.queued == {} and ledger.pending == {}
 
 
 def test_admit_duplicate_rejected():
     ledger = bc.Ledger()
     tx = make_tx(0)
-    bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=10)
+    bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=10)
     with pytest.raises(DuplicateTransactionError):
-        bc.admit_or_park(ledger, tx, bc.Verdict.valid(), now=11)
+        bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=11)
 
 
-@pytest.mark.parametrize("verdict", [bc.Verdict.valid(), bc.Verdict.pending("unknown"), bc.Verdict.invalid("bad")])
+@pytest.mark.parametrize("verdict", [bc.Verdict.valid(), bc.Verdict.pending("unknown")])
 def test_admit_batch_keeps_order_and_refuses_any_known_or_repeated_id(verdict):
     ledger = fresh_chain(2, difficulty=0)
     committed = ledger.blocks[1].tx_list[0]
     queued, parked, fresh = make_tx(50), make_tx(51), [make_tx(52), make_tx(53)]
     bc.admit_batch(ledger, [queued], bc.Verdict.valid(), now=0)
-    bc.admit_or_park(ledger, parked, bc.Verdict.pending("unknown"), now=0)
+    bc.admit_batch(ledger, [parked], bc.Verdict.pending("unknown"), now=0)
     for batch in ([*fresh, committed], [*fresh, queued], [*fresh, parked], [fresh[0], *fresh]):
         with pytest.raises(DuplicateTransactionError):
             bc.admit_batch(ledger, batch, verdict, now=5)
@@ -233,7 +224,7 @@ def test_expire_empty_room_no_change():
 def test_expire_discards_aged_entry():
     ledger = bc.Ledger(t_pending_ms=30_000)
     tx = make_tx(3)
-    bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=0)
+    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=0)
     discarded = bc.expire_pending(ledger, bc.ContractState(), now=30_001)
     assert discarded == [tx.tx_id]
     assert ledger.pending == {}
@@ -242,7 +233,7 @@ def test_expire_discards_aged_entry():
 def test_expire_promotes_registered_sensor():
     ledger = bc.Ledger(t_pending_ms=30_000)
     tx = make_tx(4)
-    bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=0)
+    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=0)
     contract = bc.ContractState()
     contract.register(tx.sensor_id)  # registered at T/2
     discarded = bc.expire_pending(ledger, contract, now=30_000)
@@ -260,7 +251,7 @@ def test_waiting_room_boundedness_property():
         for i in range(int(rng.integers(1, 12))):
             at = int(rng.integers(0, 10_000))
             tx = make_tx(i, payload=f"{trial}-{i}".encode(), now=at)
-            bc.admit_or_park(ledger, tx, bc.Verdict.pending("unknown"), now=at)
+            bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=at)
             entered.append(at)
         sweep_at = int(rng.integers(0, 20_000))
         bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distb.clustering import Geometry, elect, run_round
+from distb.clustering import Geometry, elect
 from distb.errors import ExhaustedNetworkError
 from distb.topology import (
     BaseStation,
@@ -14,7 +14,7 @@ from distb.topology import (
     NodeSet,
     Point3,
     TopologyParams,
-    distance,
+    euclid,
     generate_topology,
 )
 
@@ -72,19 +72,27 @@ def oracle_clusters(node_set):
     return clusters
 
 
+def elect_once(node_set, params=TopologyParams()):
+    """`elect` over a fresh Geometry: the (head id, member ids) pairs in election
+    order, and the post-charge energies by node list position."""
+    geo = Geometry(node_set)
+    elected, energy = elect(geo, np.array([n.energy for n in node_set.nodes], dtype=float), params)
+    ids = geo.ids.tolist()
+    return [(ids[i], tuple(ids[j] for j in members)) for i, members in elected], energy
+
+
 def library_clusters(node_set):
-    cs, _ = run_round(node_set, TopologyParams())
-    return [(c.head_id, c.member_ids) for c in cs.clusters]
+    return elect_once(node_set)[0]
 
 
 def election_order(node_set):
-    """The order `run_round` elects in: with every radius 0, each node heads its own cluster."""
+    """The order `elect` elects in: with every radius 0, each node heads its own cluster."""
     solo = NodeSet(nodes=[replace(n, area=0.0) for n in node_set.nodes], base_station=node_set.base_station)
     return [head_id for head_id, _ in library_clusters(solo)]
 
 
 def sort_key(node, node_set):
-    return (-node.energy, distance(node.location, node_set.base_station.location), node.id)
+    return (-node.energy, euclid(node.location, node_set.base_station.location), node.id)
 
 
 # --- sort ---------------------------------------------------------------
@@ -155,7 +163,7 @@ def test_selection_matches_oracle_on_seeded_sets():
 def test_empty_set_rejected():
     # no node holds energy, so there is no one to elect
     with pytest.raises(ExhaustedNetworkError):
-        run_round(NodeSet(nodes=[], base_station=BaseStation(Point3(0, 0, 0))), TopologyParams())
+        elect_once(NodeSet(nodes=[], base_station=BaseStation(Point3(0, 0, 0))))
 
 
 def test_determinism():
@@ -201,20 +209,21 @@ def test_round_with_huge_energy_keeps_selection():
         nodes=[Node(n.id, n.location, 1e6 + n.energy, n.area) for n in ns.nodes],
         base_station=ns.base_station,
     )
-    clusters, _ = run_round(boosted, TopologyParams(), round_no=0)
-    assert [(c.head_id, c.member_ids) for c in clusters.clusters] == oracle_clusters(boosted)
+    assert library_clusters(boosted) == oracle_clusters(boosted)
 
 
 def test_total_energy_strictly_decreases_until_exhaustion():
     ns = generate_topology(10, 500, seed=5)
     params = TopologyParams(head_cost_j=2.0, tx_cost_j=0.5)
-    prev = sum(n.energy for n in ns.nodes)
+    geo = Geometry(ns)
+    energy = np.array([n.energy for n in ns.nodes], dtype=float)
+    prev = sum(energy.tolist())
     for r in range(10_000):
         try:
-            _, ns = run_round(ns, params, round_no=r)
+            _, energy = elect(geo, energy, params)
         except ExhaustedNetworkError:
             break
-        total = sum(n.energy for n in ns.nodes)
+        total = sum(energy.tolist())
         assert total < prev
         prev = total
     else:
@@ -225,7 +234,7 @@ def test_exhausted_network_raises():
     nodes = [make_node(i, i * 10.0, 0, 0, 0.0, 50) for i in range(4)]
     ns = make_set(nodes)
     with pytest.raises(ExhaustedNetworkError):
-        run_round(ns, TopologyParams(), round_no=0)
+        elect_once(ns)
 
 
 def test_lifetime_matches_independent_energy_ledger():
@@ -236,22 +245,23 @@ def test_lifetime_matches_independent_energy_ledger():
 
     ledger = {n.id: n.energy for n in ns.nodes}
     expected_lifetime = None
-    sim = ns
+    geo = Geometry(ns)
+    energy = np.array([n.energy for n in ns.nodes], dtype=float)
     for r in range(10_000):
-        alive = [n for n in sim.nodes if n.energy > 0]
-        oracle = oracle_clusters(NodeSet(nodes=alive, base_station=sim.base_station))
+        alive = [replace(n, energy=e) for n, e in zip(ns.nodes, energy.tolist()) if e > 0]
+        oracle = oracle_clusters(NodeSet(nodes=alive, base_station=ns.base_station))
         for head_id, members in oracle:
             ledger[head_id] = max(0.0, ledger[head_id] - (params.head_cost_j + params.tx_cost_j * len(members)))
             for m in members:
                 ledger[m] = max(0.0, ledger[m] - params.tx_cost_j)
-        _, sim = run_round(sim, params, round_no=r)
-        for n in sim.nodes:
-            assert math.isclose(n.energy, ledger[n.id], abs_tol=1e-9)
+        _, energy = elect(geo, energy, params)
+        for n, e in zip(ns.nodes, energy.tolist()):
+            assert math.isclose(e, ledger[n.id], abs_tol=1e-9)
         if any(v <= 0 for v in ledger.values()):
             expected_lifetime = r + 1
             break
     assert expected_lifetime is not None
-    depleted = [n.id for n in sim.nodes if n.depleted]
+    depleted = [n.id for n, e in zip(ns.nodes, energy.tolist()) if e <= 0.0]
     assert depleted, f"lifetime {expected_lifetime} rounds but nothing depleted"
 
 
@@ -271,7 +281,7 @@ def node_sets(draw):
     ]
     # Put one node exactly on another's radius, or just past it.
     a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    radius = distance(nodes[a].location, nodes[b].location)
+    radius = euclid(nodes[a].location, nodes[b].location)
     nodes[a].area = draw(st.sampled_from([radius, math.nextafter(radius, math.inf)]))
     return make_set(nodes, bs=(draw(coords), draw(coords), 0.0))
 
@@ -283,7 +293,7 @@ def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
     alive = [n for n in ns.nodes if n.energy > 0]
     if not alive:
         with pytest.raises(ExhaustedNetworkError):
-            run_round(ns, params)
+            elect_once(ns, params)
         return
     oracle = oracle_clusters(NodeSet(nodes=alive, base_station=ns.base_station))
     ledger = {n.id: n.energy for n in ns.nodes}
@@ -292,38 +302,34 @@ def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
         for m in members:
             ledger[m] = max(0.0, ledger[m] - params.tx_cost_j)
 
-    clusters, after = run_round(ns, params, round_no=4)
-    assert clusters.round == 4
-    assert [(c.head_id, c.member_ids) for c in clusters.clusters] == oracle
-    for before, n in zip(ns.nodes, after.nodes):
-        assert (n.id, n.location, n.area) == (before.id, before.location, before.area)
-        assert n.energy == ledger[n.id]
+    clusters, energy = elect_once(ns, params)
+    assert clusters == oracle
+    assert energy.tolist() == [ledger[n.id] for n in ns.nodes]
 
 
 def radius_pairs():
-    """(head, other) point pairs on which the vector distance and `distance`
+    """(head, other) point pairs on which the vector distance and `euclid`
     disagree (numpy's squares can round one ulp away from libm's pow), then
     20 on which they agree."""
     rng = np.random.default_rng(11)
     a = rng.uniform(0.0, 2500.0, (20_000, 6))
     vec = np.sqrt(((a[:, 0] - a[:, 3]) ** 2 + (a[:, 1] - a[:, 4]) ** 2) + (a[:, 2] - a[:, 5]) ** 2)
     rows = [
-        row for row, v in zip(a.tolist(), vec.tolist()) if v != distance(Point3(*row[:3]), Point3(*row[3:]))
+        row for row, v in zip(a.tolist(), vec.tolist()) if v != euclid(Point3(*row[:3]), Point3(*row[3:]))
     ]
     return [(Point3(*row[:3]), Point3(*row[3:])) for row in rows + a[:20].tolist()]
 
 
 def test_membership_at_the_radius_follows_scalar_distance():
-    # On the pairs where the vector distance and `distance` disagree above
+    # On the pairs where the vector distance and `euclid` disagree above
     # all, a candidate exactly on the head's radius must stay out and one just
     # inside must join, in the first round and in every later one that reuses
     # the cover.
     for head, other in radius_pairs():
-        r = distance(head, other)
+        r = euclid(head, other)
         for area, members in ((r, ()), (math.nextafter(r, math.inf), (1,))):
             ns = make_set([Node(0, head, 9.0, area), Node(1, other, 1.0, 1.0)])
-            clusters, _ = run_round(ns, TopologyParams())
-            assert clusters.clusters[0].member_ids == members
+            assert library_clusters(ns)[0] == (0, members)
             drive_to_exhaustion(ns, TopologyParams())
 
 
@@ -332,10 +338,10 @@ def test_non_finite_coordinate_rejected(bad):
     nodes = [make_node(0, 0.0, 0.0, 0.0, 5.0, 100.0), make_node(1, 10.0, bad, 0.0, 4.0, 100.0)]
     ns = NodeSet(nodes=nodes, base_station=BaseStation(Point3(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        run_round(ns, TopologyParams())
+        Geometry(ns)
     good = NodeSet(nodes=nodes[:1], base_station=BaseStation(Point3(bad, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        run_round(good, TopologyParams())
+        Geometry(good)
 
 
 # --- one geometry through a whole run ---------------------------------------

@@ -18,10 +18,15 @@ def ser(b):
     return u64(len(b)) + b
 
 
+def golden_tx(g):
+    [tx] = bc.make_transactions([(g["sensor_id"], bytes.fromhex(g["payload_hex"]), g["timestamp"])], g["destination"])
+    return tx
+
+
 def test_transaction_golden():
     g = GOLDEN["transaction"]
     payload = bytes.fromhex(g["payload_hex"])
-    tx = bc.make_transaction(g["sensor_id"], g["destination"], payload, g["timestamp"])
+    tx = golden_tx(g)
     assert tx.tx_id.hex() == g["tx_id"]
     assert tx.checksum.hex() == g["checksum"]
     # independent longhand assembly of the canonical bytes
@@ -37,9 +42,7 @@ def test_transaction_golden():
 
 def test_second_transaction_golden():
     g = GOLDEN["transaction_2"]
-    tx = bc.make_transaction(
-        g["sensor_id"], g["destination"], bytes.fromhex(g["payload_hex"]), g["timestamp"]
-    )
+    tx = golden_tx(g)
     assert tx.tx_id.hex() == g["tx_id"]
     assert tx.checksum.hex() == g["checksum"]
 
@@ -58,8 +61,7 @@ def test_pow_block_golden():
     t2 = GOLDEN["transaction_2"]
     g = GOLDEN["block1_pow8"]
     genesis = bc.mine_block([], bc.ZERO_HASH, 8, 0, 0)
-    tx1 = bc.make_transaction(t1["sensor_id"], t1["destination"], bytes.fromhex(t1["payload_hex"]), t1["timestamp"])
-    tx2 = bc.make_transaction(t2["sensor_id"], t2["destination"], bytes.fromhex(t2["payload_hex"]), t2["timestamp"])
+    tx1, tx2 = golden_tx(t1), golden_tx(t2)
     block = bc.mine_block([tx1, tx2], genesis.hash, 8, g["timestamp"], 1)
     assert block.nonce == g["nonce"]
     assert block.hash.hex() == g["hash"]
@@ -75,7 +77,7 @@ def test_pos_block_golden():
     t1 = GOLDEN["transaction"]
     g = GOLDEN["block1_pos"]
     genesis = bc.mine_block([], bc.ZERO_HASH, 8, 0, 0)
-    tx1 = bc.make_transaction(t1["sensor_id"], t1["destination"], bytes.fromhex(t1["payload_hex"]), t1["timestamp"])
+    tx1 = golden_tx(t1)
     block = bc.seal_block_pos([tx1], genesis.hash, g["validator"], g["timestamp"], 1)
     assert block.hash.hex() == g["hash"]
     header = (

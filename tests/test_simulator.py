@@ -31,7 +31,6 @@ from distb.simulator import (
     measure_throughput,
     run_link,
     run_raw,
-    run_scenario,
 )
 from distb.topology import generate_topology
 
@@ -135,7 +134,7 @@ def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a battery touched the ledger")
 
-    for name in ("make_transaction", "make_transactions", "mine_block", "seal_block_pos"):
+    for name in ("make_transactions", "mine_block", "seal_block_pos"):
         monkeypatch.setattr(bc, name, refuse)
     cfg = ScenarioConfig(node_count=5)
     assert [row[0] for row in measure_throughput(cfg, node_counts=(1, 5))] == [1, 5]
@@ -503,15 +502,19 @@ def test_baseline_mode_never_blocks():
 # --- scenario runs ------------------------------------------------------------
 
 
-def test_run_scenario_deterministic_serialization():
-    a = run_scenario(SMALL)
-    b = run_scenario(SMALL)
+def run_bundle(cfg):
+    return bundle_from_raw(cfg, run_raw(cfg))
+
+
+def test_bundle_deterministic_serialization():
+    a = run_bundle(SMALL)
+    b = run_bundle(SMALL)
     assert a.to_json() == b.to_json()
 
 
 def test_packet_conservation():
     for cfg in (SMALL, small_attack_cfg(), small_attack_cfg(mode="of-baseline")):
-        c = run_scenario(cfg).counters
+        c = run_bundle(cfg).counters
         assert c["generated"] == c["delivered"] + c["dropped"]
 
 
@@ -529,8 +532,8 @@ def test_baseline_has_no_chain():
 
 
 def test_no_attack_modes_equal_bandwidth():
-    d = run_scenario(SMALL.with_(mode="distb"))
-    b = run_scenario(SMALL.with_(mode="of-baseline"))
+    d = run_bundle(SMALL.with_(mode="distb"))
+    b = run_bundle(SMALL.with_(mode="of-baseline"))
     rd, rb = d.raw["benign_mbps"], b.raw["benign_mbps"]
     assert abs(rd - rb) / rb <= 0.05
 
@@ -556,7 +559,7 @@ def test_exhausted_network_sets_termination_flag():
         tx_cost_j=0.3,
         round_period_ms=200,
     )
-    bundle = run_scenario(cfg)
+    bundle = run_bundle(cfg)
     assert bundle.terminated_early
 
 
@@ -617,7 +620,7 @@ def test_bandwidth_rows_read_the_calibration_at_their_own_rate():
 def test_default_config_completes_under_60s():
     cfg = ScenarioConfig()  # 50 nodes, 500 s horizon, 10 Mbps
     t0 = time.perf_counter()
-    bundle = run_scenario(cfg)
+    bundle = run_bundle(cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"default scenario took {elapsed:.1f}s"
     c = bundle.counters
