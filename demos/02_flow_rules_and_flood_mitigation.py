@@ -1,30 +1,26 @@
 #!/usr/bin/env python3
-"""Walkthrough: match-action flow tables, the flood detector's threshold,
+"""Walkthrough: the drop table, the flood detector's threshold,
 and what blocking does to benign bandwidth during a flood.
 
 Run:  python demos/02_flow_rules_and_flood_mitigation.py
 """
 
 from distb.config import AttackConfig, ScenarioConfig
-from distb.sdn import (
-    DROP,
-    FlowRule,
-    FlowTable,
-    Match,
-    Packet,
-    block_flow,
-    forward,
-    match_packet,
-)
+from distb.sdn import FlowTable, block_flow, match_packet
 from distb.simulator import run_raw
 
-# --- flow tables -----------------------------------------------------------
+# --- drop table ------------------------------------------------------------
+# Blocking puts one maximal-priority drop rule for the source into the drop
+# table, the one table every gateway enforces; a packet from any other source
+# punts to the controller.
 table = FlowTable()
-print("empty table, unknown packet ->", match_packet(table, Packet("s-9", "bs")))
+print("empty table, s-9           ->", match_packet(table, "s-9"))
 
-table.rules.append(FlowRule(Match(src="s-9"), forward("gw-1"), priority=5))
-table.rules.append(FlowRule(Match(src="s-9"), DROP, priority=10))
-print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
+block_flow(table, "s-9", now=200)
+print("after block at 200 ms      ->", match_packet(table, "s-9"))
+
+block_flow(table, "s-9", now=900)  # the first rule stands
+print("second block at 900 ms     ->", table.rules)
 
 # --- detector --------------------------------------------------------------
 # The detector counts the packets each source (sensors and attackers alike)
@@ -40,12 +36,6 @@ print("forward@5 vs drop@10      ->", match_packet(table, Packet("s-9", "bs")))
 cfg = ScenarioConfig()
 theta = cfg.detector_multiplier * cfg.sensor_rate_pps * cfg.detector_window_ms / 1000
 print("default theta              ->", theta)
-
-# Blocking puts one maximal-priority drop rule into the drop table, the one
-# table every gateway enforces.
-drops = FlowTable()
-block_flow(drops, "atk-0", now=200)
-print("post-block action          ->", match_packet(drops, Packet("atk-0", "bs")))
 
 # --- full scenario ---------------------------------------------------------
 # Five attackers flood from t=2s to t=18s. With mitigation on (distb mode)

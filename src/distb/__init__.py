@@ -1,8 +1,8 @@
 """distb: deterministic simulator for a blockchain-backed SDN-IoT network.
 
 Library layout mirrors the subsystems: `topology` (world and energy model),
-`clustering` (head election and rounds), `sdn` (flow tables and flood
-mitigation), `blockchain` (transactions, chain, gas), `simulator`
+`clustering` (head election and rounds), `sdn` (the drop table and
+blocking), `blockchain` (transactions, chain, gas), `simulator`
 (the fixed-cadence window engine and metric batteries), `calibration`
 (table fits), and `cli` (the `distb` command).
 """
@@ -35,14 +35,7 @@ from .errors import (
     ForkRejectedError,
     SealInvalidError,
 )
-from .sdn import (
-    FlowRule,
-    FlowTable,
-    Match,
-    Packet,
-    block_flow,
-    match_packet,
-)
+from .sdn import FlowTable, block_flow, match_packet
 from .simulator import (
     MetricsBundle,
     bundle_from_raw,

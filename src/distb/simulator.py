@@ -38,8 +38,8 @@ each round charges over the clustering `Geometry` the run builds once, and
 the ms from which the node is depleted, read off the energy after each round
 (a depleted node emits nothing from its round's due time on). One more is
 indexed by source, the sensors by node id and then the attack sources:
-whether the drop table blocks the source, re-read from the table after each
-block. Within a span, the windows settled before the next round, depletion
+whether the drop table blocks the source, re-read from the table for the
+sources each block adds. Within a span, the windows settled before the next round, depletion
 and blocks change only when the detector installs a drop rule. So array
 operations mark each arrival of a span at once as alive (its node not
 depleted) and offered (alive and not blocked), and re-mark the rest of the
@@ -92,7 +92,7 @@ from .calibration import Calibration, fit_gas, fit_response, load_reference_tabl
 from .clustering import Geometry, elect
 from .config import MODES, WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
 from .errors import ConfigError, ExhaustedNetworkError
-from .sdn import DROP, FlowTable, Packet, block_flow, match_packet
+from .sdn import DROP, FlowTable, block_flow, match_packet
 from .topology import generate_topology
 
 CPU_SAMPLE_MS = 200
@@ -209,7 +209,7 @@ class LinkResult:
     @property
     def block_times(self) -> dict:
         """src -> ms at which its drop rule engaged, in block order."""
-        return {rule.match.src: rule.installed_at for rule in self.drop_table.rules}
+        return dict(self.drop_table.rules)
 
 
 @dataclass
@@ -277,7 +277,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     drop_table = FlowTable()
-    # Per source: whether drop_table drops its packets, re-read after each block.
+    # Per source: whether drop_table drops its packets, re-read for each source a block adds.
     blocked = np.zeros(len(names), dtype=bool)
     # Per arrival: alive (its node not yet depleted) and offered (alive and not
     # blocked), marked when its span is prepared.
@@ -367,7 +367,8 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
             if w in events:  # the sources that first cross theta at t1
                 for name in sorted(names[i] for i in events[w]):  # by name, so s-10 goes before s-2
                     block_flow(drop_table, name, t1)
-                blocked[:] = [match_packet(drop_table, Packet(name, BS_ID)) == DROP for name in names]
+                for i in events[w]:  # a block changes only its own source's verdict
+                    blocked[i] = match_packet(drop_table, names[i]) == DROP
                 if w + 1 < span_end:  # re-mark the rest of the span; its events stand
                     prepare(w + 1)
             if next_round_at() == t1 < end:
@@ -386,7 +387,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         """Each settled window's bytes over the marked arrivals."""
         return np.diff(np.concatenate(([0], np.cumsum(sizes * marks)))[bounds])
 
-    block_at = {rule.match.src: rule.installed_at for rule in drop_table.rules}
+    block_at = drop_table.rules  # src -> block ms
     blocked_in = np.sort(np.searchsorted(ends, [block_at[n] for n in names[n_nodes:] if n in block_at]))
     unblocked = n_atk - np.searchsorted(blocked_in, np.arange(1, settled + 1))
     sent = flood[1 : settled + 1]

@@ -8,7 +8,7 @@ exactly the same `LinkResult`. Its flood detector keeps every offered count
 as a (window end, source, count) record and sums the records inside the
 detector's window again at every window end. It shares only code with tests
 of its own: the topology, the clustering election, the traffic and attack
-draws, and the flow table.
+draws, and the drop table.
 
 `reference_ledger` runs the ledger stage one packet at a time: it builds,
 verdicts and admits each delivered packet at its window end and seals a
@@ -34,7 +34,7 @@ from distb import blockchain as bc
 from distb.clustering import Geometry, elect
 from distb.config import WINDOW_MS, ScenarioConfig, validate_config
 from distb.errors import ExhaustedNetworkError
-from distb.sdn import DROP, FlowTable, Packet, block_flow, match_packet
+from distb.sdn import DROP, FlowTable, block_flow, match_packet
 from distb.simulator import (
     _LINK_COUNTERS,
     ATTACK_PKT_BYTES,
@@ -102,7 +102,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         return energy
 
     def is_dropped(src: str) -> bool:
-        return match_packet(drop_table, Packet(src, BS_ID)) == DROP
+        return match_packet(drop_table, src) == DROP
 
     def refresh_verdicts() -> None:
         blocked[:] = map(is_dropped, names)

@@ -232,7 +232,7 @@ def test_one_span_holds_many_block_events():
     for f in dataclasses.fields(LinkResult):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert got.counters["rounds"] == 1
-    rules = [(rule.installed_at, rule.match.src) for rule in got.drop_table.rules]
+    rules = [(t, src) for src, t in got.drop_table.rules.items()]
     assert len({t for t, _ in rules}) == 9
     assert {src.split("-")[0] for _, src in rules} == {"atk", "s"}
     assert [src for t, src in rules if t in (300, 400)] == ["s-11", "s-2", "s-0", "s-10"]
