@@ -27,9 +27,9 @@ print("second block at 900 ms     ->", table.rules)
 # offered over the last detector_window_ms, and blocks an unblocked source at
 # the 100 ms window end where that count first exceeds
 # theta = detector_multiplier x sensor_rate_pps x detector_window_ms / 1000.
-# The engine finds those crossings once per span of windows between two
-# clustering rounds: one cumsum over the span's sparse (source, window)
-# counts gives each unblocked source's first crossing of theta.
+# The engine finds those crossings after the clustering rounds, in passes
+# of 100 windows: one cumsum over a pass's sparse (source, window) counts
+# gives each unblocked source's first crossing of theta.
 # Normal sensors send ~10 packets/s, so by default theta = 5 x 10 x 0.2 = 10:
 # a sensor expects 2 packets per 200 ms. An attacker at 10x sends 10 per
 # 100 ms window and crosses theta after two windows.

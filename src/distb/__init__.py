@@ -2,8 +2,8 @@
 
 Library layout mirrors the subsystems: `topology` (world and energy model),
 `clustering` (head election and rounds), `sdn` (the drop table and
-blocking), `blockchain` (transactions, chain, gas), `simulator`
-(the fixed-cadence window engine and metric batteries), `calibration`
+blocking), `blockchain` (transactions, chain, gas), `simulator` (the link
+stage's passes, the ledger stage and the metric batteries), `calibration`
 (table fits), and `cli` (the `distb` command).
 """
 

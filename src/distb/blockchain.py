@@ -37,6 +37,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import random
 import struct
 from bisect import bisect_right
@@ -67,8 +68,8 @@ def _u64(x: int) -> bytes:
     try:
         return _pack_u64(x)
     except struct.error:
-        # out of range or not an int: raise (OverflowError) or truncate as int.to_bytes does
-        return int(x).to_bytes(8, "big")
+        # out of range or not an int: raise OverflowError or TypeError, never coerce
+        return operator.index(x).to_bytes(8, "big")
 
 
 def _ser_bytes(b: bytes) -> bytes:

@@ -102,9 +102,6 @@ class Calibration:
         t = self.doc[table]
         return float(np.interp(x, t[_ANCHORS[table]], t[part]["distb" if mode == "distb" else "baseline"]))
 
-    def throughput_envelope(self, mode: str, n: int) -> float:
-        return self._interp("throughput", "env", mode, n)
-
     def scaled(self, table: str, mode: str, x: float, raw: float) -> float:
         """`table`'s value at anchor x for raw figure `raw`: envelope * raw/nominal (the envelope if nominal is 0)."""
         nominal = self._interp(table, "nominal", mode, x)

@@ -25,7 +25,7 @@ MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in m
 MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector counts them in int64
 MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
-MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a span's flood detector sorts one int64 key each
+MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a flood-detector pass sorts at most one int64 key each
 MAX_ATTACK_SOURCES = 1_000  # attack sources per run, the most the tests cover; a block costs one drop-table probe
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window

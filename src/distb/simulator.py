@@ -1,16 +1,16 @@
 """Deterministic fixed-cadence engine tying the pieces together, in two stages.
 
 One scenario run drives a single logical clock in simulated milliseconds,
-advanced one 100 ms settlement window at a time (the last window ends at
-sim_time_ms and may be shorter). For each window end t1 the engine:
+cut into 100 ms settlement windows (the last window ends at sim_time_ms and
+may be shorter). For each window end t1 the engine's result is that of:
 
-1. runs every clustering round due strictly before t1;
-2. settles the window and takes the CPU sample, then runs the flood
+1. running every clustering round due strictly before t1;
+2. settling the window and taking the CPU sample, then running the flood
    detector (distb mode only);
-3. runs a clustering round due exactly at t1;
-4. mines the queued transactions if t1 is a multiple of block_interval_ms
+3. running a clustering round due exactly at t1;
+4. mining the queued transactions if t1 is a multiple of block_interval_ms
    or the horizon;
-5. sweeps the waiting room if t1 is a whole second or the horizon.
+5. sweeping the waiting room if t1 is a whole second or the horizon.
 
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
@@ -20,50 +20,41 @@ parks the rest (nothing registers a sensor mid-run), seals the queue's
 whole `block_batch` blocks, each stamped t1, and then runs steps 4-5. The
 metric batteries read link figures and run `run_link`.
 
-Nothing in steps 1-3 reads a window's settlement either: rounds read the
-energy, and the detector counts offered packets, not delivered ones. So
-`run_link`'s window loop keeps only what feeds later windows (the rounds,
-the marks of each span and the detector's blocks), and one settlement pass
-after the loop settles every window and takes the CPU samples.
+Within the link stage, rounds read only the energy, the detector only
+packet counts, and neither reads a window's settlement. So `run_link` runs
+four passes in sequence, each over the whole run:
 
-Rounds fall every round_period_ms from t=0 and need not line up with
-windows. A round that finds no live node ends the run at that point. Sensor
-packet arrivals are pre-drawn Poisson processes held as three sorted arrays
-(time, node, size); each window takes its slice, found with searchsorted.
-Flood traffic is one deterministic count per window that every attacker
-sends, which makes detection latency exact arithmetic instead of a coin flip.
+- Rounds fall every round_period_ms from t=0 and need not line up with
+  windows. Each charges the energy over the clustering `Geometry` the run
+  builds once, and a node it depletes emits nothing from its due time on,
+  or from t1 + 1 for a round due at a window end t1 > 0, which runs after
+  that window settles. A round that finds no live node ends the run: the
+  windows that end at or before its due time settle, and steps 4-5 run at
+  the window ends strictly before it.
+- One array expression marks each settled arrival alive or not. Sensor
+  arrivals are pre-drawn Poisson processes held as three sorted arrays
+  (time, node, size); each window takes its slice, found with searchsorted.
+- The detector counts each source's alive packets; every attacker sends
+  one deterministic count per window, which makes detection latency exact
+  arithmetic instead of a coin flip. A source's count never depends on
+  another's block, so `first_crossings` finds each source's first crossing
+  of theta a pass at a time, and each gets a drop rule at that window end
+  in the one drop table all gateways enforce, those of one window in name
+  order. A pass takes DETECTOR_PASS_WINDOWS windows, or a detector window
+  if longer, so it re-reads no more lookback than its own length.
+- Settlement reads per-window arrays off the marks and the drop table: an
+  arrival is offered if alive and not after its source's block, and each
+  window shares the configured link capacity proportionally between benign
+  and unblocked attack bytes. Benign packets take the budget in arrival
+  order: a packet that would overrun it is dropped and the next, possibly
+  smaller, packet is still tried, a greedy that only congested windows run.
+  The delivered packets' log and each payload's sequence number (1 + the
+  arrival's rank among its node's alive arrivals, so dropped and blocked
+  ones count) are read off the marks.
 
-Per-node state is two arrays indexed by node id: the residual energy, which
-each round charges over the clustering `Geometry` the run builds once, and
-the ms from which the node is depleted, read off the energy after each round
-(a depleted node emits nothing from its round's due time on). One more is
-indexed by source, the sensors by node id and then the attack sources:
-whether the drop table blocks the source, re-read from the table for the
-sources each block adds. Within a span, the windows settled before the next round, depletion
-and blocks change only when the detector installs a drop rule. So array
-operations mark each arrival of a span at once as alive (its node not
-depleted) and offered (alive and not blocked), and re-mark the rest of the
-span after a block; a window's marks are final once the loop passes it. The
-detector's block events are found once, when a round starts a span: a
-source's count never depends on another's block, and its sum over the last
-detector_window_ms rises only in a window where it sends, so one cumsum
-over the span's sparse (source, window) counts, with the lookback its first
-sum needs, gives each unblocked source's first crossing of theta.
-
-The settlement pass reads per-window arrays off the final marks and the
-drop table: offered bytes, unblocked attackers, capacity, and the benign
-budget and attack share. Each window shares the configured link capacity
-proportionally between benign and unblocked attack bytes. Benign packets
-take the budget in arrival order: a packet that would overrun it is dropped
-and the next, possibly smaller, packet is still tried, a greedy that only
-congested windows run. The delivered packets' log and each payload's
-sequence number (1 + the arrival's rank among its node's alive arrivals, so
-dropped and blocked ones count) are read off the marks. In distb mode every
-delivered sensor packet becomes a ledger transaction (registry verdict ->
-admit -> mine -> chain append) and each source gets a drop rule at its
-first crossing in the one drop table all gateways enforce, those of one
-window in name order; in of-baseline mode both the ledger stage and the
-mitigation are disabled.
+In distb mode every delivered sensor packet becomes a ledger transaction
+(registry verdict -> admit -> mine -> chain append); in of-baseline mode
+both the ledger stage and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
 every delivered sensor packet is accounted for once: benign_delivered =
@@ -81,7 +72,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -96,6 +87,7 @@ from .sdn import DROP, FlowTable, block_flow, match_packet
 from .topology import generate_topology
 
 CPU_SAMPLE_MS = 200
+DETECTOR_PASS_WINDOWS = 100  # windows per flood-detector pass, so its arrays stay small on any horizon
 ATTACK_PKT_BYTES = 576  # midpoint of the 128..1024 byte packet band
 BS_ID = "bs"
 
@@ -115,7 +107,7 @@ CPU_BATTERY = dict(
 def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
     """Seeded Poisson arrivals per node: int64 arrays (t_ms, node_id, size_bytes).
 
-    `nodes` come in ascending id order, as `NodeSet.active()` gives them. The
+    `nodes` come in ascending id order, as `NodeSet.nodes` holds them. The
     three arrays are sorted together by time, then node id, then draw order.
     Uses the order-statistics form of a Poisson process (count ~
     Poisson, times ~ sorted uniforms) so the draw is vectorized per node.
@@ -201,8 +193,8 @@ class LinkResult:
     terminated_early: bool
     events_processed: int  # settlement windows run
     last_tick: int  # the last window end whose steps 3-5 ran (see the module docstring)
-    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, built once
-    # the loop ends; seq is 1 + the arrival's rank among its node's alive arrivals
+    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, built by
+    # the settlement pass; seq is 1 + the arrival's rank among its node's alive arrivals
     delivered: array
     delivered_through: array  # 0, then len(delivered) at the end of each settled window
 
@@ -255,10 +247,35 @@ def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
     return mask
 
 
+def first_crossings(t, nid, flood, attackers, first_in, wa: int, theta: float) -> list[tuple[int, int]]:
+    """(window, source) of each source's first window from wa on whose sum
+    exceeds theta, in source order. Sensor packets arrive at t from node nid,
+    from window first_in[wa] on; each of `attackers` sends flood[w] packets in
+    window w. The sum at window w covers windows first_in[w]..w and rises only
+    where its source sends, so one cumsum over the sparse (source, window)
+    counts, keyed source * len(first_in) + window, finds every first crossing."""
+    n_win = len(first_in)
+    sends = first_in[wa] + np.flatnonzero(flood[first_in[wa] :])  # the windows with attack batches
+    arr_win = ((t + WINDOW_MS - 1) // WINDOW_MS).clip(1)
+    key = np.concatenate((nid * n_win + arr_win, np.add.outer(attackers * n_win, sends).ravel()))
+    count = np.concatenate((np.ones(len(t), dtype=np.int64), np.tile(flood[sends], len(attackers))))
+    order = np.argsort(key)
+    key, csum = key[order], np.cumsum(count[order])
+    src, win = np.divmod(key, n_win)
+    # Each entry's sum over its key's detector window. A sensor's arrivals in one window share a key,
+    # and all but the last read a partial sum, over theta only where the whole is, so each source's
+    # first entry over theta still falls in its first crossing window.
+    sums = csum - np.concatenate(([0], csum))[np.searchsorted(key, key - win + first_in[win])]
+    hit = np.flatnonzero((sums > theta) & (win >= wa))
+    hit = hit[np.unique(src[hit], return_index=True)[1]]  # each source's first
+    return list(zip(win[hit].tolist(), src[hit].tolist()))
+
+
 def run_link(cfg: ScenarioConfig) -> LinkResult:
-    """Run the link stage: the window loop's rounds, spans and flood blocks,
-    then one settlement pass over the settled windows for the traffic figures
-    and the CPU samples. Builds no transaction."""
+    """Run the link stage in four passes: the clustering rounds, the alive
+    marks, the flood detector, and one settlement pass over the settled
+    windows for the traffic figures and the CPU samples. Builds no
+    transaction."""
     cfg = validate_config(cfg)
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
@@ -267,7 +284,7 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
 
     arr_t, arr_node, arr_size = generate_traffic(
-        node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
+        node_set.nodes, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     flood = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
     n_atk = cfg.attack.sources if cfg.attack is not None else 0
@@ -275,120 +292,70 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     # attack sources, each of which sends flood[w] packets in window w.
     names = [f"s-{n.id}" for n in node_set.nodes] + [f"atk-{i}" for i in range(n_atk)]
 
-    theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
-    drop_table = FlowTable()
-    # Per source: whether drop_table drops its packets, re-read for each source a block adds.
-    blocked = np.zeros(len(names), dtype=bool)
-    # Per arrival: alive (its node not yet depleted) and offered (alive and not
-    # blocked), marked when its span is prepared.
-    alive, offered = np.zeros(len(arr_t), dtype=bool), np.zeros(len(arr_t), dtype=bool)
-
-    # Per-node state, indexed by node id: the residual energy, and the ms from
-    # which the node emits nothing (past the horizon until a round depletes it).
-    geometry = Geometry(node_set)
-    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
-    never = cfg.sim_time_ms + 1
-    depleted_from = np.full(n_nodes, never)
-    terminated_early = False
-
-    def next_round_at() -> int:
-        return counters["rounds"] * cfg.round_period_ms
-
-    def do_round(energy: np.ndarray) -> np.ndarray:
-        due = next_round_at()
-        _, energy = elect(geometry, energy, cfg)
-        counters["rounds"] += 1
-        np.minimum(depleted_from, np.where(energy <= 0.0, due, never), out=depleted_from)
-        return energy
-
-    # Fixed cadence: one pass per settlement window, in the order documented
-    # in the module docstring. Rounds need not fall on window ends. Window w
-    # runs from ends[w - 1] to ends[w]; it takes the arrivals at t <= ends[w]
-    # (the first window from t = 0), arr_ends[w - 1]:arr_ends[w].
+    # Window w runs from ends[w - 1] to ends[w]; it takes the arrivals at
+    # t <= ends[w] (the first window from t = 0), arr_ends[w - 1]:arr_ends[w].
     end = cfg.sim_time_ms
     ends = [*range(0, end, WINDOW_MS), end]
     arr_ends = np.searchsorted(arr_t, ends, side="right")
     arr_ends[0] = 0
-    # The detector's sum at window w covers windows first_in[w]..w, those that
-    # end after t1 - detector_window_ms. Keys are source * len(ends) + window.
-    first_in = np.searchsorted(ends, np.subtract(ends, cfg.detector_window_ms), side="right").clip(1)
-    atk_base = np.arange(n_nodes, len(names)) * len(ends)
 
-    def crossings(wa: int, wb: int) -> dict:
-        """The block events of the span wa..wb-1, once it is prepared: window ->
-        the unblocked sources whose offered packets over (t1 -
-        detector_window_ms, t1] first exceed theta there. Blocking one source
-        changes no other's counts, and a sum rises only in a window where its
-        source sends, so each first crossing is read off the sparse (source,
-        window) keys of the span and its lookback."""
-        look = first_in[wa] - 1
-        lo, hi = arr_ends[look], arr_ends[wb - 1]
-        on = lo + np.flatnonzero(offered[lo:hi])
-        sends = look + 1 + np.flatnonzero(flood[look + 1 : wb])  # the windows with attack batches
-        arr_win = ((arr_t[on] + WINDOW_MS - 1) // WINDOW_MS).clip(1)
-        key = np.concatenate((arr_node[on] * len(ends) + arr_win, np.add.outer(atk_base, sends).ravel()))
-        count = np.concatenate((np.ones(len(on), dtype=np.int64), np.tile(flood[sends], n_atk)))
-        order = np.argsort(key)
-        key, csum = key[order], np.cumsum(count[order])
-        src, win = np.divmod(key, len(ends))
-        # Each entry's sum over its key's detector window. A sensor's arrivals
-        # in one window share a key, and all but the last read a partial sum,
-        # over theta only where the whole is, so each source's first entry over
-        # theta still falls in its first crossing window.
-        sums = csum - np.concatenate(([0], csum))[np.searchsorted(key, key - win + first_in[win])]
-        hit = np.flatnonzero((sums > theta) & (win >= wa) & ~blocked[src])
-        hit = hit[np.unique(src[hit], return_index=True)[1]]  # each source's first
-        events: dict[int, list] = {}
-        for w, i in zip(win[hit].tolist(), src[hit].tolist()):
-            events.setdefault(w, []).append(i)
-        return events
+    # 1. Rounds, each due before the horizon. A node a round depletes emits
+    # nothing from the round's due time on, or from t1 + 1 for a round due at
+    # a window end t1 > 0, which runs after that window settles.
+    geometry = Geometry(node_set)
+    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
+    never = end + 1
+    depleted_from = np.full(n_nodes, never)
+    settled, last_tick, terminated_early = len(ends) - 1, end, False
+    for due in range(0, end, cfg.round_period_ms):
+        try:
+            _, energy = elect(geometry, energy, cfg)
+        except ExhaustedNetworkError:
+            # The run stops here: the windows that end at or before this round
+            # settled, and steps 3-5 ran at the window ends strictly before it
+            # (round 0 finds every node alive, so due > 0).
+            settled, last_tick = bisect_right(ends, due) - 1, ends[bisect_left(ends, due) - 1]
+            terminated_early = True
+            break
+        counters["rounds"] += 1
+        silent_from = due + 1 if 0 < due and due % WINDOW_MS == 0 else due
+        np.minimum(depleted_from, np.where(energy <= 0.0, silent_from, never), out=depleted_from)
 
-    def prepare(wa: int) -> int:
-        """Mark alive and offered over the span of windows wa..wb-1, those
-        settled before the next round; a block makes the caller re-prepare
-        from the next window. Returns wb."""
-        wb = bisect_right(ends, next_round_at())
-        lo, hi = arr_ends[wa - 1], arr_ends[wb - 1]
-        nid = arr_node[lo:hi]
-        alive[lo:hi] = arr_t[lo:hi] < depleted_from[nid]
-        offered[lo:hi] = alive[lo:hi] & ~blocked[nid]
-        return wb
-
-    last_tick = settled = span_end = 0
-    try:
-        for w in range(1, len(ends)):
-            t1 = ends[w]
-            while next_round_at() < t1:
-                energy = do_round(energy)
-            if w >= span_end:  # spans end at a round, so this follows every round
-                span_end = prepare(w)
-                events = crossings(w, span_end) if distb else {}
-            settled = w  # its marks are final: a block re-marks from w + 1 on
-            if w in events:  # the sources that first cross theta at t1
-                for name in sorted(names[i] for i in events[w]):  # by name, so s-10 goes before s-2
-                    block_flow(drop_table, name, t1)
-                for i in events[w]:  # a block changes only its own source's verdict
-                    blocked[i] = match_packet(drop_table, names[i]) == DROP
-                if w + 1 < span_end:  # re-mark the rest of the span; its events stand
-                    prepare(w + 1)
-            if next_round_at() == t1 < end:
-                energy = do_round(energy)
-            last_tick = t1
-    except ExhaustedNetworkError:
-        terminated_early = True
-
-    # Settle windows 1..settled at once, each under its final marks. An
-    # attacker blocked at window b's end sends unblocked through window b.
+    # 2. Alive marks: whether each settled arrival's node still emits then.
     bounds = arr_ends[: settled + 1]
     hi = bounds[-1]
-    alive, offered, sizes = alive[:hi], offered[:hi], arr_size[:hi]
+    alive = arr_t[:hi] < depleted_from[arr_node[:hi]]
+
+    # 3. The detector (distb mode) counts alive packets: a source's count never
+    # depends on another's block, and counts after its own block are never read.
+    theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
+    drop_table = FlowTable()
+    blocked_after = np.full(len(names), never)  # per source: its drop rule's ms, read back from drop_table
+    if distb:
+        # The sum at window w covers windows first_in[w]..w, those ending after t1 - detector_window_ms.
+        first_in = np.searchsorted(ends, np.subtract(ends, cfg.detector_window_ms), side="right").clip(1)
+        attackers = np.arange(n_nodes, len(names))
+        step = max(DETECTOR_PASS_WINDOWS, -(-cfg.detector_window_ms // WINDOW_MS))  # no shorter than its lookback
+        for wa in range(1, settled + 1, step):
+            wb = min(wa + step, settled + 1)
+            rows = slice(arr_ends[first_in[wa] - 1], arr_ends[wb - 1])  # from the first window wa's sum covers
+            on = alive[rows]
+            crossings = first_crossings(arr_t[rows][on], arr_node[rows][on], flood[:wb], attackers, first_in, wa, theta)
+            events = sorted((w, names[i], i) for w, i in crossings if blocked_after[i] == never)
+            for w, name, i in events:  # by window, then name, so s-10 goes before s-2
+                block_flow(drop_table, name, ends[w])
+                if match_packet(drop_table, name) == DROP:  # read back: the table is a block's one record
+                    blocked_after[i] = drop_table.rules[name]
+
+    # 4. Settle windows 1..settled at once. A source blocked at window b's end
+    # sends unblocked through window b.
+    offered, sizes = alive & (arr_t[:hi] <= blocked_after[arr_node[:hi]]), arr_size[:hi]
 
     def window_bytes(marks: np.ndarray) -> np.ndarray:
         """Each settled window's bytes over the marked arrivals."""
         return np.diff(np.concatenate(([0], np.cumsum(sizes * marks)))[bounds])
 
-    block_at = drop_table.rules  # src -> block ms
-    blocked_in = np.sort(np.searchsorted(ends, [block_at[n] for n in names[n_nodes:] if n in block_at]))
+    blocked_in = np.sort(np.searchsorted(ends, blocked_after[n_nodes:]))  # each attacker's block window
     unblocked = n_atk - np.searchsorted(blocked_in, np.arange(1, settled + 1))
     sent = flood[1 : settled + 1]
     atk_packets = unblocked * sent

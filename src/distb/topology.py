@@ -45,11 +45,6 @@ class NodeSet:
     nodes: list[Node]
     base_station: BaseStation
 
-    def active(self) -> list[Node]:
-        """Nodes still holding energy; depleted ones drop out of clustering. The test
-        is `elect`'s, `not (energy <= 0.0)`, so a NaN energy counts as alive here too."""
-        return [n for n in self.nodes if not (n.energy <= 0.0)]
-
 
 @dataclass(frozen=True)
 class TopologyParams:

@@ -70,7 +70,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     delivered_through = array("q", [0])
 
     arr_t, arr_node, arr_size = generate_traffic(
-        node_set.active(), cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
+        node_set.nodes, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     # Each window's attack batches, (source, packets, bytes) per attacker.
     sources = cfg.attack.sources if cfg.attack is not None else 0

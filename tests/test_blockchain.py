@@ -134,6 +134,18 @@ def test_u64_outside_range_raises_overflow_error():
             bc.tx_body_bytes("s-01", "bs", timestamp, b"x", bytes(32))
 
 
+def test_u64_refuses_a_float_instead_of_truncating_it():
+    # a block hashed over timestamp 1 but storing 1.5 would pass append_block and fail only at export
+    txs = [make_tx(1)]
+    for seal in (
+        lambda: bc.mine_block(txs, bc.ZERO_HASH, 0, 1.5, 1),
+        lambda: bc.seal_block_pos(txs, bc.ZERO_HASH, "v", 1.5, 1),
+        lambda: bc.make_transactions([("s-01", b"x", 1.5)], "bs"),
+    ):
+        with pytest.raises(TypeError):
+            seal()
+
+
 def test_check_block_reports_nonce_outside_u64_range():
     # and the other headers that cannot be serialized: an unknown sealer kind, a negative difficulty
     block = fresh_chain(2, difficulty=0).blocks[1]

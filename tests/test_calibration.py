@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from distb.calibration import fit_gas, fit_response, load_default, load_reference_tables
@@ -37,12 +38,14 @@ def test_default_record_matches_recalibration(refit):
 
 
 def test_envelopes_interpolate_anchors(refit):
+    # a raw figure equal to the nominal one scales to the envelope itself
     t = load_reference_tables()["throughput_kbps"]
-    for n, d, b in zip(t["nodes"], t["distb"], t["baseline"]):
-        assert refit.throughput_envelope("distb", n) == d
-        assert refit.throughput_envelope("of-baseline", n) == b
+    nominal = refit.to_dict()["throughput"]["nominal"]
+    for i, (n, d, b) in enumerate(zip(t["nodes"], t["distb"], t["baseline"])):
+        assert refit.scaled("throughput", "distb", n, nominal["distb"][i]) == d
+        assert refit.scaled("throughput", "of-baseline", n, nominal["baseline"][i]) == b
     # between anchors: linear and monotone
-    assert 2.0 <= refit.throughput_envelope("distb", 3) <= 4.0
+    assert 2.0 <= refit.scaled("throughput", "distb", 3, float(np.interp(3, t["nodes"], nominal["distb"]))) <= 4.0
 
 
 def test_response_model_orders_modes(refit):

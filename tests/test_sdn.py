@@ -109,9 +109,9 @@ def test_blocked_sources_have_drop_rule_invariant():
 
 def test_blocking_reads_each_blocked_source_once(monkeypatch):
     # A detector threshold of the smallest float blocks nearly every sensor,
-    # over three windows. After a block the engine re-reads the drop table
-    # for the sources just blocked, not for every source, so blocking k
-    # sources costs k lookups however many sources the run has.
+    # over three windows. The engine reads each block back from the drop
+    # table once, for the source just blocked, not for every source, so
+    # blocking k sources costs k lookups however many sources the run has.
     calls = []
 
     def counting_match(table, src):
@@ -122,4 +122,11 @@ def test_blocking_reads_each_blocked_source_once(monkeypatch):
     link = run_link(ScenarioConfig(node_count=2000, sim_time_ms=300, detector_multiplier=5e-324))
     assert len(link.block_times) > 1000
     assert len(calls) == len(link.block_times)
+    assert sorted(calls) == sorted(link.block_times)
+    # Five attackers flood all 300 windows, so they stay over the threshold in
+    # every detector pass after the one that blocks them: still one read each.
+    calls.clear()
+    attack = AttackConfig(start_ms=0, stop_ms=30_000, sources=5, multiplier=10.0)
+    link = run_link(ScenarioConfig(node_count=20, sim_time_ms=30_000, attack=attack))
+    assert {f"atk-{i}" for i in range(5)} <= set(link.block_times)
     assert sorted(calls) == sorted(link.block_times)

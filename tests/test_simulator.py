@@ -6,7 +6,7 @@ from array import array
 import numpy as np
 import pytest
 from engine_reference import reference_ledger, reference_link
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distb import blockchain as bc
@@ -147,10 +147,11 @@ def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
 
 @st.composite
 def link_configs(draw):
-    """Small configs that reach every branch of the window loop: horizons off
-    the window grid, odd round periods (some longer than the run, so one span
-    holds many windows), networks that die, congested links, ramped and flat
-    floods, and detector thresholds low enough to block benign sensors."""
+    """Small configs that reach every branch of the link stage's passes:
+    horizons off the window grid, odd round periods (some longer than the
+    run, so one round serves many windows), networks that die, congested
+    links, ramped and flat floods, and detector thresholds low enough to
+    block benign sensors."""
     horizon = 100 * draw(st.integers(0, 29)) + draw(st.integers(1, 99))
     attack = None
     if draw(st.booleans()):
@@ -186,6 +187,13 @@ def link_configs(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(cfg=link_configs())
+# Under attack, the network dies in a round due exactly at a window end, so
+# that window still settles and detects before the run stops.
+@example(
+    cfg=config_from_dict(
+        {**TICK_ORDER_CASES["C"][0], "attack": {"start_ms": 0, "stop_ms": 30000, "sources": 2, "multiplier": 2.0}}
+    )
+)
 def test_link_stage_matches_the_per_packet_reference(cfg):
     got, want = run_link(cfg), reference_link(cfg)
     for f in dataclasses.fields(LinkResult):
@@ -213,10 +221,33 @@ def test_link_stage_matches_the_reference_at_detector_windows_off_the_grid(windo
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
-def test_one_span_holds_many_block_events():
-    # One round at t = 0 and none after, so the span is the whole run and every
-    # block event comes from one pass over it: sensors and attackers cross at
-    # nine window ends, s-11 and s-2 in one window, s-0 and s-10 in another.
+@pytest.mark.parametrize("window_ms", [200, 2_050, 15_000])
+def test_link_stage_matches_the_reference_across_detector_passes(window_ms):
+    # 350 windows take four detector passes of 100, or three of 150 when one
+    # detector window covers 150 windows; sensors and attackers are blocked in
+    # passes after the first, with sums that reach back over pass boundaries.
+    cfg = config_from_dict(
+        {
+            "seed": 4,
+            "node_count": 12,
+            "sim_time_ms": 35_000,
+            "sensor_rate_pps": 20.0,
+            "detector_window_ms": window_ms,
+            "detector_multiplier": {200: 2.5, 2_050: 1.3, 15_000: 1.05}[window_ms],
+            "attack": {"start_ms": 9_950, "stop_ms": 33_000, "sources": 3, "multiplier": 5.0, "ramp_ms": 20_000},
+        }
+    )
+    got, want = run_link(cfg), reference_link(cfg)
+    assert {src.split("-")[0] for src in got.block_times} == {"atk", "s"}
+    assert max(got.block_times.values()) - min(got.block_times.values()) > 15_000  # longer than any pass
+    for f in dataclasses.fields(LinkResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_one_detector_pass_holds_many_block_events():
+    # The 30 windows fit in one detector pass, so every block event comes
+    # from one cumsum: sensors and attackers cross at nine window ends, s-11
+    # and s-2 in one window, s-0 and s-10 in another, each pair in name order.
     cfg = config_from_dict(
         {
             "seed": 0,
@@ -406,12 +437,10 @@ def test_traffic_breaks_time_ties_by_node_then_draw_order():
     assert len(np.unique(t)) < len(np.unique(t * 10 + nid))  # and across nodes
 
 
-def test_traffic_depleted_nodes_emit_nothing():
-    ns = generate_topology(5, 500, seed=1)
-    for n in ns.nodes:
-        n.energy = 0.0
-    t, nid, size = generate_traffic(ns.active(), 10.0, np.random.default_rng([1, 1]), 2000)
+def test_traffic_over_no_nodes_emits_nothing():
+    t, nid, size = generate_traffic([], 10.0, np.random.default_rng([1, 1]), 2000)
     assert len(t) == len(nid) == len(size) == 0
+    assert t.dtype == nid.dtype == size.dtype == np.int64
 
 
 def test_traffic_doubling_rate_doubles_volume():
