@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Walkthrough: sensor readings become transactions, get vetted by the
-contract, wait in the pending room or get mined into the hash chain, and any
+"""Walkthrough: sensor readings become transactions and get mined into the
+hash chain, an unknown sensor's readings wait and age out, and any
 tampering is caught afterwards.
 
 Run:  python demos/03_transaction_ledger_pipeline.py
@@ -10,28 +10,28 @@ import json
 
 from distb import blockchain as bc
 from distb.calibration import load_default
+from distb.config import ScenarioConfig
+from distb.simulator import run_raw
 
-contract = bc.ContractState(known_sensors={"s-01", "s-02"})
-ledger = bc.Ledger(t_pending_ms=30_000)
+ledger = bc.Ledger()
 
 bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 8, 0, 0))
 print(f"genesis sealed: nonce={ledger.blocks[0].nonce} hash={ledger.blocks[0].hash.hex()[:16]}...")
 
-# A well-formed reading from a registered sensor. Transactions are built from
-# (sensor, payload, timestamp) rows, and the registry rules on the sender.
-[tx] = bc.make_transactions([("s-01", b'{"temp": 21.4}', 100)], "bs")
+# Well-formed readings. Transactions are built from (sensor, payload,
+# timestamp) rows.
+tx, tx2 = bc.make_transactions([("s-01", b'{"temp": 21.4}', 100), ("s-02", b'{"temp": 19.8}', 120)], "bs")
 print("\ndisplay form:", json.dumps(bc.tx_display_dict(tx), indent=2)[:180], "...")
-verdict = contract.verdict(tx.sensor_id)
-bc.admit_batch(ledger, [tx], verdict, now=100)
-print("registered sensor  ->", verdict.status)
 
-# Unknown sender: parked, then promoted once the sensor registers.
-[stranger] = bc.make_transactions([("s-77", b"hello?", 120)], "bs")
-bc.admit_batch(ledger, [stranger], contract.verdict(stranger.sensor_id), now=120)
-print("unknown sensor     -> parked:", len(ledger.pending) == 1)
-contract.register("s-77")
-bc.expire_pending(ledger, contract, now=5000)
-print("after registration -> promoted to queue:", len(ledger.queued) == 2)
+# In a run, a reading from a sensor the registry does not know is parked in
+# the waiting room. Nothing registers a sensor mid-run, so it can only age
+# out: at the first sweep (every second) t_pending_ms or more after it.
+cfg = ScenarioConfig(node_count=6, sim_time_ms=5000, seed=3, unregistered_fraction=0.5, t_pending_ms=2000)
+c = run_raw(cfg).counters
+print(
+    f"half the sensors unknown -> parked={c['parked_txs']} expired={c['expired_txs']} "
+    f"pending at end={c['pending_at_end']} committed={c['committed_txs']}"
+)
 
 # A transaction from outside the engine gets the integrity check first, as
 # every transaction of a ledger export does in `distb validate-chain`.
@@ -42,8 +42,8 @@ forged = bc.Transaction(
 )
 print("tampered payload   -> rejected:", bc.check_tx(forged))
 
-# Mine the queue onto the chain.
-block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 8, now=6000, index=1)
+# Mine both readings onto the chain.
+block = bc.mine_block([tx, tx2], ledger.tip_hash, 8, now=6000, index=1)
 bc.append_block(ledger, block)
 print(f"\nblock 1 mined: nonce={block.nonce} txs={len(block.tx_list)} hash={block.hash.hex()[:16]}...")
 print("chain valid:", bc.validate_chain(ledger))

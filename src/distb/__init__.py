@@ -9,14 +9,10 @@ stage's passes, the ledger stage and the metric batteries), `calibration`
 
 from .blockchain import (
     Block,
-    ContractState,
     Ledger,
     Transaction,
-    Verdict,
-    admit_batch,
     append_block,
     check_tx,
-    expire_pending,
     gas_for,
     make_transactions,
     mine_block,

@@ -1,5 +1,5 @@
-"""Transaction pipeline: canonical hashing, contract checks, waiting room,
-consensus sealing, the append-only hash chain, and gas accounting.
+"""Transaction pipeline: canonical hashing, the integrity check, consensus
+sealing, the append-only hash chain, and gas accounting.
 
 Canonical byte layout (everything hashed goes through this, never JSON):
 
@@ -124,49 +124,6 @@ def make_transactions(rows, destination: str) -> list[Transaction]:
         tx_id = _sha256(tx_body_bytes(sensor_id, destination, now, payload, checksum)).digest()
         txs.append(new(Transaction, (tx_id, sensor_id, destination, now, payload, checksum)))
     return txs
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """The registry's verdict on a sender: valid, or pending while it is unknown."""
-
-    status: str  # valid | pending
-    reason: str | None = None
-
-    @classmethod
-    def valid(cls) -> "Verdict":
-        return _VALID
-
-    @classmethod
-    def pending(cls, reason: str) -> "Verdict":
-        return cls("pending", reason)
-
-    @property
-    def is_valid(self) -> bool:
-        return self.status == "valid"
-
-    @property
-    def is_pending(self) -> bool:
-        return self.status == "pending"
-
-
-_VALID = Verdict("valid")  # frozen, so every Valid verdict can be this one
-
-
-@dataclass
-class ContractState:
-    """Registry of known sensors."""
-
-    known_sensors: set[str] = field(default_factory=set)
-
-    def register(self, sensor_id: str) -> None:
-        self.known_sensors.add(sensor_id)
-
-    def verdict(self, sensor_id: str) -> Verdict:
-        """The registry rule: Valid for a registered sensor, else Pending."""
-        if sensor_id in self.known_sensors:
-            return Verdict.valid()
-        return Verdict.pending(f"unknown sensor {sensor_id}")
 
 
 def check_tx(tx: Transaction) -> str | None:
@@ -320,53 +277,15 @@ def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
 
 @dataclass
 class Ledger:
-    """Append-only chain plus the valid-transaction queue and the waiting room.
-
-    `queued` and `pending` are keyed by tx_id in arrival order, and
-    `committed_ids` holds the ids of the chain's txs, so every admission
-    check is O(1) over long runs.
-    """
+    """Append-only chain; `committed_ids` holds the ids of its txs, so the
+    duplicate check on append is O(1) over long runs."""
 
     blocks: list[Block] = field(default_factory=list)
-    queued: dict[bytes, Transaction] = field(default_factory=dict)
-    pending: dict[bytes, tuple[Transaction, int]] = field(default_factory=dict)  # tx_id -> (tx, parked at)
-    t_pending_ms: int = 30_000
     committed_ids: set[bytes] = field(default_factory=set)
 
     @property
     def tip_hash(self) -> bytes:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
-
-
-def admit_batch(ledger: Ledger, txs: list[Transaction], verdict: Verdict, now: int) -> None:
-    """Route txs that share a verdict, in order: Valid -> queue, Pending ->
-    waiting room, parked at `now`. Refuses the batch if an id repeats in it
-    or is committed, queued or parked already."""
-    tx_ids = [tx.tx_id for tx in txs]
-    fresh = set(tx_ids)
-    if len(fresh) < len(tx_ids) or not all(
-        known.isdisjoint(fresh) for known in (ledger.committed_ids, ledger.queued.keys(), ledger.pending.keys())
-    ):
-        raise DuplicateTransactionError("a tx id repeats or is already known")
-    if verdict.is_valid:
-        ledger.queued.update(zip(tx_ids, txs))
-    else:
-        ledger.pending.update((tx.tx_id, (tx, now)) for tx in txs)
-
-
-def expire_pending(ledger: Ledger, contract: ContractState, now: int) -> list[bytes]:
-    """Sweep the waiting room: promote entries whose sensor has since been
-    registered, then discard anything parked for t_pending_ms or longer.
-    Returns the discarded ids."""
-    discarded: list[bytes] = []
-    for tx_id, (tx, entered_at) in list(ledger.pending.items()):
-        if tx.sensor_id in contract.known_sensors:
-            ledger.queued[tx_id] = tx
-            del ledger.pending[tx_id]
-        elif now - entered_at >= ledger.t_pending_ms:
-            discarded.append(tx_id)
-            del ledger.pending[tx_id]
-    return discarded
 
 
 def check_block(block: Block) -> str | None:
@@ -392,7 +311,7 @@ def check_block(block: Block) -> str | None:
 
 def append_block(ledger: Ledger, block: Block) -> None:
     """Extend the chain; rejects forks, bad seals and any tx committed before
-    or carried twice, and takes the block's txs out of the queue."""
+    or carried twice."""
     if block.prev_hash != ledger.tip_hash or block.index != len(ledger.blocks):
         raise ForkRejectedError(
             f"block {block.index} does not extend tip at height {len(ledger.blocks)}"
@@ -407,8 +326,6 @@ def append_block(ledger: Ledger, block: Block) -> None:
     if len(set(tx_ids)) != len(tx_ids):
         raise DuplicateTransactionError(f"block {block.index} carries a tx twice")
     ledger.blocks.append(block)
-    for tx_id in tx_ids:
-        ledger.queued.pop(tx_id, None)
     ledger.committed_ids.update(tx_ids)
 
 

@@ -19,7 +19,9 @@ class ExhaustedNetworkError(DistbError):
 
 
 class DuplicateTransactionError(DistbError):
-    """A tx_id was already committed, queued, or parked."""
+    """A transaction repeats: a block carries a tx_id already on the chain or
+    twice, or the ledger stage meets a packet whose seq is not above its
+    node's last."""
 
 
 class EmptyBlockError(DistbError):

@@ -15,10 +15,11 @@ may be shorter). For each window end t1 the engine's result is that of:
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
 the ledger stage over that log a window at a time. At each t1 it builds the
-window's transactions in one pass, queues those of registered sensors and
-parks the rest (nothing registers a sensor mid-run), seals the queue's
-whole `block_batch` blocks, each stamped t1, and then runs steps 4-5. The
-metric batteries read link figures and run `run_link`.
+transactions of the window's registered sensors in one pass, appends them
+to the queue, seals its whole `block_batch` blocks, each stamped t1, and
+then runs step 4. Nothing registers a sensor mid-run, so step 5 only ages
+parked packets out, and the stage counts them instead of building them.
+The metric batteries read link figures and run `run_link`.
 
 Within the link stage, rounds read only the energy, the detector only
 packet counts, and neither reads a window's settlement. So `run_link` runs
@@ -52,9 +53,10 @@ four passes in sequence, each over the whole run:
   arrival's rank among its node's alive arrivals, so dropped and blocked
   ones count) are read off the marks.
 
-In distb mode every delivered sensor packet becomes a ledger transaction
-(registry verdict -> admit -> mine -> chain append); in of-baseline mode
-both the ledger stage and the mitigation are disabled.
+In distb mode every delivered packet of a registered sensor becomes a
+ledger transaction (build -> queue -> mine -> chain append), and every
+other one is parked until it ages out; in of-baseline mode both the ledger
+stage and the mitigation are disabled.
 
 Raw counters and byte totals come straight from the engine. In distb mode
 every delivered sensor packet is accounted for once: benign_delivered =
@@ -74,7 +76,6 @@ import json
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from . import blockchain as bc
 from .calibration import Calibration, fit_gas, fit_response, load_reference_tables
 from .clustering import Geometry, elect
 from .config import MODES, WINDOW_MS, AttackConfig, ScenarioConfig, validate_config
-from .errors import ConfigError, ExhaustedNetworkError
+from .errors import ConfigError, DuplicateTransactionError, ExhaustedNetworkError
 from .sdn import DROP, FlowTable, block_flow, match_packet
 from .topology import generate_topology
 
@@ -440,41 +441,41 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     """Run the link stage, then the ledger stage over its delivered packets,
     and return raw, calibration-free results.
 
-    At each window end t1, the window's packets become transactions in one
-    pass: those of registered sensors join the queue in arrival order, the
-    others are parked, and the queue is cut into as many whole blocks of
-    `block_batch` as it holds, each stamped t1. These are the blocks that
-    sealing whenever `block_batch` are queued would give, since every block
-    of a window carries t1. Then, up to `last_tick`, the queue is mined on
-    `block_interval_ms` ends and the waiting room swept every second, both
-    also at the horizon. The trap: a round due exactly at t1 runs after
-    settlement, so if it exhausts the network, that window's packets are
-    admitted and its whole blocks cut, but its mine and sweep never run; the
-    leftover queue stays in `ledger.queued`.
+    At each window end t1, the transactions of the window's packets from
+    registered sensors join the queue in arrival order, and the queue is cut
+    into as many whole blocks of `block_batch` as it holds, each stamped t1.
+    These are the blocks that sealing whenever `block_batch` are queued
+    would give, since every block of a window carries t1. Then, up to
+    `last_tick`, the queue is mined on `block_interval_ms` ends and at the
+    horizon. The other packets are parked at t1 and never built: nothing
+    registers a sensor mid-run, so each only ages out, at the first sweep
+    (every second and at the horizon, up to `last_tick`) that comes
+    `t_pending_ms` or more after t1, and the stage only counts them. The
+    trap: a round due exactly at t1 runs after settlement, so if it
+    exhausts the network, that window's whole blocks are cut but its mine
+    and sweep never run; the leftover queue counts in `queued_at_end`.
     """
     cfg = validate_config(cfg)
     link = run_link(cfg)
     counters = link.counters | dict.fromkeys(_LEDGER_COUNTERS, 0)
-    ledger = bc.Ledger(t_pending_ms=cfg.t_pending_ms)
+    ledger = bc.Ledger()
     if cfg.mode == "distb":
         _run_ledger(cfg, link, ledger, counters)
     counters["blocks"] = len(ledger.blocks)
-    counters["pending_at_end"] = len(ledger.pending)
-    counters["queued_at_end"] = len(ledger.queued)  # non-zero only when the network died
     return RawResult(**{**vars(link), "counters": counters}, ledger=ledger)
 
 
 def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
-    """The ledger stage over the link stage's delivered packets (see run_raw)."""
+    """The ledger stage over the link stage's delivered packets (see run_raw).
+    Refuses a packet whose seq is not above its node's last, which is how a
+    tx id seen twice shows: the id hashes the whole row, seq included."""
     rng_misc = np.random.default_rng([cfg.seed, 3])
     names = [f"s-{i}" for i in range(cfg.node_count)]
     k = int(round(cfg.unregistered_fraction * cfg.node_count))
     unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
-    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
+    registered = [i not in unregistered for i in range(cfg.node_count)]  # nothing registers a sensor mid-run
     pos = cfg.consensus.kind == "pos"
     stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
-    registered = [name in contract.known_sensors for name in names]  # nothing registers a sensor mid-run
-    unknown = bc.Verdict.pending("unknown sensor")
 
     def commit(txs, now: int) -> None:
         index = len(ledger.blocks)
@@ -487,29 +488,40 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
         counters["committed_txs"] += len(txs)
 
     commit([], 0)  # genesis
-    end = cfg.sim_time_ms
+    end, last_tick, batch = cfg.sim_time_ms, link.last_tick, cfg.block_batch
+    # Sweeps run every second and at the horizon, up to last_tick, so a packet parked at t1 has expired by the
+    # end iff the last sweep (0 if none ran) is t_pending_ms or more after t1. Python ints: no t_pending_ms wraps.
+    last_sweep = end if last_tick == end else last_tick - last_tick % 1000
+    last_seq = [0] * cfg.node_count
+    queue: list[bc.Transaction] = []
     through = link.delivered_through
     for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
         t1 = min(w * WINDOW_MS, end)
         rows = link.delivered[lo:hi]
-        ts, nids = rows[::4], rows[1::4]
-        payloads = [b"%d|%d|%d|%d" % (n, q, t, size) for t, n, size, q in zip(ts, nids, rows[2::4], rows[3::4])]
-        txs = bc.make_transactions(zip(map(names.__getitem__, nids), payloads, ts), BS_ID)
-        valid = list(map(registered.__getitem__, nids))
-        parked = [tx for tx, ok in zip(txs, valid) if not ok]
-        bc.admit_batch(ledger, list(compress(txs, valid)), bc.Verdict.valid(), t1)
-        bc.admit_batch(ledger, parked, unknown, t1)
-        counters["parked_txs"] += len(parked)
-        cut = len(ledger.queued) - len(ledger.queued) % cfg.block_batch
-        queued = list(ledger.queued.values())[:cut]
-        for i in range(0, cut, cfg.block_batch):  # every block of the window carries t1
-            commit(queued[i : i + cfg.block_batch], t1)
-        if t1 > link.last_tick:
+        ts, nids, sizes, seqs = rows[::4], rows[1::4], rows[2::4], rows[3::4]
+        for n, q in zip(nids, seqs):
+            if q <= last_seq[n]:
+                raise DuplicateTransactionError(f"packet {q} of s-{n} is not after its last, {last_seq[n]}")
+            last_seq[n] = q
+        kept = [
+            (names[n], b"%d|%d|%d|%d" % (n, q, t, size), t)
+            for t, n, size, q in zip(ts, nids, sizes, seqs)
+            if registered[n]
+        ]
+        parked = len(nids) - len(kept)
+        counters["parked_txs"] += parked
+        counters["expired_txs" if last_sweep - t1 >= cfg.t_pending_ms else "pending_at_end"] += parked
+        queue += bc.make_transactions(kept, BS_ID)
+        cut = len(queue) - len(queue) % batch
+        for i in range(0, cut, batch):  # every block of the window carries t1
+            commit(queue[i : i + batch], t1)
+        del queue[:cut]
+        if t1 > last_tick:
             break  # a round at t1 exhausted the network before the mine
-        if ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-            commit(list(ledger.queued.values()), t1)
-        if t1 % 1000 == 0 or t1 == end:
-            counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
+        if queue and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+            commit(queue, t1)
+            queue = []
+    counters["queued_at_end"] = len(queue)
 
 
 def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:

@@ -10,14 +10,15 @@ detector's window again at every window end. It shares only code with tests
 of its own: the topology, the clustering election, the traffic and attack
 draws, and the drop table.
 
-`reference_ledger` runs the ledger stage one packet at a time: it builds,
-verdicts and admits each delivered packet at its window end and seals a
-block whenever `block_batch` are queued. Over the same `LinkResult`, the
-engine's ledger stage must leave the same chain, waiting room, queue and
-counters. It shares only code with tests of its own: the transaction and
-block header builders, admission, PoS sealing and the waiting-room sweep.
-It seals PoW itself, hashing the header of each nonce from 0 until one has
-`difficulty` leading zero bits.
+`reference_ledger` runs the ledger stage one packet at a time: it builds
+each delivered packet's transaction at its window end, queues or parks it
+by a registry set of its own, seals a block whenever `block_batch` are
+queued, and sweeps a waiting room of its own (a dict from tx id to park
+time) by age. Over the same `LinkResult`, the engine's ledger stage must
+leave the same chain and counters. It shares only code with tests of its
+own: the transaction and block header builders, chain append and PoS
+sealing. It seals PoW itself, hashing the header of each nonce from 0 until
+one has `difficulty` leading zero bits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from distb import blockchain as bc
 from distb.clustering import Geometry, elect
 from distb.config import WINDOW_MS, ScenarioConfig, validate_config
-from distb.errors import ExhaustedNetworkError
+from distb.errors import DuplicateTransactionError, ExhaustedNetworkError
 from distb.sdn import DROP, FlowTable, block_flow, match_packet
 from distb.simulator import (
     _LINK_COUNTERS,
@@ -265,14 +266,20 @@ def seal_pow(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> bc
 
 
 def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
-    """The ledger stage one packet at a time: each delivered packet is built,
-    verdicted and admitted or parked at its window end t1, and a block is
-    sealed whenever `block_batch` are queued."""
+    """The ledger stage one packet at a time, with its own registry, queue and
+    waiting room: each delivered packet is built at its window end t1 and
+    refused if its tx id was seen before; a registered sensor's joins the
+    queue and any other's is parked at t1. A block is sealed whenever
+    `block_batch` are queued, and each sweep discards every entry parked
+    t_pending_ms or more before it. All times are Python ints."""
     rng_misc = np.random.default_rng([cfg.seed, 3])
     names = [f"s-{i}" for i in range(cfg.node_count)]
     k = int(round(cfg.unregistered_fraction * cfg.node_count))
     unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
-    contract = bc.ContractState({name for i, name in enumerate(names) if i not in unregistered})
+    registered = {name for i, name in enumerate(names) if i not in unregistered}
+    queue: list[bc.Transaction] = []
+    parked: dict[bytes, int] = {}  # tx_id -> the window end it was parked at
+    seen: set[bytes] = set()
     pos = cfg.consensus.kind == "pos"
     stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
 
@@ -295,17 +302,26 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
         for t, nid, size, seq in zip(packets, packets, packets, packets):
             payload = f"{nid}|{seq}|{t}|{size}".encode()
             [tx] = bc.make_transactions([(names[nid], payload, t)], BS_ID)
-            verdict = contract.verdict(tx.sensor_id)
-            bc.admit_batch(ledger, [tx], verdict, t1)
-            if verdict.is_pending:
+            if tx.tx_id in seen:
+                raise DuplicateTransactionError(f"tx {tx.tx_id.hex()} seen before")
+            seen.add(tx.tx_id)
+            if tx.sensor_id in registered:
+                queue.append(tx)
+            else:
+                parked[tx.tx_id] = t1
                 counters["parked_txs"] += 1
-            while len(ledger.queued) >= cfg.block_batch:
-                commit(list(ledger.queued.values())[: cfg.block_batch], t1)
+            if len(queue) == cfg.block_batch:
+                commit(queue, t1)
+                queue = []
         if t1 > link.last_tick:
             break  # a round at t1 exhausted the network before the mine
-        if ledger.queued and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-            commit(list(ledger.queued.values()), t1)
+        if queue and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+            commit(queue, t1)
+            queue = []
         if t1 % 1000 == 0 or t1 == end:
-            counters["expired_txs"] += len(bc.expire_pending(ledger, contract, t1))
-    if ledger.queued and not link.terminated_early:
-        commit(list(ledger.queued.values()), end)
+            for tx_id, at in list(parked.items()):
+                if t1 - at >= cfg.t_pending_ms:
+                    del parked[tx_id]
+                    counters["expired_txs"] += 1
+    counters["pending_at_end"] = len(parked)
+    counters["queued_at_end"] = len(queue)

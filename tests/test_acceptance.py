@@ -21,7 +21,7 @@ import numpy as np
 from distb import blockchain as bc
 from distb.calibration import load_default, load_reference_tables
 from distb.clustering import Geometry, elect
-from distb.config import AttackConfig, ScenarioConfig
+from distb.config import WINDOW_MS, AttackConfig, ScenarioConfig
 from distb.simulator import (
     bundle_from_raw,
     measure_bandwidth_under_attack,
@@ -215,6 +215,23 @@ def _tiny_cfg(seed):
     return ScenarioConfig(node_count=6, sim_time_ms=2000, seed=seed, sensor_rate_pps=10.0)
 
 
+def _still_parked(cfg, raw) -> int:
+    """The delivered packets parked less than t_pending_ms before the last
+    sweep (every whole second and the horizon, up to last_tick), each parked
+    at its window end: all of them when no sweep ran."""
+    end = cfg.sim_time_ms
+    sweeps = [*range(1000, raw.last_tick + 1, 1000), *([end] if raw.last_tick == end else [])]
+    last_sweep = max(sweeps, default=None)
+    still = 0
+    through = raw.delivered_through
+    for w in range(1, len(through)):
+        t1 = min(w * WINDOW_MS, end)
+        for _ in range(through[w - 1], through[w], 4):  # the window's rows of raw.delivered
+            if last_sweep is None or last_sweep - t1 < cfg.t_pending_ms:
+                still += 1
+    return still
+
+
 def test_criterion_7_chain_integrity():
     # 100 seeded runs all validate
     for seed in range(100):
@@ -256,18 +273,33 @@ def test_criterion_7_chain_integrity():
         assert not ok, trial
         assert bad == idx, (trial, bad, idx)
 
-    # waiting room boundedness
+    # waiting room boundedness, on the engine: with every sensor unregistered,
+    # each delivered packet is parked at its window end, and it has expired
+    # by the end exactly when the last sweep came t_pending_ms or more after
+    # it. Every third config drains its network fast: most of those die
+    # mid-run, and their last sweeps never run.
     rng = np.random.default_rng(7)
-    for trial in range(50):
-        t_pending = int(rng.integers(50, 3000))
-        ledger = bc.Ledger(t_pending_ms=t_pending)
-        for i in range(int(rng.integers(1, 10))):
-            at = int(rng.integers(0, 5000))
-            txs = bc.make_transactions([(f"u-{trial}-{i}", f"p{i}".encode(), at)], "bs")
-            bc.admit_batch(ledger, txs, bc.Verdict.pending("unknown"), now=at)
-        sweep_at = int(rng.integers(0, 9000))
-        bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)
-        assert all(sweep_at - at < t_pending for _, at in ledger.pending.values())
+    dying = {"energy_range_j": (1.0, 3.0), "head_cost_j": 0.2, "tx_cost_j": 0.1, "round_period_ms": 100}
+    for trial in range(60):
+        cfg = ScenarioConfig(
+            node_count=int(rng.integers(2, 8)),
+            sim_time_ms=int(rng.integers(100, 6000)),
+            seed=trial,
+            unregistered_fraction=1.0,
+            t_pending_ms=int(rng.integers(1, 4000)),
+            **(dying if trial % 3 == 0 else {}),
+        )
+        raw = run_raw(cfg)
+        c = raw.counters
+        assert c["parked_txs"] == c["expired_txs"] + c["pending_at_end"] == c["benign_delivered"], trial
+        assert c["pending_at_end"] == _still_parked(cfg, raw), trial
+    # the boundary: a packet parked at the 1 000 ms window end expires at the
+    # 2 000 ms sweep when t_pending_ms is 1 000, and stays when it is 1 001
+    cfg = ScenarioConfig(node_count=6, sim_time_ms=2000, seed=5, unregistered_fraction=1.0)
+    stay, go = (run_raw(cfg.with_(t_pending_ms=t)) for t in (1001, 1000))
+    at_1000 = (stay.delivered_through[10] - stay.delivered_through[9]) // 4
+    assert at_1000 > 0
+    assert stay.counters["pending_at_end"] - go.counters["pending_at_end"] == at_1000
 
     # duplicate tx_id can never commit twice
     ledger = bc.Ledger()

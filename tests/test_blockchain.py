@@ -3,7 +3,6 @@ import hashlib
 import json
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,14 +158,11 @@ def test_check_block_reports_nonce_outside_u64_range():
 
 
 def test_verify_valid_pending_invalid():
-    # The registry rules on the sender; check_tx, on the content.
-    contract = bc.ContractState(known_sensors={"s-00"})
+    # check_tx rules on the content only: a tx of any sensor, registered or
+    # not, passes while intact.
     good = make_tx(0)
-    assert bc.check_tx(good) is None and contract.verdict(good.sensor_id).is_valid
-
-    unknown = make_tx(7)
-    v = contract.verdict(unknown.sensor_id)
-    assert bc.check_tx(unknown) is None and v.is_pending and "s-07" in v.reason
+    assert bc.check_tx(good) is None
+    assert bc.check_tx(make_tx(7)) is None
 
     tampered = bc.Transaction(
         tx_id=good.tx_id,
@@ -177,98 +173,6 @@ def test_verify_valid_pending_invalid():
         checksum=good.checksum,
     )
     assert bc.check_tx(tampered) == "payload checksum mismatch"
-
-
-# --- admission and waiting room ---------------------------------------------
-
-
-def test_admit_valid_goes_to_queue_and_next_block():
-    ledger = bc.Ledger()
-    bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 0, 0, 0))
-    tx = make_tx(0)
-    bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=10)
-    assert list(ledger.queued) == [tx.tx_id]
-    block = bc.mine_block(list(ledger.queued.values()), ledger.tip_hash, 0, 20, 1)
-    bc.append_block(ledger, block)
-    assert ledger.queued == {}
-    assert tx.tx_id in ledger.committed_ids
-
-
-def test_admit_pending_parks():
-    ledger = bc.Ledger()
-    tx = make_tx(1)
-    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=10)
-    assert ledger.queued == {}
-    assert ledger.pending == {tx.tx_id: (tx, 10)}
-
-
-def test_admit_duplicate_rejected():
-    ledger = bc.Ledger()
-    tx = make_tx(0)
-    bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=10)
-    with pytest.raises(DuplicateTransactionError):
-        bc.admit_batch(ledger, [tx], bc.Verdict.valid(), now=11)
-
-
-@pytest.mark.parametrize("verdict", [bc.Verdict.valid(), bc.Verdict.pending("unknown")])
-def test_admit_batch_keeps_order_and_refuses_any_known_or_repeated_id(verdict):
-    ledger = fresh_chain(2, difficulty=0)
-    committed = ledger.blocks[1].tx_list[0]
-    queued, parked, fresh = make_tx(50), make_tx(51), [make_tx(52), make_tx(53)]
-    bc.admit_batch(ledger, [queued], bc.Verdict.valid(), now=0)
-    bc.admit_batch(ledger, [parked], bc.Verdict.pending("unknown"), now=0)
-    for batch in ([*fresh, committed], [*fresh, queued], [*fresh, parked], [fresh[0], *fresh]):
-        with pytest.raises(DuplicateTransactionError):
-            bc.admit_batch(ledger, batch, verdict, now=5)
-        assert list(ledger.queued) == [queued.tx_id] and list(ledger.pending) == [parked.tx_id]  # nothing admitted
-    bc.admit_batch(ledger, fresh[::-1], verdict, now=5)
-    want_queued = [queued, fresh[1], fresh[0]] if verdict.is_valid else [queued]
-    want_pending = [(parked, 0), (fresh[1], 5), (fresh[0], 5)] if verdict.is_pending else [(parked, 0)]
-    assert list(ledger.queued.values()) == want_queued and list(ledger.pending.values()) == want_pending
-
-
-def test_expire_empty_room_no_change():
-    ledger = bc.Ledger()
-    discarded = bc.expire_pending(ledger, bc.ContractState(), now=10_000)
-    assert discarded == [] and ledger.pending == {}
-
-
-def test_expire_discards_aged_entry():
-    ledger = bc.Ledger(t_pending_ms=30_000)
-    tx = make_tx(3)
-    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=0)
-    discarded = bc.expire_pending(ledger, bc.ContractState(), now=30_001)
-    assert discarded == [tx.tx_id]
-    assert ledger.pending == {}
-
-
-def test_expire_promotes_registered_sensor():
-    ledger = bc.Ledger(t_pending_ms=30_000)
-    tx = make_tx(4)
-    bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=0)
-    contract = bc.ContractState()
-    contract.register(tx.sensor_id)  # registered at T/2
-    discarded = bc.expire_pending(ledger, contract, now=30_000)
-    assert discarded == []
-    assert list(ledger.queued) == [tx.tx_id]
-    assert ledger.pending == {}
-
-
-def test_waiting_room_boundedness_property():
-    rng = np.random.default_rng(5)
-    for trial in range(30):
-        t_pending = int(rng.integers(100, 5000))
-        ledger = bc.Ledger(t_pending_ms=t_pending)
-        entered = []
-        for i in range(int(rng.integers(1, 12))):
-            at = int(rng.integers(0, 10_000))
-            tx = make_tx(i, payload=f"{trial}-{i}".encode(), now=at)
-            bc.admit_batch(ledger, [tx], bc.Verdict.pending("unknown"), now=at)
-            entered.append(at)
-        sweep_at = int(rng.integers(0, 20_000))
-        bc.expire_pending(ledger, bc.ContractState(), now=sweep_at)
-        for _, at in ledger.pending.values():
-            assert sweep_at - at < t_pending
 
 
 # --- mining and consensus ----------------------------------------------------
