@@ -26,6 +26,7 @@ from .errors import ConfigError, DistbError
 from .sdn import flow_table_to_dict
 from .simulator import (
     bundle_from_raw,
+    check_batteries,
     measure_bandwidth_under_attack,
     measure_cpu_flooding,
     measure_gas,
@@ -139,6 +140,7 @@ def _flow_tables_json(raw) -> str:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    check_batteries(cfg)
     raw = run_raw(cfg)
     bundle = bundle_from_raw(cfg, raw)
     files, _ = _battery_files(cfg)
@@ -157,6 +159,7 @@ def _pct(part: float, whole: float) -> float | None:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
+    check_batteries(cfg)
     raw_distb = run_raw(cfg.with_(mode="distb"))
     raw_base = run_raw(cfg.with_(mode="of-baseline"))
     bundle_distb = bundle_from_raw(cfg.with_(mode="distb"), raw_distb)

@@ -19,11 +19,13 @@ transactions of the window's registered sensors in one pass, appends them
 to the queue, seals its whole `block_batch` blocks, each stamped t1, and
 then runs step 4. Nothing registers a sensor mid-run, so step 5 only ages
 parked packets out, and the stage counts them instead of building them.
-The metric batteries read link figures and run `run_link`.
+The metric batteries read link figures and run the link stage alone.
 
 Within the link stage, rounds read only the energy, the detector only
 packet counts, and neither reads a window's settlement. So `run_link` runs
-four passes in sequence, each over the whole run:
+four passes in sequence, each over the whole run. The first two
+(`sensor_pass`) read neither the mode nor the attack; the last two
+(`settle_link`) do:
 
 - Rounds fall every round_period_ms from t=0 and need not line up with
   windows. Each charges the energy over the clustering `Geometry` the run
@@ -66,8 +68,11 @@ batteries turn raw figures into reference units through the calibration
 record (see calibration.py for the envelope * raw/nominal construction), and
 `recalibrate` records the same sweeps' raw figures as the nominal rows.
 
-Each scenario instance is strictly single-threaded and shares no state with
-any other; sweeps may run instances in parallel and merge rows afterwards.
+Each run is strictly single-threaded and keeps no state between calls.
+Within one `_sweep` call, the runs that differ only in mode and attack (a
+throughput pair, or the whole bandwidth sweep) share one sensor pass, and
+each settles it on its own; the pass is dropped when the next run's sensor
+side differs or the sweep ends.
 """
 
 from __future__ import annotations
@@ -272,26 +277,34 @@ def first_crossings(t, nid, flood, attackers, first_in, wa: int, theta: float) -
     return list(zip(win[hit].tolist(), src[hit].tolist()))
 
 
-def run_link(cfg: ScenarioConfig) -> LinkResult:
-    """Run the link stage in four passes: the clustering rounds, the alive
-    marks, the flood detector, and one settlement pass over the settled
-    windows for the traffic figures and the CPU samples. Builds no
-    transaction."""
+@dataclass
+class SensorPass:
+    """Passes 1-2 of the link stage, which read neither the mode nor the
+    attack: the sensor arrivals, the clustering rounds and the alive marks.
+    Runs whose configs differ only in mode and attack share one."""
+
+    arr_t: np.ndarray  # the sensor arrivals, sorted as generate_traffic returns them
+    arr_node: np.ndarray
+    arr_size: np.ndarray
+    ends: list  # the window ends, from 0; window w runs from ends[w - 1] to ends[w]
+    arr_ends: np.ndarray  # per window end, the arrivals at or before it (0 at ends[0])
+    settled: int  # windows that settle
+    last_tick: int
+    terminated_early: bool
+    rounds: int  # clustering rounds run
+    alive: np.ndarray  # per settled arrival, arr_t[:arr_ends[settled]]: whether its node still emits then
+
+
+def sensor_pass(cfg: ScenarioConfig) -> SensorPass:
+    """Validate `cfg`, then run the link stage's first two passes: the
+    clustering rounds and the alive marks. Reads neither `cfg.mode` nor
+    `cfg.attack`."""
     cfg = validate_config(cfg)
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
-    distb = cfg.mode == "distb"
-    n_nodes = len(node_set.nodes)
-    counters = dict.fromkeys(_LINK_COUNTERS, 0)
-
     arr_t, arr_node, arr_size = generate_traffic(
         node_set.nodes, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
-    flood = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
-    n_atk = cfg.attack.sources if cfg.attack is not None else 0
-    # Source indices: the sensors by node id (their list position), then the
-    # attack sources, each of which sends flood[w] packets in window w.
-    names = [f"s-{n.id}" for n in node_set.nodes] + [f"atk-{i}" for i in range(n_atk)]
 
     # Window w runs from ends[w - 1] to ends[w]; it takes the arrivals at
     # t <= ends[w] (the first window from t = 0), arr_ends[w - 1]:arr_ends[w].
@@ -306,8 +319,8 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
     geometry = Geometry(node_set)
     energy = np.array([n.energy for n in node_set.nodes], dtype=float)
     never = end + 1
-    depleted_from = np.full(n_nodes, never)
-    settled, last_tick, terminated_early = len(ends) - 1, end, False
+    depleted_from = np.full(len(node_set.nodes), never)
+    settled, last_tick, terminated_early, rounds = len(ends) - 1, end, False, 0
     for due in range(0, end, cfg.round_period_ms):
         try:
             _, energy = elect(geometry, energy, cfg)
@@ -318,14 +331,42 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
             settled, last_tick = bisect_right(ends, due) - 1, ends[bisect_left(ends, due) - 1]
             terminated_early = True
             break
-        counters["rounds"] += 1
+        rounds += 1
         silent_from = due + 1 if 0 < due and due % WINDOW_MS == 0 else due
         np.minimum(depleted_from, np.where(energy <= 0.0, silent_from, never), out=depleted_from)
 
     # 2. Alive marks: whether each settled arrival's node still emits then.
+    hi = arr_ends[settled]
+    alive = arr_t[:hi] < depleted_from[arr_node[:hi]]
+    return SensorPass(arr_t, arr_node, arr_size, ends, arr_ends, settled, last_tick, terminated_early, rounds, alive)
+
+
+def run_link(cfg: ScenarioConfig) -> LinkResult:
+    """Run the link stage in four passes: the clustering rounds, the alive
+    marks, the flood detector, and one settlement pass over the settled
+    windows for the traffic figures and the CPU samples. Builds no
+    transaction."""
+    return settle_link(cfg, sensor_pass(cfg))
+
+
+def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
+    """The link stage's last two passes, the flood detector and settlement,
+    over `sensors`, the sensor pass of a config that equals the validated
+    `cfg` but for mode and attack."""
+    distb = cfg.mode == "distb"
+    arr_t, arr_node, arr_size, alive = sensors.arr_t, sensors.arr_node, sensors.arr_size, sensors.alive
+    ends, arr_ends, settled = sensors.ends, sensors.arr_ends, sensors.settled
+    n_nodes = cfg.node_count
+    counters = dict.fromkeys(_LINK_COUNTERS, 0)
+    counters["rounds"] = sensors.rounds
+    flood = inject_attack(cfg.attack, cfg.sensor_rate_pps, cfg.sim_time_ms)
+    n_atk = cfg.attack.sources if cfg.attack is not None else 0
+    # Source indices: the sensors by node id, then the attack sources, each of
+    # which sends flood[w] packets in window w.
+    names = [f"s-{i}" for i in range(n_nodes)] + [f"atk-{i}" for i in range(n_atk)]
+    never = cfg.sim_time_ms + 1
     bounds = arr_ends[: settled + 1]
     hi = bounds[-1]
-    alive = arr_t[:hi] < depleted_from[arr_node[:hi]]
 
     # 3. The detector (distb mode) counts alive packets: a source's count never
     # depends on another's block, and counts after its own block are never read.
@@ -429,9 +470,9 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
-        terminated_early=terminated_early,
+        terminated_early=sensors.terminated_early,
         events_processed=settled,
-        last_tick=last_tick,
+        last_tick=sensors.last_tick,
         delivered=delivered_log,
         delivered_through=delivered_through,
     )
@@ -566,8 +607,8 @@ def _bandwidth_cfg(cfg: ScenarioConfig, rate_kpps: float, mode: str) -> Scenario
     mult = rate_kpps * 1000.0 / (BANDWIDTH_ATTACK_SOURCES * cfg.sensor_rate_pps)
     if mult == float("inf"):  # else validate_config blames attack.multiplier, which the config never set
         raise ConfigError(
-            f"sensor_rate_pps is too small for the bandwidth battery: its {rate_kpps} kpps flood "
-            f"from {BANDWIDTH_ATTACK_SOURCES} sources is no finite multiple of it (got {cfg.sensor_rate_pps})"
+            f"sensor_rate_pps is too small: the {rate_kpps} kpps flood from {BANDWIDTH_ATTACK_SOURCES} "
+            f"sources is no finite multiple of it (got {cfg.sensor_rate_pps})"
         )
     attack = AttackConfig(
         start_ms=BANDWIDTH_ATTACK_START_MS,
@@ -582,41 +623,72 @@ def _cpu_cfg(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg.with_(mode="distb", **CPU_BATTERY)
 
 
-def _sweep(cfg: ScenarioConfig, xs, battery_cfg, figure: str) -> list[list[tuple[ScenarioConfig, float]]]:
-    """Run each (x, mode) battery config's link stage once: per x,
-    [(config, link figure)] in MODES order."""
-    sweep = []
-    for x in xs:
-        runs = [battery_cfg(cfg, x, mode) for mode in MODES]
-        sweep.append([(run_cfg, link_figures(run_cfg, run_link(run_cfg))[figure]) for run_cfg in runs])
+# The paired batteries: each run's config maker, the reference-table column of
+# its default xs, and the unit an x reads in.
+BATTERIES = {
+    "throughput": (throughput_cfg, ("throughput_kbps", "nodes"), "nodes"),
+    "bandwidth": (_bandwidth_cfg, ("bandwidth_mbps", "arrival_rate_kps"), "kpps"),
+}
+
+
+def _checked(label: str, make, *args) -> ScenarioConfig:
+    """make(*args), validated; a refusal names `label`."""
+    try:
+        return validate_config(make(*args))
+    except ConfigError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def battery_configs(cfg: ScenarioConfig, battery: str, xs=None) -> list[tuple[object, list[ScenarioConfig]]]:
+    """Every run of a paired battery: per x (its reference table's column by
+    default), the validated configs in MODES order. A config the engine would
+    refuse is refused here, naming the battery and x."""
+    make, (table, column), unit = BATTERIES[battery]
+    xs = list(xs if xs is not None else load_reference_tables()[table][column])
+    if not xs:
+        raise ValueError(f"the {battery} battery needs at least one x")
+    return [(x, [_checked(f"{battery} battery at {x:g} {unit}", make, cfg, x, mode) for mode in MODES]) for x in xs]
+
+
+def check_batteries(cfg: ScenarioConfig) -> None:
+    """Refuse, before anything runs, a config for which any battery run would be refused."""
+    for battery in BATTERIES:
+        battery_configs(cfg, battery)
+    _checked("cpu battery", _cpu_cfg, cfg)
+
+
+def _sweep(runs: list[tuple[object, list[ScenarioConfig]]], figure: str) -> list[tuple[object, list[tuple]]]:
+    """Each run's link figure over battery_configs' runs: per x,
+    (x, [(config, figure)] in MODES order). A run's sensor side is its config
+    in MODES[0] with no attack, all that `sensor_pass` reads; a new pass is
+    computed only when that differs from the run's before, so each figure
+    equals that of an independent `run_link` of its config."""
+    sweep, key, sensors = [], None, None
+    for x, cfgs in runs:
+        row = []
+        for run_cfg in cfgs:
+            if (k := run_cfg.with_(mode=MODES[0], attack=None)) != key:
+                key, sensors = k, sensor_pass(k)
+            row.append((run_cfg, link_figures(run_cfg, settle_link(run_cfg, sensors))[figure]))
+        sweep.append((x, row))
     return sweep
 
 
 def measure_throughput(cfg: ScenarioConfig, node_counts=None) -> list[tuple[int, float, float]]:
     """Sweep node counts in both modes with a fixed seed: (n, distb, baseline) kbps."""
-    counts = list(node_counts) if node_counts is not None else list(
-        load_reference_tables()["throughput_kbps"]["nodes"]
-    )
-    if not counts:
-        raise ValueError("node_counts must be non-empty")
     calib = cfg.resolved_calibration()
     return [
-        (n, *(calib.scaled("throughput", c.mode, c.node_count, kbps) for c, kbps in runs))
-        for n, runs in zip(counts, _sweep(cfg, counts, throughput_cfg, "benign_kbps"))
+        (n, *(calib.scaled("throughput", c.mode, c.node_count, kbps) for c, kbps in row))
+        for n, row in _sweep(battery_configs(cfg, "throughput", node_counts), "benign_kbps")
     ]
 
 
 def measure_bandwidth_under_attack(cfg: ScenarioConfig, rates=None) -> list[tuple[float, float, float]]:
     """Benign bandwidth under flood per arrival rate: (rate_kpps, distb, baseline) Mbps."""
-    rate_list = list(rates) if rates is not None else list(
-        load_reference_tables()["bandwidth_mbps"]["arrival_rate_kps"]
-    )
-    if not rate_list:
-        raise ValueError("rates must be non-empty")
     calib = cfg.resolved_calibration()
     return [
-        (float(rate), *(calib.scaled("bandwidth", c.mode, rate, mbps) for c, mbps in runs))
-        for rate, runs in zip(rate_list, _sweep(cfg, rate_list, _bandwidth_cfg, "attack_window_benign_mbps"))
+        (float(rate), *(calib.scaled("bandwidth", c.mode, rate, mbps) for c, mbps in row))
+        for rate, row in _sweep(battery_configs(cfg, "bandwidth", rates), "attack_window_benign_mbps")
     ]
 
 
@@ -666,12 +738,12 @@ def recalibrate(cfg: ScenarioConfig | None = None) -> Calibration:
     response = fit_response(tables)
 
     def nominal(sweep) -> dict:  # each x's runs come in MODES order: distb, then of-baseline
-        return {key: [runs[i][1] for runs in sweep] for i, key in enumerate(("distb", "baseline"))}
+        return {key: [row[i][1] for _, row in sweep] for i, key in enumerate(("distb", "baseline"))}
 
     thr = tables["throughput_kbps"]
-    thr_nominal = nominal(_sweep(base, thr["nodes"], throughput_cfg, "benign_kbps"))
+    thr_nominal = nominal(_sweep(battery_configs(base, "throughput"), "benign_kbps"))
     bw = tables["bandwidth_mbps"]
-    bw_nominal = nominal(_sweep(base, bw["arrival_rate_kps"], _bandwidth_cfg, "attack_window_benign_mbps"))
+    bw_nominal = nominal(_sweep(battery_configs(base, "bandwidth"), "attack_window_benign_mbps"))
 
     cpu_table = tables["cpu_pct"]
     cpu_base = float(cpu_table["cpu"][0])

@@ -225,7 +225,10 @@ def test_sensor_rate_too_small_for_the_bandwidth_battery_is_named(tmp_path, caps
     cfg.write_text(json.dumps({**SMALL_CFG, "sensor_rate_pps": 1e-320}))
     assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: sensor_rate_pps ")
+    assert lines == [
+        "config error: bandwidth battery at 1 kpps: sensor_rate_pps is too small: "
+        "the 1 kpps flood from 5 sources is no finite multiple of it (got 1e-320)"
+    ]
 
 
 _TINY = 5e-324  # the smallest positive float
@@ -528,6 +531,25 @@ def test_sweep_checks_largest_count_before_any_run(tmp_path, small_cfg_path, cap
     code = main(["sweep", "--nodes", "1,2000000", "-c", str(small_cfg_path), "-o", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: node_count")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_battery_configs_are_checked_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # The main config is valid, but its throughput runs from 55 nodes on would
+    # draw over MAX_ARRIVALS; the refusal comes before the main run, not after it.
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_raw ran before the battery configs were checked")
+
+    monkeypatch.setattr("distb.cli.run_raw", no_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"sensor_rate_pps": 200000, "sim_time_ms": 1000, "node_count": 5, "consensus": {"difficulty": 0}})
+    )
+    assert main([command, "-c", str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: throughput battery at 55 nodes: expected arrivals "), lines[0]
     assert not (tmp_path / "o").exists()
 
 

@@ -16,6 +16,7 @@ from distb.config import MODES, AttackConfig, ConsensusConfig, ScenarioConfig, c
 from distb.errors import ConfigError, DuplicateTransactionError
 from distb.simulator import (
     _LEDGER_COUNTERS,
+    THROUGHPUT_SIM_MS,
     LinkResult,
     RawResult,
     _bandwidth_cfg,
@@ -31,6 +32,9 @@ from distb.simulator import (
     measure_throughput,
     run_link,
     run_raw,
+    sensor_pass,
+    settle_link,
+    throughput_cfg,
 )
 from distb.topology import generate_topology
 
@@ -196,6 +200,17 @@ def link_configs(draw):
 )
 def test_link_stage_matches_the_per_packet_reference(cfg):
     got, want = run_link(cfg), reference_link(cfg)
+    for f in dataclasses.fields(LinkResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cfg=link_configs())
+def test_the_sensor_pass_reads_neither_mode_nor_attack(cfg):
+    # A sensor pass made in the other mode and with no attack serves the run
+    # as its own does, so the runs of a battery pair can share one.
+    other = MODES[1 - MODES.index(cfg.mode)]
+    got, want = settle_link(cfg, sensor_pass(cfg.with_(mode=other, attack=None))), run_link(cfg)
     for f in dataclasses.fields(LinkResult):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
@@ -666,6 +681,34 @@ def test_bandwidth_rows_read_the_calibration_at_their_own_rate():
             run_cfg = _bandwidth_cfg(cfg, rate, mode)
             raw = link_figures(run_cfg, run_link(run_cfg))["attack_window_benign_mbps"]
             assert cell == calib.scaled("bandwidth", mode, rate, raw), (rate, mode)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seed": 4, "sensor_rate_pps": 7.3},
+        {"detector_multiplier": 0.5},  # the distb runs block benign sensors
+        {"energy_range_j": [1.0, 3.0], "round_period_ms": 1000},  # every run's network dies within 10 s
+    ],
+)
+def test_throughput_rows_match_fresh_runs_of_their_own_configs(doc):
+    # The battery shares one sensor pass between a count's two runs; each cell
+    # still reads what an independent run of its own config measures.
+    cfg = config_from_dict(doc)
+    calib = cfg.resolved_calibration()
+    rows = measure_throughput(cfg)
+    links = {}
+    for n, *cells in rows:
+        for mode, cell in zip(MODES, cells):
+            run_cfg = throughput_cfg(cfg, n, mode)
+            links[n, mode] = link = run_link(run_cfg)
+            raw = link_figures(run_cfg, link)["benign_kbps"]
+            assert cell == calib.scaled("throughput", mode, n, raw), (n, mode)
+    if doc.get("detector_multiplier") == 0.5:
+        assert all(links[n, "distb"].block_times and not links[n, "of-baseline"].block_times for n, *_ in rows)
+    if "energy_range_j" in doc:
+        assert all(link.terminated_early and link.last_tick < THROUGHPUT_SIM_MS for link in links.values())
+        assert len({link.last_tick for link in links.values()}) > 1  # the counts' networks die at different ticks
 
 
 def test_default_config_completes_under_60s():
