@@ -21,7 +21,9 @@ from .topology import TopologyParams
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
 MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
-MAX_ARRIVALS = 10**8  # expected sensor packets per run; the draws are held in memory
+# Expected sensor packets per run, held as three int32 arrays. The link stage peaks near 35 B per arrival
+# in of-baseline mode and 75 B in distb mode, 32 B of it the delivered log (tracemalloc, 50 000-60 000 arrivals).
+MAX_ARRIVALS = 10**8
 MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector counts them in int64
 MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
@@ -91,7 +93,8 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig:
+    """`cfg` if it can run, else a ConfigError; sealing=False for a link-only run, which seals no block."""
     _require(cfg.mode in MODES, f"mode must be one of {MODES} (got {cfg.mode!r})")
     _require(1 <= cfg.node_count <= MAX_NODES, f"node_count must be in 1..{MAX_NODES} (got {cfg.node_count})")
     _require(cfg.seed >= 0, f"seed must be >= 0 (got {cfg.seed})")
@@ -181,7 +184,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         arrivals = cfg.node_count * cfg.sensor_rate_pps * cfg.sim_time_ms / 1000
         blocks = 1 + cfg.sim_time_ms / cfg.block_interval_ms + arrivals / cfg.block_batch
         _require(
-            blocks * 2.0**c.difficulty <= MAX_SEAL_HASHES,
+            not sealing or blocks * 2.0**c.difficulty <= MAX_SEAL_HASHES,
             f"expected sealing work (1 + sim_time_ms / block_interval_ms + arrivals / block_batch) "
             f"x 2^difficulty must be <= {MAX_SEAL_HASHES} hashes (got {blocks:.0f} x 2^{c.difficulty})",
         )

@@ -111,12 +111,14 @@ CPU_BATTERY = dict(
 
 
 def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
-    """Seeded Poisson arrivals per node: int64 arrays (t_ms, node_id, size_bytes).
+    """Seeded Poisson arrivals per node: int32 arrays (t_ms, node_id, size_bytes).
 
     `nodes` come in ascending id order, as `NodeSet.nodes` holds them. The
     three arrays are sorted together by time, then node id, then draw order.
     Uses the order-statistics form of a Poisson process (count ~
     Poisson, times ~ sorted uniforms) so the draw is vectorized per node.
+    Every value fits int32: validate_config caps the horizon at 1e8 ms, node
+    ids below 1e6 and sizes at 65 535 bytes.
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
@@ -131,18 +133,24 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
         if count == 0:
             continue
         times_all.append(rng.uniform(0, horizon_ms, count))
-        sizes_all.append(rng.integers(lo, hi + 1, count))
+        sizes_all.append(rng.integers(lo, hi + 1, count))  # a dtype= here would change the draws
     if not times_all:
-        empty = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int32)
         return empty, empty, empty
-    t = np.concatenate(times_all).astype(np.int64)
-    nid = np.repeat(np.array([node.id for node in nodes], dtype=np.int64), counts)
-    size = np.concatenate(sizes_all)
+    # Cast while joining, which truncates the times as astype does, and drop each node's draws at once.
+    t = np.concatenate(times_all, dtype=np.int32, casting="unsafe")
+    size = np.concatenate(sizes_all, dtype=np.int32, casting="unsafe")
+    del times_all, sizes_all
+    nid = np.repeat(np.array([node.id for node in nodes], dtype=np.int32), counts)
     # The arrays run by node id, each node's in draw order, so the position
     # breaks time ties as (node id, draw order) would. The key fits int64:
-    # validate_config caps the horizon at 1e8 ms and the expected arrivals at
-    # 1e8, so keys stay near 1e16.
-    order = np.argsort(t * len(t) + np.arange(len(t)))
+    # the horizon is at most 1e8 ms and the expected arrivals 1e8, so keys
+    # stay near 1e16.
+    key = t.astype(np.int64)
+    key *= len(t)
+    key += np.arange(len(t))
+    order = np.argsort(key)
+    del key
     return t[order], nid[order], size[order]
 
 
@@ -242,6 +250,7 @@ def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
     so a packet that would overrun it is dropped and a later, smaller one may
     still fit. Returns a bool mask over `sizes`. Sums stay below 2**53, where
     comparing int64 with float64 is exact."""
+    sizes = sizes.astype(np.int64)  # int32 sizes + acc could wrap
     k = int(np.searchsorted(np.cumsum(sizes), limit, side="right"))  # the prefix that fits
     mask = np.arange(len(sizes)) < k
     acc = int(sizes[:k].sum())
@@ -263,7 +272,8 @@ def first_crossings(t, nid, flood, attackers, first_in, wa: int, theta: float) -
     n_win = len(first_in)
     sends = first_in[wa] + np.flatnonzero(flood[first_in[wa] :])  # the windows with attack batches
     arr_win = ((t + WINDOW_MS - 1) // WINDOW_MS).clip(1)
-    key = np.concatenate((nid * n_win + arr_win, np.add.outer(attackers * n_win, sends).ravel()))
+    sensor_keys = np.multiply(nid, n_win, dtype=np.int64) + arr_win  # int32 nid * n_win could wrap
+    key = np.concatenate((sensor_keys, np.add.outer(attackers * n_win, sends).ravel()))
     count = np.concatenate((np.ones(len(t), dtype=np.int64), np.tile(flood[sends], len(attackers))))
     order = np.argsort(key)
     key, csum = key[order], np.cumsum(count[order])
@@ -283,7 +293,8 @@ class SensorPass:
     attack: the sensor arrivals, the clustering rounds and the alive marks.
     Runs whose configs differ only in mode and attack share one."""
 
-    arr_t: np.ndarray  # the sensor arrivals, sorted as generate_traffic returns them
+    # The sensor arrivals, int32 (t < 1e8 ms, id < 1e6, size <= 65 535), sorted as generate_traffic returns them.
+    arr_t: np.ndarray
     arr_node: np.ndarray
     arr_size: np.ndarray
     ends: list  # the window ends, from 0; window w runs from ends[w - 1] to ends[w]
@@ -296,10 +307,10 @@ class SensorPass:
 
 
 def sensor_pass(cfg: ScenarioConfig) -> SensorPass:
-    """Validate `cfg`, then run the link stage's first two passes: the
-    clustering rounds and the alive marks. Reads neither `cfg.mode` nor
-    `cfg.attack`."""
-    cfg = validate_config(cfg)
+    """Validate `cfg` as a link-only run, then run the link stage's first
+    two passes: the clustering rounds and the alive marks. Reads neither
+    `cfg.mode` nor `cfg.attack`."""
+    cfg = validate_config(cfg, sealing=False)
     node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     arr_t, arr_node, arr_size = generate_traffic(
@@ -395,7 +406,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
 
     def window_bytes(marks: np.ndarray) -> np.ndarray:
         """Each settled window's bytes over the marked arrivals."""
-        return np.diff(np.concatenate(([0], np.cumsum(sizes * marks)))[bounds])
+        return np.diff(np.concatenate(([0], np.cumsum(sizes * marks, dtype=np.int64)))[bounds])
 
     blocked_in = np.sort(np.searchsorted(ends, blocked_after[n_nodes:]))  # each attacker's block window
     unblocked = n_atk - np.searchsorted(blocked_in, np.arange(1, settled + 1))
@@ -453,20 +464,22 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
         # arrivals (dropped and blocked ones included), in array order.
         nodes = arr_node[:hi][alive]
         per_node = np.bincount(nodes, minlength=n_nodes)
-        rank = np.arange(1, len(nodes) + 1)
-        rank -= np.repeat(np.cumsum(per_node) - per_node, per_node)  # in node-sorted order
+        rank = np.arange(1, len(nodes) + 1, dtype=np.int32)
+        rank -= np.repeat((np.cumsum(per_node) - per_node).astype(np.int32), per_node)  # in node-sorted order
         seq = np.empty_like(rank)
         seq[np.argsort(nodes, kind="stable")] = rank
+        seq = seq[taken[alive]]  # the delivered packets' only; the ranks go before the log is allocated
+        del nodes, rank
         at = np.flatnonzero(taken)
         delivered_log = array("q", [0]) * (4 * len(at))  # filled in place, through a numpy view
         rows = np.frombuffer(delivered_log, dtype=np.int64).reshape(-1, 4)
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = arr_t[at], arr_node[at], sizes[at], seq[taken[alive]]
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = arr_t[at], arr_node[at], sizes[at], seq
         delivered_through = array("q", (4 * np.searchsorted(at, arr_ends[: settled + 1])).tobytes())
 
     return LinkResult(
         counters=counters,
-        benign_bytes_generated=int(sizes.sum(where=alive)),
-        benign_bytes_delivered=int(sizes.sum(where=taken)),
+        benign_bytes_generated=int(sizes.sum(where=alive, dtype=np.int64)),
+        benign_bytes_delivered=int(sizes.sum(where=taken, dtype=np.int64)),
         benign_bytes_delivered_attack_window=benign_bytes_delivered_attack,
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
@@ -634,7 +647,7 @@ BATTERIES = {
 def _checked(label: str, make, *args) -> ScenarioConfig:
     """make(*args), validated; a refusal names `label`."""
     try:
-        return validate_config(make(*args))
+        return validate_config(make(*args), sealing=False)
     except ConfigError as exc:
         raise ConfigError(f"{label}: {exc}") from None
 

@@ -26,7 +26,7 @@ from distb.config import (
     config_from_dict,
     parse_config,
 )
-from distb.simulator import run_raw
+from distb.simulator import check_batteries, run_raw
 
 SMALL_CFG = {
     "node_count": 8,
@@ -550,6 +550,24 @@ def test_battery_configs_are_checked_before_any_run(tmp_path, capsys, monkeypatc
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("config error: throughput battery at 55 nodes: expected arrivals "), lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_link_only_battery_runs_answer_to_no_sealing_cap(tmp_path, capsys, monkeypatch):
+    # At d = 22 the throughput runs from 45 nodes on would need over 2^31 hashes
+    # if they sealed, but the batteries run the link stage alone.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a battery ran")
+
+    monkeypatch.setattr("distb.simulator.sensor_pass", no_run)
+    check_batteries(config_from_dict({"consensus": {"difficulty": 22}, "sim_time_ms": 1000, "node_count": 5}))
+    cfg = tmp_path / "cfg.json"  # the main run's own sealing work is still capped: 8.25 blocks x 2^28 hashes
+    cfg.write_text(json.dumps({"consensus": {"difficulty": 28}, "sim_time_ms": 1000, "node_count": 5}))
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: expected sealing work (1 + sim_time_ms / block_interval_ms + arrivals / block_batch) "
+        "x 2^difficulty must be <= 2147483648 hashes (got 8 x 2^28)"
+    ]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import time
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -23,6 +24,7 @@ from distb.simulator import (
     _run_ledger,
     bundle_from_raw,
     fill_budget,
+    first_crossings,
     generate_traffic,
     inject_attack,
     link_figures,
@@ -427,10 +429,55 @@ def test_a_repeat_of_an_expired_packet_raises():
         ([300, 400, 500], 1200.000001, [True, True, True]),  # uncongested: everything fits
         ([], 10.0, []),
         ([11], 10.999999, [False]),
+        ([2**30, 2**30, 2**30, 5], 2**31 + 10.0, [True, True, False, True]),  # int32 sums would wrap past 2^31
     ],
 )
 def test_fill_budget_edges(sizes, limit, taken):
-    assert fill_budget(np.array(sizes, dtype=np.int64), limit).tolist() == taken
+    for dtype in (np.int64, np.int32):  # the engine's arrivals are int32
+        assert fill_budget(np.array(sizes, dtype=dtype), limit).tolist() == taken
+
+
+def test_detector_keys_of_int32_arrivals_do_not_wrap():
+    # Node ids near 1e6 times 1e6 + 1 windows pass 2^31 by far; the int32
+    # arrivals the engine holds must find the crossings int64 ones do.
+    n_win = 10**6 + 1
+    first_in = np.maximum(np.arange(n_win) - 1, 1)  # a 200 ms detector window: w - 1..w
+    flood = np.zeros(n_win, dtype=np.int64)
+    flood[999_700] = 5
+    attackers = np.arange(10**6, 10**6 + 2)
+    arrivals = [
+        *[(99_949_950 + i, 999_999) for i in range(3)],  # 3 in window 999 500
+        *[(99_959_950 + i, 999_997) for i in range(2)],  # 2 in window 999 600 and 1 in 999 601
+        (99_960_050, 999_997),
+        *[(99_900_050 + 100 * w, 999_998) for w in range(1000)],  # 1 a window, never over theta
+    ]
+    t, nid = np.array(arrivals).T
+    expected = [(999_601, 999_997), (999_500, 999_999), (999_700, 10**6), (999_700, 10**6 + 1)]
+    for dtype in (np.int64, np.int32):
+        got = first_crossings(t.astype(dtype), nid.astype(dtype), flood, attackers, first_in, 999_000, 2.5)
+        assert got == expected, dtype
+
+
+@pytest.mark.parametrize(
+    "cfg, bound",
+    [
+        (ScenarioConfig(mode="of-baseline", node_count=100, sim_time_ms=60_000), 40),
+        (ScenarioConfig(node_count=100, sim_time_ms=60_000, attack=AttackConfig(10_000, 50_000)), 90),
+    ],
+    ids=["of-baseline", "distb"],
+)
+def test_link_stage_holds_few_bytes_per_arrival(cfg, bound):
+    # Traced peak over sensor arrivals: three int32 arrays and their sort in
+    # the sensor pass, and in distb mode the delivered log's 32 B a packet.
+    arrivals = len(sensor_pass(cfg).arr_t)
+    assert arrivals >= 50_000
+    tracemalloc.start()
+    try:
+        run_link(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / arrivals <= bound
 
 
 def test_uncongested_windows_deliver_everything_offered():
@@ -448,7 +495,7 @@ def test_traffic_deterministic_and_sorted():
     b = generate_traffic(nodes, 10.0, np.random.default_rng([1, 1]), 2000)
     assert len(a) == len(b) == 3
     for x, y in zip(a, b):
-        assert x.dtype == y.dtype == np.int64
+        assert x.dtype == y.dtype == np.int32
         assert np.array_equal(x, y)
     t, nid, size = a
     assert len(t) == len(nid) == len(size) > 0
@@ -477,7 +524,7 @@ def test_traffic_breaks_time_ties_by_node_then_draw_order():
 def test_traffic_over_no_nodes_emits_nothing():
     t, nid, size = generate_traffic([], 10.0, np.random.default_rng([1, 1]), 2000)
     assert len(t) == len(nid) == len(size) == 0
-    assert t.dtype == nid.dtype == size.dtype == np.int64
+    assert t.dtype == nid.dtype == size.dtype == np.int32
 
 
 def test_traffic_doubling_rate_doubles_volume():
