@@ -24,8 +24,18 @@ zero bits (0 <= difficulty <= 256) and an empty validator; a pos seal requires
 a non-empty validator and difficulty 0, so no sealer field escapes the hash.
 The genesis block has index 0 and an all-zero prev_hash.
 
-A `Transaction` is an immutable named tuple, built a batch at a time by
-`make_transactions`.
+A run's transactions live in one append-only column store, `TxColumns`:
+ids and checksums 32 bytes per row in one `bytearray` each, every payload
+in one `bytearray` with an `array` of end offsets, timestamps in an
+`array`, sensor ids as references to the run's shared name strings, and one
+destination. With its blocks and the chain's id-key set that holds about
+220 B per committed transaction, where a named tuple of bytes objects per
+transaction held about 385 B (`config.py` states the measured figures). A
+block's `tx_list` is a
+`TxBatch`, a view of rows lo..hi of a store that reads as a sequence of
+`Transaction` named tuples built on demand. A block built from outside the
+engine (loaded, replaced or sealed over a list of transactions) copies its
+transactions into a store of its own through `TxBatch.of`.
 
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
@@ -40,9 +50,11 @@ import math
 import operator
 import random
 import struct
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -62,6 +74,8 @@ _pack_u64 = struct.Struct(">Q").pack
 _PACKED_NONCES = tuple(map(_pack_u64, range(1 << 10)))  # the nonces most seals stop within
 _pack_2u64 = struct.Struct(">QQ").pack
 _TX_PREFIX_CACHE = 1 << 14  # (sensor, destination) pairs whose body prefix is kept
+_ID_KEYS = struct.Struct(">Q24x").iter_unpack  # the id key of each 32-byte id in a run of them
+_HEX_CHUNK = 1024  # rows the ledger export hexes at once
 
 
 def _u64(x: int) -> bytes:
@@ -110,20 +124,158 @@ def tx_body_bytes(sensor_id: str, destination: str, timestamp: int, payload: byt
     return b"".join((_tx_prefix(sensor_id, destination), fixed, payload, checksum))
 
 
+class TxColumns:
+    """One run's transactions, a column per field, append-only (see the module
+    docstring). `append` builds rows; a `TxBatch` reads them back.
+
+    A store that `TxBatch.of` fills from outside the engine holds a plain
+    tuple of a column's values where one of them does not fit the column: an
+    id or checksum that is not 32 bytes, a timestamp that is not a u64 int,
+    or rows of more than one destination."""
+
+    __slots__ = ("ids", "sums", "payloads", "ends", "times", "sensors", "destination")
+
+    def __init__(self, destination: str):
+        self.ids = bytearray()  # or a tuple of bytes
+        self.sums = bytearray()  # or a tuple of bytes
+        self.payloads = bytearray()
+        self.ends = array("Q", [0])  # row i's payload is payloads[ends[i]:ends[i + 1]]
+        self.times = array("Q")  # or a tuple of ints
+        self.sensors: list[str] = []
+        self.destination = destination  # or a tuple of str, one per row
+
+    def __len__(self) -> int:
+        return len(self.sensors)
+
+    def append(self, rows) -> TxBatch:
+        """Build one transaction per (sensor_id, payload, timestamp) row, in
+        order, each with checksum and tx_id over the canonical bytes. A row
+        that is refused raises before any column grows."""
+        lo = len(self.sensors)
+        dest = self.destination
+        ids, sums, payloads, ends, times, sensors = (
+            self.ids, self.sums, self.payloads, self.ends, self.times, self.sensors
+        )
+        for sensor_id, payload, now in rows:
+            if not sensor_id or not dest:
+                raise ValueError("sensor_id and destination must be non-empty")
+            if now < 0:
+                raise ValueError("timestamp must be non-negative")
+            checksum = _sha256(payload).digest()
+            ids += _sha256(tx_body_bytes(sensor_id, dest, now, payload, checksum)).digest()
+            sums += checksum
+            payloads += payload
+            ends.append(len(payloads))
+            times.append(now)
+            sensors.append(sensor_id)
+        return TxBatch(self, lo, len(sensors))
+
+
+def _cells(col, lo: int, hi: int, hexed: bool) -> list:
+    """Rows lo..hi of an id or checksum column, as bytes or as lowercase hex;
+    a bytearray column is sliced, and hexed, once."""
+    if type(col) is tuple:
+        return [v.hex() for v in col[lo:hi]] if hexed else list(col[lo:hi])
+    if hexed:
+        return col[32 * lo : 32 * hi].hex(" ", 32).split()  # a space after every 32 bytes, then cut there
+    run = bytes(col[32 * lo : 32 * hi])
+    return [run[k : k + 32] for k in range(0, len(run), 32)]
+
+
+def _column32(values: tuple):
+    """An id or checksum column: the values in one bytearray, or the plain tuple if one is not 32 bytes."""
+    return bytearray().join(values) if all(type(v) is bytes and len(v) == 32 for v in values) else values
+
+
+class TxBatch(Sequence):
+    """Rows lo..hi of a `TxColumns` store, read as `Transaction`s built on
+    demand. The store only grows, so a batch reads the same rows for life."""
+
+    __slots__ = ("cols", "lo", "hi")
+
+    def __init__(self, cols: TxColumns, lo: int, hi: int):
+        self.cols, self.lo, self.hi = cols, lo, hi
+
+    @classmethod
+    def of(cls, txs) -> TxBatch:
+        """`txs` itself if it is a batch, else its transactions copied into a store of their own."""
+        if type(txs) is TxBatch:
+            return txs
+        txs = tuple(txs)
+        tx_ids, sensor_ids, dests, timestamps, payloads, sums = tuple(zip(*txs)) or ((),) * 6
+        cols = TxColumns(dests[0] if len(set(dests)) == 1 else dests)
+        cols.ids, cols.sums = _column32(tx_ids), _column32(sums)
+        cols.payloads = bytearray().join(payloads)
+        cols.ends = array("Q", accumulate(map(len, payloads), initial=0))
+        if all(type(t) is int and 0 <= t < 1 << 64 for t in timestamps):
+            cols.times = array("Q", timestamps)
+        else:
+            cols.times = timestamps
+        cols.sensors = list(sensor_ids)
+        return cls(cols, 0, len(txs))
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        j = range(self.lo, self.hi)[i]  # negative indices and IndexError as a tuple has them
+        return next(iter(TxBatch(self.cols, j, j + 1)))
+
+    def rows(self, hexed: bool):
+        """Each row's fields in `Transaction` order; with `hexed`, its id,
+        payload and checksum as lowercase hex, each column hexed once."""
+        c, lo, hi = self.cols, self.lo, self.hi
+        ends = c.ends[lo : hi + 1]
+        base = ends[0]
+        data = c.payloads[base : ends[-1]]
+        data, width = (data.hex(), 2) if hexed else (bytes(data), 1)
+        at = [width * (e - base) for e in ends]  # where each row's payload starts and ends in `data`
+        payloads = [data[a:b] for a, b in zip(at, at[1:])]
+        dest = c.destination
+        dests = dest[lo:hi] if type(dest) is tuple else repeat(dest, hi - lo)
+        ids, sums = _cells(c.ids, lo, hi, hexed), _cells(c.sums, lo, hi, hexed)
+        return zip(ids, c.sensors[lo:hi], dests, c.times[lo:hi], payloads, sums)
+
+    def __iter__(self):
+        return map(functools.partial(tuple.__new__, Transaction), self.rows(hexed=False))
+
+    def ids(self) -> list[bytes]:
+        return _cells(self.cols.ids, self.lo, self.hi, False)
+
+    def id_run(self) -> bytes | bytearray:
+        """The rows' tx ids joined, as a block header carries them: one slice of the id column."""
+        ids = self.cols.ids
+        return b"".join(ids[self.lo : self.hi]) if type(ids) is tuple else ids[32 * self.lo : 32 * self.hi]
+
+    def id_keys(self) -> list[int]:
+        """Each row's id key: its tx id's first 8 bytes as a big-endian int."""
+        ids = self.cols.ids
+        if type(ids) is tuple:
+            return [_id_key(i) for i in ids[self.lo : self.hi]]
+        return [k for k, in _ID_KEYS(ids[32 * self.lo : 32 * self.hi])]
+
+    def __eq__(self, other):
+        if not isinstance(other, TxBatch):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TxBatch({list(self)!r})"
+
+
+def _id_key(tx_id: bytes) -> int:
+    return int.from_bytes(tx_id[:8], "big")
+
+
 def make_transactions(rows, destination: str) -> list[Transaction]:
     """Build one transaction per (sensor_id, payload, timestamp) row, in order,
     each with checksum and tx_id over the canonical bytes."""
-    txs = []
-    new = tuple.__new__  # skips the named tuple's Python-level constructor
-    for sensor_id, payload, now in rows:
-        if not sensor_id or not destination:
-            raise ValueError("sensor_id and destination must be non-empty")
-        if now < 0:
-            raise ValueError("timestamp must be non-negative")
-        checksum = _sha256(payload).digest()
-        tx_id = _sha256(tx_body_bytes(sensor_id, destination, now, payload, checksum)).digest()
-        txs.append(new(Transaction, (tx_id, sensor_id, destination, now, payload, checksum)))
-    return txs
+    return list(TxColumns(destination).append(rows))
 
 
 def check_tx(tx: Transaction) -> str | None:
@@ -155,10 +307,16 @@ class Block:
     index: int
     timestamp: int
     prev_hash: bytes
-    tx_list: tuple[Transaction, ...]
+    tx_list: TxBatch  # any sequence of transactions is taken through TxBatch.of
     nonce: int
     sealer: Sealer
     hash: bytes
+
+    def __post_init__(self):
+        object.__setattr__(self, "tx_list", TxBatch.of(self.tx_list))
+
+
+_sealer = functools.lru_cache(maxsize=256, typed=True)(Sealer)  # one shared Sealer per seal a run's blocks carry
 
 
 @functools.lru_cache(maxsize=256)
@@ -170,13 +328,14 @@ def _sealer_bytes(sealer: Sealer) -> bytes:
     raise ValueError(f"unknown sealer kind {sealer.kind!r}")
 
 
-def _header_prefix(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer) -> bytes:
-    """The block header up to, not including, the nonce."""
-    return b"".join((_u64(index), _u64(timestamp), prev_hash, _u64(len(tx_ids)), *tx_ids, _sealer_bytes(sealer)))
+def _header_prefix(index: int, timestamp: int, prev_hash: bytes, count: int, ids, sealer: Sealer) -> bytes:
+    """The block header up to, not including, the nonce, over `count` tx ids joined in `ids`; a
+    block's are one slice of its store's id column (`TxBatch.id_run`)."""
+    return b"".join((_u64(index), _u64(timestamp), prev_hash, _u64(count), ids, _sealer_bytes(sealer)))
 
 
 def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer, nonce: int) -> bytes:
-    return _header_prefix(index, timestamp, prev_hash, tx_ids, sealer) + _u64(nonce)
+    return _header_prefix(index, timestamp, prev_hash, len(tx_ids), b"".join(tx_ids), sealer) + _u64(nonce)
 
 
 def leading_zero_bits(data: bytes) -> int:
@@ -209,9 +368,9 @@ def mine_block(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> 
         raise ValueError(f"difficulty must be in 0..256 bits (got {difficulty})")
     if index > 0 and not txs:
         raise EmptyBlockError("non-genesis block needs at least one transaction")
-    tx_list = tuple(txs)
-    sealer = Sealer(kind="pow", difficulty=difficulty)
-    base = _builtin_sha256(_header_prefix(index, now, prev_hash, [t.tx_id for t in tx_list], sealer))
+    tx_list = TxBatch.of(txs)
+    sealer = _sealer(kind="pow", difficulty=difficulty)
+    base = _builtin_sha256(_header_prefix(index, now, prev_hash, len(tx_list), tx_list.id_run(), sealer))
     target = pow_target(difficulty)
     copy = base.copy
     for packed in chain(_PACKED_NONCES, map(_pack_u64, count(len(_PACKED_NONCES)))):
@@ -236,9 +395,9 @@ def seal_block_pos(txs, prev_hash: bytes, validator: str, now: int, index: int) 
         raise EmptyBlockError("non-genesis block needs at least one transaction")
     if not validator:
         raise ValueError("validator id must be non-empty")
-    tx_list = tuple(txs)
-    sealer = Sealer(kind="pos", validator=validator)
-    h = digest(block_header_bytes(index, now, prev_hash, [t.tx_id for t in tx_list], sealer, 0))
+    tx_list = TxBatch.of(txs)
+    sealer = _sealer(kind="pos", validator=validator)
+    h = digest(_header_prefix(index, now, prev_hash, len(tx_list), tx_list.id_run(), sealer) + _u64(0))
     return Block(
         index=index,
         timestamp=now,
@@ -277,23 +436,34 @@ def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
 
 @dataclass
 class Ledger:
-    """Append-only chain; `committed_ids` holds the ids of its txs, so the
-    duplicate check on append is O(1) over long runs."""
+    """Append-only chain. `id_keys` holds the id key (first 8 bytes, see
+    `TxBatch.id_keys`) of every tx of `blocks`, so the duplicate check on
+    append is O(1) over long runs; `is_committed` confirms a key against
+    the full ids, so the check stays exact."""
 
     blocks: list[Block] = field(default_factory=list)
-    committed_ids: set[bytes] = field(default_factory=set)
+    id_keys: set[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.id_keys = {k for b in self.blocks for k in b.tx_list.id_keys()}
 
     @property
     def tip_hash(self) -> bytes:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
 
+    def is_committed(self, tx_id: bytes) -> bool:
+        """Whether a tx with this id is on the chain. Only a key hit reads the
+        blocks' full ids: a repeat, or two ids that share their first 8 bytes."""
+        return _id_key(tx_id) in self.id_keys and any(tx_id in b.tx_list.ids() for b in self.blocks)
+
 
 def check_block(block: Block) -> str | None:
     """The one block seal check: None if the header hashes to `block.hash`
     and the seal holds, else the reason."""
-    tx_ids = [t.tx_id for t in block.tx_list]
+    txs = block.tx_list
     try:
-        header = block_header_bytes(block.index, block.timestamp, block.prev_hash, tx_ids, block.sealer, block.nonce)
+        header = _header_prefix(block.index, block.timestamp, block.prev_hash, len(txs), txs.id_run(), block.sealer)
+        header += _u64(block.nonce)
     except (ValueError, OverflowError) as exc:
         return str(exc)
     if digest(header) != block.hash:
@@ -319,14 +489,16 @@ def append_block(ledger: Ledger, block: Block) -> None:
     reason = check_block(block)
     if reason is not None:
         raise SealInvalidError(reason)
-    tx_ids = [t.tx_id for t in block.tx_list]
-    for tx_id in tx_ids:
-        if tx_id in ledger.committed_ids:
-            raise DuplicateTransactionError(f"tx {tx_id.hex()} already committed")
-    if len(set(tx_ids)) != len(tx_ids):
+    txs = block.tx_list
+    keys = txs.id_keys()
+    if not ledger.id_keys.isdisjoint(keys):  # a key hit: confirm it against the full ids
+        for tx_id in txs.ids():
+            if ledger.is_committed(tx_id):
+                raise DuplicateTransactionError(f"tx {tx_id.hex()} already committed")
+    if len(set(keys)) != len(keys) and len(set(txs.ids())) != len(keys):
         raise DuplicateTransactionError(f"block {block.index} carries a tx twice")
     ledger.blocks.append(block)
-    ledger.committed_ids.update(tx_ids)
+    ledger.id_keys.update(keys)
 
 
 def validate_chain(ledger: Ledger) -> tuple[bool, int | None]:
@@ -397,7 +569,7 @@ def block_from_dict(doc: dict) -> Block:
         index=_field(doc, "index", int),
         timestamp=_field(doc, "timestamp", int),
         prev_hash=bytes.fromhex(doc["prev_hash"]),
-        tx_list=tuple(tx_from_display(t) for t in doc["txs"]),
+        tx_list=[tx_from_display(t) for t in doc["txs"]],
         nonce=_field(doc, "nonce", int),
         sealer=Sealer(
             kind=_field(doc["sealer"], "kind", str),
@@ -408,6 +580,12 @@ def block_from_dict(doc: dict) -> Block:
     )
 
 
+def _hex_stream(cols: TxColumns, lo: int, hi: int):
+    """Rows lo..hi of a store as `TxBatch.rows(hexed=True)` gives them, hexed _HEX_CHUNK rows at a time."""
+    chunks = (TxBatch(cols, a, min(a + _HEX_CHUNK, hi)).rows(hexed=True) for a in range(lo, hi, _HEX_CHUNK))
+    return chain.from_iterable(chunks)
+
+
 def ledger_lines(ledger: Ledger):
     """Yield the ledger export, one newline-terminated line per block.
 
@@ -416,6 +594,8 @@ def ledger_lines(ledger: Ledger):
     lowercase hex, and strings escaped to ASCII by the escaper it uses.
     Each distinct string is escaped once per call: `get(s) or esc(s)` reads
     the cache first, and an escaped string is never empty, so never false.
+    Blocks whose txs sit back to back in one store, as the engine's do,
+    share one stream of hex rows (`_hex_stream`).
     """
     cache: dict[str, str] = {}
     get = cache.get
@@ -424,14 +604,19 @@ def ledger_lines(ledger: Ledger):
         out = cache[text] = encode_basestring_ascii(text)
         return out
 
+    cols, at, end = None, 0, 0  # the stream holds rows at..end of cols
     for b in ledger.blocks:
-        s = b.sealer
+        s, t = b.sealer, b.tx_list
+        if t.cols is not cols or t.lo != at or t.hi > end:
+            cols, at, end = t.cols, t.lo, len(t.cols)
+            rows = _hex_stream(cols, at, end)
+        at = t.hi
         txs = ", ".join(
             [
-                f'{{"checksum": "{c.hex()}", "destination": {get(d) or esc(d)}, '
-                f'"payload_hex": "{p.hex()}", "sensor_id": {get(sid) or esc(sid)}, '
-                f'"timestamp": {ts:d}, "tx_id": "{i.hex()}"}}'
-                for i, sid, d, ts, p, c in b.tx_list
+                f'{{"checksum": "{c}", "destination": {get(d) or esc(d)}, '
+                f'"payload_hex": "{p}", "sensor_id": {get(sid) or esc(sid)}, '
+                f'"timestamp": {ts:d}, "tx_id": "{i}"}}'
+                for i, sid, d, ts, p, c in islice(rows, len(t))
             ]
         )
         yield (
@@ -469,7 +654,4 @@ def load_ledger(text: str) -> Ledger:
     for line in text.splitlines():
         if line.strip():
             blocks.append(block_from_dict(json.loads(line)))
-    ledger = Ledger(blocks=blocks)
-    for b in blocks:
-        ledger.committed_ids.update(t.tx_id for t in b.tx_list)
-    return ledger
+    return Ledger(blocks=blocks)

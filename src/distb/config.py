@@ -24,12 +24,19 @@ MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
 # Expected sensor packets per run, held as three int32 arrays. The link stage peaks near 35 B per arrival
 # in of-baseline mode and 75 B in distb mode, 32 B of it the delivered log (tracemalloc, 50 000-60 000 arrivals).
 MAX_ARRIVALS = 10**8
+# The chain retains about 220 B per committed transaction in the ledger stage's column store (blockchain.py):
+# 32 + 32 B of id and checksum, the payload and 24 B of offset, timestamp and sensor reference, about 35 B of
+# blocks, and the id-key set's int and table, 70-140 B as the table fills (tracemalloc: 3 922 txs 219 B,
+# 19 971 txs 293 B, flood-pos seed 1's 118 285 txs 222 B).
 MAX_ATTACK_PACKETS = 10**8  # expected attack packets per run; the detector counts them in int64
 MAX_EXTENT_M = 10**7  # area_side_m and z_max_m: 10 000 km, so squared distances stay finite
 MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs about 8 M
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a flood-detector pass sorts at most one int64 key each
 MAX_ATTACK_SOURCES = 1_000  # attack sources per run, the most the tests cover; a block costs one drop-table probe
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
+# node_count x clustering rounds per run. A round costs about 5.4 us per node (100 000 nodes), so capped work
+# takes about 4.5 minutes; it is MAX_NODES at the default horizon's 50 rounds, which the tests validate.
+MAX_NODE_ROUNDS = 5 * 10**7
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 
 
@@ -137,6 +144,12 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
             cfg.sim_time_ms <= MAX_STEPS * period,
             f"{steps} per run, sim_time_ms / {period} ms, must be <= {MAX_STEPS} (got {cfg.sim_time_ms} ms)",
         )
+    rounds = -(-cfg.sim_time_ms // cfg.round_period_ms)  # due at 0, round_period_ms, ... before the horizon
+    _require(
+        cfg.node_count * rounds <= MAX_NODE_ROUNDS,
+        f"clustering work node_count x rounds must be <= {MAX_NODE_ROUNDS} "
+        f"(got {cfg.node_count} nodes x {rounds} rounds of {cfg.round_period_ms} ms)",
+    )
     _require(cfg.head_cost_j >= 0, f"head_cost_j must be >= 0 (got {cfg.head_cost_j})")
     _require(cfg.tx_cost_j >= 0, f"tx_cost_j must be >= 0 (got {cfg.tx_cost_j})")
     _require(

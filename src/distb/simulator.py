@@ -15,10 +15,12 @@ may be shorter). For each window end t1 the engine's result is that of:
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
 the ledger stage over that log a window at a time. At each t1 it builds the
-transactions of the window's registered sensors in one pass, appends them
-to the queue, seals its whole `block_batch` blocks, each stamped t1, and
-then runs step 4. Nothing registers a sensor mid-run, so step 5 only ages
-parked packets out, and the stage counts them instead of building them.
+transactions of the window's registered sensors in one pass into the run's
+column store (`blockchain.TxColumns`), whose rows not yet sealed are the
+queue, seals its whole `block_batch` blocks, each stamped t1 and each a
+view of its rows, and then runs step 4. Nothing registers a sensor mid-run,
+so step 5 only ages parked packets out, and the stage counts them instead
+of building them.
 The metric batteries read link figures and run the link stage alone.
 
 Within the link stage, rounds read only the energy, the detector only
@@ -541,13 +543,14 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
         bc.append_block(ledger, block)
         counters["committed_txs"] += len(txs)
 
-    commit([], 0)  # genesis
+    store = bc.TxColumns(BS_ID)  # every built transaction; the queue is its rows from `head` on
+    head = 0
+    commit(bc.TxBatch(store, 0, 0), 0)  # genesis
     end, last_tick, batch = cfg.sim_time_ms, link.last_tick, cfg.block_batch
     # Sweeps run every second and at the horizon, up to last_tick, so a packet parked at t1 has expired by the
     # end iff the last sweep (0 if none ran) is t_pending_ms or more after t1. Python ints: no t_pending_ms wraps.
     last_sweep = end if last_tick == end else last_tick - last_tick % 1000
     last_seq = [0] * cfg.node_count
-    queue: list[bc.Transaction] = []
     through = link.delivered_through
     for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
         t1 = min(w * WINDOW_MS, end)
@@ -557,25 +560,24 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
             if q <= last_seq[n]:
                 raise DuplicateTransactionError(f"packet {q} of s-{n} is not after its last, {last_seq[n]}")
             last_seq[n] = q
-        kept = [
+        kept = store.append(
             (names[n], b"%d|%d|%d|%d" % (n, q, t, size), t)
             for t, n, size, q in zip(ts, nids, sizes, seqs)
             if registered[n]
-        ]
+        )
         parked = len(nids) - len(kept)
         counters["parked_txs"] += parked
         counters["expired_txs" if last_sweep - t1 >= cfg.t_pending_ms else "pending_at_end"] += parked
-        queue += bc.make_transactions(kept, BS_ID)
-        cut = len(queue) - len(queue) % batch
-        for i in range(0, cut, batch):  # every block of the window carries t1
-            commit(queue[i : i + batch], t1)
-        del queue[:cut]
+        cut = len(store) - (len(store) - head) % batch
+        for i in range(head, cut, batch):  # every block of the window carries t1
+            commit(bc.TxBatch(store, i, i + batch), t1)
+        head = cut
         if t1 > last_tick:
             break  # a round at t1 exhausted the network before the mine
-        if queue and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-            commit(queue, t1)
-            queue = []
-    counters["queued_at_end"] = len(queue)
+        if head < len(store) and (t1 % cfg.block_interval_ms == 0 or t1 == end):
+            commit(bc.TxBatch(store, head, len(store)), t1)
+            head = len(store)
+    counters["queued_at_end"] = len(store) - head
 
 
 def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:

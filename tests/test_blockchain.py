@@ -347,7 +347,64 @@ def test_append_rejects_already_committed_tx():
         block = bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks))
         with pytest.raises(DuplicateTransactionError):
             bc.append_block(ledger, block)
-    assert len(ledger.blocks) == 3 and fresh.tx_id not in ledger.committed_ids
+    assert len(ledger.blocks) == 3 and not ledger.is_committed(fresh.tx_id) and ledger.is_committed(dup.tx_id)
+
+
+def test_the_id_key_set_stays_exact():
+    # Two ids that share their first 8 bytes share one id key, so a key hit
+    # is confirmed against the full ids before anything is refused.
+    ledger = fresh_chain(2, difficulty=0)
+    a = make_tx(95)
+    b, c, d = (a._replace(tx_id=a.tx_id[:8] + bytes([k]) * 24) for k in (1, 2, 3))
+    for txs in ([a], [b, c]):  # a key already committed, and a key twice in one block
+        bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks)))
+    assert len(ledger.blocks) == 4 and len({k for blk in ledger.blocks for k in blk.tx_list.id_keys()}) == 4
+    assert all(ledger.is_committed(t.tx_id) for t in (a, b, c)) and not ledger.is_committed(d.tx_id)
+    for txs, why in (([d, a], "already committed"), ([c], "already committed"), ([d, d], "carries a tx twice")):
+        with pytest.raises(DuplicateTransactionError, match=why):
+            bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks)))
+    assert len(ledger.blocks) == 4 and not ledger.is_committed(d.tx_id)
+
+
+def test_a_batch_reads_the_same_rows_after_the_store_grows():
+    store = bc.TxColumns("bs")
+    block = bc.mine_block(store.append([(f"s-{i}", b"r%d" % i, i) for i in range(8)]), bc.ZERO_HASH, 0, 9, 0)
+    sealed = list(block.tx_list)
+    store.append([(f"s-{i}", b"later", 10 + i) for i in range(1_000)])
+    assert len(store) == 1_008 and list(block.tx_list) == sealed and bc.check_block(block) is None
+    assert block.tx_list == bc.TxBatch.of(sealed)
+    assert block.tx_list[-1] == sealed[-1] and block.tx_list[2:4] == tuple(sealed[2:4])
+    assert [type(t) for t in sealed] == [bc.Transaction] * 8 and all(bc.check_tx(t) is None for t in sealed)
+
+
+def test_blocks_built_outside_the_engine_hold_their_txs_as_columns():
+    txs = [make_tx(i, payload=f"r{i}".encode(), now=i) for i in range(3)]
+    pow_block = bc.mine_block(txs, bc.ZERO_HASH, 4, 7, 0)
+    pos_block = bc.seal_block_pos(txs, bc.ZERO_HASH, "v", 7, 0)
+    replaced = dataclasses.replace(pow_block, nonce=pow_block.nonce + 1)
+    loaded = bc.load_ledger(bc.export_ledger(bc.Ledger(blocks=[pow_block]))).blocks[0]
+    built = bc.Block(0, 7, bc.ZERO_HASH, tuple(txs), 0, pos_block.sealer, b"")
+    for block in (pow_block, pos_block, replaced, loaded, built):
+        assert type(block.tx_list) is bc.TxBatch and list(block.tx_list) == txs
+        assert type(block.tx_list.cols.ids) is bytearray and type(block.tx_list.cols.destination) is str
+    assert replaced.tx_list is pow_block.tx_list and bc.check_block(replaced) == "hash does not match header"
+    assert loaded == pow_block and bc.Ledger(blocks=[pow_block]).is_committed(txs[1].tx_id)
+
+
+@pytest.mark.parametrize("timestamp", [-1, 2**64])
+def test_a_loaded_value_outside_its_column_is_kept_and_reported(timestamp):
+    # A column holds a plain tuple where a value does not fit its array, so
+    # check_tx sees the value as loaded; a short id or another destination
+    # falls back the same way.
+    good = make_tx(1)
+    odd = [good._replace(timestamp=timestamp), good._replace(tx_id=b"\x01" * 31), good._replace(destination="gw")]
+    block = bc.seal_block_pos([make_tx(0), *odd], bc.ZERO_HASH, "v", 5, 0)
+    cols = block.tx_list.cols
+    assert type(cols.times) is type(cols.ids) is type(cols.destination) is tuple and type(cols.sums) is bytearray
+    assert list(block.tx_list) == [make_tx(0), *odd] and bc.check_block(block) is None
+    mismatch = "tx_id does not match canonical body"
+    assert [bc.check_tx(t) for t in block.tx_list] == [None, "timestamp outside the u64 range", mismatch, mismatch]
+    assert bc.validate_chain(bc.Ledger(blocks=[block])) == (False, 0)
 
 
 def test_validate_genesis_only():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from distb.calibration import load_default
 from distb.config import (
+    MAX_NODE_ROUNDS,
     MAX_NODES,
     _HAND_PARSED,
     _READERS,
@@ -303,6 +304,23 @@ def test_loop_counts_capped_at_a_million_each():
     with pytest.raises(ConfigError) as err:
         config_from_dict({**quiet, "sim_time_ms": 10**8, "round_period_ms": 99})
     assert str(err.value) == "clustering rounds per run, sim_time_ms / 99 ms, must be <= 1000000 (got 100000000 ms)"
+
+
+def test_node_rounds_capped():
+    # 10^11 node-rounds of a network that never depletes: days of clustering,
+    # refused in one line without running anything.
+    doc = {"node_count": 100_000, "sim_time_ms": 1_000_000, "round_period_ms": 1, "sensor_rate_pps": 0.001,
+           "head_cost_j": 0, "tx_cost_j": 0}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == (
+        f"clustering work node_count x rounds must be <= {MAX_NODE_ROUNDS} (got 100000 nodes x 1000000 rounds of 1 ms)"
+    )
+    # at the cap, and one round over it: 5 000 ms hold 50 rounds of 100 ms, 5 001 ms hold 51
+    at_cap = {**doc, "node_count": MAX_NODES, "sim_time_ms": 5_000, "round_period_ms": 100}
+    assert MAX_NODE_ROUNDS == 50 * MAX_NODES and config_from_dict(at_cap)
+    with pytest.raises(ConfigError, match="1000000 nodes x 51 rounds"):
+        config_from_dict({**at_cap, "sim_time_ms": 5_001})
 
 
 def test_equal_range_bounds_accepted():

@@ -480,6 +480,25 @@ def test_link_stage_holds_few_bytes_per_arrival(cfg, bound):
     assert peak / arrivals <= bound
 
 
+def test_ledger_stage_retains_few_bytes_per_committed_tx():
+    # What dropping the chain frees: the column store, the blocks and the
+    # id-key set, about 220 B a committed transaction (config.py), where a
+    # named tuple of bytes objects per transaction held about 385 B.
+    pos = ConsensusConfig("pos", stakes=(("a", 1.0),))
+    cfg = ScenarioConfig(node_count=20, sim_time_ms=20_000, seed=1, consensus=pos)
+    run_raw(cfg)  # fills the caches a run keeps, such as the tx body prefixes
+    tracemalloc.start()
+    try:
+        raw = run_raw(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        raw.ledger = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert raw.counters["committed_txs"] >= 3_000
+    assert freed / raw.counters["committed_txs"] <= 250
+
+
 def test_uncongested_windows_deliver_everything_offered():
     link = run_link(config_from_dict({"mode": "of-baseline", "node_count": 12, "sim_time_ms": 3050, "seed": 2}))
     assert link.counters["benign_delivered"] == link.counters["benign_generated"] > 0
