@@ -11,23 +11,21 @@ from distb.clustering import Geometry, elect
 from distb.errors import ExhaustedNetworkError
 from distb.topology import TopologyParams, generate_topology
 
-# A 50-node field in a 2.5 km square, seeded so the story repeats exactly.
-ns = generate_topology(50, 2500.0, seed=42)
-print(f"placed {len(ns.nodes)} nodes; base station at "
-      f"({ns.base_station.location.x:.0f}, {ns.base_station.location.y:.0f}, 0)")
+# A 50-node field in a 2.5 km square, seeded so the story repeats exactly:
+# per-node arrays (a node's id is its position) and the base station.
+x, y, z, energy, area, bs = generate_topology(50, 2500.0, seed=42)
+print(f"placed {len(x)} nodes; base station at ({bs[0]:.0f}, {bs[1]:.0f}, {bs[2]:.0f})")
 
 # Nodes never move, so a run builds one geometry (coordinates, distances to
 # the base station, covers) and each round maps one energy array to the next.
-geo = Geometry(ns)
-ids = geo.ids.tolist()
-energy = np.array([n.energy for n in ns.nodes])
+geo = Geometry(x, y, z, area, bs)
 
 # One election: sort by (energy desc, distance-to-BS asc, id) and scan.
 # A round also charges energy; this look keeps only the election.
 elected, _ = elect(geo, energy, TopologyParams())
 print(f"\nround 0 elects {len(elected)} cluster heads:")
 for head, members in elected[:5]:
-    print(f"  head {ids[head]:2d} with {len(members)} members")
+    print(f"  head {head:2d} with {len(members)} members")
 print("  ...")
 
 # Heads pay for aggregation and the uplink, members for one transmission.
@@ -50,5 +48,5 @@ while True:
         break
     round_no += 1
 
-first_dead = min((ids[i] for i in np.flatnonzero(energy <= 0.0).tolist()), default=None)
+first_dead = min(np.flatnonzero(energy <= 0.0).tolist(), default=None)
 print(f"first depleted node id: {first_dead}")

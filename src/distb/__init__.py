@@ -45,6 +45,6 @@ from .simulator import (
     recalibrate,
     run_raw,
 )
-from .topology import BaseStation, Node, NodeSet, Point3, generate_topology
+from .topology import generate_topology
 
 __version__ = "0.1.0"

@@ -23,41 +23,60 @@ from array import array
 import numpy as np
 
 from .errors import ExhaustedNetworkError
-from .topology import NodeSet, TopologyParams, euclid
+from .topology import TopologyParams, euclid
 
 # Candidate band around a head's radius (metres, relative above 1 m): far
 # wider than the rounding gap between numpy's squares and libm's pow.
 _BAND = 1e-9
+_MAX_STRIPS = 2**16  # so a strip index rounds by under 1e-10 of a strip, far inside the band
 
 
 class Geometry:
-    """What every round of a run shares, by node list position: ids, locations, radii,
-    coordinates, distances to the base station, and covers. Raises ValueError on a
-    non-finite coordinate of a node or the base station."""
+    """What every round of a run shares, by node id (array position): points, radii,
+    distances to the base station, and covers, from `generate_topology`'s x, y, z
+    and radius arrays and base station. Raises ValueError on a non-finite coordinate.
 
-    def __init__(self, node_set: NodeSet):
-        nodes = node_set.nodes
-        self.ids = np.array([n.id for n in nodes], dtype=np.int64)
-        self.locations = [n.location for n in nodes]
-        self.areas = [n.area for n in nodes]
-        self.xyz = np.array([(p.x, p.y, p.z) for p in self.locations], dtype=float).reshape(-1, 3).T
-        bs = node_set.base_station.location
-        if not (np.isfinite(self.xyz).all() and np.isfinite((bs.x, bs.y, bs.z)).all()):
+    Covers come from x-strips, fixed-radius near-neighbour bucketing (Bentley,
+    Stanat & Williams, Information Processing Letters 6(6), 1977): strips as wide
+    as the largest banded radius hold every node within a radius of node i in i's
+    strip or one beside it, one slice of the strip-sorted coordinates. The strips
+    stay balanced because `generate_topology` draws x uniformly over a square, so
+    a sparse field, where most nodes head, reads O(n) distances rather than O(n^2).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, area: np.ndarray, bs: tuple):
+        xyz = np.array([x, y, z], dtype=float).reshape(3, -1)
+        if not (np.isfinite(xyz).all() and np.isfinite(bs).all()):
             raise ValueError("clustering requires finite coordinates")
-        self.dist_bs = np.array([euclid(p, bs) for p in self.locations], dtype=float)
-        self.covers: list[array | None] = [None] * len(nodes)
+        self.points = list(zip(*xyz.tolist()))
+        self.areas = np.asarray(area, dtype=float).tolist()
+        self.dist_bs = np.array([euclid(p, bs) for p in self.points], dtype=float)
+        self.covers: list[array | None] = [None] * len(self.points)
+        if not self.points:
+            return
+        reach = max(self.areas)
+        width = max(reach + _BAND * max(reach, 1.0), float(np.ptp(xyz[0])) / _MAX_STRIPS, _BAND)
+        strip = np.floor((xyz[0] - xyz[0].min()) / width).astype(np.int64)
+        self.by_strip = np.argsort(strip, kind="stable")  # node ids, strip by strip
+        self.strip_xyz = xyz[:, self.by_strip]
+        # starts[s + 1]: the first strip-sorted position in strip s or later, for s = -1 .. last strip + 2.
+        self.starts = np.searchsorted(strip[self.by_strip], np.arange(-1, strip.max() + 3)).tolist()
+        self.strip = strip.tolist()
 
     def cover(self, i: int) -> array:
-        """The other positions strictly inside node i's radius: a vector distance row finds
-        them within _BAND, and the scalar `euclid` confirms each (numpy's squares can
-        round one ulp away from libm's pow); __init__ has checked every point finite."""
+        """The other ids strictly inside node i's radius: a vector distance row over
+        i's strip and the two beside it finds them within _BAND, and the scalar
+        `euclid` confirms each (numpy's squares can round one ulp away from libm's
+        pow); __init__ has checked every point finite."""
         cover = self.covers[i]
         if cover is None:
-            x, y, z = self.xyz
-            d = np.sqrt(((x[i] - x) ** 2 + (y[i] - y) ** 2) + (z[i] - z) ** 2)
-            area, loc = self.areas[i], self.locations[i]
-            near = np.flatnonzero(d < area + _BAND * max(area, 1.0)).tolist()
-            cover = array("i", [j for j in near if j != i and euclid(loc, self.locations[j]) < area])
+            s = self.strip[i]
+            lo, hi = self.starts[s], self.starts[s + 3]
+            x, y, z = self.strip_xyz[:, lo:hi]
+            p, area, points = self.points[i], self.areas[i], self.points
+            d = np.sqrt(((p[0] - x) ** 2 + (p[1] - y) ** 2) + (p[2] - z) ** 2)
+            near = self.by_strip[lo:hi][d < area + _BAND * max(area, 1.0)].tolist()
+            cover = array("i", [j for j in near if j != i and euclid(p, points[j]) < area])
             self.covers[i] = cover
         return cover
 
@@ -65,30 +84,33 @@ class Geometry:
 def elect(
     geo: Geometry, energy: np.ndarray, params: TopologyParams
 ) -> tuple[list[tuple[int, list[int]]], np.ndarray]:
-    """One clustering epoch over per-position energies: sort, elect, charge. Returns the
-    (head, members) positions in election order, and the post-charge energies (depleted
-    nodes are left out and keep theirs). Raises ExhaustedNetworkError when none is alive.
+    """One clustering epoch over per-node energies: sort, elect, charge. Returns the
+    (head, members) ids in election order, members in rank order, and the post-charge
+    energies (depleted nodes are left out and keep theirs). Raises
+    ExhaustedNetworkError when none is alive.
     """
     alive = ~(energy <= 0.0)
     alive_pos = np.flatnonzero(alive)
     if not len(alive_pos):
         raise ExhaustedNetworkError("all nodes depleted")
-    order = alive_pos[np.lexsort((geo.ids[alive_pos], geo.dist_bs[alive_pos], -energy[alive_pos]))].tolist()
-    rank = {i: r for r, i in enumerate(order)}
-    free = alive.tolist()
-    elected = []
+    # lexsort is stable, so ascending ids break the remaining ties.
+    order = alive_pos[np.lexsort((geo.dist_bs[alive_pos], -energy[alive_pos]))].tolist()
+    # Each node's head: -1 while free; a depleted node counts as its own, so no cover takes it.
+    head = np.where(alive, -1, np.arange(len(energy))).tolist()
+    heads = []
     for i in order:
-        if not free[i]:
-            continue
-        free[i] = False
-        # Every position ranked before a head is assigned, so free members rank after it.
-        members = sorted([j for j in geo.cover(i) if free[j]], key=rank.__getitem__)
-        for j in members:
-            free[j] = False
-        elected.append((i, members))
+        if head[i] < 0:
+            # Every node ranked before a head is assigned, so its free members rank after it.
+            head[i] = i
+            heads.append(i)
+            for j in geo.cover(i):
+                if head[j] < 0:
+                    head[j] = i
+    members = {i: [] for i in heads}
+    for j in order:
+        if head[j] != j:
+            members[head[j]].append(j)
 
     cost = np.where(alive, params.tx_cost_j, 0.0)
-    for i, members in elected:
-        cost[i] = params.head_cost_j + params.tx_cost_j * len(members)
-    return elected, np.where(alive, np.maximum(0.0, energy - cost), energy)
-
+    cost[heads] = params.head_cost_j + params.tx_cost_j * np.array([len(m) for m in members.values()], dtype=float)
+    return list(members.items()), np.where(alive, np.maximum(0.0, energy - cost), energy)

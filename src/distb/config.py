@@ -20,9 +20,11 @@ from .topology import TopologyParams
 
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
-MAX_NODES = 10**6  # generate_topology holds one Node and five draws per node
+# Five float64 draws per node, and a point, strip and cover in the clustering Geometry: a sparse field at the
+# cap, where every node heads, runs its first round in about 25 s and 720 MB.
+MAX_NODES = 10**6
 # Expected sensor packets per run, held as three int32 arrays. The link stage peaks near 35 B per arrival
-# in of-baseline mode and 75 B in distb mode, 32 B of it the delivered log (tracemalloc, 50 000-60 000 arrivals).
+# in of-baseline mode and 57 B in distb mode, 16 B of it the int32 delivered log (tracemalloc, 60 000 arrivals).
 MAX_ARRIVALS = 10**8
 # The chain retains about 220 B per committed transaction in the ledger stage's column store (blockchain.py):
 # 32 + 32 B of id and checksum, the payload and 24 B of offset, timestamp and sensor reference, about 35 B of
@@ -34,8 +36,9 @@ MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs ab
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a flood-detector pass sorts at most one int64 key each
 MAX_ATTACK_SOURCES = 1_000  # attack sources per run, the most the tests cover; a block costs one drop-table probe
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
-# node_count x clustering rounds per run. A round costs about 5.4 us per node (100 000 nodes), so capped work
-# takes about 4.5 minutes; it is MAX_NODES at the default horizon's 50 rounds, which the tests validate.
+# node_count x clustering rounds per run. At 100 000 nodes in 2 500 m the first ten rounds cost about 4.1 us a
+# node-round, mostly finding covers, and later ones 0.7 us, so capped work takes under 3.5 minutes; the cap is
+# MAX_NODES at the default horizon's 50 rounds, which the tests validate.
 MAX_NODE_ROUNDS = 5 * 10**7
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window
 

@@ -112,11 +112,10 @@ CPU_BATTERY = dict(
 )
 
 
-def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
-    """Seeded Poisson arrivals per node: int32 arrays (t_ms, node_id, size_bytes).
+def generate_traffic(n: int, rate_pps: float, rng, horizon_ms: int, size_range=(128, 1024)):
+    """Seeded Poisson arrivals per node id 0..n-1: int32 arrays (t_ms, node_id, size_bytes).
 
-    `nodes` come in ascending id order, as `NodeSet.nodes` holds them. The
-    three arrays are sorted together by time, then node id, then draw order.
+    The three arrays are sorted together by time, then node id, then draw order.
     Uses the order-statistics form of a Poisson process (count ~
     Poisson, times ~ sorted uniforms) so the draw is vectorized per node.
     Every value fits int32: validate_config caps the horizon at 1e8 ms, node
@@ -129,7 +128,7 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
     times_all = []
     counts = []
     sizes_all = []
-    for node in nodes:
+    for _ in range(n):
         count = int(rng.poisson(rate_pps * horizon_s))
         counts.append(count)
         if count == 0:
@@ -143,16 +142,17 @@ def generate_traffic(nodes, rate_pps: float, rng, horizon_ms: int, size_range=(1
     t = np.concatenate(times_all, dtype=np.int32, casting="unsafe")
     size = np.concatenate(sizes_all, dtype=np.int32, casting="unsafe")
     del times_all, sizes_all
-    nid = np.repeat(np.array([node.id for node in nodes], dtype=np.int32), counts)
+    nid = np.repeat(np.arange(n, dtype=np.int32), counts)
     # The arrays run by node id, each node's in draw order, so the position
     # breaks time ties as (node id, draw order) would. The key fits int64:
     # the horizon is at most 1e8 ms and the expected arrivals 1e8, so keys
-    # stay near 1e16.
-    key = t.astype(np.int64)
-    key *= len(t)
-    key += np.arange(len(t))
-    order = np.argsort(key)
-    del key
+    # stay near 1e16. The keys are unique, so sorting them in place and
+    # taking each back modulo len(t) gives argsort's order without a second array.
+    order = t.astype(np.int64)
+    order *= len(t)
+    order += np.arange(len(t))
+    order.sort()
+    np.remainder(order, len(t), out=order)
     return t[order], nid[order], size[order]
 
 
@@ -209,8 +209,8 @@ class LinkResult:
     terminated_early: bool
     events_processed: int  # settlement windows run
     last_tick: int  # the last window end whose steps 3-5 ran (see the module docstring)
-    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, built by
-    # the settlement pass; seq is 1 + the arrival's rank among its node's alive arrivals
+    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, int32 (16 B
+    # a packet), built by the settlement pass; seq is 1 + the arrival's rank among its node's alive arrivals
     delivered: array
     delivered_through: array  # 0, then len(delivered) at the end of each settled window
 
@@ -253,9 +253,11 @@ def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
     still fit. Returns a bool mask over `sizes`. Sums stay below 2**53, where
     comparing int64 with float64 is exact."""
     sizes = sizes.astype(np.int64)  # int32 sizes + acc could wrap
-    k = int(np.searchsorted(np.cumsum(sizes), limit, side="right"))  # the prefix that fits
-    mask = np.arange(len(sizes)) < k
-    acc = int(sizes[:k].sum())
+    csum = np.cumsum(sizes)
+    k = int(np.searchsorted(csum, limit, side="right"))  # the prefix that fits
+    mask = np.zeros(len(sizes), dtype=bool)
+    mask[:k] = True
+    acc = int(csum[k - 1]) if k else 0
     fits = k + np.flatnonzero(sizes[k:] + acc <= limit)  # a packet that misses never fits later
     while len(fits):
         mask[fits[0]] = True
@@ -313,10 +315,10 @@ def sensor_pass(cfg: ScenarioConfig) -> SensorPass:
     two passes: the clustering rounds and the alive marks. Reads neither
     `cfg.mode` nor `cfg.attack`."""
     cfg = validate_config(cfg, sealing=False)
-    node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
+    x, y, z, energy, area, bs = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     arr_t, arr_node, arr_size = generate_traffic(
-        node_set.nodes, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
+        cfg.node_count, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
 
     # Window w runs from ends[w - 1] to ends[w]; it takes the arrivals at
@@ -329,10 +331,9 @@ def sensor_pass(cfg: ScenarioConfig) -> SensorPass:
     # 1. Rounds, each due before the horizon. A node a round depletes emits
     # nothing from the round's due time on, or from t1 + 1 for a round due at
     # a window end t1 > 0, which runs after that window settles.
-    geometry = Geometry(node_set)
-    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
+    geometry = Geometry(x, y, z, area, bs)
     never = end + 1
-    depleted_from = np.full(len(node_set.nodes), never)
+    depleted_from = np.full(cfg.node_count, never)
     settled, last_tick, terminated_early, rounds = len(ends) - 1, end, False, 0
     for due in range(0, end, cfg.round_period_ms):
         try:
@@ -459,7 +460,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     counters["attack_dropped"] = counters["attack_generated"] - counters["attack_delivered"]
     for key in ("generated", "delivered", "dropped"):
         counters[key] = counters["benign_" + key] + counters["attack_" + key]
-    delivered_log = array("q")
+    delivered_log = array("i")
     delivered_through = array("q", bytes(8 * (settled + 1)))
     if distb:
         # Each payload's seq: 1 + the arrival's rank among its node's alive
@@ -473,8 +474,8 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
         seq = seq[taken[alive]]  # the delivered packets' only; the ranks go before the log is allocated
         del nodes, rank
         at = np.flatnonzero(taken)
-        delivered_log = array("q", [0]) * (4 * len(at))  # filled in place, through a numpy view
-        rows = np.frombuffer(delivered_log, dtype=np.int64).reshape(-1, 4)
+        delivered_log = array("i", [0]) * (4 * len(at))  # filled in place, through a numpy view
+        rows = np.frombuffer(delivered_log, dtype=np.int32).reshape(-1, 4)
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = arr_t[at], arr_node[at], sizes[at], seq
         delivered_through = array("q", (4 * np.searchsorted(at, arr_ends[: settled + 1])).tobytes())
 

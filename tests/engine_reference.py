@@ -52,10 +52,10 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     """The link stage settled one packet at a time: rounds, traffic,
     settlement, the flood detector and the CPU samples."""
     cfg = validate_config(cfg)
-    node_set = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
+    x, y, z, energy, area, bs = generate_topology(cfg.node_count, cfg.area_side_m, cfg.seed, cfg)
     rng_traffic = np.random.default_rng([cfg.seed, 1])
     distb = cfg.mode == "distb"
-    names = [f"s-{n.id}" for n in node_set.nodes]  # node ids are list positions
+    names = [f"s-{i}" for i in range(cfg.node_count)]  # node ids are array positions
 
     theta = cfg.detector_multiplier * cfg.sensor_rate_pps * (cfg.detector_window_ms / 1000.0)
     records: list[tuple[int, str, int]] = []  # (window end, source, offered count), oldest first
@@ -67,11 +67,11 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     verdicts: dict[str, bool] = {}
 
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
-    delivered_log = array("q")
+    delivered_log = array("i")
     delivered_through = array("q", [0])
 
     arr_t, arr_node, arr_size = generate_traffic(
-        node_set.nodes, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
+        cfg.node_count, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
     )
     # Each window's attack batches, (source, packets, bytes) per attacker.
     sources = cfg.attack.sources if cfg.attack is not None else 0
@@ -83,8 +83,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     # Per-node state, indexed by node id: the residual energy, the ms from
     # which the node emits nothing (past the horizon until a round depletes
     # it), and the packets it has emitted so far, its payloads' sequence number.
-    geometry = Geometry(node_set)
-    energy = np.array([n.energy for n in node_set.nodes], dtype=float)
+    geometry = Geometry(x, y, z, area, bs)
     never = cfg.sim_time_ms + 1
     depleted_from = [never] * len(names)
     emitted = [0] * len(names)

@@ -20,7 +20,7 @@ import numpy as np
 
 from distb import blockchain as bc
 from distb.calibration import load_default, load_reference_tables
-from distb.clustering import Geometry, elect
+from distb.clustering import elect
 from distb.config import WINDOW_MS, AttackConfig, ScenarioConfig
 from distb.simulator import (
     bundle_from_raw,
@@ -31,7 +31,8 @@ from distb.simulator import (
     measure_throughput,
     run_raw,
 )
-from distb.topology import TopologyParams, generate_topology
+from distb.topology import TopologyParams
+from nodes import energy_array, generate_node_set, geometry
 
 TABLES = load_reference_tables()
 
@@ -79,9 +80,8 @@ def oracle_algorithm(node_set):
 
 def engine_clusters(node_set):
     """The engine's election, `elect` over the run's Geometry, as (head id, member ids) pairs."""
-    geo = Geometry(node_set)
-    elected, _ = elect(geo, np.array([n.energy for n in node_set.nodes], dtype=float), TopologyParams())
-    ids = geo.ids.tolist()
+    elected, _ = elect(geometry(node_set), energy_array(node_set), TopologyParams())
+    ids = [n.id for n in node_set.nodes]
     return [(ids[i], tuple(ids[j] for j in members)) for i, members in elected]
 
 
@@ -89,12 +89,12 @@ def test_criterion_1_chs_oracle_equivalence():
     rng = np.random.default_rng(2024)
     for trial in range(200):
         n = int(rng.integers(1, 11))
-        ns = generate_topology(n, float(rng.choice([300, 800, 2500])), seed=trial)
+        ns = generate_node_set(n, float(rng.choice([300, 800, 2500])), seed=trial)
         assert engine_clusters(ns) == oracle_algorithm(ns), trial
 
     for trial in range(1000):
         n = int(rng.integers(1, 101))
-        ns = generate_topology(n, 2500.0, seed=10_000 + trial)
+        ns = generate_node_set(n, 2500.0, seed=10_000 + trial)
         by_id = {node.id: node for node in ns.nodes}
         seen = []
         for head_id, member_ids in engine_clusters(ns):

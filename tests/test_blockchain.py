@@ -518,14 +518,20 @@ def test_ledger_lines_match_sorted_json_dumps(blocks):
     assert bc.export_ledger(ledger) == "".join(oracle_lines(blocks))
 
 
-def test_export_ledger_peak_stays_near_its_length():
-    """The export grows in place, so the memory traced while it is built
-    peaks near its own length; joining a list of its lines peaks near twice."""
+def wide_ledger():
+    """300 blocks of 16 transactions: an export of over 1 MB."""
     ledger = bc.Ledger()
     for i in range(300):
         rows = [(f"s-{j:02d}", f"r{i}-{j}".encode(), i * 10) for j in range(16)]
         prev = ledger.blocks[-1].hash if ledger.blocks else bc.ZERO_HASH
         ledger.blocks.append(bc.mine_block(bc.make_transactions(rows, "bs"), prev, 0, i * 1000, i))
+    return ledger
+
+
+def test_export_ledger_peak_stays_near_its_length():
+    """The export grows in place, so the memory traced while it is built
+    peaks near its own length; joining a list of its lines peaks near twice."""
+    ledger = wide_ledger()
     tracemalloc.start()
     try:
         text = bc.export_ledger(ledger)
@@ -535,6 +541,23 @@ def test_export_ledger_peak_stays_near_its_length():
     assert text == "".join(bc.ledger_lines(ledger))
     assert len(text) > 1_000_000
     assert peak <= 1.25 * len(text) + 64 * 1024
+
+
+def test_load_ledger_copies_one_line_at_a_time():
+    """Parsing holds the export and one line of it, not a second copy of the
+    whole text as `text.splitlines()` would: the traced peak stays near what
+    the parsed chain keeps."""
+    ledger = wide_ledger()
+    text = bc.export_ledger(ledger)
+    tracemalloc.start()
+    try:
+        loaded = bc.load_ledger(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [b.hash for b in loaded.blocks] == [b.hash for b in ledger.blocks]
+    assert len(text) > 1_000_000
+    assert peak - held <= 0.25 * len(text)
 
 
 def test_append_only_serialization_prefix_stable():

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distb import clustering
 from distb.clustering import Geometry, elect
 from distb.errors import ExhaustedNetworkError
-from distb.topology import (
-    BaseStation,
-    Node,
-    NodeSet,
-    Point3,
-    TopologyParams,
-    euclid,
-    generate_topology,
-)
+from distb.topology import TopologyParams, euclid, generate_topology
+from nodes import BaseStation, Node, NodeSet, Point3, energy_array, generate_node_set, geometry
 
 
 def make_node(nid, x, y, z, energy, area):
@@ -75,9 +69,8 @@ def oracle_clusters(node_set):
 def elect_once(node_set, params=TopologyParams()):
     """`elect` over a fresh Geometry: the (head id, member ids) pairs in election
     order, and the post-charge energies by node list position."""
-    geo = Geometry(node_set)
-    elected, energy = elect(geo, np.array([n.energy for n in node_set.nodes], dtype=float), params)
-    ids = geo.ids.tolist()
+    elected, energy = elect(geometry(node_set), energy_array(node_set), params)
+    ids = [n.id for n in node_set.nodes]
     return [(ids[i], tuple(ids[j] for j in members)) for i, members in elected], energy
 
 
@@ -156,7 +149,7 @@ def test_five_node_fixture_matches_oracle():
 def test_selection_matches_oracle_on_seeded_sets():
     for seed in range(60):
         n = 2 + seed % 9
-        ns = generate_topology(n, 800, seed=seed)
+        ns = generate_node_set(n, 800, seed=seed)
         assert library_clusters(ns) == oracle_clusters(ns)
 
 
@@ -167,7 +160,7 @@ def test_empty_set_rejected():
 
 
 def test_determinism():
-    ns = generate_topology(40, 2500, seed=23)
+    ns = generate_node_set(40, 2500, seed=23)
     a = library_clusters(ns)
     b = library_clusters(ns)
     assert a == b
@@ -175,14 +168,14 @@ def test_determinism():
 
 def test_first_sorted_node_is_head():
     for seed in range(20):
-        ns = generate_topology(15, 1000, seed=seed)
+        ns = generate_node_set(15, 1000, seed=seed)
         first = min(ns.nodes, key=lambda n: sort_key(n, ns))
         assert library_clusters(ns)[0][0] == first.id
 
 
 def test_partition_coverage_dominance_invariants():
     for seed in range(40):
-        ns = generate_topology(30, 1500, seed=seed)
+        ns = generate_node_set(30, 1500, seed=seed)
         by_id = {n.id: n for n in ns.nodes}
         seen = []
         for head_id, members in library_clusters(ns):
@@ -204,7 +197,7 @@ def test_partition_coverage_dominance_invariants():
 
 
 def test_round_with_huge_energy_keeps_selection():
-    ns = generate_topology(20, 1000, seed=3)
+    ns = generate_node_set(20, 1000, seed=3)
     boosted = NodeSet(
         nodes=[Node(n.id, n.location, 1e6 + n.energy, n.area) for n in ns.nodes],
         base_station=ns.base_station,
@@ -213,10 +206,10 @@ def test_round_with_huge_energy_keeps_selection():
 
 
 def test_total_energy_strictly_decreases_until_exhaustion():
-    ns = generate_topology(10, 500, seed=5)
+    ns = generate_node_set(10, 500, seed=5)
     params = TopologyParams(head_cost_j=2.0, tx_cost_j=0.5)
-    geo = Geometry(ns)
-    energy = np.array([n.energy for n in ns.nodes], dtype=float)
+    geo = geometry(ns)
+    energy = energy_array(ns)
     prev = sum(energy.tolist())
     for r in range(10_000):
         try:
@@ -241,12 +234,12 @@ def test_lifetime_matches_independent_energy_ledger():
     # step the library rounds and an independent bookkeeping of the same rules,
     # and require identical rounds-until-first-depletion
     params = TopologyParams(head_cost_j=3.0, tx_cost_j=1.0)
-    ns = generate_topology(20, 800, seed=8)
+    ns = generate_node_set(20, 800, seed=8)
 
     ledger = {n.id: n.energy for n in ns.nodes}
     expected_lifetime = None
-    geo = Geometry(ns)
-    energy = np.array([n.energy for n in ns.nodes], dtype=float)
+    geo = geometry(ns)
+    energy = energy_array(ns)
     for r in range(10_000):
         alive = [replace(n, energy=e) for n, e in zip(ns.nodes, energy.tolist()) if e > 0]
         oracle = oracle_clusters(NodeSet(nodes=alive, base_station=ns.base_station))
@@ -338,10 +331,10 @@ def test_non_finite_coordinate_rejected(bad):
     nodes = [make_node(0, 0.0, 0.0, 0.0, 5.0, 100.0), make_node(1, 10.0, bad, 0.0, 4.0, 100.0)]
     ns = NodeSet(nodes=nodes, base_station=BaseStation(Point3(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        Geometry(ns)
+        geometry(ns)
     good = NodeSet(nodes=nodes[:1], base_station=BaseStation(Point3(bad, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        Geometry(good)
+        geometry(good)
 
 
 # --- one geometry through a whole run ---------------------------------------
@@ -352,8 +345,8 @@ def drive_to_exhaustion(ns, params):
     the network dies. Every round must be oracle_clusters over the nodes still
     alive, with each energy equal to an independent ledger's. Returns the
     number of rounds."""
-    geo = Geometry(ns)
-    energy = np.array([n.energy for n in ns.nodes], dtype=float)
+    geo = geometry(ns)
+    energy = energy_array(ns)
     ids = [n.id for n in ns.nodes]
     ledger = dict(zip(ids, energy.tolist()))
     for r in range(10_000):
@@ -376,7 +369,7 @@ def drive_to_exhaustion(ns, params):
 def test_one_geometry_serves_every_round_of_dense_sets():
     params = TopologyParams(energy_range_j=(5.0, 15.0), head_cost_j=2.0, tx_cost_j=0.5)
     for seed in range(4):
-        ns = generate_topology(60, 700.0, seed=seed, params=params)
+        ns = generate_node_set(60, 700.0, seed=seed, params=params)
         assert drive_to_exhaustion(ns, params) > 5
 
 
@@ -384,3 +377,64 @@ def test_one_geometry_serves_every_round_of_dense_sets():
 @given(node_sets(), st.floats(1.0, 5.0), st.floats(0.5, 2.0))
 def test_one_geometry_serves_every_round_of_tied_and_dead_nodes(ns, head_cost, tx_cost):
     drive_to_exhaustion(ns, TopologyParams(head_cost_j=head_cost, tx_cost_j=tx_cost))
+
+
+# --- strip covers ----------------------------------------------------------
+
+
+@st.composite
+def strip_fields(draw):
+    """Points and radii that stress the x-strips: coordinates on strip edges and
+    one ulp either side, negative ones, distances exactly at a radius, zero radii,
+    and fields whose nodes all share one strip."""
+    n = draw(st.integers(1, 30))
+    radii = draw(st.lists(st.sampled_from([0.0, 1.0, 7.5]) | st.floats(0.0, 60.0), min_size=n, max_size=n))
+    width = max(radii) + 1e-9 * max(max(radii), 1.0)  # the strip width at these extents
+    x0 = draw(st.sampled_from([0.0, -123.25]) | st.floats(-1e4, 1e4))
+    one_strip = draw(st.booleans())
+
+    def x():
+        if one_strip:
+            return x0 + draw(st.floats(0.0, 0.999)) * width
+        edge = x0 + draw(st.integers(-1, 6)) * width
+        return draw(st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]))
+
+    other = st.sampled_from([0.0, -1.0, 3.0]) | st.floats(-100.0, 100.0)
+    points = [Point3(x0, draw(other), draw(other))] + [Point3(x(), draw(other), draw(other)) for _ in range(n - 1)]
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    radii[a] = draw(st.sampled_from([euclid(points[a], points[b]), math.nextafter(euclid(points[a], points[b]), math.inf)]))
+    return points, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(strip_fields())
+def test_strip_covers_equal_brute_force_scalar_covers(field):
+    points, radii = field
+    x, y, z = (np.array(axis) for axis in zip(*points))
+    geo = Geometry(x, y, z, np.array(radii), (0.0, 0.0, 0.0))
+    for i, (p, r) in enumerate(zip(points, radii)):
+        brute = [j for j, q in enumerate(points) if j != i and euclid(p, q) < r]
+        assert sorted(geo.cover(i)) == brute, i
+
+
+def test_sparse_round_reads_distances_linear_in_nodes(monkeypatch):
+    # Area 10^7 m: every node heads in round 0 and finds its cover. A distance
+    # row over all nodes per cover read n^2 elements; strips read a few per node.
+    n = 20_000
+    x, y, z, energy, area, bs = generate_topology(n, 1e7, seed=1)
+    geo = Geometry(x, y, z, area, bs)
+    read = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def sqrt(a):
+            read.append(np.size(a))
+            return np.sqrt(a)
+
+    monkeypatch.setattr(clustering, "np", CountingNumpy())
+    elected, _ = elect(geo, energy, TopologyParams())
+    assert len(elected) > 0.99 * n
+    assert 0 < sum(read) <= 10 * n
