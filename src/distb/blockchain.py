@@ -502,21 +502,17 @@ def append_block(ledger: Ledger, block: Block) -> None:
 
 
 def validate_chain(ledger: Ledger) -> tuple[bool, int | None]:
-    """Recompute every digest and linkage. Returns (ok, first bad index or None)."""
+    """Check each block's txs, then append it to a fresh chain. Returns (ok, first bad index or None)."""
     if not ledger.blocks:
         return False, 0
-    seen: set[bytes] = set()
-    prev = ZERO_HASH
+    chain = Ledger()
     for i, block in enumerate(ledger.blocks):
-        if block.index != i or block.prev_hash != prev:
+        if any(check_tx(tx) is not None for tx in block.tx_list):
             return False, i
-        for tx in block.tx_list:
-            if check_tx(tx) is not None or tx.tx_id in seen:
-                return False, i
-            seen.add(tx.tx_id)
-        if check_block(block) is not None:
+        try:
+            append_block(chain, block)
+        except (ForkRejectedError, SealInvalidError, DuplicateTransactionError):
             return False, i
-        prev = block.hash
     return True, None
 
 
@@ -651,13 +647,15 @@ def export_ledger(ledger: Ledger) -> str:
     return text
 
 
-def load_ledger(text: str) -> Ledger:
-    """One block per non-blank line, found by `str.find` so that only one line is
-    copied at a time: `text.splitlines()` would hold a second copy of the export."""
-    blocks, start = [], 0
+def text_lines(text: str):
+    """Each line of `text` with its newline, copied one at a time (`text.splitlines()` copies all at once)."""
+    start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
-        line, start = text[start:end], end
-        if line.strip():
-            blocks.append(block_from_dict(json.loads(line)))
-    return Ledger(blocks=blocks)
+        yield text[start:end]
+        start = end
+
+
+def load_ledger(text: str) -> Ledger:
+    """One block per non-blank line of `text` (see `text_lines`)."""
+    return Ledger(blocks=[block_from_dict(json.loads(line)) for line in text_lines(text) if line.strip()])

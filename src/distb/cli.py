@@ -280,7 +280,7 @@ def cmd_validate_chain(args) -> int:
     ok, bad_index = bc.validate_chain(ledger)
     note = ""
     if ok:  # a valid chain must also be its one canonical export, line for line
-        lines = zip_longest(text.splitlines(keepends=True), bc.ledger_lines(ledger))
+        lines = zip_longest(bc.text_lines(text), bc.ledger_lines(ledger))
         bad_index = next((i for i, (got, canonical) in enumerate(lines) if got != canonical), None)
         note = " (not canonical)"
     if bad_index is None:

@@ -12,8 +12,8 @@ head_cost + tx_cost * len(members), a member pays tx_cost. Depleted nodes
 drop out of later rounds. Only energy changes between rounds, so a run builds
 one `Geometry` (coordinates, distances to the base station, and each node's
 cover, found the first time it heads) and each round maps an energy array to
-the next. Every distance kept or compared against a radius still uses the
-scalar formula of `topology.euclid`, so it matches that bit for bit.
+the next. Every distance is one numpy expression (`_distances`) with the bits
+of the scalar `topology.euclid`, since both square by multiplication.
 """
 
 from __future__ import annotations
@@ -23,60 +23,60 @@ from array import array
 import numpy as np
 
 from .errors import ExhaustedNetworkError
-from .topology import TopologyParams, euclid
+from .topology import TopologyParams
 
-# Candidate band around a head's radius (metres, relative above 1 m): far
-# wider than the rounding gap between numpy's squares and libm's pow.
+# Strip-width margin over the largest radius (metres, relative above 1 m): far wider than
+# the rounding of a strip index, so no cover reaches past the strips beside its head's.
 _BAND = 1e-9
 _MAX_STRIPS = 2**16  # so a strip index rounds by under 1e-10 of a strip, far inside the band
 
 
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances between the (x, y, z) columns of p and q, broadcast, each with `euclid`'s bits."""
+    d = p - q
+    d *= d
+    return np.sqrt(d[0] + d[1] + d[2])
+
+
 class Geometry:
-    """What every round of a run shares, by node id (array position): points, radii,
+    """What every round of a run shares, by node id (array position): coordinates, radii,
     distances to the base station, and covers, from `generate_topology`'s x, y, z
     and radius arrays and base station. Raises ValueError on a non-finite coordinate.
 
     Covers come from x-strips, fixed-radius near-neighbour bucketing (Bentley,
     Stanat & Williams, Information Processing Letters 6(6), 1977): strips as wide
-    as the largest banded radius hold every node within a radius of node i in i's
-    strip or one beside it, one slice of the strip-sorted coordinates. The strips
-    stay balanced because `generate_topology` draws x uniformly over a square, so
-    a sparse field, where most nodes head, reads O(n) distances rather than O(n^2).
+    as the largest radius (plus _BAND) hold every node within a radius of node i
+    in i's strip or one beside it, one slice of the strip-sorted coordinates. The
+    strips stay balanced because `generate_topology` draws x uniformly over a square,
+    so a sparse field, where most nodes head, reads O(n) distances rather than O(n^2).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, area: np.ndarray, bs: tuple):
-        xyz = np.array([x, y, z], dtype=float).reshape(3, -1)
-        if not (np.isfinite(xyz).all() and np.isfinite(bs).all()):
+        self.xyz = np.array([x, y, z], dtype=float).reshape(3, -1)
+        if not (np.isfinite(self.xyz).all() and np.isfinite(bs).all()):
             raise ValueError("clustering requires finite coordinates")
-        self.points = list(zip(*xyz.tolist()))
-        self.areas = np.asarray(area, dtype=float).tolist()
-        self.dist_bs = np.array([euclid(p, bs) for p in self.points], dtype=float)
-        self.covers: list[array | None] = [None] * len(self.points)
-        if not self.points:
+        self.area = np.asarray(area, dtype=float)
+        self.dist_bs = _distances(self.xyz, np.reshape(bs, (3, 1)))
+        self.covers: list[array | None] = [None] * len(self.area)
+        if not len(self.area):
             return
-        reach = max(self.areas)
-        width = max(reach + _BAND * max(reach, 1.0), float(np.ptp(xyz[0])) / _MAX_STRIPS, _BAND)
-        strip = np.floor((xyz[0] - xyz[0].min()) / width).astype(np.int64)
-        self.by_strip = np.argsort(strip, kind="stable")  # node ids, strip by strip
-        self.strip_xyz = xyz[:, self.by_strip]
+        reach = float(self.area.max())
+        width = max(reach + _BAND * max(reach, 1.0), float(np.ptp(self.xyz[0])) / _MAX_STRIPS, _BAND)
+        self.strip = np.floor((self.xyz[0] - self.xyz[0].min()) / width).astype(np.int64)
+        self.by_strip = np.argsort(self.strip, kind="stable")  # node ids, strip by strip
+        self.strip_xyz = self.xyz[:, self.by_strip]
         # starts[s + 1]: the first strip-sorted position in strip s or later, for s = -1 .. last strip + 2.
-        self.starts = np.searchsorted(strip[self.by_strip], np.arange(-1, strip.max() + 3)).tolist()
-        self.strip = strip.tolist()
+        self.starts = np.searchsorted(self.strip[self.by_strip], np.arange(-1, self.strip.max() + 3)).tolist()
 
     def cover(self, i: int) -> array:
-        """The other ids strictly inside node i's radius: a vector distance row over
-        i's strip and the two beside it finds them within _BAND, and the scalar
-        `euclid` confirms each (numpy's squares can round one ulp away from libm's
-        pow); __init__ has checked every point finite."""
+        """The other ids strictly inside node i's radius, from one distance row over its strip and the two beside it."""
         cover = self.covers[i]
         if cover is None:
             s = self.strip[i]
             lo, hi = self.starts[s], self.starts[s + 3]
-            x, y, z = self.strip_xyz[:, lo:hi]
-            p, area, points = self.points[i], self.areas[i], self.points
-            d = np.sqrt(((p[0] - x) ** 2 + (p[1] - y) ** 2) + (p[2] - z) ** 2)
-            near = self.by_strip[lo:hi][d < area + _BAND * max(area, 1.0)].tolist()
-            cover = array("i", [j for j in near if j != i and euclid(p, points[j]) < area])
+            d = _distances(self.xyz[:, i, None], self.strip_xyz[:, lo:hi])
+            near = self.by_strip[lo:hi][d < self.area[i]]
+            cover = array("i", near[near != i].tolist())
             self.covers[i] = cover
         return cover
 

@@ -20,8 +20,8 @@ from .topology import TopologyParams
 
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
-# Five float64 draws per node, and a point, strip and cover in the clustering Geometry: a sparse field at the
-# cap, where every node heads, runs its first round in about 25 s and 720 MB.
+# Five float64 draws per node, and in the clustering Geometry two copies of its coordinates, its strip and its
+# cover: a sparse field at the cap, where every node heads, runs its first round in 17-28 s and about 500 MB.
 MAX_NODES = 10**6
 # Expected sensor packets per run, held as three int32 arrays. The link stage peaks near 35 B per arrival
 # in of-baseline mode and 57 B in distb mode, 16 B of it the int32 delivered log (tracemalloc, 60 000 arrivals).

@@ -32,9 +32,11 @@ DEFAULT_PARAMS = TopologyParams()
 
 
 def euclid(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
-    """Euclidean distance between two (x, y, z) points. It does not check them:
-    `clustering.Geometry` refuses non-finite coordinates before any is used."""
-    return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2)
+    """Euclidean distance between two (x, y, z) points. Squares are products, not `** 2`: IEEE 754
+    requires `-`, `*`, `+` and `sqrt` to round correctly but not pow, so the result is exact IEEE
+    arithmetic, the same on every platform and libm and in `clustering.Geometry`'s numpy rows."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def generate_topology(n: int, area_side: float, seed: int, params: TopologyParams = DEFAULT_PARAMS):

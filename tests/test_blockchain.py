@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from distb import blockchain as bc
 from distb.calibration import load_default
+from distb.cli import EXIT_OK, main
 from distb.errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
 
 
@@ -558,6 +559,32 @@ def test_load_ledger_copies_one_line_at_a_time():
     assert [b.hash for b in loaded.blocks] == [b.hash for b in ledger.blocks]
     assert len(text) > 1_000_000
     assert peak - held <= 0.25 * len(text)
+
+
+def test_validate_chain_command_reads_the_export_one_line_at_a_time(tmp_path, monkeypatch):
+    """`distb validate-chain` compares the file with the canonical export line by
+    line: past the chain check, the traced peak stays far below the export's
+    length, where `text.splitlines()` would add a second copy of it."""
+    text = bc.export_ledger(wide_ledger())
+    path = tmp_path / "ledger.ndjson"
+    path.write_text(text)
+    validate, held = bc.validate_chain, []
+
+    def validate_then_reset_peak(ledger):
+        result = validate(ledger)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(bc, "validate_chain", validate_then_reset_peak)
+    tracemalloc.start()
+    try:
+        assert main(["validate-chain", str(path)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert peak - held[0] <= 0.25 * len(text)
 
 
 def test_append_only_serialization_prefix_stable():

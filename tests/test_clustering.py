@@ -39,8 +39,11 @@ def oracle_clusters(node_set):
         }
         for n in node_set.nodes
     ]
+    # Squares by multiplication, as `euclid` takes them: the node sets put nodes
+    # exactly on a radius, where `** 2` (libm's pow) can round one ulp apart.
+    square = lambda d: d * d
     for n in arr:
-        n["dist"] = math.sqrt((n["x"] - bs.x) ** 2 + (n["y"] - bs.y) ** 2 + (n["z"] - bs.z) ** 2)
+        n["dist"] = math.sqrt(square(n["x"] - bs.x) + square(n["y"] - bs.y) + square(n["z"] - bs.z))
     key = lambda n: (-n["energy"], n["dist"], n["id"])
     for i in range(len(arr)):  # exhaustive selection sort
         m = i
@@ -58,7 +61,7 @@ def oracle_clusters(node_set):
             o = arr[j]
             if o["head"] or o["member"]:
                 continue
-            d = math.sqrt((n["x"] - o["x"]) ** 2 + (n["y"] - o["y"]) ** 2 + (n["z"] - o["z"]) ** 2)
+            d = math.sqrt(square(n["x"] - o["x"]) + square(n["y"] - o["y"]) + square(n["z"] - o["z"]))
             if d < n["area"]:
                 o["member"] = True
                 members.append(o["id"])
@@ -300,25 +303,25 @@ def test_array_round_matches_oracle_and_energy_ledger(ns, head_cost, tx_cost):
     assert energy.tolist() == [ledger[n.id] for n in ns.nodes]
 
 
-def radius_pairs():
-    """(head, other) point pairs on which the vector distance and `euclid`
-    disagree (numpy's squares can round one ulp away from libm's pow), then
-    20 on which they agree."""
-    rng = np.random.default_rng(11)
-    a = rng.uniform(0.0, 2500.0, (20_000, 6))
-    vec = np.sqrt(((a[:, 0] - a[:, 3]) ** 2 + (a[:, 1] - a[:, 4]) ** 2) + (a[:, 2] - a[:, 5]) ** 2)
-    rows = [
-        row for row, v in zip(a.tolist(), vec.tolist()) if v != euclid(Point3(*row[:3]), Point3(*row[3:]))
-    ]
-    return [(Point3(*row[:3]), Point3(*row[3:])) for row in rows + a[:20].tolist()]
+PAIRS = np.random.default_rng(11).uniform(0.0, 2500.0, (20_000, 6))  # (head, other) points, one pair a row
+
+
+def test_vector_distance_equals_euclid():
+    # Geometry computes every distance with one vector expression, and it squares
+    # by multiplication as `euclid` does, so each element has `euclid`'s bits.
+    vec = clustering._distances(PAIRS[:, :3].T, PAIRS[:, 3:].T)
+    assert vec.tolist() == [euclid(row[:3], row[3:]) for row in PAIRS.tolist()]
 
 
 def test_membership_at_the_radius_follows_scalar_distance():
-    # On the pairs where the vector distance and `euclid` disagree above
-    # all, a candidate exactly on the head's radius must stay out and one just
-    # inside must join, in the first round and in every later one that reuses
-    # the cover.
-    for head, other in radius_pairs():
+    # A candidate exactly on the head's radius must stay out and one just inside
+    # must join, in the first round and in every later one that reuses the cover:
+    # above all on the pairs where squares by `** 2` (libm's pow) round apart.
+    pow_distance = lambda r: math.sqrt((r[0] - r[3]) ** 2 + (r[1] - r[4]) ** 2 + (r[2] - r[5]) ** 2)
+    pow_apart = [r for r in PAIRS.tolist() if pow_distance(r) != euclid(r[:3], r[3:])]
+    assert pow_apart
+    for row in pow_apart + PAIRS[:20].tolist():
+        head, other = Point3(*row[:3]), Point3(*row[3:])
         r = euclid(head, other)
         for area, members in ((r, ()), (math.nextafter(r, math.inf), (1,))):
             ns = make_set([Node(0, head, 9.0, area), Node(1, other, 1.0, 1.0)])
