@@ -21,11 +21,14 @@ print(f"placed {len(x)} nodes; base station at ({bs[0]:.0f}, {bs[1]:.0f}, {bs[2]
 geo = Geometry(x, y, z, area, bs)
 
 # One election: sort by (energy desc, distance-to-BS asc, id) and scan.
-# A round also charges energy; this look keeps only the election.
-elected, _ = elect(geo, energy, TopologyParams())
-print(f"\nround 0 elects {len(elected)} cluster heads:")
-for head, members in elected[:5]:
-    print(f"  head {head:2d} with {len(members)} members")
+# It returns the live ids in that rank order and each node's head (a head
+# is its own). A round also charges energy; this look keeps only the election.
+(order, head), _ = elect(geo, energy, TopologyParams())
+heads = [i for i in order if head[i] == i]
+size = np.bincount([head[i] for i in order])  # each cluster's size, head included
+print(f"\nround 0 elects {len(heads)} cluster heads:")
+for h in heads[:5]:
+    print(f"  head {h:2d} with {size[h] - 1} members")
 print("  ...")
 
 # Heads pay for aggregation and the uplink, members for one transmission.
@@ -35,14 +38,15 @@ params = TopologyParams(head_cost_j=4.0, tx_cost_j=0.5)
 round_no = 0
 while True:
     try:
-        elected, energy = elect(geo, energy, params)
+        (order, head), energy = elect(geo, energy, params)
     except ExhaustedNetworkError:
         print(f"\nnetwork exhausted after {round_no} rounds")
         break
     alive = int(np.count_nonzero(energy > 0.0))
     if round_no % 5 == 0 or alive < 50:
         total = sum(energy.tolist())
-        print(f"round {round_no:3d}: heads={len(elected):2d} "
+        n_heads = sum(head[i] == i for i in order)
+        print(f"round {round_no:3d}: heads={n_heads:2d} "
               f"alive={alive:2d} total_energy={total:8.1f} J")
     if alive == 0:
         break

@@ -436,16 +436,17 @@ def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
 
 @dataclass
 class Ledger:
-    """Append-only chain. `id_keys` holds the id key (first 8 bytes, see
-    `TxBatch.id_keys`) of every tx of `blocks`, so the duplicate check on
-    append is O(1) over long runs; `is_committed` confirms a key against
-    the full ids, so the check stays exact."""
+    """Append-only chain. `is_committed` confirms an `id_keys` hit against
+    the full ids, so the duplicate check on append is O(1) over long runs
+    and stays exact."""
 
     blocks: list[Block] = field(default_factory=list)
-    id_keys: set[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.id_keys = {k for b in self.blocks for k in b.tx_list.id_keys()}
+    @functools.cached_property
+    def id_keys(self) -> set[int]:
+        """The id key (first 8 bytes, see `TxBatch.id_keys`) of every tx of `blocks`,
+        built on first use: a loaded chain that is only validated never builds it."""
+        return {k for b in self.blocks for k in b.tx_list.id_keys()}
 
     @property
     def tip_hash(self) -> bytes:

@@ -5,10 +5,11 @@ composite order (energy descending, distance to the base station ascending,
 id ascending). The first unassigned node becomes a head; every later
 unassigned node strictly inside the head's coverage radius becomes its member.
 Heads therefore never have less energy than their members, and member
-assignment is first-wins.
+assignment is first-wins. `elect` returns that rank order and each node's
+head, so a cluster is a head and, in rank order, the nodes that map to it.
 
 After the election the round charges energy: a head pays
-head_cost + tx_cost * len(members), a member pays tx_cost. Depleted nodes
+head_cost + tx_cost * (its member count), a member pays tx_cost. Depleted nodes
 drop out of later rounds. Only energy changes between rounds, so a run builds
 one `Geometry` (coordinates, distances to the base station, and each node's
 cover, found the first time it heads) and each round maps an energy array to
@@ -57,7 +58,7 @@ class Geometry:
             raise ValueError("clustering requires finite coordinates")
         self.area = np.asarray(area, dtype=float)
         self.dist_bs = _distances(self.xyz, np.reshape(bs, (3, 1)))
-        self.covers: list[array | None] = [None] * len(self.area)
+        self.covers: list[array | tuple | None] = [None] * len(self.area)
         if not len(self.area):
             return
         reach = float(self.area.max())
@@ -68,25 +69,26 @@ class Geometry:
         # starts[s + 1]: the first strip-sorted position in strip s or later, for s = -1 .. last strip + 2.
         self.starts = np.searchsorted(self.strip[self.by_strip], np.arange(-1, self.strip.max() + 3)).tolist()
 
-    def cover(self, i: int) -> array:
-        """The other ids strictly inside node i's radius, from one distance row over its strip and the two beside it."""
+    def cover(self, i: int) -> array | tuple:
+        """The other ids strictly inside node i's radius, from one distance row over its strip and
+        the two beside it. Every empty cover is the one shared `()`, as most are in a sparse field."""
         cover = self.covers[i]
         if cover is None:
             s = self.strip[i]
             lo, hi = self.starts[s], self.starts[s + 3]
             d = _distances(self.xyz[:, i, None], self.strip_xyz[:, lo:hi])
             near = self.by_strip[lo:hi][d < self.area[i]]
-            cover = array("i", near[near != i].tolist())
+            near = near[near != i]
+            cover = array("i", near.tolist()) if len(near) else ()
             self.covers[i] = cover
         return cover
 
 
-def elect(
-    geo: Geometry, energy: np.ndarray, params: TopologyParams
-) -> tuple[list[tuple[int, list[int]]], np.ndarray]:
-    """One clustering epoch over per-node energies: sort, elect, charge. Returns the
-    (head, members) ids in election order, members in rank order, and the post-charge
-    energies (depleted nodes are left out and keep theirs). Raises
+def elect(geo: Geometry, energy: np.ndarray, params: TopologyParams) -> tuple[tuple[list[int], list[int]], np.ndarray]:
+    """One clustering epoch over per-node energies: sort, elect, charge. Returns
+    (order, head) and the post-charge energies. `order` is the live ids in rank
+    order; `head[i]` is node i's head id, i itself for a head and for a depleted
+    node (which is not in `order` and keeps its energy). Raises
     ExhaustedNetworkError when none is alive.
     """
     alive = ~(energy <= 0.0)
@@ -106,11 +108,7 @@ def elect(
             for j in geo.cover(i):
                 if head[j] < 0:
                     head[j] = i
-    members = {i: [] for i in heads}
-    for j in order:
-        if head[j] != j:
-            members[head[j]].append(j)
 
     cost = np.where(alive, params.tx_cost_j, 0.0)
-    cost[heads] = params.head_cost_j + params.tx_cost_j * np.array([len(m) for m in members.values()], dtype=float)
-    return list(members.items()), np.where(alive, np.maximum(0.0, energy - cost), energy)
+    cost[heads] = params.head_cost_j + params.tx_cost_j * (np.bincount(head)[heads] - 1.0)  # a head counts itself
+    return (order, head), np.where(alive, np.maximum(0.0, energy - cost), energy)

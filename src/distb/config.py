@@ -21,7 +21,7 @@ from .topology import TopologyParams
 MODES = ("distb", "of-baseline")
 MAX_PACKET_BYTES = 65_535  # the largest IPv4 packet
 # Five float64 draws per node, and in the clustering Geometry two copies of its coordinates, its strip and its
-# cover: a sparse field at the cap, where every node heads, runs its first round in 17-28 s and about 500 MB.
+# cover (one shared `()` if empty): a sparse field at the cap, where every node heads, runs in 10 s and 250 MB.
 MAX_NODES = 10**6
 # Expected sensor packets per run, held as three int32 arrays. The link stage peaks near 35 B per arrival
 # in of-baseline mode and 57 B in distb mode, 16 B of it the int32 delivered log (tracemalloc, 60 000 arrivals).
@@ -36,8 +36,8 @@ MAX_SEAL_HASHES = 2**31  # expected pow hashes per run; the default run needs ab
 MAX_ATTACK_BATCHES = 10**6  # attack sources x windows; a flood-detector pass sorts at most one int64 key each
 MAX_ATTACK_SOURCES = 1_000  # attack sources per run, the most the tests cover; a block costs one drop-table probe
 MAX_STEPS = 10**6  # settlement windows, and clustering rounds, per run; the default run has 5 000 and 50
-# node_count x clustering rounds per run. At 100 000 nodes in 2 500 m the first ten rounds cost about 4.1 us a
-# node-round, mostly finding covers, and later ones 0.7 us, so capped work takes under 3.5 minutes; the cap is
+# node_count x clustering rounds per run. At 100 000 nodes in 2 500 m the first ten rounds, which find the
+# covers, and the next ten each cost about 0.8 us a node-round, so capped work takes under a minute; the cap is
 # MAX_NODES at the default horizon's 50 rounds, which the tests validate.
 MAX_NODE_ROUNDS = 5 * 10**7
 WINDOW_MS = 100  # the engine's settlement window; each attack source sends one batch per window

@@ -60,3 +60,15 @@ def geometry(node_set: NodeSet) -> Geometry:
 
 def energy_array(node_set: NodeSet) -> np.ndarray:
     return np.array([n.energy for n in node_set.nodes], dtype=float)
+
+
+def clusters(order: list[int], head: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """`elect`'s (order, head) as (head id, member ids) pairs: heads in election
+    order, members in rank order. A head ranks before its members."""
+    members: dict[int, list[int]] = {}
+    for i in order:
+        if head[i] == i:
+            members[i] = []
+        else:
+            members[head[i]].append(i)
+    return [(i, tuple(m)) for i, m in members.items()]

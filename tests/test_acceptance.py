@@ -32,7 +32,7 @@ from distb.simulator import (
     run_raw,
 )
 from distb.topology import TopologyParams
-from nodes import energy_array, generate_node_set, geometry
+from nodes import clusters, energy_array, generate_node_set, geometry
 
 TABLES = load_reference_tables()
 
@@ -82,7 +82,7 @@ def engine_clusters(node_set):
     """The engine's election, `elect` over the run's Geometry, as (head id, member ids) pairs."""
     elected, _ = elect(geometry(node_set), energy_array(node_set), TopologyParams())
     ids = [n.id for n in node_set.nodes]
-    return [(ids[i], tuple(ids[j] for j in members)) for i, members in elected]
+    return [(ids[i], tuple(ids[j] for j in members)) for i, members in clusters(*elected)]
 
 
 def test_criterion_1_chs_oracle_equivalence():

@@ -587,6 +587,26 @@ def test_validate_chain_command_reads_the_export_one_line_at_a_time(tmp_path, mo
     assert peak - held[0] <= 0.25 * len(text)
 
 
+def test_validating_a_loaded_chain_reads_each_blocks_id_keys_once(monkeypatch):
+    """`load_ledger` then `validate_chain` reads each block's id keys once, for the
+    fresh chain that validation appends to: the loaded ledger builds no key set
+    of its own until something asks it."""
+    text = bc.export_ledger(fresh_chain(4, difficulty=0))
+    id_keys, reads = bc.TxBatch.id_keys, []
+
+    def counted(batch):
+        reads.append(batch)
+        return id_keys(batch)
+
+    monkeypatch.setattr(bc.TxBatch, "id_keys", counted)
+    loaded = bc.load_ledger(text)
+    assert bc.validate_chain(loaded) == (True, None)
+    assert len(reads) == len(loaded.blocks)
+    assert "id_keys" not in vars(loaded)
+    assert loaded.is_committed(loaded.blocks[-1].tx_list[0].tx_id)
+    assert len(reads) == 2 * len(loaded.blocks)
+
+
 def test_append_only_serialization_prefix_stable():
     ledger = fresh_chain(3, difficulty=0)
     before = bc.export_ledger(ledger)
