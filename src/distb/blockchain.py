@@ -28,14 +28,14 @@ A run's transactions live in one append-only column store, `TxColumns`:
 ids and checksums 32 bytes per row in one `bytearray` each, every payload
 in one `bytearray` with an `array` of end offsets, timestamps in an
 `array`, sensor ids as references to the run's shared name strings, and one
-destination. With its blocks and the chain's id-key set that holds about
-220 B per committed transaction, where a named tuple of bytes objects per
-transaction held about 385 B (`config.py` states the measured figures). A
-block's `tx_list` is a
-`TxBatch`, a view of rows lo..hi of a store that reads as a sequence of
+destination. With its blocks that holds about 150 B per committed
+transaction, where a named tuple of bytes objects per transaction held
+about 385 B (`config.py` states the measured figures). A block's `tx_list`
+is a `TxBatch`, a view of rows lo..hi of a store that reads as a sequence of
 `Transaction` named tuples built on demand. A block built from outside the
 engine (loaded, replaced or sealed over a list of transactions) copies its
-transactions into a store of its own through `TxBatch.of`.
+transactions into a store of its own through `TxBatch.of`, which refuses a
+value its column cannot hold.
 
 JSON forms (display transaction, newline-delimited ledger export) are for
 humans and files only; they are never hashed.
@@ -52,13 +52,15 @@ import random
 import struct
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
+import numpy as np
+
+from .errors import EmptyBlockError, ForkRejectedError, SealInvalidError
 
 try:  # CPython's built-in SHA-256, for mine_block's midstate copies
     from _sha2 import sha256 as _builtin_sha256  # 3.12+
@@ -74,7 +76,6 @@ _pack_u64 = struct.Struct(">Q").pack
 _PACKED_NONCES = tuple(map(_pack_u64, range(1 << 10)))  # the nonces most seals stop within
 _pack_2u64 = struct.Struct(">QQ").pack
 _TX_PREFIX_CACHE = 1 << 14  # (sensor, destination) pairs whose body prefix is kept
-_ID_KEYS = struct.Struct(">Q24x").iter_unpack  # the id key of each 32-byte id in a run of them
 _HEX_CHUNK = 1024  # rows the ledger export hexes at once
 
 
@@ -126,21 +127,18 @@ def tx_body_bytes(sensor_id: str, destination: str, timestamp: int, payload: byt
 
 class TxColumns:
     """One run's transactions, a column per field, append-only (see the module
-    docstring). `append` builds rows; a `TxBatch` reads them back.
-
-    A store that `TxBatch.of` fills from outside the engine holds a plain
-    tuple of a column's values where one of them does not fit the column: an
-    id or checksum that is not 32 bytes, a timestamp that is not a u64 int,
-    or rows of more than one destination."""
+    docstring). `append` builds rows; a `TxBatch` reads them back. A store
+    that `TxBatch.of` fills with rows of more than one destination holds a
+    tuple of them, one per row."""
 
     __slots__ = ("ids", "sums", "payloads", "ends", "times", "sensors", "destination")
 
     def __init__(self, destination: str):
-        self.ids = bytearray()  # or a tuple of bytes
-        self.sums = bytearray()  # or a tuple of bytes
+        self.ids = bytearray()
+        self.sums = bytearray()
         self.payloads = bytearray()
         self.ends = array("Q", [0])  # row i's payload is payloads[ends[i]:ends[i + 1]]
-        self.times = array("Q")  # or a tuple of ints
+        self.times = array("Q")
         self.sensors: list[str] = []
         self.destination = destination  # or a tuple of str, one per row
 
@@ -171,20 +169,12 @@ class TxColumns:
         return TxBatch(self, lo, len(sensors))
 
 
-def _cells(col, lo: int, hi: int, hexed: bool) -> list:
-    """Rows lo..hi of an id or checksum column, as bytes or as lowercase hex;
-    a bytearray column is sliced, and hexed, once."""
-    if type(col) is tuple:
-        return [v.hex() for v in col[lo:hi]] if hexed else list(col[lo:hi])
+def _cells(col: bytearray, lo: int, hi: int, hexed: bool) -> list:
+    """Rows lo..hi of an id or checksum column, as bytes or as lowercase hex; the column is sliced, and hexed, once."""
     if hexed:
         return col[32 * lo : 32 * hi].hex(" ", 32).split()  # a space after every 32 bytes, then cut there
     run = bytes(col[32 * lo : 32 * hi])
     return [run[k : k + 32] for k in range(0, len(run), 32)]
-
-
-def _column32(values: tuple):
-    """An id or checksum column: the values in one bytearray, or the plain tuple if one is not 32 bytes."""
-    return bytearray().join(values) if all(type(v) is bytes and len(v) == 32 for v in values) else values
 
 
 class TxBatch(Sequence):
@@ -198,19 +188,18 @@ class TxBatch(Sequence):
 
     @classmethod
     def of(cls, txs) -> TxBatch:
-        """`txs` itself if it is a batch, else its transactions copied into a store of their own."""
+        """`txs` if a batch, else its transactions copied to a store of their own (ValueError if one fits no column)."""
         if type(txs) is TxBatch:
             return txs
         txs = tuple(txs)
         tx_ids, sensor_ids, dests, timestamps, payloads, sums = tuple(zip(*txs)) or ((),) * 6
+        if any(len(v) != 32 for v in chain(tx_ids, sums)) or not all(0 <= t < 1 << 64 for t in timestamps):
+            raise ValueError("a tx id or checksum that is not 32 bytes, or a timestamp outside the u64 range")
         cols = TxColumns(dests[0] if len(set(dests)) == 1 else dests)
-        cols.ids, cols.sums = _column32(tx_ids), _column32(sums)
+        cols.ids, cols.sums = bytearray().join(tx_ids), bytearray().join(sums)
         cols.payloads = bytearray().join(payloads)
         cols.ends = array("Q", accumulate(map(len, payloads), initial=0))
-        if all(type(t) is int and 0 <= t < 1 << 64 for t in timestamps):
-            cols.times = array("Q", timestamps)
-        else:
-            cols.times = timestamps
+        cols.times = array("Q", timestamps)
         cols.sensors = list(sensor_ids)
         return cls(cols, 0, len(txs))
 
@@ -241,20 +230,9 @@ class TxBatch(Sequence):
     def __iter__(self):
         return map(functools.partial(tuple.__new__, Transaction), self.rows(hexed=False))
 
-    def ids(self) -> list[bytes]:
-        return _cells(self.cols.ids, self.lo, self.hi, False)
-
-    def id_run(self) -> bytes | bytearray:
+    def id_run(self) -> bytearray:
         """The rows' tx ids joined, as a block header carries them: one slice of the id column."""
-        ids = self.cols.ids
-        return b"".join(ids[self.lo : self.hi]) if type(ids) is tuple else ids[32 * self.lo : 32 * self.hi]
-
-    def id_keys(self) -> list[int]:
-        """Each row's id key: its tx id's first 8 bytes as a big-endian int."""
-        ids = self.cols.ids
-        if type(ids) is tuple:
-            return [_id_key(i) for i in ids[self.lo : self.hi]]
-        return [k for k, in _ID_KEYS(ids[32 * self.lo : 32 * self.hi])]
+        return self.cols.ids[32 * self.lo : 32 * self.hi]
 
     def __eq__(self, other):
         if not isinstance(other, TxBatch):
@@ -266,10 +244,6 @@ class TxBatch(Sequence):
 
     def __repr__(self) -> str:
         return f"TxBatch({list(self)!r})"
-
-
-def _id_key(tx_id: bytes) -> int:
-    return int.from_bytes(tx_id[:8], "big")
 
 
 def make_transactions(rows, destination: str) -> list[Transaction]:
@@ -436,26 +410,13 @@ def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
 
 @dataclass
 class Ledger:
-    """Append-only chain. `is_committed` confirms an `id_keys` hit against
-    the full ids, so the duplicate check on append is O(1) over long runs
-    and stays exact."""
+    """Append-only chain: its blocks and nothing else (see `append_block`)."""
 
     blocks: list[Block] = field(default_factory=list)
-
-    @functools.cached_property
-    def id_keys(self) -> set[int]:
-        """The id key (first 8 bytes, see `TxBatch.id_keys`) of every tx of `blocks`,
-        built on first use: a loaded chain that is only validated never builds it."""
-        return {k for b in self.blocks for k in b.tx_list.id_keys()}
 
     @property
     def tip_hash(self) -> bytes:
         return self.blocks[-1].hash if self.blocks else ZERO_HASH
-
-    def is_committed(self, tx_id: bytes) -> bool:
-        """Whether a tx with this id is on the chain. Only a key hit reads the
-        blocks' full ids: a repeat, or two ids that share their first 8 bytes."""
-        return _id_key(tx_id) in self.id_keys and any(tx_id in b.tx_list.ids() for b in self.blocks)
 
 
 def check_block(block: Block) -> str | None:
@@ -480,41 +441,62 @@ def check_block(block: Block) -> str | None:
     return None
 
 
+def extends(block: Block, height: int, tip_hash: bytes) -> bool:
+    """The one link check: whether `block` is block `height` of a chain whose tip hash is `tip_hash`."""
+    return block.prev_hash == tip_hash and block.index == height
+
+
 def append_block(ledger: Ledger, block: Block) -> None:
-    """Extend the chain; rejects forks, bad seals and any tx committed before
-    or carried twice."""
-    if block.prev_hash != ledger.tip_hash or block.index != len(ledger.blocks):
-        raise ForkRejectedError(
-            f"block {block.index} does not extend tip at height {len(ledger.blocks)}"
-        )
+    """Extend the chain; rejects forks and bad seals (`validate_chain` checks transactions chain-wide)."""
+    if not extends(block, len(ledger.blocks), ledger.tip_hash):
+        raise ForkRejectedError(f"block {block.index} does not extend tip at height {len(ledger.blocks)}")
     reason = check_block(block)
     if reason is not None:
         raise SealInvalidError(reason)
-    txs = block.tx_list
-    keys = txs.id_keys()
-    if not ledger.id_keys.isdisjoint(keys):  # a key hit: confirm it against the full ids
-        for tx_id in txs.ids():
-            if ledger.is_committed(tx_id):
-                raise DuplicateTransactionError(f"tx {tx_id.hex()} already committed")
-    if len(set(keys)) != len(keys) and len(set(txs.ids())) != len(keys):
-        raise DuplicateTransactionError(f"block {block.index} carries a tx twice")
     ledger.blocks.append(block)
-    ledger.id_keys.update(keys)
+
+
+def first_duplicate(ids, ends: Iterable[int]) -> tuple[int, bytes] | None:
+    """The one duplicate check over a chain's id column: `ids` holds its tx ids back to back in
+    any buffer, `ends` the row each block ends at. Returns the least index of a block holding a
+    later copy of an id, with that id, or None. It sorts each id's first 8 bytes as a u64 key and
+    confirms the rows whose key repeats against their full ids, in chain order, so ids that share
+    a key are not a duplicate. It takes about 10 B a tx while it runs, and keeps none."""
+    column = np.frombuffer(ids, ">u8")[::4]  # each id's key, read in place
+    keys = column.astype(np.uint64)
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    del keys
+    seen = set()
+    for row in np.flatnonzero(np.isin(column, repeated)).tolist():  # in chain order
+        tx_id = bytes(ids[32 * row : 32 * row + 32])
+        if tx_id in seen:
+            return bisect_right(array("Q", ends), row), tx_id
+        seen.add(tx_id)
+    return None
+
+
+def first_bad_block(blocks: Iterable[Block | None]) -> int | None:
+    """The one chain walk: the least index of a block that fails `check_tx`, `extends`, `check_block`
+    or `first_duplicate`, else None. A None block is one `block_from_dict` could not build, which
+    fails `check_tx`. It keeps the tip and the id column, 32 B a tx, and draws every block."""
+    tip, bad, ids, ends = ZERO_HASH, None, bytearray(), array("Q")
+    for i, block in enumerate(blocks):
+        passes = bad is None and block is not None and all(check_tx(tx) is None for tx in block.tx_list)
+        if passes and extends(block, i, tip) and check_block(block) is None:
+            tip = block.hash
+            ids += block.tx_list.id_run()
+            ends.append(len(ids) // 32)
+        elif bad is None:
+            bad = i
+    dup = first_duplicate(ids, ends)  # over the blocks before `bad` only, so a duplicate is the lesser index
+    return bad if dup is None else dup[0]
 
 
 def validate_chain(ledger: Ledger) -> tuple[bool, int | None]:
-    """Check each block's txs, then append it to a fresh chain. Returns (ok, first bad index or None)."""
-    if not ledger.blocks:
-        return False, 0
-    chain = Ledger()
-    for i, block in enumerate(ledger.blocks):
-        if any(check_tx(tx) is not None for tx in block.tx_list):
-            return False, i
-        try:
-            append_block(chain, block)
-        except (ForkRejectedError, SealInvalidError, DuplicateTransactionError):
-            return False, i
-    return True, None
+    """Returns (ok, first bad index or None) from `first_bad_block`; an empty chain is bad at 0."""
+    bad = first_bad_block(ledger.blocks) if ledger.blocks else 0
+    return bad is None, bad
 
 
 def gas_for(batch_size: int, base: float, per_tx: float) -> int:
@@ -561,8 +543,10 @@ def tx_from_display(doc: dict) -> Transaction:
     )
 
 
-def block_from_dict(doc: dict) -> Block:
-    return Block(
+def block_from_dict(doc: dict) -> Block | None:
+    """The block of a JSON form, raising on a malformed one; None where `TxBatch.of` refuses
+    a transaction's value, which `check_tx` refuses too, so that block is invalid."""
+    fields = dict(
         index=_field(doc, "index", int),
         timestamp=_field(doc, "timestamp", int),
         prev_hash=bytes.fromhex(doc["prev_hash"]),
@@ -575,6 +559,10 @@ def block_from_dict(doc: dict) -> Block:
         ),
         hash=bytes.fromhex(doc["hash"]),
     )
+    try:
+        return Block(**fields)
+    except ValueError:
+        return None
 
 
 def _hex_stream(cols: TxColumns, lo: int, hi: int):
@@ -658,5 +646,5 @@ def text_lines(text: str):
 
 
 def load_ledger(text: str) -> Ledger:
-    """One block per non-blank line of `text` (see `text_lines`)."""
+    """One block per non-blank line of `text` (see `text_lines`), or None (see `block_from_dict`)."""
     return Ledger(blocks=[block_from_dict(json.loads(line)) for line in text_lines(text) if line.strip()])

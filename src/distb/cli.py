@@ -16,7 +16,6 @@ import shutil
 import sys
 import tempfile
 from collections.abc import Iterable
-from itertools import zip_longest
 from pathlib import Path
 
 from . import blockchain as bc
@@ -267,24 +266,34 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_validate_chain(args) -> int:
+    count, odd = 0, None  # blocks read, the first line that is not its block's canonical export
+
+    def blocks(lines):  # each block checked as its line is parsed, and the line compared on the spot
+        nonlocal count, odd
+        for k, raw in enumerate(lines):
+            line = raw.decode()  # no newline translation
+            if line.strip():
+                block = bc.block_from_dict(json.loads(line))
+                count += 1
+                yield block
+            if odd is None and (not line.strip() or block is None or line != next(bc.ledger_lines(bc.Ledger([block])))):
+                odd = k  # up to the first blank line, line k holds block k
+
     try:
-        text = Path(args.ledger).read_bytes().decode()  # no newline translation
-        if not text.strip():
+        with open(args.ledger, "rb") as f:
+            bad_index = bc.first_bad_block(blocks(f))
+        if not count:
             raise ValueError("empty ledger file")
-        ledger = bc.load_ledger(text)
     except OSError:
         raise
     except Exception as exc:
         print(f"cannot parse ledger: {exc}", file=sys.stderr)
         return EXIT_IO
-    ok, bad_index = bc.validate_chain(ledger)
     note = ""
-    if ok:  # a valid chain must also be its one canonical export, line for line
-        lines = zip_longest(bc.text_lines(text), bc.ledger_lines(ledger))
-        bad_index = next((i for i, (got, canonical) in enumerate(lines) if got != canonical), None)
-        note = " (not canonical)"
+    if bad_index is None:  # a valid chain must also be its one canonical export, line for line
+        bad_index, note = odd, " (not canonical)"
     if bad_index is None:
-        print(f"chain valid ({len(ledger.blocks)} blocks)")
+        print(f"chain valid ({count} blocks)")
         return EXIT_OK
     print(f"chain INVALID at block {bad_index}{note}")
     return EXIT_INTEGRITY

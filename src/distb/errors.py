@@ -19,9 +19,7 @@ class ExhaustedNetworkError(DistbError):
 
 
 class DuplicateTransactionError(DistbError):
-    """A transaction repeats: a block carries a tx_id already on the chain or
-    twice, or the ledger stage meets a packet whose seq is not above its
-    node's last."""
+    """A tx_id is on the chain twice, or the ledger stage meets a packet whose seq is not above its node's last."""
 
 
 class EmptyBlockError(DistbError):

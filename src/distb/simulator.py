@@ -579,6 +579,8 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
             commit(bc.TxBatch(store, head, len(store)), t1)
             head = len(store)
     counters["queued_at_end"] = len(store) - head
+    if dup := bc.first_duplicate(memoryview(store.ids)[: 32 * head], (b.tx_list.hi for b in ledger.blocks)):
+        raise DuplicateTransactionError(f"tx {dup[1].hex()} is on the chain twice, the second time in block {dup[0]}")
 
 
 def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:

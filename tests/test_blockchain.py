@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from distb import blockchain as bc
 from distb.calibration import load_default
 from distb.cli import EXIT_OK, main
-from distb.errors import DuplicateTransactionError, EmptyBlockError, ForkRejectedError, SealInvalidError
+from distb.config import ScenarioConfig
+from distb.errors import EmptyBlockError, ForkRejectedError, SealInvalidError
+from distb.simulator import run_raw
 
 
 def make_tx(i=0, payload=b"reading", now=100):
@@ -27,6 +30,11 @@ def fresh_chain(n_blocks=5, difficulty=8):
         k += 3
         bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, difficulty, i * 1000, i))
     return ledger
+
+
+def id_column(blocks):
+    """The blocks' tx ids joined and each block's end row: what `first_duplicate` reads."""
+    return b"".join(b.tx_list.id_run() for b in blocks), list(accumulate(len(b.tx_list) for b in blocks))
 
 
 # --- transactions -----------------------------------------------------------
@@ -340,31 +348,32 @@ def test_append_rejects_bad_seal():
         bc.append_block(ledger, dishonest)
 
 
-def test_append_rejects_already_committed_tx():
-    ledger = fresh_chain(3, difficulty=0)
-    dup = ledger.blocks[1].tx_list[0]
-    fresh = make_tx(94)
+def test_a_tx_committed_before_or_carried_twice_fails_the_chain_check():
+    # append_block checks link and seal only; the chain's one duplicate check
+    # names the block that holds the later copy, and the id
+    base = fresh_chain(3, difficulty=0)
+    dup, fresh = base.blocks[1].tx_list[0], make_tx(94)
     for txs in ([dup], [fresh, fresh]):  # committed before, or carried twice in one block
-        block = bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks))
-        with pytest.raises(DuplicateTransactionError):
-            bc.append_block(ledger, block)
-    assert len(ledger.blocks) == 3 and not ledger.is_committed(fresh.tx_id) and ledger.is_committed(dup.tx_id)
+        ledger = bc.Ledger(blocks=list(base.blocks))
+        bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, 0, 99, 3))
+        assert bc.validate_chain(ledger) == (False, 3)
+        assert bc.first_duplicate(*id_column(ledger.blocks)) == (3, txs[0].tx_id)
+    assert bc.validate_chain(base) == (True, None) and bc.first_duplicate(*id_column(base.blocks)) is None
 
 
-def test_the_id_key_set_stays_exact():
-    # Two ids that share their first 8 bytes share one id key, so a key hit
-    # is confirmed against the full ids before anything is refused.
+def test_ids_that_share_their_first_8_bytes_are_not_duplicates():
+    # The check sorts each id's first 8 bytes, so a key that repeats is
+    # confirmed against the full ids before anything is refused.
     ledger = fresh_chain(2, difficulty=0)
     a = make_tx(95)
     b, c, d = (a._replace(tx_id=a.tx_id[:8] + bytes([k]) * 24) for k in (1, 2, 3))
-    for txs in ([a], [b, c]):  # a key already committed, and a key twice in one block
+    for txs in ([a], [b, c]):  # a key already on the chain, and a key twice in one block
         bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks)))
-    assert len(ledger.blocks) == 4 and len({k for blk in ledger.blocks for k in blk.tx_list.id_keys()}) == 4
-    assert all(ledger.is_committed(t.tx_id) for t in (a, b, c)) and not ledger.is_committed(d.tx_id)
-    for txs, why in (([d, a], "already committed"), ([c], "already committed"), ([d, d], "carries a tx twice")):
-        with pytest.raises(DuplicateTransactionError, match=why):
-            bc.append_block(ledger, bc.mine_block(txs, ledger.tip_hash, 0, 99, len(ledger.blocks)))
-    assert len(ledger.blocks) == 4 and not ledger.is_committed(d.tx_id)
+    assert len(ledger.blocks) == 4 and bc.first_duplicate(*id_column(ledger.blocks)) is None
+    for txs, repeated in (([d, a], a), ([c], c), ([d, d], d)):
+        longer = bc.Ledger(blocks=list(ledger.blocks))
+        bc.append_block(longer, bc.mine_block(txs, longer.tip_hash, 0, 99, 4))
+        assert bc.first_duplicate(*id_column(longer.blocks)) == (4, repeated.tx_id)
 
 
 def test_a_batch_reads_the_same_rows_after_the_store_grows():
@@ -389,23 +398,30 @@ def test_blocks_built_outside_the_engine_hold_their_txs_as_columns():
         assert type(block.tx_list) is bc.TxBatch and list(block.tx_list) == txs
         assert type(block.tx_list.cols.ids) is bytearray and type(block.tx_list.cols.destination) is str
     assert replaced.tx_list is pow_block.tx_list and bc.check_block(replaced) == "hash does not match header"
-    assert loaded == pow_block and bc.Ledger(blocks=[pow_block]).is_committed(txs[1].tx_id)
+    assert loaded == pow_block and pow_block.tx_list.id_run() == b"".join(t.tx_id for t in txs)
 
 
 @pytest.mark.parametrize("timestamp", [-1, 2**64])
 def test_a_loaded_value_outside_its_column_is_kept_and_reported(timestamp):
-    # A column holds a plain tuple where a value does not fit its array, so
-    # check_tx sees the value as loaded; a short id or another destination
-    # falls back the same way.
+    # The parsed transaction keeps a value as loaded, so check_tx reports it.
+    # No column holds it: TxBatch.of refuses it, as it does a short id, so its
+    # block loads as None and validation reports that block. Rows of two
+    # destinations fit, one destination per row.
     good = make_tx(1)
-    odd = [good._replace(timestamp=timestamp), good._replace(tx_id=b"\x01" * 31), good._replace(destination="gw")]
-    block = bc.seal_block_pos([make_tx(0), *odd], bc.ZERO_HASH, "v", 5, 0)
-    cols = block.tx_list.cols
-    assert type(cols.times) is type(cols.ids) is type(cols.destination) is tuple and type(cols.sums) is bytearray
-    assert list(block.tx_list) == [make_tx(0), *odd] and bc.check_block(block) is None
-    mismatch = "tx_id does not match canonical body"
-    assert [bc.check_tx(t) for t in block.tx_list] == [None, "timestamp outside the u64 range", mismatch, mismatch]
-    assert bc.validate_chain(bc.Ledger(blocks=[block])) == (False, 0)
+    odd = [good._replace(timestamp=timestamp), good._replace(tx_id=b"\x01" * 31)]
+    assert [bc.check_tx(t) for t in odd] == ["timestamp outside the u64 range", "tx_id does not match canonical body"]
+    for tx in odd:
+        with pytest.raises(ValueError):
+            bc.seal_block_pos([make_tx(0), tx], bc.ZERO_HASH, "v", 5, 0)
+    [other] = bc.make_transactions([("s-09", b"elsewhere", 100)], "gw")
+    block = bc.seal_block_pos([make_tx(0), other], bc.ZERO_HASH, "v", 5, 0)
+    assert type(block.tx_list.cols.destination) is tuple and list(block.tx_list) == [make_tx(0), other]
+    assert bc.validate_chain(bc.Ledger(blocks=[block])) == (True, None)
+    doc = json.loads(bc.export_ledger(bc.Ledger(blocks=[block])))
+    doc["txs"][0]["timestamp"] = timestamp
+    assert bc.tx_from_display(doc["txs"][0]).timestamp == timestamp and bc.block_from_dict(doc) is None
+    loaded = bc.load_ledger(bc.export_ledger(fresh_chain(3, difficulty=0)) + json.dumps(doc))
+    assert loaded.blocks[3] is None and bc.validate_chain(loaded) == (False, 3)
 
 
 def test_validate_genesis_only():
@@ -448,7 +464,7 @@ def test_validate_detects_cross_block_duplicate():
     ledger = fresh_chain(2, difficulty=0)
     dup = ledger.blocks[1].tx_list[0]
     evil = bc.mine_block([dup], ledger.tip_hash, 0, 99, 2)
-    ledger.blocks.append(evil)  # bypass append_block's dedup on purpose
+    bc.append_block(ledger, evil)  # append_block checks link and seal only
     assert bc.validate_chain(ledger) == (False, 2)
 
 
@@ -561,22 +577,13 @@ def test_load_ledger_copies_one_line_at_a_time():
     assert peak - held <= 0.25 * len(text)
 
 
-def test_validate_chain_command_reads_the_export_one_line_at_a_time(tmp_path, monkeypatch):
-    """`distb validate-chain` compares the file with the canonical export line by
-    line: past the chain check, the traced peak stays far below the export's
-    length, where `text.splitlines()` would add a second copy of it."""
+def test_validate_chain_command_reads_the_export_one_line_at_a_time(tmp_path):
+    """`distb validate-chain` checks each block as it parses its line and keeps
+    only the tip, that line and the id column, 32 B a tx: its traced peak
+    stays far below the export's length, which holding the text would take."""
     text = bc.export_ledger(wide_ledger())
     path = tmp_path / "ledger.ndjson"
     path.write_text(text)
-    validate, held = bc.validate_chain, []
-
-    def validate_then_reset_peak(ledger):
-        result = validate(ledger)
-        held.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return result
-
-    monkeypatch.setattr(bc, "validate_chain", validate_then_reset_peak)
     tracemalloc.start()
     try:
         assert main(["validate-chain", str(path)]) == EXIT_OK
@@ -584,27 +591,25 @@ def test_validate_chain_command_reads_the_export_one_line_at_a_time(tmp_path, mo
     finally:
         tracemalloc.stop()
     assert len(text) > 1_000_000
-    assert peak - held[0] <= 0.25 * len(text)
+    assert peak <= 0.25 * len(text)
 
 
-def test_validating_a_loaded_chain_reads_each_blocks_id_keys_once(monkeypatch):
-    """`load_ledger` then `validate_chain` reads each block's id keys once, for the
-    fresh chain that validation appends to: the loaded ledger builds no key set
-    of its own until something asks it."""
-    text = bc.export_ledger(fresh_chain(4, difficulty=0))
-    id_keys, reads = bc.TxBatch.id_keys, []
+def test_validating_a_chain_reads_its_id_column_once(monkeypatch):
+    """`validate_chain` hands the whole id column to the one duplicate check
+    once, and so does `run_raw`, over its committed rows in place."""
+    real, calls = bc.first_duplicate, []
 
-    def counted(batch):
-        reads.append(batch)
-        return id_keys(batch)
+    def counted(ids, ends):
+        calls.append((bytes(ids), list(ends)))
+        return real(ids, calls[-1][1])
 
-    monkeypatch.setattr(bc.TxBatch, "id_keys", counted)
-    loaded = bc.load_ledger(text)
+    monkeypatch.setattr(bc, "first_duplicate", counted)
+    loaded = bc.load_ledger(bc.export_ledger(fresh_chain(4, difficulty=0)))
     assert bc.validate_chain(loaded) == (True, None)
-    assert len(reads) == len(loaded.blocks)
-    assert "id_keys" not in vars(loaded)
-    assert loaded.is_committed(loaded.blocks[-1].tx_list[0].tx_id)
-    assert len(reads) == 2 * len(loaded.blocks)
+    assert calls == [id_column(loaded.blocks)] and calls[0][1] == [0, 3, 6, 9]
+    raw = run_raw(ScenarioConfig(node_count=5, sim_time_ms=2000, seed=3))
+    assert len(calls) == 2 and calls[1] == id_column(raw.ledger.blocks)
+    assert len(calls[1][0]) == 32 * raw.counters["committed_txs"] > 0
 
 
 def test_append_only_serialization_prefix_stable():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from distb import blockchain as bc
 from distb.blockchain import export_ledger
 from distb.calibration import load_default
 from distb.cli import CSV_HEADERS, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_SIM, _write_outputs, main
@@ -327,6 +329,16 @@ def test_failing_line_generator_leaves_no_output(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_a_tx_id_on_the_chain_twice_exits_2_naming_it(tmp_path, small_cfg_path, monkeypatch, capsys):
+    # every row hashes one body, so the ledger stage commits one tx id many times over
+    monkeypatch.setattr(bc, "tx_body_bytes", lambda *row: b"one body")
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(small_cfg_path), "-o", str(out)]) == EXIT_SIM
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and hashlib.sha256(b"one body").hexdigest() in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err and not out.exists()
+
+
 def test_validate_chain_on_run_export(tmp_path, run_export, capsys):
     ledger = tmp_path / "ledger.ndjson"
     ledger.write_text("\n".join(run_export) + "\n")
@@ -468,6 +480,30 @@ def test_validate_chain_flags_a_non_canonical_file_end(tmp_path, run_export, cap
     path.write_text("\n".join(run_export) + end)
     assert main(["validate-chain", str(path)]) == EXIT_INTEGRITY
     assert capsys.readouterr().out == f"chain INVALID at block {len(run_export) + bad_line} (not canonical)\n"
+
+
+def _tampered(line):
+    doc = json.loads(line)
+    doc["hash"] = ("0" if doc["hash"][0] != "0" else "1") + doc["hash"][1:]
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "edits, code, out",
+    [
+        ({1: _tampered, 3: lambda line: line[:-1]}, EXIT_IO, ""),  # a parse error after a bad block
+        ({1: lambda line: " " + line, 3: _tampered}, EXIT_INTEGRITY, "chain INVALID at block 3\n"),
+        ({1: _tampered, 2: _tampered}, EXIT_INTEGRITY, "chain INVALID at block 1\n"),
+    ],
+    ids=["parse-error-last", "bad-block-beats-earlier-non-canonical", "first-bad-block"],
+)
+def test_validate_chain_keeps_its_precedence_while_it_streams(tmp_path, run_export, capsys, edits, code, out):
+    lines = [edits.get(i, str)(line) for i, line in enumerate(run_export)]
+    assert len(lines) > 3
+    path = tmp_path / "ledger.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate-chain", str(path)]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_validate_chain_empty_file_is_parse_error(tmp_path):
