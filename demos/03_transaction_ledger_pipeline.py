@@ -6,10 +6,15 @@ tampering is caught afterwards.
 Run:  python demos/03_transaction_ledger_pipeline.py
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 from distb import blockchain as bc
 from distb.calibration import load_default
+from distb.cli import main
 from distb.config import ScenarioConfig
 from distb.simulator import run_raw
 
@@ -20,8 +25,7 @@ print(f"genesis sealed: nonce={ledger.blocks[0].nonce} hash={ledger.blocks[0].ha
 
 # Well-formed readings. Transactions are built from (sensor, payload,
 # timestamp) rows.
-tx, tx2 = bc.make_transactions([("s-01", b'{"temp": 21.4}', 100), ("s-02", b'{"temp": 19.8}', 120)], "bs")
-print("\ndisplay form:", json.dumps(bc.tx_display_dict(tx), indent=2)[:180], "...")
+tx, tx2 = bc.TxColumns("bs").append([("s-01", b'{"temp": 21.4}', 100), ("s-02", b'{"temp": 19.8}', 120)])
 
 # In a run, a reading from a sensor the registry does not know is parked in
 # the waiting room. Nothing registers a sensor mid-run, so it can only age
@@ -48,14 +52,22 @@ bc.append_block(ledger, block)
 print(f"\nblock 1 mined: nonce={block.nonce} txs={len(block.tx_list)} hash={block.hash.hex()[:16]}...")
 print("chain valid:", bc.validate_chain(ledger))
 
-# Flip one byte anywhere and validation names the first bad block.
-export = bc.export_ledger(ledger)
-lines = export.splitlines()
+# The ledger export, as `distb run` writes it: one JSON line per block. A
+# transaction's display form is its entry in its block's line.
+lines = list(bc.ledger_lines(ledger))
 doc = json.loads(lines[1])
+print("\ndisplay form:", json.dumps(doc["txs"][0], indent=2)[:180], "...")
+
+# Flip one byte anywhere and `distb validate-chain` names the first bad block.
 doc["txs"][0]["payload_hex"] = "00" + doc["txs"][0]["payload_hex"][2:]
-lines[1] = json.dumps(doc, sort_keys=True)
-ok, bad = bc.validate_chain(bc.load_ledger("\n".join(lines)))
-print(f"after 1-byte tamper: valid={ok} first_bad_index={bad}")
+lines[1] = json.dumps(doc, sort_keys=True) + "\n"
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "ledger.ndjson")
+    with open(path, "w") as f:
+        f.writelines(lines)
+    with contextlib.redirect_stdout(io.StringIO()) as verdict:
+        code = main(["validate-chain", path])
+print(f"after 1-byte tamper: distb validate-chain exits {code}: {verdict.getvalue().strip()}")
 
 # Stake-weighted sealing as the alternative consensus.
 counts = {"A": 0, "B": 0}

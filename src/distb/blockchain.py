@@ -37,15 +37,14 @@ engine (loaded, replaced or sealed over a list of transactions) copies its
 transactions into a store of its own through `TxBatch.of`, which refuses a
 value its column cannot hold.
 
-JSON forms (display transaction, newline-delimited ledger export) are for
-humans and files only; they are never hashed.
+The JSON form (the newline-delimited ledger export) is for humans and
+files only; it is never hashed.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import operator
 import random
@@ -246,12 +245,6 @@ class TxBatch(Sequence):
         return f"TxBatch({list(self)!r})"
 
 
-def make_transactions(rows, destination: str) -> list[Transaction]:
-    """Build one transaction per (sensor_id, payload, timestamp) row, in order,
-    each with checksum and tx_id over the canonical bytes."""
-    return list(TxColumns(destination).append(rows))
-
-
 def check_tx(tx: Transaction) -> str | None:
     """The one transaction integrity check: None if intact, else the reason."""
     if not tx.sensor_id or not tx.destination:
@@ -306,14 +299,6 @@ def _header_prefix(index: int, timestamp: int, prev_hash: bytes, count: int, ids
     """The block header up to, not including, the nonce, over `count` tx ids joined in `ids`; a
     block's are one slice of its store's id column (`TxBatch.id_run`)."""
     return b"".join((_u64(index), _u64(timestamp), prev_hash, _u64(count), ids, _sealer_bytes(sealer)))
-
-
-def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: Sealer, nonce: int) -> bytes:
-    return _header_prefix(index, timestamp, prev_hash, len(tx_ids), b"".join(tx_ids), sealer) + _u64(nonce)
-
-
-def leading_zero_bits(data: bytes) -> int:
-    return len(data) * 8 - int.from_bytes(data, "big").bit_length()
 
 
 def pow_target(difficulty: int) -> bytes:
@@ -512,17 +497,6 @@ def gas_for(batch_size: int, base: float, per_tx: float) -> int:
 # JSON forms
 
 
-def tx_display_dict(tx: Transaction) -> dict:
-    return {
-        "tx_id": tx.tx_id.hex(),
-        "sensor_id": tx.sensor_id,
-        "destination": tx.destination,
-        "timestamp": tx.timestamp,
-        "payload_hex": tx.payload.hex(),
-        "checksum": tx.checksum.hex(),
-    }
-
-
 def _field(doc: dict, key: str, kind: type):
     """A field of a JSON form holding exactly `kind`; anything else, a bool
     for an int or a string for a number included, is a parse error."""
@@ -634,17 +608,3 @@ def export_ledger(ledger: Ledger) -> str:
     for line in ledger_lines(ledger):
         text += line
     return text
-
-
-def text_lines(text: str):
-    """Each line of `text` with its newline, copied one at a time (`text.splitlines()` copies all at once)."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def load_ledger(text: str) -> Ledger:
-    """One block per non-blank line of `text` (see `text_lines`), or None (see `block_from_dict`)."""
-    return Ledger(blocks=[block_from_dict(json.loads(line)) for line in text_lines(text) if line.strip()])

@@ -13,8 +13,10 @@ head_cost + tx_cost * (its member count), a member pays tx_cost. Depleted nodes
 drop out of later rounds. Only energy changes between rounds, so a run builds
 one `Geometry` (coordinates, distances to the base station, and each node's
 cover, found the first time it heads) and each round maps an energy array to
-the next. Every distance is one numpy expression (`_distances`) with the bits
-of the scalar `topology.euclid`, since both square by multiplication.
+the next. Every distance is one numpy expression (`_distances`),
+sqrt(dx * dx + dy * dy + dz * dz): squares by multiplication, not `** 2`, so
+each is exact IEEE 754 arithmetic, the same on every platform and libm, with
+the bits of the tests' scalar `euclid` (`tests/nodes.py`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ _MAX_STRIPS = 2**16  # so a strip index rounds by under 1e-10 of a strip, far in
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distances between the (x, y, z) columns of p and q, broadcast, each with `euclid`'s bits."""
+    """Distances between the (x, y, z) columns of p and q, broadcast, each with the bits of the
+    tests' scalar `euclid` (`tests/nodes.py`)."""
     d = p - q
     d *= d
     return np.sqrt(d[0] + d[1] + d[2])

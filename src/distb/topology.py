@@ -11,7 +11,6 @@ round keeps no role on the node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,6 @@ class TopologyParams:
 
 
 DEFAULT_PARAMS = TopologyParams()
-
-
-def euclid(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
-    """Euclidean distance between two (x, y, z) points. Squares are products, not `** 2`: IEEE 754
-    requires `-`, `*`, `+` and `sqrt` to round correctly but not pow, so the result is exact IEEE
-    arithmetic, the same on every platform and libm and in `clustering.Geometry`'s numpy rows."""
-    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def generate_topology(n: int, area_side: float, seed: int, params: TopologyParams = DEFAULT_PARAMS):

@@ -8,9 +8,17 @@ of full ids. The first block refused is the first bad index.
 and duplicates once over the whole id column, must return the same
 `(ok, index)`. It shares only the transaction and seal checks with the
 code under test.
+
+Beside it sit the longhand oracles other tests share: `block_header_bytes`
+builds a header from the layout in `blockchain`'s module docstring,
+`leading_zero_bits` reads a hash's leading zero bits off its integer value,
+and `load_ledger` parses a whole export in memory, where `distb
+validate-chain` streams it.
 """
 
 from __future__ import annotations
+
+import json
 
 from distb import blockchain as bc
 from distb.errors import DuplicateTransactionError, ForkRejectedError, SealInvalidError
@@ -63,3 +71,28 @@ def reference_first_duplicate(ids: bytes, ends: list[int]) -> tuple[int, bytes] 
             seen.add(tx_id)
         start = end
     return None
+
+
+def _u64(x: int) -> bytes:
+    return x.to_bytes(8, "big")
+
+
+def _str(s: str) -> bytes:
+    b = s.encode("utf-8")
+    return _u64(len(b)) + b
+
+
+def block_header_bytes(index: int, timestamp: int, prev_hash: bytes, tx_ids, sealer: bc.Sealer, nonce: int) -> bytes:
+    """The whole block header, field by field, as `blockchain`'s module docstring lays it out."""
+    seal = _u64(sealer.difficulty) if sealer.kind == "pow" else _str(sealer.validator)
+    fields = (_u64(index), _u64(timestamp), prev_hash, _u64(len(tx_ids)), *tx_ids, _str(sealer.kind), seal, _u64(nonce))
+    return b"".join(fields)
+
+
+def leading_zero_bits(data: bytes) -> int:
+    return len(data) * 8 - int.from_bytes(data, "big").bit_length()
+
+
+def load_ledger(text: str) -> bc.Ledger:
+    """One block per non-blank line of a ledger export, or None where `block_from_dict` gives None."""
+    return bc.Ledger(blocks=[bc.block_from_dict(json.loads(line)) for line in text.split("\n") if line.strip()])

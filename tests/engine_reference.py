@@ -16,9 +16,10 @@ by a registry set of its own, seals a block whenever `block_batch` are
 queued, and sweeps a waiting room of its own (a dict from tx id to park
 time) by age. Over the same `LinkResult`, the engine's ledger stage must
 leave the same chain and counters. It shares only code with tests of its
-own: the transaction and block header builders, chain append and PoS
-sealing. It seals PoW itself, hashing the header of each nonce from 0 until
-one has `difficulty` leading zero bits.
+own: the transaction builder, chain append and PoS sealing. It seals PoW
+itself, hashing the header of each nonce from 0, built longhand
+(`chain_reference.block_header_bytes`), until one has `difficulty` leading
+zero bits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from chain_reference import block_header_bytes
 from distb import blockchain as bc
 from distb.clustering import Geometry, elect
 from distb.config import WINDOW_MS, ScenarioConfig, validate_config
@@ -259,7 +261,7 @@ def seal_pow(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> bc
     sealer = bc.Sealer(kind="pow", difficulty=difficulty)
     tx_ids = [tx.tx_id for tx in txs]
     for nonce in itertools.count():
-        block_hash = hashlib.sha256(bc.block_header_bytes(index, now, prev_hash, tx_ids, sealer, nonce)).digest()
+        block_hash = hashlib.sha256(block_header_bytes(index, now, prev_hash, tx_ids, sealer, nonce)).digest()
         if int.from_bytes(block_hash, "big") >> (256 - difficulty) == 0:
             return bc.Block(index, now, prev_hash, tuple(txs), nonce, sealer, block_hash)
 
@@ -300,7 +302,7 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
         packets = iter(link.delivered[lo:hi])
         for t, nid, size, seq in zip(packets, packets, packets, packets):
             payload = f"{nid}|{seq}|{t}|{size}".encode()
-            [tx] = bc.make_transactions([(names[nid], payload, t)], BS_ID)
+            [tx] = bc.TxColumns(BS_ID).append([(names[nid], payload, t)])
             if tx.tx_id in seen:
                 raise DuplicateTransactionError(f"tx {tx.tx_id.hex()} seen before")
             seen.add(tx.tx_id)

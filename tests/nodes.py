@@ -1,9 +1,10 @@
 """One record per node, for tests: `distb.topology` holds a field as arrays
 indexed by node id, while hand-built fixtures and the straight-line oracles
-read it node by node."""
+read it node by node. `euclid` is the scalar distance those oracles take."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -14,11 +15,19 @@ from distb.topology import DEFAULT_PARAMS, TopologyParams, generate_topology
 
 
 class Point3(NamedTuple):
-    """An (x, y, z) tuple, as `topology.euclid` takes it, with named fields."""
+    """An (x, y, z) tuple, as `euclid` takes it, with named fields."""
 
     x: float
     y: float
     z: float
+
+
+def euclid(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
+    """Euclidean distance between two (x, y, z) points. Squares are products, not `** 2`: IEEE 754
+    requires `-`, `*`, `+` and `sqrt` to round correctly but not pow, so the result is exact IEEE
+    arithmetic, the same on every platform and libm and in `clustering.Geometry`'s numpy rows."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from chain_reference import load_ledger
 from distb import blockchain as bc
 from distb.calibration import load_default, load_reference_tables
 from distb.clustering import elect
@@ -268,7 +269,7 @@ def test_criterion_7_chain_integrity():
             p = doc["prev_hash"]
             doc["prev_hash"] = p[:pos] + ("0" if p[pos] != "0" else "1") + p[pos + 1 :]
         lines[idx] = json.dumps(doc, sort_keys=True)
-        tampered = bc.load_ledger("\n".join(lines) + "\n")
+        tampered = load_ledger("\n".join(lines) + "\n")
         ok, bad = bc.validate_chain(tampered)
         assert not ok, trial
         assert bad == idx, (trial, bad, idx)
@@ -305,7 +306,7 @@ def test_criterion_7_chain_integrity():
     # block that repeats it, and names the id
     ledger = bc.Ledger()
     bc.append_block(ledger, bc.mine_block([], bc.ZERO_HASH, 8, 0, 0))
-    [tx] = bc.make_transactions([("s-1", b"x", 1)], "bs")
+    [tx] = bc.TxColumns("bs").append([("s-1", b"x", 1)])
     for i in (1, 2):
         bc.append_block(ledger, bc.mine_block([tx], ledger.tip_hash, 8, 10 * i, i))
     assert bc.validate_chain(ledger) == (False, 2)

@@ -51,7 +51,7 @@ def chains(draw):
     for k in range(sum(sizes)):
         kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "prefix"])) if rows else "fresh"
         if kind == "fresh":
-            [tx] = bc.make_transactions([(f"s-{k}", b"r%d" % k, k)], "bs")
+            [tx] = bc.TxColumns("bs").append([(f"s-{k}", b"r%d" % k, k)])
         else:
             tx = rows[draw(st.integers(0, len(rows) - 1))]
             if kind == "prefix":
@@ -88,7 +88,7 @@ def test_first_duplicate_agrees_with_a_set_of_full_ids(blocks):
     assert bc.first_duplicate(ids, ends) == reference_first_duplicate(ids, ends)
 
 
-A, B, C = bc.make_transactions([(f"s-{k}", b"r%d" % k, k) for k in range(3)], "bs")
+A, B, C = bc.TxColumns("bs").append([(f"s-{k}", b"r%d" % k, k) for k in range(3)])
 A2 = A._replace(tx_id=A.tx_id[:8] + bytes(24))  # shares A's first 8 bytes only
 
 

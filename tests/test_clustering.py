@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from distb import clustering
 from distb.clustering import Geometry, elect
 from distb.errors import ExhaustedNetworkError
-from distb.topology import TopologyParams, euclid, generate_topology
-from nodes import BaseStation, Node, NodeSet, Point3, clusters, energy_array, generate_node_set, geometry
+from distb.topology import TopologyParams, generate_topology
+from nodes import BaseStation, Node, NodeSet, Point3, clusters, energy_array, euclid, generate_node_set, geometry
 
 
 def make_node(nid, x, y, z, energy, area):

@@ -5,6 +5,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from chain_reference import leading_zero_bits
 from distb import blockchain as bc
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_vectors.json").read_text())
@@ -19,7 +20,7 @@ def ser(b):
 
 
 def golden_tx(g):
-    [tx] = bc.make_transactions([(g["sensor_id"], bytes.fromhex(g["payload_hex"]), g["timestamp"])], g["destination"])
+    [tx] = bc.TxColumns(g["destination"]).append([(g["sensor_id"], bytes.fromhex(g["payload_hex"]), g["timestamp"])])
     return tx
 
 
@@ -65,7 +66,7 @@ def test_pow_block_golden():
     block = bc.mine_block([tx1, tx2], genesis.hash, 8, g["timestamp"], 1)
     assert block.nonce == g["nonce"]
     assert block.hash.hex() == g["hash"]
-    assert bc.leading_zero_bits(block.hash) >= 8
+    assert leading_zero_bits(block.hash) >= 8
     header = (
         u64(1) + u64(g["timestamp"]) + genesis.hash + u64(2) + tx1.tx_id + tx2.tx_id
         + ser(b"pow") + u64(8) + u64(block.nonce)

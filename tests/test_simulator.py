@@ -139,7 +139,8 @@ def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a battery touched the ledger")
 
-    for name in ("make_transactions", "mine_block", "seal_block_pos"):
+    monkeypatch.setattr(bc.TxColumns, "append", refuse)
+    for name in ("mine_block", "seal_block_pos"):
         monkeypatch.setattr(bc, name, refuse)
     cfg = ScenarioConfig(node_count=5)
     assert [row[0] for row in measure_throughput(cfg, node_counts=(1, 5))] == [1, 5]

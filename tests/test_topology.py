@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from distb.topology import euclid, generate_topology
+from distb.topology import generate_topology
+from nodes import euclid
 
 
 def test_distance_identity():
