@@ -247,23 +247,40 @@ class MetricsBundle:
         return json.dumps(doc, sort_keys=True)
 
 
-def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
-    """Which packets, in arrival order, take a byte budget: skip and continue,
-    so a packet that would overrun it is dropped and a later, smaller one may
-    still fit. Returns a bool mask over `sizes`. Sums stay below 2**53, where
-    comparing int64 with float64 is exact."""
-    sizes = sizes.astype(np.int64)  # int32 sizes + acc could wrap
-    csum = np.cumsum(sizes)
-    k = int(np.searchsorted(csum, limit, side="right"))  # the prefix that fits
-    mask = np.zeros(len(sizes), dtype=bool)
-    mask[:k] = True
-    acc = int(csum[k - 1]) if k else 0
-    fits = k + np.flatnonzero(sizes[k:] + acc <= limit)  # a packet that misses never fits later
-    while len(fits):
-        mask[fits[0]] = True
-        acc += int(sizes[fits[0]])
-        fits = fits[1:][sizes[fits[1:]] + acc <= limit]
-    return mask
+def bytes_before(sizes: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """before[i]: the bytes of the marked arrivals ahead of arrival i, as int64."""
+    before = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.multiply(sizes, marks, out=before[1:]), out=before[1:])  # in place: no int64 copy of the input
+    return before
+
+
+def budget_cuts(before: np.ndarray, bounds: np.ndarray, limit: np.ndarray):
+    """For each window over its byte limit: the first packet past the prefix that fits,
+    its stop and the room left. Totals < 2**53 fit iff at most floor(limit)."""
+    w = np.flatnonzero(np.diff(before[bounds]) > limit)  # the congested windows
+    start, stop, cap = bounds[w], bounds[w + 1], np.floor(limit[w]).astype(np.int64)
+    cut = np.minimum(np.searchsorted(before, before[start] + cap, side="right") - 1, stop)
+    return cut, stop, (cap - (before[cut] - before[start])).astype(np.int32)  # under the cut packet's size
+
+
+def fill_tails(taken: np.ndarray, sizes: np.ndarray, cut: np.ndarray, stop: np.ndarray, room: np.ndarray) -> None:
+    """Skip and continue, in place: of the packets `taken` marks in each window's
+    cut..stop, keep those that fit its room in turn; one that misses never fits later."""
+    n = stop - cut
+    rows = np.arange(n.sum(), dtype=np.int32)
+    rows += np.repeat((cut - (np.cumsum(n) - n)).astype(np.int32), n)
+    fits = sizes.take(rows) <= np.repeat(room, n)  # take: faster on int32 rows
+    fits &= taken.take(rows)
+    fits = np.flatnonzero(fits)
+    taken[rows] = False
+    rows, win = rows[fits], np.searchsorted(np.cumsum(n), fits, side="right").astype(np.int32)  # their windows
+    while len(rows):  # each pass takes every window's next candidate
+        first = np.flatnonzero(np.diff(win, prepend=-1))
+        taken[rows[first]] = True
+        room[win[first]] -= sizes[rows[first]]
+        fits = sizes[rows] <= room[win]
+        fits[first] = False
+        rows, win = rows[fits], win[fits]
 
 
 def first_crossings(t, nid, flood, attackers, first_in, wa: int, theta: float) -> list[tuple[int, int]]:
@@ -366,7 +383,8 @@ def run_link(cfg: ScenarioConfig) -> LinkResult:
 def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     """The link stage's last two passes, the flood detector and settlement,
     over `sensors`, the sensor pass of a config that equals the validated
-    `cfg` but for mode and attack."""
+    `cfg` but for mode and attack. One search over a running total of offered bytes
+    finds every congested window's prefix; passes over the tails take each window's next fit."""
     distb = cfg.mode == "distb"
     arr_t, arr_node, arr_size, alive = sensors.arr_t, sensors.arr_node, sensors.arr_size, sensors.alive
     ends, arr_ends, settled = sensors.ends, sensors.arr_ends, sensors.settled
@@ -406,10 +424,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     # 4. Settle windows 1..settled at once. A source blocked at window b's end
     # sends unblocked through window b.
     offered, sizes = alive & (arr_t[:hi] <= blocked_after[arr_node[:hi]]), arr_size[:hi]
-
-    def window_bytes(marks: np.ndarray) -> np.ndarray:
-        """Each settled window's bytes over the marked arrivals."""
-        return np.diff(np.concatenate(([0], np.cumsum(sizes * marks, dtype=np.int64)))[bounds])
+    before = bytes_before(sizes, offered)
 
     blocked_in = np.sort(np.searchsorted(ends, blocked_after[n_nodes:]))  # each attacker's block window
     unblocked = n_atk - np.searchsorted(blocked_in, np.arange(1, settled + 1))
@@ -420,7 +435,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
 
     # Each window shares the link capacity in proportion between benign and
     # unblocked attack bytes.
-    offered_bytes, attack_bytes = window_bytes(offered), atk_packets * ATTACK_PKT_BYTES
+    offered_bytes, attack_bytes = np.diff(before[bounds]), atk_packets * ATTACK_PKT_BYTES
     capacity = cfg.data_rate_mbps * 1e6 / 8.0 * np.diff(ends[: settled + 1]) / 1000.0
     total = offered_bytes + attack_bytes
     over = total > capacity
@@ -430,11 +445,11 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     shared = over & (attack_bytes > 0)
     ratio[shared] = capacity[shared] * attack_bytes[shared] / total[shared] / attack_bytes[shared]
     counters["attack_delivered"] = int((unblocked * (sent * ratio).astype(np.int64)).sum())
-    limit = budget + 1e-6
+    cut, stop, room = budget_cuts(before, bounds, budget + 1e-6)
+    del before  # neither the tails nor the seq ranks hold it
     taken = offered.copy()
-    for w in np.flatnonzero(offered_bytes > limit).tolist():  # congested
-        idx = bounds[w] + np.flatnonzero(offered[bounds[w] : bounds[w + 1]])
-        taken[idx[~fill_budget(sizes[idx], limit[w])]] = False
+    if len(cut):  # a run with no congested window does no tail work
+        fill_tails(taken, sizes, cut, stop, room)
 
     benign_bytes_delivered_attack = 0
     cpu_ewma = 0.0
@@ -443,7 +458,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     if cfg.attack is not None:
         t_end = np.array(ends[1 : settled + 1], dtype=np.int64)
         during = (cfg.attack.start_ms < t_end) & (t_end <= cfg.attack.stop_ms)
-        benign_bytes_delivered_attack = int(window_bytes(taken)[during].sum())
+        benign_bytes_delivered_attack = int(np.diff(bytes_before(sizes, taken)[bounds])[during].sum())
         # Each CPU sample, at a multiple of CPU_SAMPLE_MS, takes the unblocked
         # attack packets since the last one.
         at = np.flatnonzero(t_end % CPU_SAMPLE_MS == 0)
@@ -524,8 +539,8 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
 
 def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
     """The ledger stage over the link stage's delivered packets (see run_raw).
-    Refuses a packet whose seq is not above its node's last, which is how a
-    tx id seen twice shows: the id hashes the whole row, seq included."""
+    Refuses the first packet in log order whose seq is not above its node's
+    last (0 before its first): a tx id seen twice shows so, as its id hashes the row."""
     rng_misc = np.random.default_rng([cfg.seed, 3])
     names = [f"s-{i}" for i in range(cfg.node_count)]
     k = int(round(cfg.unregistered_fraction * cfg.node_count))
@@ -551,16 +566,21 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     # Sweeps run every second and at the horizon, up to last_tick, so a packet parked at t1 has expired by the
     # end iff the last sweep (0 if none ran) is t_pending_ms or more after t1. Python ints: no t_pending_ms wraps.
     last_sweep = end if last_tick == end else last_tick - last_tick % 1000
-    last_seq = [0] * cfg.node_count
+    log = np.frombuffer(link.delivered, dtype=np.int32).reshape(-1, 4)
+    last_seq = np.zeros(cfg.node_count, dtype=np.int32)  # per node, its last seq in the rows checked so far
+    for part in (log[i : i + 4096] for i in range(0, len(log), 4096)):  # small blocks hold the memory flat
+        key = np.sort(part[:, 1].astype(np.int64) << 32 | np.arange(len(part)))  # by node, then log position
+        node, seq = key >> 32, part[key & 0xFFFFFFFF, 3]
+        prev = np.where(np.diff(node, prepend=-1) != 0, last_seq[node], np.roll(seq, 1))  # its node's seq before
+        if len(bad := np.flatnonzero(seq <= prev)):
+            i = bad[np.argmin(key[bad] & 0xFFFFFFFF)]  # the first offender in log order
+            raise DuplicateTransactionError(f"packet {seq[i]} of s-{node[i]} is not after its last, {prev[i]}")
+        np.maximum.at(last_seq, node, seq)  # each node's seqs rise, so its last is its largest
     through = link.delivered_through
     for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
         t1 = min(w * WINDOW_MS, end)
         rows = link.delivered[lo:hi]
         ts, nids, sizes, seqs = rows[::4], rows[1::4], rows[2::4], rows[3::4]
-        for n, q in zip(nids, seqs):
-            if q <= last_seq[n]:
-                raise DuplicateTransactionError(f"packet {q} of s-{n} is not after its last, {last_seq[n]}")
-            last_seq[n] = q
         kept = store.append(
             (names[n], b"%d|%d|%d|%d" % (n, q, t, size), t)
             for t, n, size, q in zip(ts, nids, sizes, seqs)

@@ -20,6 +20,11 @@ own: the transaction builder, chain append and PoS sealing. It seals PoW
 itself, hashing the header of each nonce from 0, built longhand
 (`chain_reference.block_header_bytes`), until one has `difficulty` leading
 zero bits.
+
+`fill_budget` is the link budget of one window in longhand: the offered
+packets' prefix that fits, then a skip-and-continue loop over the rest. The
+engine settles every congested window in one array pass and must pick
+exactly the same packets.
 """
 
 from __future__ import annotations
@@ -48,6 +53,25 @@ from distb.simulator import (
     inject_attack,
 )
 from distb.topology import generate_topology
+
+
+def fill_budget(sizes: np.ndarray, limit: float) -> np.ndarray:
+    """Which packets, in arrival order, take a byte budget: skip and continue,
+    so a packet that would overrun it is dropped and a later, smaller one may
+    still fit. Returns a bool mask over `sizes`. Sums stay below 2**53, where
+    comparing int64 with float64 is exact."""
+    sizes = sizes.astype(np.int64)  # int32 sizes + acc could wrap
+    csum = np.cumsum(sizes)
+    k = int(np.searchsorted(csum, limit, side="right"))  # the prefix that fits
+    mask = np.zeros(len(sizes), dtype=bool)
+    mask[:k] = True
+    acc = int(csum[k - 1]) if k else 0
+    fits = k + np.flatnonzero(sizes[k:] + acc <= limit)  # a packet that misses never fits later
+    while len(fits):
+        mask[fits[0]] = True
+        acc += int(sizes[fits[0]])
+        fits = fits[1:][sizes[fits[1:]] + acc <= limit]
+    return mask
 
 
 def reference_link(cfg: ScenarioConfig) -> LinkResult:

@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from engine_reference import reference_ledger, reference_link
+from engine_reference import fill_budget, reference_ledger, reference_link
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +22,10 @@ from distb.simulator import (
     RawResult,
     _bandwidth_cfg,
     _run_ledger,
+    budget_cuts,
     bundle_from_raw,
-    fill_budget,
+    bytes_before,
+    fill_tails,
     first_crossings,
     generate_traffic,
     inject_attack,
@@ -421,20 +423,128 @@ def test_a_repeat_of_an_expired_packet_raises():
 
 
 @pytest.mark.parametrize(
-    "sizes, limit, taken",
+    "rows, message",
     [
-        ([100, 200, 50], 300.0, [True, True, False]),  # the prefix ends exactly on the limit
-        ([200, 150, 100, 60], 300.0, [True, False, True, False]),  # a miss, then a smaller one fits exactly
-        ([200, 150, 60, 40], 300.0, [True, False, True, True]),  # two late fits, the second exactly
-        ([300, 400, 500], 1200.000001, [True, True, True]),  # uncongested: everything fits
-        ([], 10.0, []),
-        ([11], 10.999999, [False]),
-        ([2**30, 2**30, 2**30, 5], 2**31 + 10.0, [True, True, False, True]),  # int32 sums would wrap past 2^31
+        # The first offender in log order is refused, though a later row offends too.
+        (
+            [(10, 1, 100, 1), (20, 2, 100, 1), (30, 1, 100, 3), (40, 1, 100, 2), (50, 2, 100, 1)],
+            "packet 2 of s-1 is not after its last, 3",
+        ),
+        ([(10, 3, 100, 0)], "packet 0 of s-3 is not after its last, 0"),  # a node's first seq is at least 1
     ],
 )
+def test_the_ledger_stage_refuses_the_first_seq_out_of_order(rows, message):
+    with pytest.raises(DuplicateTransactionError, match=f"^{message}$"):
+        ledger_stage_over_rows(rows)
+
+
+def test_the_seq_check_carries_each_node_across_the_log():
+    # The check runs over the log in blocks of rows; node 4's first row and
+    # its repeat, 5 000 rows later, fall in different blocks.
+    rows = [(0, 4, 100, 5)] + [(i // 5, i % 4, 100, i // 4 + 1) for i in range(5000)]
+    assert ledger_stage_over_rows(rows)[1]["committed_txs"] == len(rows)
+    with pytest.raises(DuplicateTransactionError, match="^packet 5 of s-4 is not after its last, 5$"):
+        ledger_stage_over_rows(rows + [(999, 4, 100, 5)])
+
+
+def ledger_stage_over_rows(rows):
+    """The ledger stage over a delivered log of (t, node id, size, seq) rows, all in the first window."""
+    cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, unregistered_fraction=0.0)
+    log = array("i", [v for row in rows for v in row])
+    link = dataclasses.replace(run_link(cfg), delivered=log, delivered_through=array("q", [0] + [len(log)] * 10))
+    return ledger_stage(_run_ledger, cfg, link)
+
+
+def settle_windows(sizes, offered, bounds, limit):
+    """The taken marks of settle_link's one pass over windows bounds[w]..bounds[w + 1]
+    with byte limits `limit`: the prefix search on the congested ones, then their tails."""
+    before = bytes_before(sizes, offered)
+    cut, stop, room = budget_cuts(before, bounds, limit)
+    taken = offered.copy()
+    fill_tails(taken, sizes, cut, stop, room)
+    return taken
+
+
+def settle_per_window(sizes, offered, bounds, limit):
+    """The same marks from the longhand model, one window at a time."""
+    taken = np.zeros(len(sizes), dtype=bool)
+    for w, cap in enumerate(limit.tolist()):
+        idx = bounds[w] + np.flatnonzero(offered[bounds[w] : bounds[w + 1]])
+        taken[idx[fill_budget(sizes[idx], cap)]] = True
+    return taken
+
+
+BUDGET_CASES = [  # (sizes, limit, taken), every arrival offered
+    ([100, 200, 50], 300.0, [True, True, False]),  # the prefix ends exactly on the limit
+    ([200, 150, 100, 60], 300.0, [True, False, True, False]),  # a miss, then a smaller one fits exactly
+    ([200, 150, 60, 40], 300.0, [True, False, True, True]),  # two late fits, the second exactly
+    ([300, 400, 500], 1200.000001, [True, True, True]),  # uncongested: everything fits
+    ([], 10.0, []),
+    ([11], 10.999999, [False]),
+    ([2**30, 2**30, 2**30, 5], 2**31 + 10.0, [True, True, False, True]),  # int32 sums would wrap past 2^31
+    ([100, 200], 300 + 1e-6, [True, True]),  # a total equal to k under k + 1e-6
+    ([100, 200, 1], 300 + 1e-6, [True, True, False]),  # the prefix ends on k in a congested window
+    ([100, 200, 1], 300.999999, [True, True, False]),  # k + 0.999999 still holds only k
+    ([100, 201, 50], 300.999999, [True, False, True]),
+    ([11, 12, 13], 10.5, [False, False, False]),  # every offered packet overruns
+]
+OFFERED_CASES = [  # (sizes, offered, limit, taken): arrivals not offered are never taken
+    ([50, 500, 100, 400, 60, 1000, 30], [1, 0, 1, 1, 1, 0, 1], 200.0, [1, 0, 1, 0, 0, 0, 1]),  # in prefix and tail
+    ([90, 90, 90, 20], [0, 1, 1, 1], 100.0, [0, 1, 0, 0]),  # before the prefix
+]
+
+
+def one_window(sizes, offered, limit, dtype):
+    sizes = np.array(sizes, dtype=dtype)
+    return settle_windows(sizes, np.array(offered, bool), np.array([0, len(sizes)]), np.array([limit])).tolist()
+
+
+@pytest.mark.parametrize("sizes, limit, taken", BUDGET_CASES)
 def test_fill_budget_edges(sizes, limit, taken):
     for dtype in (np.int64, np.int32):  # the engine's arrivals are int32
-        assert fill_budget(np.array(sizes, dtype=dtype), limit).tolist() == taken
+        assert one_window(sizes, [True] * len(sizes), limit, dtype) == taken
+
+
+@pytest.mark.parametrize("sizes, offered, limit, taken", OFFERED_CASES)
+def test_fill_budget_skips_arrivals_not_offered(sizes, offered, limit, taken):
+    for dtype in (np.int64, np.int32):
+        assert one_window(sizes, offered, limit, dtype) == list(map(bool, taken))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_fill_budget_edges_settle_in_one_multi_window_call(dtype):
+    cases = [(sizes, [1] * len(sizes), limit, taken) for sizes, limit, taken in BUDGET_CASES] + OFFERED_CASES
+    sizes = np.array([size for case in cases for size in case[0]], dtype=dtype)
+    offered = np.array([mark for case in cases for mark in case[1]], dtype=bool)
+    bounds = np.cumsum([0] + [len(case[0]) for case in cases])
+    got = settle_windows(sizes, offered, bounds, np.array([case[2] for case in cases]))
+    assert got.tolist() == [bool(mark) for case in cases for mark in case[3]]
+
+
+@st.composite
+def budget_windows(draw):
+    """Windows of (size, offered) arrivals, some empty, each with a byte limit
+    that is fractional or within 1e-6 of an integer, from 0 to the offered total."""
+    windows = draw(st.lists(st.lists(st.tuples(st.integers(1, 2**30), st.booleans()), max_size=10), max_size=8))
+    limits = []
+    for window in windows:
+        k = draw(st.integers(0, sum(size for size, offered in window if offered) + 1))
+        frac = draw(st.sampled_from([0.0, 1e-6, -1e-6, 0.999999]) | st.floats(0.0, 1.0, exclude_max=True))
+        limits.append(max(k + frac, 0.0))
+    return windows, limits
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=budget_windows())
+def test_one_settlement_pass_matches_the_per_window_model(case):
+    windows, limits = case
+    rows = [row for window in windows for row in window]
+    bounds = np.cumsum([0] + [len(window) for window in windows])
+    offered, limit = np.array([o for _, o in rows], dtype=bool), np.array(limits, dtype=float)
+    for dtype in (np.int64, np.int32):
+        sizes = np.array([size for size, _ in rows], dtype=dtype)
+        want = settle_per_window(sizes, offered, bounds, limit)
+        assert np.array_equal(settle_windows(sizes, offered, bounds, limit), want)
 
 
 def test_detector_keys_of_int32_arrivals_do_not_wrap():
@@ -478,6 +588,26 @@ def test_link_stage_holds_few_bytes_per_arrival(cfg, bound):
     finally:
         tracemalloc.stop()
     assert peak / arrivals <= bound
+
+
+def test_settlement_holds_few_bytes_per_arrival():
+    # settle_link's traced peak over a sensor pass made beforehand, on a run
+    # whose every window is congested: the offered and taken marks and one
+    # int64 running total of offered bytes, filled in place, which the tail
+    # passes run without. About 12 B an arrival. Keeping the running total
+    # through the tails reads 20 B, adding int64 window ids per arrival 28 B,
+    # and the per-window loop's cumsum copies 22 B.
+    cfg = ScenarioConfig(mode="of-baseline", node_count=500, sim_time_ms=10_000, round_period_ms=1_000)
+    sensors = sensor_pass(cfg)
+    assert len(sensors.arr_t) == 49_851
+    assert settle_link(cfg, sensors).counters["benign_dropped"] > 0
+    tracemalloc.start()
+    try:
+        settle_link(cfg, sensors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(sensors.arr_t) <= 16
 
 
 def test_ledger_stage_retains_few_bytes_per_committed_tx():
