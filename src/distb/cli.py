@@ -25,7 +25,6 @@ from .errors import ConfigError, DistbError
 from .sdn import flow_table_to_dict
 from .simulator import (
     bundle_from_raw,
-    check_batteries,
     measure_bandwidth_under_attack,
     measure_cpu_flooding,
     measure_gas,
@@ -139,10 +138,9 @@ def _flow_tables_json(raw) -> str:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    check_batteries(cfg)
+    files, _ = _battery_files(cfg)  # first: each battery refuses its own config before the main run
     raw = run_raw(cfg)
     bundle = bundle_from_raw(cfg, raw)
-    files, _ = _battery_files(cfg)
     files["manifest.json"] = _manifest(cfg, bundle)
     files["ledger.ndjson"] = bc.ledger_lines(raw.ledger)
     files["flow_tables.json"] = _flow_tables_json(raw)
@@ -158,12 +156,11 @@ def _pct(part: float, whole: float) -> float | None:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
-    check_batteries(cfg)
+    files, series = _battery_files(cfg)  # first: each battery refuses its own config before the main runs
     raw_distb = run_raw(cfg.with_(mode="distb"))
     raw_base = run_raw(cfg.with_(mode="of-baseline"))
     bundle_distb = bundle_from_raw(cfg.with_(mode="distb"), raw_distb)
     bundle_base = bundle_from_raw(cfg.with_(mode="of-baseline"), raw_base)
-    files, series = _battery_files(cfg)
 
     reduction = [_pct(core - d, core) for _, d, core in series["response"]]
     bw = series["bandwidth"]

@@ -94,7 +94,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
 
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
     delivered_log = array("i")
-    delivered_through = array("q", [0])
+    settled = 0  # windows settled
 
     arr_t, arr_node, arr_size = generate_traffic(
         cfg.node_count, cfg.sensor_rate_pps, rng_traffic, cfg.sim_time_ms, cfg.packet_size_bytes
@@ -200,7 +200,6 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
             delivered += 1
             if distb:
                 delivered_log.extend((t, nid, size, seq))
-        delivered_through.append(len(delivered_log))
 
         atk_delivered = atk_packets = 0
         for count, _ in attack_offered.values():
@@ -243,6 +242,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
             while next_round_at() < t1:
                 energy = do_round(energy)
             generated, delivered, attack_pkts = settle_window(ends[w - 1], t1, arr_ends[w - 1], arr_ends[w], batches[w])
+            settled += 1
             benign_bytes_generated += generated
             benign_bytes_delivered += delivered
             if cfg.attack is not None:
@@ -272,10 +272,9 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         cpu_load_samples=cpu_samples,
         drop_table=drop_table,
         terminated_early=terminated_early,
-        events_processed=len(delivered_through) - 1,
+        events_processed=settled,
         last_tick=last_tick,
         delivered=delivered_log,
-        delivered_through=delivered_through,
     )
 
 
@@ -292,7 +291,8 @@ def seal_pow(txs, prev_hash: bytes, difficulty: int, now: int, index: int) -> bc
 
 def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counters: dict) -> None:
     """The ledger stage one packet at a time, with its own registry, queue and
-    waiting room: each delivered packet is built at its window end t1 and
+    waiting room: each delivered packet is built at its window end t1, the
+    first window end at or after its own t (100 for t = 0), and
     refused if its tx id was seen before; a registered sensor's joins the
     queue and any other's is parked at t1. A block is sealed whenever
     `block_batch` are queued, and each sweep discards every entry parked
@@ -320,11 +320,13 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
 
     commit([], 0)  # genesis
     end = cfg.sim_time_ms
-    through = link.delivered_through
-    for w, (lo, hi) in enumerate(zip(through, through[1:]), 1):
+    by_window: dict[int, list] = {}  # window end -> its packets, in log order
+    packets = iter(link.delivered)
+    for t, nid, size, seq in zip(packets, packets, packets, packets):
+        by_window.setdefault(min(max(-(-t // WINDOW_MS), 1) * WINDOW_MS, end), []).append((t, nid, size, seq))
+    for w in range(1, link.events_processed + 1):
         t1 = min(w * WINDOW_MS, end)
-        packets = iter(link.delivered[lo:hi])
-        for t, nid, size, seq in zip(packets, packets, packets, packets):
+        for t, nid, size, seq in by_window.get(t1, []):
             payload = f"{nid}|{seq}|{t}|{size}".encode()
             [tx] = bc.TxColumns(BS_ID).append([(names[nid], payload, t)])
             if tx.tx_id in seen:

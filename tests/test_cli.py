@@ -28,7 +28,7 @@ from distb.config import (
     config_from_dict,
     parse_config,
 )
-from distb.simulator import check_batteries, run_raw
+from distb.simulator import BATTERIES, battery_configs, run_raw
 
 SMALL_CFG = {
     "node_count": 8,
@@ -596,7 +596,9 @@ def test_link_only_battery_runs_answer_to_no_sealing_cap(tmp_path, capsys, monke
         raise AssertionError("a battery ran")
 
     monkeypatch.setattr("distb.simulator.sensor_pass", no_run)
-    check_batteries(config_from_dict({"consensus": {"difficulty": 22}, "sim_time_ms": 1000, "node_count": 5}))
+    d22 = config_from_dict({"consensus": {"difficulty": 22}, "sim_time_ms": 1000, "node_count": 5})
+    for battery in BATTERIES:
+        battery_configs(d22, battery)
     cfg = tmp_path / "cfg.json"  # the main run's own sealing work is still capped: 8.25 blocks x 2^28 hashes
     cfg.write_text(json.dumps({"consensus": {"difficulty": 28}, "sim_time_ms": 1000, "node_count": 5}))
     assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from distb import blockchain as bc
 from distb.calibration import Calibration, load_default
 from distb.cli import _flow_tables_json
-from distb.config import MODES, AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
+from distb.config import MODES, WINDOW_MS, AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError, DuplicateTransactionError
 from distb.simulator import (
     _LEDGER_COUNTERS,
@@ -397,13 +397,15 @@ def test_run_raw_matches_the_two_models_in_sequence(doc):
     "knobs",
     [{"block_batch": 1}, {"block_batch": 8}, {"unregistered_fraction": 1.0}],  # seen committed, queued, parked
 )
-@pytest.mark.parametrize("through", [[0, 4, 8], [0, 8]])  # in a later window, or twice in one window
+@pytest.mark.parametrize("through", [[0, 4, 8], [0, 8]])  # window bounds: the copy in a later window, or in one
 def test_a_tx_id_seen_twice_in_the_ledger_stage_raises(knobs, through):
     cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, **knobs)
     link = run_link(cfg)
     rows = link.delivered[:4]
     assert rows, "the run delivers a packet"
-    twice = dataclasses.replace(link, delivered=rows + rows, delivered_through=array("q", through))
+    copy = array("i", rows)
+    copy[0] += (len(through) - 2) * WINDOW_MS  # a row's t fixes its window, so this puts the copy in the last
+    twice = dataclasses.replace(link, delivered=rows + copy)
     with pytest.raises(DuplicateTransactionError):
         ledger_stage(_run_ledger, cfg, twice)
 
@@ -414,11 +416,13 @@ def test_a_repeat_of_an_expired_packet_raises():
     cfg = ScenarioConfig(node_count=5, sim_time_ms=3000, seed=3, unregistered_fraction=1.0, t_pending_ms=1)
     link = run_link(cfg)
     rows = link.delivered[:4]
-    through = array("q", [0] + [4] * 10 + [8] * (len(link.delivered_through) - 11))  # again after the 1 s sweep
-    twice = dataclasses.replace(link, delivered=rows + rows, delivered_through=through)
+    assert rows[0] <= WINDOW_MS, "the first copy is parked in window 1"
+    again = array("i", rows)
+    again[0] += 1000  # in window 11, after the 1 s sweep
+    twice = dataclasses.replace(link, delivered=rows + again)
     with pytest.raises(DuplicateTransactionError):
         ledger_stage(_run_ledger, cfg, twice)
-    once = dataclasses.replace(link, delivered=rows, delivered_through=array("q", [0] + [4] * (len(through) - 1)))
+    once = dataclasses.replace(link, delivered=rows)
     assert ledger_stage(_run_ledger, cfg, once)[1]["expired_txs"] == 1  # alone, the first copy expires
 
 
@@ -447,12 +451,23 @@ def test_the_seq_check_carries_each_node_across_the_log():
         ledger_stage_over_rows(rows + [(999, 4, 100, 5)])
 
 
-def ledger_stage_over_rows(rows):
-    """The ledger stage over a delivered log of (t, node id, size, seq) rows, all in the first window."""
-    cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, unregistered_fraction=0.0)
+@pytest.mark.parametrize("stage", [_run_ledger, reference_ledger])
+def test_each_row_is_sealed_at_the_end_of_the_window_its_t_falls_in(stage):
+    # Window w holds ends[w - 1] < t <= ends[w], and window 1 also t = 0.
+    rows = [(0, 1, 100, 1), (100, 2, 100, 1), (101, 3, 100, 1)]
+    ledger, _ = ledger_stage_over_rows(rows, stage, block_batch=1)
+    assert [block.timestamp for block in ledger.blocks[1:]] == [100, 100, 200]
+    # The last window of a 1 050 ms horizon is 1 000 < t <= 1 050, and its blocks carry the horizon.
+    rows = [(1000, 1, 100, 1), (1001, 2, 100, 1), (1050, 3, 100, 1)]
+    ledger, _ = ledger_stage_over_rows(rows, stage, block_batch=1, sim_time_ms=1050)
+    assert [block.timestamp for block in ledger.blocks[1:]] == [1000, 1050, 1050]
+
+
+def ledger_stage_over_rows(rows, stage=_run_ledger, **knobs):
+    """A ledger stage over a delivered log of (t, node id, size, seq) rows, each in the window its t falls in."""
+    cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, unregistered_fraction=0.0).with_(**knobs)
     log = array("i", [v for row in rows for v in row])
-    link = dataclasses.replace(run_link(cfg), delivered=log, delivered_through=array("q", [0] + [len(log)] * 10))
-    return ledger_stage(_run_ledger, cfg, link)
+    return ledger_stage(stage, cfg, dataclasses.replace(run_link(cfg), delivered=log))
 
 
 def settle_windows(sizes, offered, bounds, limit):
@@ -608,6 +623,23 @@ def test_settlement_holds_few_bytes_per_arrival():
     finally:
         tracemalloc.stop()
     assert peak / len(sensors.arr_t) <= 16
+
+
+def test_settlement_holds_few_bytes_per_source():
+    # settle_link's traced peak over a sensor pass made beforehand, on a run
+    # with ten sources per arrival: each source's drop-rule time, 8 B, and a
+    # name only for a source it blocks, about 10 B a source. A list of every
+    # source's name reads 73 B.
+    cfg = ScenarioConfig(mode="of-baseline", node_count=20_000, sim_time_ms=100, sensor_rate_pps=1.0)
+    sensors = sensor_pass(cfg)
+    assert len(sensors.arr_t) == 2_011
+    tracemalloc.start()
+    try:
+        settle_link(cfg, sensors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.node_count <= 16
 
 
 def test_ledger_stage_retains_few_bytes_per_committed_tx():
