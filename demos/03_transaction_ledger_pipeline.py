@@ -71,8 +71,9 @@ print(f"after 1-byte tamper: distb validate-chain exits {code}: {verdict.getvalu
 
 # Stake-weighted sealing as the alternative consensus.
 counts = {"A": 0, "B": 0}
+stakes = bc.stake_table({"A": 3.0, "B": 1.0})
 for seed in range(1000):
-    counts[bc.select_validator({"A": 3.0, "B": 1.0}, seed)] += 1
+    counts[bc.select_validator(stakes, seed)] += 1
 print(f"\nstake 3:1 over 1000 seeded draws -> {counts}")
 calib = load_default()
 print("gas for batches of 3 and 24:", [bc.gas_for(n, calib.gas_base, calib.gas_per_tx) for n in (3, 24)])

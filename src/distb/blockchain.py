@@ -382,9 +382,9 @@ def stake_table(stakes: dict[str, float]) -> tuple[list[str], list[float], float
     return [v for v, _ in entries], list(accumulate(weights)), total
 
 
-def select_validator(stakes: dict[str, float] | tuple, seed: int) -> str:
-    """Seeded stake-weighted choice from stakes or their `stake_table`; zero stake is never picked."""
-    names, running, total = stakes if isinstance(stakes, tuple) else stake_table(stakes)
+def select_validator(stakes: tuple[list[str], list[float], float], seed: int) -> str:
+    """Seeded stake-weighted choice from a `stake_table`; zero stake is never picked."""
+    names, running, total = stakes
     r = random.Random(seed).random() * total
     return names[min(bisect_right(running, r), len(names) - 1)]
 

@@ -121,9 +121,9 @@ def _manifest(cfg: ScenarioConfig, bundle, extra: dict | None = None) -> str:
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "calibration": cfg.resolved_calibration().to_dict(),
-        "counters": {k: bundle.counters[k] for k in sorted(bundle.counters)},
+        "counters": bundle.counters,
         "terminated_early": bundle.terminated_early,
-        "raw": {k: bundle.raw[k] for k in sorted(bundle.raw)},
+        "raw": bundle.raw,
     }
     if extra:
         doc.update(extra)
@@ -180,11 +180,7 @@ def cmd_compare(args) -> int:
         },
     }
     files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    files["manifest.json"] = _manifest(
-        cfg,
-        bundle_distb,
-        extra={"baseline_counters": {k: bundle_base.counters[k] for k in sorted(bundle_base.counters)}},
-    )
+    files["manifest.json"] = _manifest(cfg, bundle_distb, extra={"baseline_counters": bundle_base.counters})
     files["ledger.ndjson"] = bc.ledger_lines(raw_distb.ledger)
     files["flow_tables.json"] = _flow_tables_json(raw_distb)
     _write_outputs(Path(args.out), files)

@@ -14,14 +14,14 @@ may be shorter). For each window end t1 the engine's result is that of:
 
 Nothing in steps 1-3 reads the ledger. They form the link stage
 (`run_link`), which logs every delivered sensor packet; `run_raw` then runs
-the ledger stage over that log a window at a time, a packet's window being
-the one its t falls in. At each t1 it builds the transactions of the
-window's registered sensors in one pass into the run's column store
-(`blockchain.TxColumns`), whose rows not yet sealed are the queue, seals
-its whole `block_batch` blocks, each stamped t1 and each a view of its
-rows, and then runs step 4. Nothing registers a sensor mid-run, so step 5
-only ages parked packets out, and the stage counts them instead of
-building them.
+the ledger stage over that log per row and per block, never per window. A
+packet is queued, or parked, at the end t1 of the window its t falls in.
+The stage builds the registered sensors' transactions in log order into
+the run's column store (`blockchain.TxColumns`), then cuts blocks, each a
+view of its rows: whole `block_batch` blocks stamped with their last row's
+t1, and at each mine point (step 4) the rest of the rows it is the first
+for. Nothing registers a sensor mid-run, so step 5 only ages parked
+packets out, and the stage counts them instead of building them.
 The metric batteries read link figures and run the link stage alone.
 
 Within the link stage, rounds read only the energy, the detector only
@@ -81,7 +81,7 @@ side differs or the sweep ends.
 from __future__ import annotations
 
 import json
-from array import array
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -210,10 +210,10 @@ class LinkResult:
     terminated_early: bool
     events_processed: int  # settlement windows run
     last_tick: int  # the last window end whose steps 3-5 ran (see the module docstring)
-    # distb mode: t, node id, size and seq of each delivered benign packet, flat, in arrival order, int32 (16 B
-    # a packet), built by the settlement pass; seq is 1 + the arrival's rank among its node's alive arrivals.
-    # A packet's t fixes its window: window w holds ends[w - 1] < t <= ends[w], and window 1 also t = 0.
-    delivered: array
+    # distb mode: one (t, node id, size, seq) int32 row per delivered benign packet (16 B a packet), in arrival
+    # order, so by t; seq is 1 + the arrival's rank among its node's alive arrivals. A row's t fixes its window,
+    # where the ledger stage queues or parks it: window w holds ends[w - 1] < t <= ends[w], and window 1 also t = 0.
+    delivered: np.ndarray
 
     @property
     def block_times(self) -> dict:
@@ -239,13 +239,7 @@ class MetricsBundle:
     raw: dict  # benign_kbps, attack_window_benign_mbps, blocked_sources, ...
 
     def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "terminated_early": self.terminated_early,
-            "raw": {k: self.raw[k] for k in sorted(self.raw)},
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def bytes_before(sizes: np.ndarray, marks: np.ndarray) -> np.ndarray:
@@ -479,7 +473,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
     counters["attack_dropped"] = counters["attack_generated"] - counters["attack_delivered"]
     for key in ("generated", "delivered", "dropped"):
         counters[key] = counters["benign_" + key] + counters["attack_" + key]
-    delivered_log = array("i")
+    delivered = np.empty((0, 4), dtype=np.int32)
     if distb:
         # Each payload's seq: 1 + the arrival's rank among its node's alive
         # arrivals (dropped and blocked ones included), in array order.
@@ -497,9 +491,10 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
         seq = seq[taken[alive]]  # the delivered packets' only; the ranks go before the log is allocated
         del nodes, rank, key
         at = np.flatnonzero(taken)
-        delivered_log = array("i", [0]) * (4 * len(at))  # filled in place, through a numpy view
-        rows = np.frombuffer(delivered_log, dtype=np.int32).reshape(-1, 4)
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = arr_t[at], arr_node[at], sizes[at], seq
+        delivered = np.empty((len(at), 4), dtype=np.int32)
+        for col, values in enumerate((arr_t, arr_node, sizes)):  # a column at a time, so one gather is alive
+            delivered[:, col] = values[at]
+        delivered[:, 3] = seq
 
     return LinkResult(
         counters=counters,
@@ -511,7 +506,7 @@ def settle_link(cfg: ScenarioConfig, sensors: SensorPass) -> LinkResult:
         terminated_early=sensors.terminated_early,
         events_processed=settled,
         last_tick=sensors.last_tick,
-        delivered=delivered_log,
+        delivered=delivered,
     )
 
 
@@ -519,19 +514,19 @@ def run_raw(cfg: ScenarioConfig) -> RawResult:
     """Run the link stage, then the ledger stage over its delivered packets,
     and return raw, calibration-free results.
 
-    At each window end t1, the transactions of the window's packets from
-    registered sensors join the queue in arrival order, and the queue is cut
-    into as many whole blocks of `block_batch` as it holds, each stamped t1.
-    These are the blocks that sealing whenever `block_batch` are queued
-    would give, since every block of a window carries t1. Then, up to
-    `last_tick`, the queue is mined on `block_interval_ms` ends and at the
-    horizon. The other packets are parked at t1 and never built: nothing
-    registers a sensor mid-run, so each only ages out, at the first sweep
-    (every second and at the horizon, up to `last_tick`) that comes
-    `t_pending_ms` or more after t1, and the stage only counts them. The
-    trap: a round due exactly at t1 runs after settlement, so if it
-    exhausts the network, that window's whole blocks are cut but its mine
-    and sweep never run; the leftover queue counts in `queued_at_end`.
+    A registered sensor's packet joins the queue at t1, the end of the
+    window its t falls in. Every `block_batch` rows queued since the last
+    mine make a whole block stamped with its last row's t1, as sealing
+    whenever `block_batch` are queued would. A mine point is a window end
+    that is a multiple of `block_interval_ms`, or the horizon, up to
+    `last_tick`; each seals, as one block stamped with it, the rest of the
+    rows whose first mine point it is. Other packets are parked at t1 and
+    never built: nothing registers a sensor mid-run, so each only ages out,
+    at the first sweep (every second and at the horizon, up to `last_tick`)
+    that comes `t_pending_ms` or more after t1. The trap: a round due
+    exactly at a window end runs after settlement, so if it exhausts the
+    network, that window's whole blocks are cut but its mine and sweep never
+    run. Nothing past `last_tick` is mined: it counts in `queued_at_end`.
     """
     cfg = validate_config(cfg)
     link = run_link(cfg)
@@ -548,33 +543,33 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
     Refuses the first packet in log order whose seq is not above its node's
     last (0 before its first): a tx id seen twice shows so, as its id hashes the row."""
     rng_misc = np.random.default_rng([cfg.seed, 3])
-    names = [f"s-{i}" for i in range(cfg.node_count)]
     k = int(round(cfg.unregistered_fraction * cfg.node_count))
-    unregistered = set(rng_misc.choice(cfg.node_count, size=k, replace=False).tolist())
-    registered = [i not in unregistered for i in range(cfg.node_count)]  # nothing registers a sensor mid-run
+    registered = np.ones(cfg.node_count, dtype=bool)  # nothing registers a sensor mid-run
+    registered[rng_misc.choice(cfg.node_count, size=k, replace=False)] = False
     pos = cfg.consensus.kind == "pos"
     stakes = bc.stake_table(cfg.consensus.stakes_dict()) if pos else None
+    end, last_tick, batch, log = cfg.sim_time_ms, link.last_tick, cfg.block_batch, link.delivered
+    store = bc.TxColumns(BS_ID)  # the registered rows' transactions, in log order
 
-    def commit(txs, now: int) -> None:
+    def commit(lo: int, hi: int, now: int) -> None:
         index = len(ledger.blocks)
+        txs = bc.TxBatch(store, lo, hi)
+        if index and ledger.blocks[-1].timestamp == now:
+            now = ledger.blocks[-1].timestamp  # every block of one window shares one int
         if pos:
             validator = bc.select_validator(stakes, (cfg.seed << 20) ^ index)
             block = bc.seal_block_pos(txs, ledger.tip_hash, validator, now, index)
         else:
             block = bc.mine_block(txs, ledger.tip_hash, cfg.consensus.difficulty, now, index)
         bc.append_block(ledger, block)
-        counters["committed_txs"] += len(txs)
 
-    store = bc.TxColumns(BS_ID)  # every built transaction; the queue is its rows from `head` on
-    head = 0
-    commit(bc.TxBatch(store, 0, 0), 0)  # genesis
-    end, last_tick, batch = cfg.sim_time_ms, link.last_tick, cfg.block_batch
-    # Sweeps run every second and at the horizon, up to last_tick, so a packet parked at t1 has expired by the
-    # end iff the last sweep (0 if none ran) is t_pending_ms or more after t1. Python ints: no t_pending_ms wraps.
-    last_sweep = end if last_tick == end else last_tick - last_tick % 1000
-    log = np.frombuffer(link.delivered, dtype=np.int32).reshape(-1, 4)
+    def window_end(t: int) -> int:  # of the window t falls in (see LinkResult.delivered)
+        return min(max(-(-t // WINDOW_MS), 1) * WINDOW_MS, end)
+
+    commit(0, 0, 0)  # genesis
+    parts = [log[i : i + 4096] for i in range(0, len(log), 4096)]  # views: small blocks hold the memory flat
     last_seq = np.zeros(cfg.node_count, dtype=np.int32)  # per node, its last seq in the rows checked so far
-    for part in (log[i : i + 4096] for i in range(0, len(log), 4096)):  # small blocks hold the memory flat
+    for part in parts:
         key = np.sort(part[:, 1].astype(np.int64) << 32 | np.arange(len(part)))  # by node, then log position
         node, seq = key >> 32, part[key & 0xFFFFFFFF, 3]
         prev = np.where(np.diff(node, prepend=-1) != 0, last_seq[node], np.roll(seq, 1))  # its node's seq before
@@ -582,33 +577,38 @@ def _run_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, counte
             i = bad[np.argmin(key[bad] & 0xFFFFFFFF)]  # the first offender in log order
             raise DuplicateTransactionError(f"packet {seq[i]} of s-{node[i]} is not after its last, {prev[i]}")
         np.maximum.at(last_seq, node, seq)  # each node's seqs rise, so its last is its largest
-    # A row's t fixes its window (see LinkResult.delivered): the log's first through[w - 1] rows are windows 1..w.
-    ends = np.minimum(np.arange(WINDOW_MS, WINDOW_MS * link.events_processed + 1, WINDOW_MS), end)
-    through, lo = np.searchsorted(log[:, 0], ends, side="right"), 0
-    del ends  # the loop holds only the bounds, 8 B a window
-    for w, hi in enumerate(through, 1):
-        t1 = min(w * WINDOW_MS, end)
-        rows, lo = link.delivered[4 * lo : 4 * hi], hi
-        ts, nids, sizes, seqs = rows[::4], rows[1::4], rows[2::4], rows[3::4]
-        kept = store.append(
-            (names[n], b"%d|%d|%d|%d" % (n, q, t, size), t)
-            for t, n, size, q in zip(ts, nids, sizes, seqs)
-            if registered[n]
-        )
-        parked = len(nids) - len(kept)
-        counters["parked_txs"] += parked
-        counters["expired_txs" if last_sweep - t1 >= cfg.t_pending_ms else "pending_at_end"] += parked
-        cut = len(store) - (len(store) - head) % batch
-        for i in range(head, cut, batch):  # every block of the window carries t1
-            commit(bc.TxBatch(store, i, i + batch), t1)
-        head = cut
-        if t1 > last_tick:
-            break  # a round at t1 exhausted the network before the mine
-        if head < len(store) and (t1 % cfg.block_interval_ms == 0 or t1 == end):
-            commit(bc.TxBatch(store, head, len(store)), t1)
-            head = len(store)
-    counters["queued_at_end"] = len(store) - head
-    if dup := bc.first_duplicate(memoryview(store.ids)[: 32 * head], (b.tx_list.hi for b in ledger.blocks)):
+    names: dict[int, str] = {}  # one shared name per registered sensor the log holds, made at its first row
+    store.append(  # a block of rows at a time, so no per-row array outlives its block
+        (names.get(n) or names.setdefault(n, f"s-{n}"), b"%d|%d|%d|%d" % (n, q, t, size), t)
+        for part in parts
+        for t, n, size, q in zip(*part[registered[part[:, 1]]].T.tolist())  # a list per column, not per row
+    )
+    # Sweeps run every second and at the horizon, up to last_tick, so a packet parked at t1 has expired by the end
+    # iff t1 <= last_sweep - t_pending_ms (0 if no sweep ran). Every t1 is >= 1: a clip at 0 keeps each outcome.
+    last_sweep = end if last_tick == end else last_tick - last_tick % 1000
+    aged = bisect_right(log[:, 0], max(last_sweep - cfg.t_pending_ms, 0), key=window_end)  # t rises: a prefix
+    counters["parked_txs"] = len(log) - len(store)
+    counters["expired_txs"] = aged - int(np.count_nonzero(registered[log[:aged, 1]]))
+    counters["pending_at_end"] = counters["parked_txs"] - counters["expired_txs"]
+
+    # Blocks as run_raw states. A row's first mine point is the first window end at or after its t1 on the grid,
+    # or the horizon, so it is the first of exactly the rows left at t <= it. Python ints: no interval wraps.
+    grid = math.lcm(WINDOW_MS, cfg.block_interval_ms)  # mines run at its multiples below the horizon
+    times, head = store.times, 0
+    while head < len(store):
+        mine = min(-(-window_end(times[head]) // grid) * grid, end)
+        stop = bisect_right(times, mine, head)
+        cut = stop - (stop - head) % batch
+        for i in range(head, cut, batch):
+            commit(i, i + batch, window_end(times[i + batch - 1]))
+        if mine > last_tick:  # no mine ran there: the rest stays queued
+            break
+        if cut < stop:
+            commit(cut, stop, mine)
+        head = stop
+    counters["committed_txs"] = committed = ledger.blocks[-1].tx_list.hi
+    counters["queued_at_end"] = len(store) - committed
+    if dup := bc.first_duplicate(memoryview(store.ids)[: 32 * committed], (b.tx_list.hi for b in ledger.blocks)):
         raise DuplicateTransactionError(f"tx {dup[1].hex()} is on the chain twice, the second time in block {dup[0]}")
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from array import array
 from collections import Counter
 from operator import itemgetter
 
@@ -93,7 +92,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
     verdicts: dict[str, bool] = {}
 
     counters = dict.fromkeys(_LINK_COUNTERS, 0)
-    delivered_log = array("i")
+    delivered_log: list[tuple[int, int, int, int]] = []  # (t, node_id, size, seq) per delivered packet
     settled = 0  # windows settled
 
     arr_t, arr_node, arr_size = generate_traffic(
@@ -199,7 +198,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
             delivered_bytes += size
             delivered += 1
             if distb:
-                delivered_log.extend((t, nid, size, seq))
+                delivered_log.append((t, nid, size, seq))
 
         atk_delivered = atk_packets = 0
         for count, _ in attack_offered.values():
@@ -274,7 +273,7 @@ def reference_link(cfg: ScenarioConfig) -> LinkResult:
         terminated_early=terminated_early,
         events_processed=settled,
         last_tick=last_tick,
-        delivered=delivered_log,
+        delivered=np.array(delivered_log, dtype=np.int32).reshape(-1, 4),
     )
 
 
@@ -321,8 +320,7 @@ def reference_ledger(cfg: ScenarioConfig, link: LinkResult, ledger: bc.Ledger, c
     commit([], 0)  # genesis
     end = cfg.sim_time_ms
     by_window: dict[int, list] = {}  # window end -> its packets, in log order
-    packets = iter(link.delivered)
-    for t, nid, size, seq in zip(packets, packets, packets, packets):
+    for t, nid, size, seq in link.delivered.tolist():
         by_window.setdefault(min(max(-(-t // WINDOW_MS), 1) * WINDOW_MS, end), []).append((t, nid, size, seq))
     for w in range(1, link.events_processed + 1):
         t1 = min(w * WINDOW_MS, end)

@@ -290,25 +290,26 @@ def test_pow_target_above_256_admits_nothing():
 
 
 def test_select_validator_single():
-    assert bc.select_validator({"a": 2.0}, seed=0) == "a"
+    assert bc.select_validator(bc.stake_table({"a": 2.0}), seed=0) == "a"
 
 
 def test_select_validator_zero_stake_never_chosen():
     for seed in range(500):
-        assert bc.select_validator({"a": 1.0, "b": 0.0}, seed=seed) == "a"
+        assert bc.select_validator(bc.stake_table({"a": 1.0, "b": 0.0}), seed=seed) == "a"
 
 
 def test_select_validator_rejects_all_zero():
     with pytest.raises(ValueError):
-        bc.select_validator({"a": 0.0, "b": 0.0}, seed=1)
+        bc.select_validator(bc.stake_table({"a": 0.0, "b": 0.0}), seed=1)
     with pytest.raises(ValueError):
-        bc.select_validator({}, seed=1)
+        bc.select_validator(bc.stake_table({}), seed=1)
     with pytest.raises(ValueError, match="finite total"):  # each stake is finite, their sum is not
         bc.stake_table({"a": 1e308, "b": 1e308})
 
 
 def test_select_validator_weighted_frequency():
-    draws = [bc.select_validator({"A": 3.0, "B": 1.0}, seed=s) for s in range(4000)]
+    table = bc.stake_table({"A": 3.0, "B": 1.0})
+    draws = [bc.select_validator(table, seed=s) for s in range(4000)]
     freq = draws.count("A") / len(draws)
     assert abs(freq - 0.75) < 0.02
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import time
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -52,6 +51,16 @@ def small_attack_cfg(seed=7, mode="distb"):
         mode=mode,
         attack=AttackConfig(start_ms=500, stop_ms=2500, sources=2, multiplier=10.0),
     )
+
+
+def assert_same_link(got, want, skip=()):
+    """Every LinkResult field of `got` equals `want`'s but those in `skip`; the delivered logs row for row."""
+    for f in dataclasses.fields(LinkResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "delivered":
+            assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b), f.name
+        elif f.name not in skip:
+            assert a == b, f.name
 
 
 def assert_ledger_books_close(raw):
@@ -130,11 +139,8 @@ def test_tick_order_pinned_by_output_digest(name):
     assert h.hexdigest() == expected
     assert_ledger_books_close(raw)
     link = run_link(cfg)  # the link stage alone measures what run_raw's link stage did
-    for f in dataclasses.fields(LinkResult):
-        if f.name == "counters":
-            assert link.counters == {k: raw.counters[k] for k in link.counters}
-        else:
-            assert getattr(link, f.name) == getattr(raw, f.name), f.name
+    assert link.counters == {k: raw.counters[k] for k in link.counters}
+    assert_same_link(link, raw, skip=("counters",))
 
 
 def test_batteries_build_no_transaction_and_seal_no_block(monkeypatch):
@@ -204,8 +210,7 @@ def link_configs(draw):
 )
 def test_link_stage_matches_the_per_packet_reference(cfg):
     got, want = run_link(cfg), reference_link(cfg)
-    for f in dataclasses.fields(LinkResult):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_link(got, want)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -215,8 +220,7 @@ def test_the_sensor_pass_reads_neither_mode_nor_attack(cfg):
     # as its own does, so the runs of a battery pair can share one.
     other = MODES[1 - MODES.index(cfg.mode)]
     got, want = settle_link(cfg, sensor_pass(cfg.with_(mode=other, attack=None))), run_link(cfg)
-    for f in dataclasses.fields(LinkResult):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_link(got, want)
 
 
 @pytest.mark.parametrize("window_ms", [1, 99, 150, 250, 1000])
@@ -236,8 +240,7 @@ def test_link_stage_matches_the_reference_at_detector_windows_off_the_grid(windo
     )
     got, want = run_link(cfg), reference_link(cfg)
     assert {src.split("-")[0] for src in got.block_times} == {"atk", "s"}
-    for f in dataclasses.fields(LinkResult):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_link(got, want)
 
 
 @pytest.mark.parametrize("window_ms", [200, 2_050, 15_000])
@@ -259,8 +262,7 @@ def test_link_stage_matches_the_reference_across_detector_passes(window_ms):
     got, want = run_link(cfg), reference_link(cfg)
     assert {src.split("-")[0] for src in got.block_times} == {"atk", "s"}
     assert max(got.block_times.values()) - min(got.block_times.values()) > 15_000  # longer than any pass
-    for f in dataclasses.fields(LinkResult):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_link(got, want)
 
 
 def test_one_detector_pass_holds_many_block_events():
@@ -279,8 +281,7 @@ def test_one_detector_pass_holds_many_block_events():
         }
     )
     got, want = run_link(cfg), reference_link(cfg)
-    for f in dataclasses.fields(LinkResult):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert_same_link(got, want)
     assert got.counters["rounds"] == 1
     rules = [(t, src) for src, t in got.drop_table.rules.items()]
     assert len({t for t, _ in rules}) == 9
@@ -315,7 +316,9 @@ def ledger_configs(draw):
             "sensor_rate_pps": draw(st.sampled_from([5.0, 20.0, 60.0])),
             "data_rate_mbps": draw(st.sampled_from([0.1, 10.0])),
             "block_batch": draw(st.integers(1, 5)),
-            "block_interval_ms": draw(st.one_of(st.sampled_from([200, 300, 1000]), st.integers(1, 1500))),
+            "block_interval_ms": draw(
+                st.one_of(st.sampled_from([200, 300, 1000, 2**63 - 1, 10**30]), st.integers(1, 1500))
+            ),
             "unregistered_fraction": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
             "t_pending_ms": draw(st.sampled_from([1, 300, 1000, 30_000, 2**63 - 1, 10**30])),
             "energy_range_j": list(energy_range),
@@ -401,11 +404,11 @@ def test_run_raw_matches_the_two_models_in_sequence(doc):
 def test_a_tx_id_seen_twice_in_the_ledger_stage_raises(knobs, through):
     cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, **knobs)
     link = run_link(cfg)
-    rows = link.delivered[:4]
-    assert rows, "the run delivers a packet"
-    copy = array("i", rows)
-    copy[0] += (len(through) - 2) * WINDOW_MS  # a row's t fixes its window, so this puts the copy in the last
-    twice = dataclasses.replace(link, delivered=rows + copy)
+    rows = link.delivered[:1]
+    assert len(rows), "the run delivers a packet"
+    copy = rows.copy()
+    copy[0, 0] += (len(through) - 2) * WINDOW_MS  # a row's t fixes its window, so this puts the copy in the last
+    twice = dataclasses.replace(link, delivered=np.concatenate((rows, copy)))
     with pytest.raises(DuplicateTransactionError):
         ledger_stage(_run_ledger, cfg, twice)
 
@@ -415,11 +418,11 @@ def test_a_repeat_of_an_expired_packet_raises():
     # after the waiting room let its first copy expire.
     cfg = ScenarioConfig(node_count=5, sim_time_ms=3000, seed=3, unregistered_fraction=1.0, t_pending_ms=1)
     link = run_link(cfg)
-    rows = link.delivered[:4]
-    assert rows[0] <= WINDOW_MS, "the first copy is parked in window 1"
-    again = array("i", rows)
-    again[0] += 1000  # in window 11, after the 1 s sweep
-    twice = dataclasses.replace(link, delivered=rows + again)
+    rows = link.delivered[:1]
+    assert rows[0, 0] <= WINDOW_MS, "the first copy is parked in window 1"
+    again = rows.copy()
+    again[0, 0] += 1000  # in window 11, after the 1 s sweep
+    twice = dataclasses.replace(link, delivered=np.concatenate((rows, again)))
     with pytest.raises(DuplicateTransactionError):
         ledger_stage(_run_ledger, cfg, twice)
     once = dataclasses.replace(link, delivered=rows)
@@ -463,10 +466,27 @@ def test_each_row_is_sealed_at_the_end_of_the_window_its_t_falls_in(stage):
     assert [block.timestamp for block in ledger.blocks[1:]] == [1000, 1050, 1050]
 
 
+def test_the_ledger_stage_does_no_work_per_window():
+    # 20 rows over a 10^8 ms horizon, 10^6 windows: the stage's cost follows
+    # its rows and blocks, not the windows. A short run's link result carries
+    # the long horizon's window count and last tick. Stepping through every
+    # window took about 3 s.
+    cfg = ScenarioConfig(node_count=5, sim_time_ms=10**8, seed=3)
+    rows = np.array([(5 * 10**6 * i + 1, i % 5, 100, i // 5 + 1) for i in range(20)], dtype=np.int32)
+    link = dataclasses.replace(
+        run_link(cfg.with_(sim_time_ms=1000)), events_processed=10**6, last_tick=10**8, delivered=rows
+    )
+    start = time.process_time()
+    ledger, counters = ledger_stage(_run_ledger, cfg, link)
+    assert time.process_time() - start < 0.3
+    assert counters["committed_txs"] == 20
+    assert [block.timestamp for block in ledger.blocks[1:]] == [5 * 10**6 * i + 1000 for i in range(20)]
+
+
 def ledger_stage_over_rows(rows, stage=_run_ledger, **knobs):
     """A ledger stage over a delivered log of (t, node id, size, seq) rows, each in the window its t falls in."""
     cfg = ScenarioConfig(node_count=5, sim_time_ms=1000, seed=3, unregistered_fraction=0.0).with_(**knobs)
-    log = array("i", [v for row in rows for v in row])
+    log = np.array(rows, dtype=np.int32).reshape(-1, 4)
     return ledger_stage(stage, cfg, dataclasses.replace(run_link(cfg), delivered=log))
 
 
