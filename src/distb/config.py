@@ -2,9 +2,10 @@
 
 Each knob is declared once, as a dataclass field with its default; the five
 topology knobs are `TopologyParams` fields that `ScenarioConfig` inherits.
-The JSON echo (`to_dict`), the parser's known keys, the reader of each plain
-field (chosen by its annotation) and the finite check on every float knob are
-all read off those declarations.
+The JSON echo (`to_dict`), the parser's known keys and each plain field's type
+check (by annotation; a float must be finite) are read off those declarations.
+`validate_config` runs the type checks, so configs built in Python meet them
+too; only JSON is coerced (an integral float to an int, an int to a float).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .calibration import Calibration, load_default
+from .calibration import Calibration, _is_finite_number, load_default
 from .errors import ConfigError
 from .topology import TopologyParams
 
@@ -105,6 +106,16 @@ def _require(cond: bool, message: str) -> None:
 
 def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig:
     """`cfg` if it can run, else a ConfigError; sealing=False for a link-only run, which seals no block."""
+    c = cfg.consensus
+    sections = ((cfg, ScenarioConfig, ""), (cfg.attack, AttackConfig, "attack."), (c, ConsensusConfig, "consensus."))
+    for obj, cls, prefix in sections:
+        if obj is not None:  # the type checks come first, so every range check below compares numbers
+            for name, (check, _) in _PLAIN_READERS[cls].items():
+                check(prefix + name, getattr(obj, name))
+    for entry in c.stakes:
+        ok = isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
+        _require(ok, f"consensus.stakes entries must be (str name, weight) pairs (got {entry!r})")
+        _finite("consensus.stakes", entry[1])
     _require(cfg.mode in MODES, f"mode must be one of {MODES} (got {cfg.mode!r})")
     _require(1 <= cfg.node_count <= MAX_NODES, f"node_count must be in 1..{MAX_NODES} (got {cfg.node_count})")
     _require(cfg.seed >= 0, f"seed must be >= 0 (got {cfg.seed})")
@@ -112,10 +123,6 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
     _require(cfg.sim_time_ms > 0, f"sim_time_ms must be > 0 (got {cfg.sim_time_ms})")
     _require(cfg.data_rate_mbps > 0, f"data_rate_mbps must be > 0 (got {cfg.data_rate_mbps})")
     _require(cfg.sensor_rate_pps > 0, f"sensor_rate_pps must be > 0 (got {cfg.sensor_rate_pps})")
-    for f in fields(cfg):
-        if f.type == "float":  # a range check alone would let an infinity through
-            value = getattr(cfg, f.name)
-            _require(math.isfinite(value), f"{f.name} must be finite (got {value})")
     _require(cfg.z_max_m >= 0, f"z_max_m must be >= 0 (got {cfg.z_max_m})")
     for name in ("area_side_m", "z_max_m"):
         value = getattr(cfg, name)
@@ -133,10 +140,7 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
     )
     for name in ("energy_range_j", "coverage_range_m"):
         lo, hi = getattr(cfg, name)
-        _require(
-            math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi,
-            f"{name} must satisfy 0 < min <= max, both finite (got {lo}..{hi})",
-        )
+        _require(0 < lo <= hi, f"{name} must satisfy 0 < min <= max (got {lo}..{hi})")
     _require(
         0.0 <= cfg.unregistered_fraction <= 1.0,
         f"unregistered_fraction must be in [0, 1] (got {cfg.unregistered_fraction})",
@@ -180,9 +184,7 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
             f"attack.sources x {WINDOW_MS} ms attack windows must be <= {MAX_ATTACK_BATCHES} "
             f"(got {a.sources} x {windows})",
         )
-        _require(
-            0 < a.multiplier < math.inf, f"attack.multiplier must be > 0 and finite (got {a.multiplier})"
-        )
+        _require(a.multiplier > 0, f"attack.multiplier must be > 0 (got {a.multiplier})")
         _require(a.ramp_ms >= 0, f"attack.ramp_ms must be >= 0 (got {a.ramp_ms})")
         packets = a.sources * a.multiplier * cfg.sensor_rate_pps * (a.stop_ms - a.start_ms) / 1000
         _require(
@@ -190,7 +192,6 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
             f"expected attack packets attack.sources x attack.multiplier x sensor_rate_pps x "
             f"(stop_ms - start_ms) / 1000 must be <= {MAX_ATTACK_PACKETS} (got {packets:.3g})",
         )
-    c = cfg.consensus
     _require(c.kind in ("pow", "pos"), f"consensus.kind must be pow or pos (got {c.kind!r})")
     if c.kind == "pow":
         _require(
@@ -212,10 +213,7 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
                 name and not any("\ud800" <= c <= "\udfff" for c in name),
                 f"consensus.stakes names must be non-empty UTF-8 (got {name!r})",
             )
-        _require(
-            all(0 <= v < math.inf for v in stakes.values()),
-            "consensus.stakes must be non-negative and finite",
-        )
+        _require(all(v >= 0 for v in stakes.values()), "consensus.stakes must be non-negative")
         _require(sum(stakes.values()) < math.inf, "consensus.stakes must sum to a finite total")
         _require(any(v > 0 for v in stakes.values()), "consensus.stakes needs a positive stake")
     if cfg.calibration is not None:
@@ -224,28 +222,33 @@ def validate_config(cfg: ScenarioConfig, sealing: bool = True) -> ScenarioConfig
     return cfg
 
 
-def _integer(key: str, value) -> int:
-    """An integral JSON number; bools, strings and fractions are refused, not coerced."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{key} must be an integer (got {value!r})")
+def _is_a(what: str, test):
+    """The strict check of one type: a ConfigError naming the field unless `test(value)` holds."""
+
+    def check(key: str, value) -> None:
+        if not test(value):
+            raise ConfigError(f"{key} must be {what} (got {value!r})")
+
+    return check
 
 
-def _real(key: str, value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{key} must be a number (got {value!r})")
+def _check_pair(key: str, value, check) -> None:
+    if not isinstance(value, tuple) or len(value) != 2:
+        raise ConfigError(f"{key} must be a [min, max] pair")
+    check(key, value[0])
+    check(key, value[1])
 
 
-def _text(key: str, value) -> str:
-    if isinstance(value, str):
-        return value
-    raise ConfigError(f"{key} must be a string (got {value!r})")
+def _integer(value):
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _real(value):  # so the manifest echoes a float knob as one
+    return float(value) if isinstance(value, int) and _is_finite_number(value) else value
+
+
+def _pair(read):
+    return lambda value: tuple(map(read, value)) if isinstance(value, (list, tuple)) and len(value) == 2 else value
 
 
 def _object(key: str, value) -> dict:
@@ -254,19 +257,17 @@ def _object(key: str, value) -> dict:
     raise ConfigError(f"{key} must be a JSON object (got {value!r})")
 
 
-def _pair(key: str, value, parse) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{key} must be a [min, max] pair")
-    return (parse(key, value[0]), parse(key, value[1]))
-
-
-# The reader of a plain field, keyed by its annotation as written.
+_int = _is_a("an integer", lambda value: type(value) is int)  # a bool is an int subclass, so it fails
+_finite = _is_a("a finite number", _is_finite_number)  # a range check alone would let an infinity through
+# Per annotation as written: the strict type check validate_config runs on a plain field, and how
+# config_from_dict normalises a JSON value for it first: an integral float to an int, an int to a float
+# and a two-item list to a tuple. It leaves every other value as it is, for the check to refuse.
 _READERS = {
-    "int": _integer,
-    "float": _real,
-    "str": _text,
-    "tuple[int, int]": lambda key, value: _pair(key, value, _integer),
-    "tuple[float, float]": lambda key, value: _pair(key, value, _real),
+    "int": (_int, _integer),
+    "float": (_finite, _real),
+    "str": (_is_a("a string", lambda value: isinstance(value, str)), lambda value: value),
+    "tuple[int, int]": (lambda key, value: _check_pair(key, value, _int), _pair(_integer)),
+    "tuple[float, float]": (lambda key, value: _check_pair(key, value, _finite), _pair(_real)),
 }
 # The fields config_from_dict reads by hand; every other field needs a reader.
 _HAND_PARSED = frozenset({"attack", "consensus", "stakes", "calibration"})
@@ -276,7 +277,7 @@ def _plain_readers(cls) -> dict:
     readers = {}
     for f in fields(cls):
         if f.name not in _HAND_PARSED:
-            if f.type not in _READERS:  # a knob the parser would silently drop
+            if f.type not in _READERS:  # a knob the parser would silently drop, and no check would type
                 raise TypeError(f"{cls.__name__}.{f.name}: no config reader for {f.type!r}")
             readers[f.name] = _READERS[f.type]
     return readers
@@ -285,13 +286,12 @@ def _plain_readers(cls) -> dict:
 _PLAIN_READERS = {cls: _plain_readers(cls) for cls in (ScenarioConfig, AttackConfig, ConsensusConfig)}
 
 
-def _read_plain(cls, doc: dict, section: str | None = None) -> dict:
-    """The plain fields of `cls` that `doc` sets, read by annotation; unknown keys are refused."""
+def _read_plain(cls, doc: dict, section: str = "config") -> dict:
+    """The plain fields of `cls` that `doc` sets, normalised by annotation; unknown keys are refused."""
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {section or 'config'} key {sorted(unknown)[0]!r}")
-    prefix = "" if section is None else f"{section}."
-    return {key: read(prefix + key, doc[key]) for key, read in _PLAIN_READERS[cls].items() if key in doc}
+        raise ConfigError(f"unknown {section} key {sorted(unknown)[0]!r}")
+    return {name: read(doc[name]) for name, (_, read) in _PLAIN_READERS[cls].items() if name in doc}
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -309,7 +309,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         stakes = {} if c.get("stakes") is None else _object("consensus.stakes", c["stakes"])
         kwargs["consensus"] = ConsensusConfig(
             **_read_plain(ConsensusConfig, c, "consensus"),
-            stakes=tuple(sorted((str(k), _real("consensus.stakes", v)) for k, v in stakes.items())),
+            stakes=tuple(sorted((str(k), _real(v)) for k, v in stakes.items())),
         )
     if doc.get("calibration") is not None:
         kwargs["calibration"] = Calibration.from_dict(_object("calibration", doc["calibration"]))

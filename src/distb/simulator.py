@@ -617,6 +617,7 @@ def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:
     sim_s = cfg.sim_time_ms / 1000.0
     benign_kbps = link.benign_bytes_delivered * 8.0 / 1000.0 / sim_s
     raw_attack_mbps = None
+    block_times = link.block_times  # a copy of the drop table: read once, not once per blocked source
     if cfg.attack is not None:
         dur_s = (cfg.attack.stop_ms - cfg.attack.start_ms) / 1000.0
         raw_attack_mbps = link.benign_bytes_delivered_attack_window * 8.0 / 1e6 / dur_s
@@ -626,8 +627,8 @@ def link_figures(cfg: ScenarioConfig, link: LinkResult) -> dict:
         "benign_bytes_delivered": link.benign_bytes_delivered,
         "benign_bytes_generated": link.benign_bytes_generated,
         "attack_window_benign_mbps": raw_attack_mbps,
-        "blocked_sources": sorted(link.block_times),
-        "block_times_ms": {k: link.block_times[k] for k in sorted(link.block_times)},
+        "blocked_sources": sorted(block_times),
+        "block_times_ms": {k: block_times[k] for k in sorted(block_times)},
     }
 
 
@@ -734,16 +735,9 @@ def measure_bandwidth_under_attack(cfg: ScenarioConfig, rates=None) -> list[tupl
 
 def measure_response_time(cfg: ScenarioConfig, file_sizes=None) -> list[tuple[float, float, float]]:
     """Modelled transfer response per file size: (mb, distb_ms, core_ms)."""
-    sizes = list(file_sizes) if file_sizes is not None else list(
-        load_reference_tables()["response_ms"]["file_mb"]
-    )
+    sizes = load_reference_tables()["response_ms"]["file_mb"] if file_sizes is None else file_sizes
     calib = cfg.resolved_calibration()
-    rows = []
-    for s in sizes:
-        if s <= 0:
-            raise ConfigError(f"file size must be positive (got {s})")
-        rows.append((float(s), calib.response_ms("distb", float(s)), calib.response_ms("core", float(s))))
-    return rows
+    return [(float(s), calib.response_ms("distb", s), calib.response_ms("core", s)) for s in sizes]
 
 
 def measure_gas(cfg: ScenarioConfig, tx_counts=None) -> list[tuple[int, int]]:

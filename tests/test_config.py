@@ -1,8 +1,9 @@
 import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distb.calibration import load_default
@@ -20,6 +21,7 @@ from distb.config import (
     validate_config,
 )
 from distb.errors import ConfigError
+from distb.simulator import run_raw
 
 
 def write_cfg(tmp_path, doc):
@@ -215,6 +217,12 @@ def test_every_config_field_has_a_reader():
     for cls in (ScenarioConfig, AttackConfig, ConsensusConfig):
         for f in dataclasses.fields(cls):
             assert f.type in _READERS or f.name in _HAND_PARSED, f"{cls.__name__}.{f.name}"
+    # each plain field's annotation has a type check, which passes the default and refuses another type
+    for obj in (ScenarioConfig(), AttackConfig(start_ms=0, stop_ms=10), ConsensusConfig()):
+        for name, (check, _) in _plain_readers(type(obj)).items():
+            check(name, getattr(obj, name))
+            with pytest.raises(ConfigError, match=f"^{name} must be"):
+                check(name, object())
     assert set(_plain_readers(AttackConfig)) == {"start_ms", "stop_ms", "sources", "multiplier", "ramp_ms"}
     assert set(_plain_readers(ConsensusConfig)) == {"kind", "difficulty"}
 
@@ -261,12 +269,96 @@ def test_config_from_dict_returns_or_raises_config_error(doc):
         assert isinstance(cfg, ScenarioConfig)
 
 
+def _entry_points(doc: dict):
+    """Validate `doc`'s fields as the JSON reader does, then as a config built in Python from them."""
+    yield lambda: config_from_dict(doc)
+    kwargs = {k: AttackConfig(**v) if k == "attack" else v for k, v in doc.items()}
+    yield lambda: validate_config(ScenarioConfig(**kwargs))
+
+
 @pytest.mark.parametrize("value", [1.7, True, "5", float("inf"), None])
 def test_integer_fields_refuse_non_integers(value):
-    with pytest.raises(ConfigError, match="node_count must be an integer"):
-        config_from_dict({"node_count": value})
-    with pytest.raises(ConfigError, match="attack.sources must be an integer"):
-        config_from_dict({"attack": {"start_ms": 0, "stop_ms": 10, "sources": value}})
+    for build in _entry_points({"node_count": value}):
+        with pytest.raises(ConfigError, match="node_count must be an integer"):
+            build()
+    for build in _entry_points({"attack": {"start_ms": 0, "stop_ms": 10, "sources": value}}):
+        with pytest.raises(ConfigError, match="attack.sources must be an integer"):
+            build()
+
+
+_ODD = st.booleans() | st.none() | st.sampled_from([math.nan, math.inf, -math.inf]) | st.tuples(*[st.integers()] * 3)
+_MISTYPED = {  # per element type: values of another type, or not finite
+    "int": _ODD | st.floats() | st.text(max_size=3),
+    "float": _ODD | st.text(max_size=3),
+    "str": _ODD | st.floats() | st.integers(),
+}
+
+
+def _mistyped(annotation: str):
+    if annotation.startswith("tuple["):
+        wrong = _MISTYPED[annotation[len("tuple[") : annotation.index(",")]]
+        return wrong | st.tuples(wrong, st.just(1)) | st.tuples(st.just(1), wrong)
+    return _MISTYPED[annotation]
+
+
+_PLAIN_FIELDS = [
+    (prefix + f.name, f.type)
+    for cls, prefix in ((ScenarioConfig, ""), (AttackConfig, "attack."), (ConsensusConfig, "consensus."))
+    for f in dataclasses.fields(cls)
+    if f.name not in _HAND_PARSED
+]
+_STAKES_ENTRY = (
+    _ODD | _MISTYPED["str"].map(lambda name: (name, 1.0)) | _MISTYPED["float"].map(lambda weight: ("a", weight))
+)
+_PYTHON_BUILT = ScenarioConfig(
+    node_count=5,
+    sim_time_ms=2_000,
+    attack=AttackConfig(start_ms=0, stop_ms=1_000),
+    consensus=ConsensusConfig(kind="pos", stakes=(("a", 1.0),)),
+)
+
+
+def _with(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    section, _, name = key.rpartition(".")
+    if key == "consensus.stakes":
+        return cfg.with_(consensus=dataclasses.replace(cfg.consensus, stakes=(value,)))
+    if section:
+        return cfg.with_(**{section: dataclasses.replace(getattr(cfg, section), **{name: value})})
+    return cfg.with_(**{name: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_PLAIN_FIELDS).flatmap(lambda kv: st.tuples(st.just(kv[0]), _mistyped(kv[1])))
+    | st.tuples(st.just("consensus.stakes"), _STAKES_ENTRY)
+)
+@example(("sim_time_ms", 2000.0))
+@example(("round_period_ms", 1000.0))
+@example(("block_interval_ms", 1000.0))
+@example(("block_batch", 8.0))
+@example(("node_count", 5.0))
+@example(("attack.sources", 2.0))
+@example(("attack.start_ms", 0.0))
+@example(("consensus.difficulty", 2.0))
+@example(("data_rate_mbps", "10"))
+@example(("energy_range_j", ("50", 100.0)))
+@example(("unregistered_fraction", None))
+@example(("consensus.stakes", (1, 1.0)))
+@example(("seed", True))
+@example(("t_pending_ms", 1000.0))
+@example(("detector_window_ms", 200.0))
+@example(("packet_size_bytes", (128.0, 1024.0)))
+@example(("consensus.difficulty", True))
+@example(("mode", None))
+def test_python_built_configs_are_type_checked(key_value):
+    # A config built in Python skips the JSON reader, so only validate_config stands between
+    # a mistyped field and the engine, which would raise a bare TypeError or run a coerced value.
+    key, value = key_value
+    cfg = _with(_PYTHON_BUILT, key, value)
+    for run in (validate_config, run_raw):
+        with pytest.raises(ConfigError) as err:
+            run(cfg)
+        assert len(str(err.value).splitlines()) == 1 and str(err.value).startswith(f"{key} "), str(err.value)
 
 
 def test_integral_float_is_an_integer():
@@ -361,5 +453,6 @@ def test_equal_range_bounds_accepted():
     ],
 )
 def test_unbounded_floats_rejected(key, value):
-    with pytest.raises(ConfigError, match=key):
-        config_from_dict({key: value})
+    for build in _entry_points({key: value}):
+        with pytest.raises(ConfigError, match=key):
+            build()

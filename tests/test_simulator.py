@@ -14,6 +14,7 @@ from distb.calibration import Calibration, load_default
 from distb.cli import _flow_tables_json
 from distb.config import MODES, WINDOW_MS, AttackConfig, ConsensusConfig, ScenarioConfig, config_from_dict
 from distb.errors import ConfigError, DuplicateTransactionError
+from distb.sdn import FlowTable
 from distb.simulator import (
     _LEDGER_COUNTERS,
     THROUGHPUT_SIM_MS,
@@ -929,6 +930,16 @@ def test_bandwidth_rows_read_the_calibration_at_their_own_rate():
             run_cfg = _bandwidth_cfg(cfg, rate, mode)
             raw = link_figures(run_cfg, run_link(run_cfg))["attack_window_benign_mbps"]
             assert cell == calib.scaled("bandwidth", mode, rate, raw), (rate, mode)
+
+
+def test_link_figures_read_a_large_drop_table_once():
+    # `block_times` copies the drop table: read once per blocked source, it makes this quadratic in the blocks.
+    link = run_link(SMALL)
+    rules = {f"s-{i}": i for i in range(30_000)}
+    start = time.process_time()
+    figures = link_figures(SMALL, dataclasses.replace(link, drop_table=FlowTable(dict(rules))))
+    assert time.process_time() - start < 0.5
+    assert figures["block_times_ms"] == dict(sorted(rules.items()))
 
 
 @pytest.mark.parametrize(
